@@ -14,7 +14,7 @@ from .regress import (
     predict,
     rolling_weekly_fit,
 )
-from .selection import SelectionResult, greedy_select, prefix_sweep
+from .selection import SelectionResult, greedy_select
 from .stats import (
     CorrelationResult,
     NAReason,
@@ -28,10 +28,10 @@ from .timeseries import (
     ShiftSpec,
     WeekStamp,
     WeeklySeries,
-    align,
     scale_0_100,
     shift_pair,
-    slice_year,
+    week_range,
+    window,
 )
 
 __all__ = [
@@ -48,20 +48,19 @@ __all__ = [
     "SignificanceConfig",
     "WeekStamp",
     "WeeklySeries",
-    "align",
     "correlate",
     "evaluate",
     "fit_ols",
     "greedy_select",
     "pearson",
     "predict",
-    "prefix_sweep",
     "rank_queries",
     "rolling_weekly_fit",
     "scale_0_100",
     "shift_pair",
-    "slice_year",
     "student_t_two_sided_p",
+    "week_range",
+    "window",
 ]
 
 __version__ = "0.1.0"

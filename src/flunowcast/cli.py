@@ -15,7 +15,7 @@ from .errors import DataError
 from .ingest import parse_cases_csv, parse_trends_csv, write_cases_csv, write_trends_csv
 from .regress import NowcastMode, evaluate, fit_ols, predict, rolling_weekly_fit
 from .stats import SignificanceConfig
-from .timeseries import ShiftSpec, WeekStamp
+from .timeseries import ShiftSpec, WeekStamp, WeeklySeries
 
 
 def _parse_shift_range(text: str) -> list[int]:
@@ -47,8 +47,11 @@ def _read(path: str) -> bytes:
 
 
 def _write(path: str, data: bytes) -> None:
-    with open(path, "wb") as fh:
-        fh.write(data)
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _load_inputs(args):
@@ -97,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nowcast", help="model estimates plus objective-by-shift table")
     _add_common(p, shifts=True)
     p.add_argument("--mode", choices=["full", "rolling"], default="full")
-    p.add_argument("--warmup", type=int, help="rolling warmup weeks (default: queries + 4)")
+    p.add_argument("--warmup", type=int,
+                   help="rolling warmup weeks (default: first fittable week from queries + 4)")
     p.add_argument("--clamp", action="store_true", help="clamp negative estimates to zero")
     p.add_argument("--out-estimates", required=True, help="estimates + actual figure CSV")
     p.add_argument("--out-table", required=True, help="objective-by-shift table CSV")
@@ -199,8 +203,6 @@ def _cmd_nowcast(args) -> int:
     valid = estimates.valid_items()
     est_series = None
     if valid:
-        from .timeseries import WeeklySeries
-
         est_series = WeeklySeries(valid[0][0], tuple(v for _, v in valid), "estimates")
     _write(args.out_estimates,
            report.figure_data(([est_series] if est_series else []) + [cases]))

@@ -19,10 +19,6 @@ class InsufficientOverlap(DataError):
     """Fewer than the minimum number of pairs remain after shifting."""
 
 
-class EmptySlice(DataError):
-    """No weeks of the series fall in the requested year."""
-
-
 class NegativeValue(DataError):
     """Search-volume scaling requires non-negative input."""
 
@@ -87,14 +83,6 @@ class NegativeCount(DataError):
     """Case counts must be non-negative."""
 
 
-class DuplicateEntry(DataError):
-    """Lexicon contains a repeated (query, language) entry."""
-
-
-class EmptyQuery(DataError):
-    """Lexicon query text is empty."""
-
-
 # -- synth --------------------------------------------------------------
 
 class InvalidConfig(DataError):
@@ -102,10 +90,6 @@ class InvalidConfig(DataError):
 
 
 # -- report -------------------------------------------------------------
-
-class OutOfRange(DataError):
-    """Correlation coefficient outside [-1, 1]."""
-
 
 class EmptyLabel(DataError):
     """Figure series must carry a non-empty label."""

@@ -1,11 +1,9 @@
 """Parsers and writers for the weekly-data interchange formats.
 
-Three fixed CSV layouts, all UTF-8 with LF endings and no quoting:
+Two fixed CSV layouts, both UTF-8 with LF endings and no quoting:
 
   search panel:  week,<label1>,<label2>,...   rows YYYY-Www,<int 0-100>,...
   case counts:   week,cases                   rows YYYY-Www,<int >= 0>
-  query lexicon: query,language,source        language en|ar, source
-                 prior|wikipedia|related
 
 Search-volume files may omit zero weeks (zero-filled on parse); case
 files must be complete, a gap there is an error.
@@ -13,12 +11,7 @@ files must be complete, a gap there is an error.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
 from .errors import (
-    DuplicateEntry,
-    EmptyQuery,
     GapInCases,
     MalformedHeader,
     MalformedRow,
@@ -27,33 +20,7 @@ from .errors import (
     ValueOutOfRange,
 )
 from .regress import QueryPanel
-from .timeseries import WeekStamp, WeeklySeries
-
-
-class Language(enum.Enum):
-    ENGLISH = "en"
-    ARABIC = "ar"
-
-
-class LexiconSource(enum.Enum):
-    PRIOR_RESEARCH = "prior"
-    WIKIPEDIA = "wikipedia"
-    RELATED_SEARCHES = "related"
-
-
-@dataclass(frozen=True)
-class LexiconEntry:
-    query_text: str
-    language: Language
-    source: LexiconSource
-
-
-@dataclass(frozen=True)
-class QueryLexicon:
-    entries: tuple[LexiconEntry, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
+from .timeseries import WeekStamp, WeeklySeries, week_range
 
 
 def _decode_lines(data: bytes) -> list[str]:
@@ -77,7 +44,9 @@ def _parse_week(text: str, lineno: int) -> WeekStamp:
 
 
 def _parse_int(text: str, lineno: int) -> int:
-    if not text or not (text.isdigit() or (text[0] == "-" and text[1:].isdigit())):
+    digits = text[1:] if text.startswith("-") else text
+    # str.isdigit alone admits non-ASCII digits such as '²' and '١'
+    if not (digits.isascii() and digits.isdigit()):
         raise MalformedRow(f"line {lineno}: not an integer: {text!r}")
     return int(text)
 
@@ -109,15 +78,13 @@ def parse_trends_csv(data: bytes) -> QueryPanel:
         raise MalformedRow("panel has no data rows")
 
     # zero-fill omitted weeks between the first and last stamp
-    filled: list[list[int]] = []
-    expected = rows[0][0]
-    for week, vals in rows:
-        gap = expected.weeks_until(week)
+    filled: list[list[int]] = [rows[0][1]]
+    for (prev, _), (week, vals) in zip(rows, rows[1:]):
+        gap = prev.weeks_until(week) - 1
         if gap < 0:
             raise NonContiguousAfterFill(f"week {week} out of order or duplicated")
         filled.extend([0] * len(labels) for _ in range(gap))
         filled.append(vals)
-        expected = week.add(1)
 
     start = rows[0][0]
     series = tuple(
@@ -145,7 +112,7 @@ def parse_cases_csv(data: bytes) -> WeeklySeries:
         if count < 0:
             raise NegativeCount(f"line {i}: negative case count {count}")
         if weeks:
-            gap = weeks[-1].add(1).weeks_until(week)
+            gap = weeks[-1].weeks_until(week) - 1
             if gap > 0:
                 raise GapInCases(f"missing week(s) before {week}")
             if gap < 0:
@@ -157,41 +124,9 @@ def parse_cases_csv(data: bytes) -> WeeklySeries:
     return WeeklySeries(weeks[0], tuple(float(c) for c in counts), "cases")
 
 
-def load_lexicon(data: bytes) -> QueryLexicon:
-    """Parse the pre-translated query lexicon."""
-    lines = _decode_lines(data)
-    if not lines:
-        raise MalformedHeader("empty input")
-    if lines[0] != "query,language,source":
-        raise MalformedHeader(f"expected 'query,language,source', got {lines[0]!r}")
-    entries: list[LexiconEntry] = []
-    seen: set[tuple[str, Language]] = set()
-    for i, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != 3:
-            raise MalformedRow(f"line {i}: expected 3 cells, got {len(cells)}")
-        query, lang_text, source_text = cells
-        if not query:
-            raise EmptyQuery(f"line {i}: empty query text")
-        try:
-            lang = Language(lang_text)
-            source = LexiconSource(source_text)
-        except ValueError:
-            raise MalformedRow(
-                f"line {i}: language must be en|ar, source prior|wikipedia|related"
-            ) from None
-        key = (query, lang)
-        if key in seen:
-            raise DuplicateEntry(f"line {i}: duplicate entry {query!r} ({lang.value})")
-        seen.add(key)
-        entries.append(LexiconEntry(query, lang, source))
-    return QueryLexicon(tuple(entries))
-
-
 def write_trends_csv(panel: QueryPanel) -> bytes:
     lines = ["week," + ",".join(panel.labels)]
-    for i in range(panel.n_weeks):
-        week = panel.start.add(i)
+    for i, week in enumerate(week_range(panel.start, panel.n_weeks)):
         lines.append(f"{week}," + ",".join(str(int(s.values[i])) for s in panel.series))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -200,11 +135,4 @@ def write_cases_csv(cases: WeeklySeries) -> bytes:
     lines = ["week,cases"]
     for week, v in zip(cases.weeks(), cases.values):
         lines.append(f"{week},{int(v)}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def write_lexicon_csv(lexicon: QueryLexicon) -> bytes:
-    lines = ["query,language,source"]
-    for e in lexicon.entries:
-        lines.append(f"{e.query_text},{e.language.value},{e.source.value}")
     return ("\n".join(lines) + "\n").encode("utf-8")

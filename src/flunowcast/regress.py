@@ -17,14 +17,15 @@ import numpy as np
 from . import stats
 from .errors import (
     EmptyOverlap,
+    InsufficientOverlap,
     MissingQuery,
     SingularDesign,
     TooFewPairs,
     Underdetermined,
     ZeroVariance,
 )
-from .stats import CorrelationResult, SignificanceConfig
-from .timeseries import ShiftSpec, WeekStamp, WeeklySeries, align
+from .stats import CorrelationResult, NAReason, SignificanceConfig
+from .timeseries import ShiftSpec, WeekStamp, WeeklySeries, week_range, window
 
 PIVOT_TOL = 1e-10
 
@@ -124,31 +125,20 @@ class NowcastSeries:
     def __len__(self) -> int:
         return len(self.values)
 
-    def weeks(self):
-        return [self.start.add(i) for i in range(len(self.values))]
+    def weeks(self) -> list[WeekStamp]:
+        return list(week_range(self.start, len(self.values)))
 
     def valid_items(self) -> list[tuple[WeekStamp, float]]:
-        return [
-            (self.start.add(i), v)
-            for i, v in enumerate(self.values)
-            if not math.isnan(v)
-        ]
+        return [(w, v) for w, v in zip(self.weeks(), self.values) if not math.isnan(v)]
 
 
 def _design_rows(panel: QueryPanel, y: WeeklySeries, s: ShiftSpec):
-    """Joint rows (x vector at week t, y at week t+k, stamp of that y week)."""
-    probe, ya = align(panel.series[0], y)
-    x_off = panel.start.weeks_until(probe.start)
-    n = len(probe)
-    k = s.weeks
-    X, yv, stamps = [], [], []
-    for t in range(n):
-        u = t + k
-        if 0 <= u < n:
-            X.append([sr.values[x_off + t] for sr in panel.series])
-            yv.append(ya.values[u])
-            stamps.append(ya.start.add(u))
-    return np.array(X, dtype=float), np.array(yv, dtype=float), stamps
+    """Joint rows (x vector at week t, y at week t+k) and the first y week."""
+    xi, yi, n = window(panel.start, panel.n_weeks, y, s)
+    cols = np.array([sr.values[xi:xi + n] for sr in panel.series], dtype=float)
+    # C order, as rows built one by one had: BLAS may round a strided row's dot differently
+    X = np.ascontiguousarray(cols.T)
+    return X, np.array(y.values[yi:yi + n], dtype=float), y.start.add(yi)
 
 
 def _row_estimates(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -185,7 +175,7 @@ def fit_ols(
     alpha: float = 0.05,
 ) -> ModelFit:
     """Fit the nowcast model on the full overlapping period."""
-    X, yv, stamps = _design_rows(panel, y, s)
+    X, yv, first_week = _design_rows(panel, y, s)
     m, nq = X.shape
     if m < nq + 2:
         raise Underdetermined(f"{m} fitted weeks for {nq} queries (need >= {nq + 2})")
@@ -209,7 +199,7 @@ def fit_ols(
         r_squared=r2,
         residual_dof=dof,
         shift=s,
-        fitted=WeeklySeries(stamps[0], tuple(float(v) for v in fitted), "fitted"),
+        fitted=WeeklySeries(first_week, tuple(float(v) for v in fitted), "fitted"),
     )
 
 
@@ -248,11 +238,14 @@ def rolling_weekly_fit(
     """One-step-ahead estimates with weekly coefficient updates.
 
     The estimate for week t comes from a model fit on all weeks strictly
-    before t (expanding window). Weeks inside the warmup carry NaN.
+    before t (expanding window). Weeks inside the warmup carry NaN. An
+    explicit warmup's first window must be fittable; the default starts
+    at the first fittable window from week nq + 4 on.
     """
-    X, yv, stamps = _design_rows(panel, y, s)
+    X, yv, first_week = _design_rows(panel, y, s)
     m, nq = X.shape
-    if warmup is None:
+    default_warmup = warmup is None
+    if default_warmup:
         warmup = nq + 4
     if warmup < nq + 2:
         raise Underdetermined(f"warmup {warmup} < {nq + 2} minimum for {nq} queries")
@@ -262,9 +255,10 @@ def rolling_weekly_fit(
         try:
             beta, _ = _qr_solve(Xd, yv[:t])
         except SingularDesign:
-            # the very first window must be fittable; later singular
-            # windows (e.g. still-flat query columns) just yield no estimate
-            if t == warmup:
+            # singular windows (e.g. still-flat query columns) just yield
+            # no estimate, so the default warmup runs on to the first
+            # fittable one
+            if t == warmup and not default_warmup:
                 raise
             values.append(math.nan)
             continue
@@ -273,7 +267,7 @@ def rolling_weekly_fit(
             est = max(est, 0.0)
         values.append(est)
     return NowcastSeries(
-        start=stamps[0],
+        start=first_week,
         values=tuple(values),
         mode=NowcastMode.ROLLING_WEEKLY,
         clamp_nonnegative=clamp_nonnegative,
@@ -292,20 +286,18 @@ def evaluate(
     cfg: SignificanceConfig = SignificanceConfig(),
 ) -> EvaluationResult:
     """Correlate non-sentinel estimates against actual cases, overall and per year."""
-    pairs_by_week = []
-    for week, est in estimates.valid_items():
-        try:
-            pairs_by_week.append((week, est, y.value_at(week)))
-        except KeyError:
-            continue
-    all_pairs = [(e, v) for _, e, v in pairs_by_week]
-    overall = stats.gated_result(all_pairs, cfg)
-    years = sorted({w.iso_year for w, _, _ in pairs_by_week})
-    by_year = tuple(
-        (yr, stats.gated_result([(e, v) for w, e, v in pairs_by_week if w.iso_year == yr], cfg))
-        for yr in years
-    )
-    return EvaluationResult(overall=overall, by_year=by_year)
+    try:
+        ei, yi, n = window(estimates.start, len(estimates), y, ShiftSpec(0))
+    except (EmptyOverlap, InsufficientOverlap):
+        return EvaluationResult(CorrelationResult.not_applicable(NAReason.TOO_FEW_PAIRS), ())
+    kept = [
+        (w.iso_year, (e, v))
+        for w, e, v in zip(week_range(y.start.add(yi), n),
+                           estimates.values[ei:ei + n], y.values[yi:yi + n])
+        if not math.isnan(e)
+    ]
+    overall, per_year = stats.gated_by_year([p for _, p in kept], [yr for yr, _ in kept], cfg)
+    return EvaluationResult(overall=overall, by_year=tuple(per_year.items()))
 
 
 def in_sample_objective(panel: QueryPanel, y: WeeklySeries, s: ShiftSpec) -> float | None:
@@ -316,11 +308,10 @@ def in_sample_objective(panel: QueryPanel, y: WeeklySeries, s: ShiftSpec) -> flo
     """
     try:
         fit = fit_ols(panel, y, s)
-    except (Underdetermined, SingularDesign, EmptyOverlap):
+    except (Underdetermined, SingularDesign, EmptyOverlap, InsufficientOverlap):
         return None
-    pairs = []
-    for week, est in zip(fit.fitted.weeks(), fit.fitted.values):
-        pairs.append((est, y.value_at(week)))
+    yi = y.start.weeks_until(fit.fitted.start)
+    pairs = list(zip(fit.fitted.values, y.values[yi:yi + len(fit.fitted)]))
     try:
         r, _ = stats.pearson(pairs)
     except (TooFewPairs, ZeroVariance):

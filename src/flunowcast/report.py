@@ -8,32 +8,19 @@ drop is available as a JSON sidecar. Figure data is a long-format CSV
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 from dataclasses import dataclass
 
 from . import stats
-from .errors import EmptyLabel, EmptyOverlap, InsufficientOverlap, MalformedHeader, MalformedRow, OutOfRange
+from .errors import EmptyLabel, EmptyOverlap, InsufficientOverlap
 from .regress import QueryPanel, in_sample_objective
 from .selection import SelectionResult
 from .stats import CorrelationResult, NAReason, SignificanceConfig
-from .timeseries import ShiftSpec, WeekStamp, WeeklySeries, shift_pair_stamped
+from .timeseries import ShiftSpec, WeeklySeries, week_range, window
 
 FOOTNOTES = ("NA: Not applicable", "p<0.05")
 DEFAULT_SHIFTS = (-2, -1, 0, 1, 2)
-
-
-class Strength(enum.Enum):
-    STRONG = "Strong"
-    NOT_STRONG = "NotStrong"
-
-
-def classify_strength(r: float) -> Strength:
-    """Strong iff r is strictly greater than 0.7."""
-    if not -1.0 <= r <= 1.0:
-        raise OutOfRange(f"correlation {r} outside [-1, 1]")
-    return Strength.STRONG if r > 0.7 else Strength.NOT_STRONG
 
 
 @dataclass(frozen=True)
@@ -79,17 +66,13 @@ def shifted_cells(
     Years are assigned from the case-series week of each pair.
     """
     try:
-        triples = shift_pair_stamped(x, y, s)
+        xi, yi, n = window(x.start, len(x), y, s)
     except (InsufficientOverlap, EmptyOverlap):
         na = CorrelationResult.not_applicable(NAReason.TOO_FEW_PAIRS)
         return na, {}
-    overall = stats.gated_result([(a, b) for a, b, _ in triples], cfg)
-    years = sorted({w.iso_year for _, _, w in triples})
-    per_year = {
-        yr: stats.gated_result([(a, b) for a, b, w in triples if w.iso_year == yr], cfg)
-        for yr in years
-    }
-    return overall, per_year
+    pairs = list(zip(x.values[xi:xi + n], y.values[yi:yi + n]))
+    years = [w.iso_year for w in week_range(y.start.add(yi), n)]
+    return stats.gated_by_year(pairs, years, cfg)
 
 
 def table_overall_annual(
@@ -182,32 +165,3 @@ def figure_data(series: list[WeeklySeries]) -> bytes:
     lines = ["week,label,value"]
     lines.extend(f"{w},{label},{v:.2f}" for w, label, v in rows)
     return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def parse_figure_csv(data: bytes) -> list[tuple[WeekStamp, str, float]]:
-    """Inverse of figure_data, for round-trip checks and downstream tools."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise MalformedRow(f"input is not valid UTF-8: {exc}") from None
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != "week,label,value":
-        raise MalformedHeader("expected 'week,label,value' header")
-    out = []
-    for i, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != 3:
-            raise MalformedRow(f"line {i}: expected 3 cells")
-        if not cells[1]:
-            raise MalformedRow(f"line {i}: empty label")
-        try:
-            week = WeekStamp.parse(cells[0])
-            value = float(cells[2])
-        except ValueError as exc:
-            raise MalformedRow(f"line {i}: {exc}") from None
-        if not math.isfinite(value):
-            raise MalformedRow(f"line {i}: non-finite value")
-        out.append((week, cells[1], value))
-    return out

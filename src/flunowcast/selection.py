@@ -1,4 +1,4 @@
-"""Greedy forward selection of query subsets, plus the top-N prefix sweep.
+"""Greedy forward selection of query subsets.
 
 Selection starts from the query with the highest individual correlation
 and keeps adding the candidate that most improves the model objective,
@@ -7,7 +7,6 @@ per candidate shift; the shift with the best final objective wins.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import stats
@@ -85,22 +84,3 @@ def greedy_select(
     if best is None:
         raise NoUsableQuery("no query has a usable correlation at any shift")
     return best
-
-
-def prefix_sweep(
-    panel: QueryPanel,
-    y: WeeklySeries,
-    s: ShiftSpec,
-    cfg: SignificanceConfig = SignificanceConfig(),
-) -> list[tuple[int, float]]:
-    """Model objective for the top-N ranked queries, N = 1..panel size.
-
-    Entries where the fit is underdetermined or collinear are NaN; once
-    a prefix fails, every longer prefix fails too.
-    """
-    order = [label for label, _ in stats.rank_queries(panel, y, s, cfg)]
-    out = []
-    for n in range(1, len(order) + 1):
-        obj = in_sample_objective(panel.subset(order[:n]), y, s)
-        out.append((n, math.nan if obj is None else obj))
-    return out

@@ -180,6 +180,22 @@ def gated_result(
     return CorrelationResult(r=r, p_value=p, n=n)
 
 
+def gated_by_year(
+    pairs: list[tuple[float, float]],
+    years: list[int],
+    cfg: SignificanceConfig,
+) -> tuple[CorrelationResult, dict[int, CorrelationResult]]:
+    """gated_result over all pairs, and over each year's pairs in year order.
+
+    `years[i]` is the ISO year that pair i is assigned to.
+    """
+    per_year = {
+        yr: gated_result([p for p, y in zip(pairs, years) if y == yr], cfg)
+        for yr in sorted(set(years))
+    }
+    return gated_result(pairs, cfg), per_year
+
+
 def correlate(
     x: WeeklySeries,
     y: WeeklySeries,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .regress import QueryPanel
-from .timeseries import WeekStamp, WeeklySeries, scale_0_100
+from .timeseries import WeekStamp, WeeklySeries, scale_0_100, week_range
 
 DEFAULT_START = WeekStamp(2009, 1)
 
@@ -75,7 +75,7 @@ def _spike_pulse(cfg: ScenarioConfig, horizon: int) -> np.ndarray:
 def _decay_weights(cfg: ScenarioConfig) -> np.ndarray:
     start_year = cfg.start.iso_year
     years = np.array(
-        [cfg.start.add(i).iso_year - start_year for i in range(cfg.weeks)], dtype=float
+        [w.iso_year - start_year for w in week_range(cfg.start, cfg.weeks)], dtype=float
     )
     return cfg.attention_decay ** years
 

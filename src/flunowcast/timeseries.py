@@ -1,4 +1,4 @@
-"""Date-anchored weekly series: alignment, shifting, slicing, 0-100 scaling.
+"""Date-anchored weekly series: week arithmetic, shift windows, 0-100 scaling.
 
 Sign convention for shifts: +k ("lagging") pairs search week t with case
 week t+k, i.e. the case data are moved later relative to the searches.
@@ -10,18 +10,16 @@ from __future__ import annotations
 
 import datetime as _dt
 import math
+import re
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from .errors import (
-    EmptyOverlap,
-    EmptySlice,
-    InsufficientOverlap,
-    NegativeValue,
-)
+from .errors import EmptyOverlap, InsufficientOverlap, NegativeValue
 
 DEFAULT_MAX_SHIFT = 2
 MIN_PAIRS = 3
+_STAMP = re.compile(r"[0-9]{4}-W[0-9]{2}")
+_ONE_WEEK = _dt.timedelta(weeks=1)
 
 
 @dataclass(frozen=True, order=True)
@@ -40,8 +38,8 @@ class WeekStamp:
 
     @classmethod
     def parse(cls, text: str) -> "WeekStamp":
-        """Parse the 'YYYY-Www' interchange form."""
-        if len(text) < 8 or text[4:6] != "-W":
+        """Parse the 'YYYY-Www' interchange form (ASCII digits only)."""
+        if not _STAMP.fullmatch(text):
             raise ValueError(f"not a YYYY-Www week stamp: {text!r}")
         return cls(int(text[:4]), int(text[6:]))
 
@@ -86,17 +84,7 @@ class WeeklySeries:
         return self.start.add(len(self.values) - 1)
 
     def weeks(self) -> Iterator[WeekStamp]:
-        for i in range(len(self.values)):
-            yield self.start.add(i)
-
-    def value_at(self, week: WeekStamp) -> float:
-        i = self.start.weeks_until(week)
-        if not 0 <= i < len(self.values):
-            raise KeyError(f"{week} outside series range")
-        return self.values[i]
-
-    def with_label(self, label: str) -> "WeeklySeries":
-        return WeeklySeries(self.start, self.values, label)
+        return week_range(self.start, len(self.values))
 
 
 @dataclass(frozen=True)
@@ -111,60 +99,39 @@ class ShiftSpec:
             raise ValueError(f"|shift| = {abs(self.weeks)} exceeds maximum {self.max_shift}")
 
 
-def align(a: WeeklySeries, b: WeeklySeries) -> tuple[WeeklySeries, WeeklySeries]:
-    """Restrict both series to the intersection of their week ranges."""
-    start = max(a.start, b.start)
-    end = min(a.end, b.end)
-    if start > end:
-        raise EmptyOverlap(f"series ranges {a.start}..{a.end} and {b.start}..{b.end} are disjoint")
-    ai = a.start.weeks_until(start)
-    bi = b.start.weeks_until(start)
-    n = start.weeks_until(end) + 1
-    return (
-        WeeklySeries(start, a.values[ai:ai + n], a.label),
-        WeeklySeries(start, b.values[bi:bi + n], b.label),
-    )
+def week_range(start: WeekStamp, n: int) -> Iterator[WeekStamp]:
+    """The n consecutive weeks from `start`, stepping one date by 7 days."""
+    day = start._monday()
+    for _ in range(n):
+        year, week, _ = day.isocalendar()
+        yield WeekStamp(year, week)
+        day += _ONE_WEEK
+
+
+def window(x_start: WeekStamp, x_len: int, y: WeeklySeries, s: ShiftSpec) -> tuple[int, int, int]:
+    """Index offsets pairing search week t with case week t+k under shift s.
+
+    x is a weekly column of `x_len` values from `x_start`. Pair i is
+    (x[xi + i], y.values[yi + i]) for i < n, both taken from the weeks the
+    two ranges share.
+    """
+    d = x_start.weeks_until(y.start)  # y's first week, in x indices
+    lo, hi = max(0, d), min(x_len, d + len(y))
+    if lo >= hi:
+        raise EmptyOverlap(
+            f"series ranges {x_start}..{x_start.add(x_len - 1)} and {y.start}..{y.end} are disjoint"
+        )
+    k = s.weeks
+    n = max(hi - lo - abs(k), 0)
+    if n < MIN_PAIRS:
+        raise InsufficientOverlap(f"only {n} pairs remain after shifting by {k} (need {MIN_PAIRS})")
+    return lo + max(-k, 0), lo - d + max(k, 0), n
 
 
 def shift_pair(x: WeeklySeries, y: WeeklySeries, s: ShiftSpec) -> list[tuple[float, float]]:
     """Pairs (x_t, y_{t+k}) for shift +k; (x_t, y_{t-k}) for -k."""
-    return [(xv, yv) for xv, yv, _ in shift_pair_stamped(x, y, s)]
-
-
-def shift_pair_stamped(
-    x: WeeklySeries, y: WeeklySeries, s: ShiftSpec
-) -> list[tuple[float, float, WeekStamp]]:
-    """Like shift_pair, but each pair carries the week stamp of its y value.
-
-    The y-side stamp is what annual tables slice on.
-    """
-    xa, ya = align(x, y)
-    k = s.weeks
-    n = len(xa)
-    pairs = []
-    for t in range(n):
-        u = t + k
-        if 0 <= u < n:
-            pairs.append((xa.values[t], ya.values[u], ya.start.add(u)))
-    if len(pairs) < MIN_PAIRS:
-        raise InsufficientOverlap(
-            f"only {len(pairs)} pairs remain after shifting by {k} (need {MIN_PAIRS})"
-        )
-    return pairs
-
-
-def slice_year(s: WeeklySeries, year: int) -> WeeklySeries:
-    """The contiguous block of weeks whose ISO year equals `year`."""
-    idx = [i for i, w in enumerate(s.weeks()) if w.iso_year == year]
-    if not idx:
-        raise EmptySlice(f"no weeks of {s.start}..{s.end} fall in ISO year {year}")
-    lo, hi = idx[0], idx[-1]
-    return WeeklySeries(s.start.add(lo), s.values[lo:hi + 1], s.label)
-
-
-def covered_years(s: WeeklySeries) -> list[int]:
-    """Distinct ISO years touched by the series, ascending."""
-    return sorted({w.iso_year for w in s.weeks()})
+    xi, yi, n = window(x.start, len(x), y, s)
+    return list(zip(x.values[xi:xi + n], y.values[yi:yi + n]))
 
 
 def _round_half_up(v: float) -> int:
@@ -184,7 +151,3 @@ def scale_0_100(s: WeeklySeries) -> WeeklySeries:
         return s
     scaled = tuple(float(_round_half_up(100.0 * v / top)) for v in s.values)
     return WeeklySeries(s.start, scaled, s.label)
-
-
-def from_weekly_values(start: WeekStamp, values: Sequence[float], label: str = "") -> WeeklySeries:
-    return WeeklySeries(start, tuple(values), label)

@@ -15,7 +15,6 @@ import pytest
 from flunowcast.cli import run as cli_run
 from flunowcast.errors import DataError
 from flunowcast.ingest import (
-    load_lexicon,
     parse_cases_csv,
     parse_trends_csv,
     write_cases_csv,
@@ -248,7 +247,7 @@ def test_criterion_9_round_trip_and_fuzz():
 
     rng = np.random.default_rng(1009)
     headers = [b"", b"week,cases\n", b"week,q1,q2\n", b"query,language,source\n"]
-    parsers = (parse_trends_csv, parse_cases_csv, load_lexicon)
+    parsers = (parse_trends_csv, parse_cases_csv)
     for i in range(10_000):
         blob = rng.bytes(int(rng.integers(0, 120)))
         if i % 4 == 0:
@@ -258,7 +257,7 @@ def test_criterion_9_round_trip_and_fuzz():
                 parser(blob)
             except DataError:
                 pass
-    _report(9, "fixtures round-trip; 10,000 fuzz inputs x 3 parsers, "
+    _report(9, "fixtures round-trip; 10,000 fuzz inputs x 2 parsers, "
                "structured errors only")
 
 

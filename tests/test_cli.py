@@ -1,8 +1,10 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from flunowcast.cli import run
+from flunowcast.cli import _COMMANDS, run
 
 
 def synth_files(tmp_path, extra=()):
@@ -58,6 +60,18 @@ class TestCorrelate:
             "--panel", str(tmp_path / "nope2.csv"), "--out", str(tmp_path / "t.csv"),
         ])
         assert code == 1
+
+    def test_unwritable_output_is_data_error(self, tmp_path, capsys):
+        cases, panel = synth_files(tmp_path)
+        capsys.readouterr()
+        code = run([
+            "correlate", "--cases", str(cases), "--panel", str(panel),
+            "--out", str(tmp_path / "no-such-dir" / "t.csv"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: DataError: cannot write ")
+        assert err.count("\n") == 1
 
     def test_malformed_input_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -127,10 +141,9 @@ class TestPipelineCommands:
         assert run([
             "report-fig", "--cases", str(cases), "--panel", str(panel), "--out", str(out),
         ]) == 0
-        from flunowcast.report import parse_figure_csv
-
-        rows = parse_figure_csv(out.read_bytes())
-        assert len(rows) == 150 * 3  # cases + two queries
+        lines = out.read_text().splitlines()
+        assert lines[0] == "week,label,value"
+        assert len(lines) - 1 == 150 * 3  # cases + two queries
 
     def test_every_subcommand_is_reproducible(self, fixtures, tmp_path):
         cases, panel = fixtures
@@ -154,3 +167,22 @@ class TestPipelineCommands:
                 p.name: p.read_bytes() for p in sorted(d.iterdir())
             }
         assert outputs["one"] == outputs["two"]
+
+
+def readme_commands() -> list[list[str]]:
+    """Every `flunowcast ...` command in README's sh blocks, in order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in text.split("```sh\n")[1:]:
+        body = block.split("```", 1)[0].replace("\\\n", " ")
+        commands += [shlex.split(line, comments=True) for line in body.splitlines()
+                     if line.startswith("flunowcast ")]
+    return commands
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    commands = readme_commands()
+    assert {argv[1] for argv in commands} == set(_COMMANDS)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert run(argv[1:]) == 0, " ".join(argv)

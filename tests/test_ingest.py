@@ -3,22 +3,17 @@ from hypothesis import given, settings, strategies as st
 
 from flunowcast.errors import (
     DataError,
-    DuplicateEntry,
-    EmptyQuery,
     GapInCases,
     MalformedHeader,
+    MalformedRow,
     NegativeCount,
     NonContiguousAfterFill,
     ValueOutOfRange,
 )
 from flunowcast.ingest import (
-    Language,
-    LexiconSource,
-    load_lexicon,
     parse_cases_csv,
     parse_trends_csv,
     write_cases_csv,
-    write_lexicon_csv,
     write_trends_csv,
 )
 from flunowcast.timeseries import WeekStamp
@@ -87,41 +82,23 @@ class TestParseCases:
         assert parse_cases_csv(write_cases_csv(series)) == series
 
 
-class TestLoadLexicon:
-    def test_fifty_entries(self):
-        lines = ["query,language,source"]
-        lines += [f"english query {i},en,prior" for i in range(30)]
-        lines += [f"استفسار {i},ar,wikipedia" for i in range(20)]
-        lex = load_lexicon(("\n".join(lines) + "\n").encode())
-        assert len(lex) == 50
-        assert sum(e.language is Language.ENGLISH for e in lex.entries) == 30
-        assert sum(e.language is Language.ARABIC for e in lex.entries) == 20
-
-    def test_duplicate_entry(self):
-        data = b"query,language,source\nflu,en,prior\nflu,en,related\n"
-        with pytest.raises(DuplicateEntry):
-            load_lexicon(data)
-
-    def test_same_text_different_language_allowed(self):
-        data = b"query,language,source\nflu,en,prior\nflu,ar,prior\n"
-        assert len(load_lexicon(data)) == 2
-
-    def test_empty_query(self):
-        with pytest.raises(EmptyQuery):
-            load_lexicon(b"query,language,source\n,en,prior\n")
-
-    def test_arabic_round_trips_byte_identically(self):
-        data = "query,language,source\nانفلونزا الخنازير,ar,related\n".encode("utf-8")
-        lex = load_lexicon(data)
-        assert write_lexicon_csv(lex) == data
-        assert lex.entries[0].source is LexiconSource.RELATED_SEARCHES
+@pytest.mark.parametrize("parser,header", [
+    (parse_trends_csv, "week,flu"),
+    (parse_cases_csv, "week,cases"),
+])
+@pytest.mark.parametrize("cell", ["²", "١٢", "+5", "1_0"])
+def test_only_ascii_digits_parse_as_integers(parser, header, cell):
+    # str.isdigit accepts '²' (which int() then rejects) and Arabic-Indic
+    # digits (which int() accepts); int() alone accepts '+5' and '1_0'
+    with pytest.raises(MalformedRow):
+        parser(f"{header}\n2015-W01,{cell}\n".encode("utf-8"))
 
 
 class TestFuzz:
     @given(st.binary(max_size=300))
     @settings(max_examples=300)
     def test_parsers_fail_structurally_never_crash(self, blob):
-        for parser in (parse_trends_csv, parse_cases_csv, load_lexicon):
+        for parser in (parse_trends_csv, parse_cases_csv):
             try:
                 parser(blob)
             except DataError:

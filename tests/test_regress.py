@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from flunowcast.errors import MissingQuery, SingularDesign, Underdetermined
+from flunowcast.errors import (
+    DataError,
+    InsufficientOverlap,
+    MissingQuery,
+    SingularDesign,
+    Underdetermined,
+)
 from flunowcast.regress import (
     NowcastMode,
     QueryPanel,
@@ -86,6 +92,16 @@ class TestFitOls:
         fit = fit_ols(panel_of([("x", x)]), ws(y_vals), ShiftSpec(0))
         r = definitional_pearson(x, y_vals)
         assert fit.r_squared == pytest.approx(r * r, abs=1e-10)
+
+    def test_overlap_shorter_than_shift_is_data_error(self):
+        # cases start at the panel's last week: one shared week, shift +2
+        panel = panel_of([("x", [1, 2, 3, 4])])
+        y = WeeklySeries(W0.add(3), (5.0, 6.0, 7.0, 8.0))
+        with pytest.raises(InsufficientOverlap):
+            fit_ols(panel, y, ShiftSpec(2))
+        with pytest.raises(DataError):
+            rolling_weekly_fit(panel, y, ShiftSpec(2))
+        assert in_sample_objective(panel, y, ShiftSpec(2)) is None
 
     def test_ci_brackets_estimate(self):
         rng = np.random.default_rng(13)
@@ -172,6 +188,25 @@ class TestRollingWeeklyFit:
         x = np.linspace(0, 10, 30)
         with pytest.raises(Underdetermined):
             rolling_weekly_fit(panel_of([("x", x)]), ws(3 * x + 1), ShiftSpec(0), warmup=2)
+
+    def test_default_warmup_skips_unfittable_start(self):
+        # flat pre-season: the query is zero for 12 weeks, so every window
+        # of at most 12 weeks is collinear with the intercept
+        x = np.concatenate([np.zeros(12), np.linspace(1, 20, 28)])
+        panel, y = panel_of([("x", x)]), ws(3 * x + 1)
+        with pytest.raises(SingularDesign):
+            rolling_weekly_fit(panel, y, ShiftSpec(0), warmup=5)
+        est = rolling_weekly_fit(panel, y, ShiftSpec(0))
+        assert all(math.isnan(v) for v in est.values[:13])
+        assert est.values[13] == pytest.approx(3 * x[13] + 1, abs=1e-8)
+        assert est.values[13:] == rolling_weekly_fit(panel, y, ShiftSpec(0), warmup=13).values[13:]
+
+    def test_default_warmup_is_queries_plus_four_when_fittable(self):
+        rng = np.random.default_rng(22)
+        panel = random_panel(rng, 2, 60)
+        y = ws(rng.uniform(0, 300, size=60))
+        assert rolling_weekly_fit(panel, y, ShiftSpec(1)) == rolling_weekly_fit(
+            panel, y, ShiftSpec(1), warmup=6)
 
     def test_determinism_replay(self):
         rng = np.random.default_rng(17)

@@ -3,13 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from flunowcast.errors import EmptyLabel, OutOfRange
+from flunowcast.errors import EmptyLabel
 from flunowcast.regress import QueryPanel
 from flunowcast.report import (
-    Strength,
-    classify_strength,
     figure_data,
-    parse_figure_csv,
     shift_row_label,
     table_model_by_shift,
     table_overall_annual,
@@ -35,19 +32,6 @@ def with_target_r(y_vals, target, seed):
     zc = z - (z @ yc / n) * yc
     zc /= zc.std()
     return target * yc + math.sqrt(1 - target ** 2) * zc + 5.0
-
-
-class TestClassifyStrength:
-    def test_strict_threshold(self):
-        assert classify_strength(0.71) is Strength.STRONG
-        assert classify_strength(0.70) is Strength.NOT_STRONG
-
-    def test_negative_never_strong(self):
-        assert classify_strength(-0.9) is Strength.NOT_STRONG
-
-    def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            classify_strength(1.5)
 
 
 class TestTableOverallAnnual:
@@ -210,7 +194,8 @@ class TestFigureData:
 
     def test_round_trip(self):
         data = figure_data([ws([1.5, 2.25, 3.0], "est"), ws([1, 2, 3], "actual")])
-        parsed = parse_figure_csv(data)
+        parsed = [line.split(",") for line in data.decode("utf-8").splitlines()[1:]]
+        parsed = [(w, l, float(v)) for w, l, v in parsed]
         assert len(parsed) == 6
         rebuilt = figure_data([
             WeeklySeries(W0, tuple(v for w, l, v in parsed if l == "est"), "est"),

@@ -1,11 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
 from flunowcast.errors import NoUsableQuery
 from flunowcast.regress import QueryPanel, in_sample_objective
-from flunowcast.selection import greedy_select, prefix_sweep
+from flunowcast.selection import greedy_select
 from flunowcast.stats import SignificanceConfig
 from flunowcast.timeseries import ShiftSpec, WeekStamp, WeeklySeries
 
@@ -109,33 +107,3 @@ class TestGreedySelect:
                 continue
             _, best_r = exhaustive_best_subset(cols, y_vals)
             assert result.objective <= best_r + 1e-9
-
-
-class TestPrefixSweep:
-    def test_single_query(self):
-        rng = np.random.default_rng(38)
-        y_vals = rng.uniform(0, 100, size=50)
-        panel = panel_of([("only", 0.8 * y_vals + rng.normal(0, 10, size=50))])
-        sweep = prefix_sweep(panel, ws(y_vals), ShiftSpec(0))
-        assert len(sweep) == 1
-        expected = in_sample_objective(panel, ws(y_vals), ShiftSpec(0))
-        assert sweep[0] == (1, pytest.approx(expected))
-
-    def test_signal_query_dominates_noise(self):
-        rng = np.random.default_rng(39)
-        y_vals = rng.uniform(10, 100, size=120)
-        cols = [("signal", y_vals + rng.normal(0, 1, size=120))]
-        cols += [(f"noise{i}", rng.uniform(0, 100, size=120)) for i in range(9)]
-        sweep = prefix_sweep(panel_of(cols), ws(y_vals), ShiftSpec(0))
-        objs = dict(sweep)
-        assert objs[1] >= objs[10] - 0.05
-
-    def test_duplicate_top_query_goes_na_not_crash(self):
-        rng = np.random.default_rng(40)
-        y_vals = rng.uniform(10, 100, size=60)
-        top = y_vals + rng.normal(0, 1, size=60)
-        sweep = prefix_sweep(
-            panel_of([("top", top), ("top_copy", top.copy())]), ws(y_vals), ShiftSpec(0)
-        )
-        assert not math.isnan(sweep[0][1])
-        assert math.isnan(sweep[1][1])

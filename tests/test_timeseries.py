@@ -3,17 +3,16 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from flunowcast.errors import EmptyOverlap, EmptySlice, InsufficientOverlap, NegativeValue
+from flunowcast.errors import EmptyOverlap, InsufficientOverlap, NegativeValue
 from flunowcast.timeseries import (
+    MIN_PAIRS,
     ShiftSpec,
     WeekStamp,
     WeeklySeries,
-    align,
-    covered_years,
     scale_0_100,
     shift_pair,
-    shift_pair_stamped,
-    slice_year,
+    week_range,
+    window,
 )
 
 W = WeekStamp
@@ -40,8 +39,9 @@ class TestWeekStamp:
     def test_parse_round_trip(self):
         assert W.parse("2009-W01") == W(2009, 1)
         assert str(W(2013, 52)) == "2013-W52"
-        with pytest.raises(ValueError):
-            W.parse("2009/01")
+        for bad in ("2009/01", "2015-W 1", "2015-W001", "+201-W01", "２015-W01", "2015-W١"):
+            with pytest.raises(ValueError):
+                W.parse(bad)
 
     def test_add_and_distance_are_inverse(self):
         a = W(2009, 1)
@@ -53,22 +53,44 @@ class TestAlign:
     def test_identical_ranges_unchanged(self):
         a = series(W(2009, 1), [1, 2, 3, 4])
         b = series(W(2009, 1), [5, 6, 7, 8])
-        aa, bb = align(a, b)
-        assert aa.values == a.values and bb.values == b.values
+        assert window(a.start, len(a), b, ShiftSpec(0)) == (0, 0, 4)
+        assert shift_pair(a, b, ShiftSpec(0)) == list(zip(a.values, b.values))
 
     def test_partial_overlap(self):
-        a = series(W(2009, 1), [1, 2, 3, 4])
-        b = series(W(2009, 3), [9, 9, 9, 9])
-        aa, bb = align(a, b)
-        assert aa.start == W(2009, 3)
-        assert aa.values == (3.0, 4.0)
-        assert bb.values == (9.0, 9.0)
+        a = series(W(2009, 1), [1, 2, 3, 4, 5])
+        b = series(W(2009, 3), [9, 8, 7, 6])
+        # the shared weeks are 2009-W03..W05
+        assert window(a.start, len(a), b, ShiftSpec(0)) == (2, 0, 3)
+        assert window(b.start, len(b), a, ShiftSpec(0)) == (0, 2, 3)
+        assert shift_pair(a, b, ShiftSpec(0)) == [(3.0, 9.0), (4.0, 8.0), (5.0, 7.0)]
 
     def test_disjoint_raises(self):
         a = series(W(2009, 1), [1, 2])
         b = series(W(2009, 5), [1, 2])
         with pytest.raises(EmptyOverlap):
-            align(a, b)
+            window(a.start, len(a), b, ShiftSpec(0))
+        with pytest.raises(EmptyOverlap):
+            shift_pair(b, a, ShiftSpec(0))
+
+    @given(d=st.integers(-8, 8), nx=st.integers(1, 12), ny=st.integers(1, 12),
+           k=st.integers(-2, 2))
+    def test_window_matches_pairing_by_week_stamp(self, d, nx, ny, k):
+        x_start = W(2009, 50)
+        y = series(x_start.add(d), range(ny))
+        x_weeks = [x_start.add(i) for i in range(nx)]
+        y_weeks = [y.start.add(j) for j in range(ny)]
+        shared = set(x_weeks) & set(y_weeks)
+        pairs = [(i, y_weeks.index(w.add(k))) for i, w in enumerate(x_weeks)
+                 if w in shared and w.add(k) in shared]
+        if not shared:
+            with pytest.raises(EmptyOverlap):
+                window(x_start, nx, y, ShiftSpec(k))
+        elif len(pairs) < MIN_PAIRS:
+            with pytest.raises(InsufficientOverlap):
+                window(x_start, nx, y, ShiftSpec(k))
+        else:
+            xi, yi, n = window(x_start, nx, y, ShiftSpec(k))
+            assert [(xi + i, yi + i) for i in range(n)] == pairs
 
 
 class TestShiftPair:
@@ -100,8 +122,10 @@ class TestShiftPair:
         assert fwd == [(b, a) for a, b in rev]
 
     def test_stamped_pairs_carry_case_weeks(self):
-        triples = shift_pair_stamped(self.x, self.y, ShiftSpec(1))
-        assert [w for _, _, w in triples] == [W(2009, 2), W(2009, 3), W(2009, 4)]
+        xi, yi, n = window(self.x.start, len(self.x), self.y, ShiftSpec(1))
+        assert (xi, yi, n) == (0, 1, 3)
+        case_weeks = list(week_range(self.y.start.add(yi), n))
+        assert case_weeks == [W(2009, 2), W(2009, 3), W(2009, 4)]
 
     @given(k=st.integers(-2, 2), n=st.integers(5, 30))
     def test_pair_count(self, k, n):
@@ -110,28 +134,18 @@ class TestShiftPair:
         assert len(shift_pair(x, y, ShiftSpec(k))) == n - abs(k)
 
 
-class TestSliceYear:
-    def test_within_single_year(self):
-        s = series(W(2009, 10), [1, 2, 3])
-        assert slice_year(s, 2009).values == s.values
+class TestWeekRange:
+    def test_steps_across_week_53(self):
+        # 2009 has 53 ISO weeks, 2010 has 52
+        assert list(week_range(W(2009, 52), 3)) == [W(2009, 52), W(2009, 53), W(2010, 1)]
+        assert list(week_range(W(2010, 52), 2)) == [W(2010, 52), W(2011, 1)]
 
-    def test_year_boundary(self):
-        s = series(W(2009, 51), [1, 2, 3, 4])  # 2009-W51..2010-W01 (2009 has W53)
-        part = slice_year(s, 2010)
-        assert part.start == W(2010, 1)
-        assert len(part) == 1
+    def test_matches_add(self):
+        for start in (W(2008, 30), W(2009, 53), W(2015, 1)):
+            assert list(week_range(start, 300)) == [start.add(i) for i in range(300)]
 
-    def test_missing_year(self):
-        s = series(W(2009, 1), [1, 2, 3])
-        with pytest.raises(EmptySlice):
-            slice_year(s, 2012)
-
-    def test_partition_reassembles_series(self):
-        s = series(W(2009, 40), list(range(120)))
-        parts = [slice_year(s, yr) for yr in covered_years(s)]
-        glued = sum((p.values for p in parts), ())
-        assert glued == s.values
-        assert parts[0].start == s.start
+    def test_empty(self):
+        assert list(week_range(W(2009, 1), 0)) == []
 
 
 class TestScale0100:
@@ -167,4 +181,4 @@ class TestWeeklySeries:
     def test_end_and_lookup(self):
         s = series(W(2009, 51), [1, 2, 3, 4, 5])
         assert s.end == W(2010, 2)  # 2009 has 53 ISO weeks
-        assert s.value_at(W(2009, 53)) == 3.0
+        assert dict(zip(s.weeks(), s.values))[W(2009, 53)] == 3.0
