@@ -6,9 +6,9 @@ from .regress import (
     CoefficientStats,
     EvaluationResult,
     ModelFit,
-    NowcastMode,
     NowcastSeries,
     QueryPanel,
+    coefficient_stats,
     evaluate,
     fit_ols,
     predict,
@@ -40,7 +40,6 @@ __all__ = [
     "EvaluationResult",
     "ModelFit",
     "NAReason",
-    "NowcastMode",
     "NowcastSeries",
     "QueryPanel",
     "SelectionResult",
@@ -48,6 +47,7 @@ __all__ = [
     "SignificanceConfig",
     "WeekStamp",
     "WeeklySeries",
+    "coefficient_stats",
     "correlate",
     "evaluate",
     "fit_ols",

@@ -13,7 +13,7 @@ import sys
 from . import report, selection, synth
 from .errors import DataError
 from .ingest import parse_cases_csv, parse_trends_csv, write_cases_csv, write_trends_csv
-from .regress import NowcastMode, evaluate, fit_ols, predict, rolling_weekly_fit
+from .regress import coefficient_stats, evaluate, fit_ols, predict, rolling_weekly_fit
 from .stats import SignificanceConfig
 from .timeseries import ShiftSpec, WeekStamp, WeeklySeries
 
@@ -60,10 +60,10 @@ def _load_inputs(args):
     return cases, panel
 
 
-def _add_common(p, shift=False, shifts=False):
+def _add_common(p, shift=False, shifts=False, alpha_help="significance level of the gate"):
     p.add_argument("--cases", required=True, help="case-count CSV (week,cases)")
     p.add_argument("--panel", required=True, help="search-volume panel CSV")
-    p.add_argument("--alpha", type=float, default=0.05, help="significance level")
+    p.add_argument("--alpha", type=float, default=0.05, help=alpha_help)
     if shift:
         p.add_argument("--shift", type=int, default=0, help="week shift, -2..2")
     if shifts:
@@ -93,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="selection result JSON")
 
     p = sub.add_parser("fit", help="fit the model and report coefficient statistics")
-    _add_common(p, shift=True)
+    _add_common(p, shift=True, alpha_help="1 - alpha confidence interval level "
+                                          "(p-values do not depend on it)")
     p.add_argument("--queries", help="comma-separated query subset (default: whole panel)")
     p.add_argument("--out", required=True, help="coefficient table CSV")
 
@@ -171,12 +172,13 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    cfg = SignificanceConfig(args.alpha)
     cases, panel = _load_inputs(args)
     if args.queries:
         panel = panel.subset(args.queries.split(","))
-    fit = fit_ols(panel, cases, ShiftSpec(args.shift), args.alpha)
+    fit = fit_ols(panel, cases, ShiftSpec(args.shift))
     lines = ["term,estimate,std_error,ci_low,ci_high,p_value"]
-    for name, c in [("(intercept)", fit.intercept)] + list(fit.coefficients):
+    for name, c in coefficient_stats(fit, cfg.alpha):
         lines.append(f"{name},{c.estimate:.6g},{c.std_error:.6g},"
                      f"{c.ci_low:.6g},{c.ci_high:.6g},{c.p_value:.6g}")
     lines.append(f"# r_squared={fit.r_squared:.4f} residual_dof={fit.residual_dof} "
@@ -193,12 +195,10 @@ def _cmd_nowcast(args) -> int:
     sub = panel.subset(list(sel.chosen_labels))
     if args.mode == "rolling":
         estimates = rolling_weekly_fit(sub, cases, sel.best_shift,
-                                       warmup=args.warmup, alpha=args.alpha,
-                                       clamp_nonnegative=args.clamp)
+                                       warmup=args.warmup, clamp_nonnegative=args.clamp)
     else:
-        fit = fit_ols(sub, cases, sel.best_shift, args.alpha)
-        estimates = predict(fit, sub, clamp_nonnegative=args.clamp,
-                            mode=NowcastMode.FULL_PERIOD)
+        estimates = predict(fit_ols(sub, cases, sel.best_shift), sub,
+                            clamp_nonnegative=args.clamp)
     ev = evaluate(estimates, cases, cfg)
     valid = estimates.valid_items()
     est_series = None

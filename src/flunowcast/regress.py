@@ -1,14 +1,15 @@
-"""Multi-query linear nowcast model: OLS fit, inference, rolling refits.
+"""Multi-query linear nowcast model: OLS fit, rolling refits, evaluation.
 
 The model is y_t = b0 + b1*x_1t + ... + bn*x_nt, fit by least squares.
 The solver is QR-based (Householder); normal equations exist only as a
 test oracle elsewhere. Rolling mode refits the coefficients once per
 week on all strictly-prior weeks, so estimates never see the future.
+Coefficient inference (intervals, p-values) is computed only on request,
+by `coefficient_stats`.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -77,11 +78,6 @@ class QueryPanel:
         return QueryPanel(tuple(labels), tuple(self.get(l) for l in labels))
 
 
-class NowcastMode(enum.Enum):
-    FULL_PERIOD = "full"
-    ROLLING_WEEKLY = "rolling"
-
-
 @dataclass(frozen=True)
 class CoefficientStats:
     estimate: float
@@ -91,22 +87,16 @@ class CoefficientStats:
     p_value: float
 
 
-@dataclass(frozen=True)
+# eq=False: a generated == would compare the arrays and raise
+@dataclass(frozen=True, eq=False)
 class ModelFit:
-    intercept: CoefficientStats
-    coefficients: tuple[tuple[str, CoefficientStats], ...]
+    labels: tuple[str, ...]
+    betas: np.ndarray  # intercept first
+    std_errors: np.ndarray  # same order as betas
     r_squared: float
     residual_dof: int
     shift: ShiftSpec
     fitted: WeeklySeries  # in-sample estimates, stamped at case weeks
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(l for l, _ in self.coefficients)
-
-    @property
-    def betas(self) -> np.ndarray:
-        return np.array([self.intercept.estimate] + [c.estimate for _, c in self.coefficients])
 
 
 @dataclass(frozen=True)
@@ -119,8 +109,6 @@ class NowcastSeries:
 
     start: WeekStamp
     values: tuple[float, ...]
-    mode: NowcastMode
-    clamp_nonnegative: bool = False
 
     def __len__(self) -> int:
         return len(self.values)
@@ -149,66 +137,61 @@ def _row_estimates(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
 def _qr_solve(X: np.ndarray, yv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least squares via Householder QR; raises SingularDesign on rank loss.
 
-    Returns (beta, unscaled covariance (X'X)^-1).
+    Returns (beta, R) with X = QR.
     """
     q, r = np.linalg.qr(X)
     diag = np.abs(np.diag(r))
     if diag.size == 0 or np.min(diag) <= PIVOT_TOL * max(np.max(diag), 1.0):
         raise SingularDesign("design matrix columns are collinear")
-    beta = np.linalg.solve(r, q.T @ yv)
-    r_inv = np.linalg.solve(r, np.eye(r.shape[0]))
-    return beta, r_inv @ r_inv.T
+    return np.linalg.solve(r, q.T @ yv), r
 
 
-def _coef_stats(est: float, se: float, dof: int, alpha: float) -> CoefficientStats:
-    if se == 0.0:
-        return CoefficientStats(est, 0.0, est, est, 0.0)
-    tcrit = stats.t_critical(alpha, dof)
-    p = stats.student_t_two_sided_p(est / se, dof)
-    return CoefficientStats(est, se, est - tcrit * se, est + tcrit * se, p)
-
-
-def fit_ols(
-    panel: QueryPanel,
-    y: WeeklySeries,
-    s: ShiftSpec,
-    alpha: float = 0.05,
-) -> ModelFit:
+def fit_ols(panel: QueryPanel, y: WeeklySeries, s: ShiftSpec) -> ModelFit:
     """Fit the nowcast model on the full overlapping period."""
     X, yv, first_week = _design_rows(panel, y, s)
     m, nq = X.shape
     if m < nq + 2:
         raise Underdetermined(f"{m} fitted weeks for {nq} queries (need >= {nq + 2})")
     Xd = np.hstack([np.ones((m, 1)), X])
-    beta, cov_unscaled = _qr_solve(Xd, yv)
+    beta, r = _qr_solve(Xd, yv)
     fitted = _row_estimates(X, beta)
     resid = yv - fitted
     rss = float(resid @ resid)
     dof = m - (nq + 1)
-    sigma2 = rss / dof
-    ses = np.sqrt(np.maximum(sigma2 * np.diag(cov_unscaled), 0.0))
+    # (X'X)^-1 = R^-1 R^-T
+    r_inv = np.linalg.solve(r, np.eye(r.shape[0]))
+    ses = np.sqrt(np.maximum(rss / dof * np.diag(r_inv @ r_inv.T), 0.0))
     tss = float(np.sum((yv - yv.mean()) ** 2))
-    r2 = 1.0 if tss == 0.0 else min(max(1.0 - rss / tss, 0.0), 1.0)
-    coef = tuple(
-        (label, _coef_stats(float(beta[j + 1]), float(ses[j + 1]), dof, alpha))
-        for j, label in enumerate(panel.labels)
-    )
     return ModelFit(
-        intercept=_coef_stats(float(beta[0]), float(ses[0]), dof, alpha),
-        coefficients=coef,
-        r_squared=r2,
+        labels=panel.labels,
+        betas=beta,
+        std_errors=ses,
+        r_squared=1.0 if tss == 0.0 else min(max(1.0 - rss / tss, 0.0), 1.0),
         residual_dof=dof,
         shift=s,
         fitted=WeeklySeries(first_week, tuple(float(v) for v in fitted), "fitted"),
     )
 
 
-def predict(
-    fit: ModelFit,
-    panel: QueryPanel,
-    clamp_nonnegative: bool = False,
-    mode: NowcastMode = NowcastMode.FULL_PERIOD,
-) -> NowcastSeries:
+def coefficient_stats(fit: ModelFit, alpha: float) -> list[tuple[str, CoefficientStats]]:
+    """Each term's estimate, standard error, 1 - alpha interval and two-sided p.
+
+    Intercept first, as "(intercept)". The p-values do not depend on alpha.
+    """
+    dof = fit.residual_dof
+    tcrit = stats.t_critical(alpha, dof)
+    rows = []
+    for term, est, se in zip(("(intercept)",) + fit.labels, fit.betas, fit.std_errors):
+        est, se = float(est), float(se)
+        if se == 0.0:
+            rows.append((term, CoefficientStats(est, 0.0, est, est, 0.0)))
+        else:
+            p = stats.student_t_two_sided_p(est / se, dof)
+            rows.append((term, CoefficientStats(est, se, est - tcrit * se, est + tcrit * se, p)))
+    return rows
+
+
+def predict(fit: ModelFit, panel: QueryPanel, clamp_nonnegative: bool = False) -> NowcastSeries:
     """Evaluate the fitted model on every week of the panel.
 
     Estimates are stamped at case weeks (search week + shift). Negative
@@ -219,12 +202,7 @@ def predict(
     est = _row_estimates(X, fit.betas)
     if clamp_nonnegative:
         est = np.maximum(est, 0.0)
-    return NowcastSeries(
-        start=sub.start.add(fit.shift.weeks),
-        values=tuple(float(v) for v in est),
-        mode=mode,
-        clamp_nonnegative=clamp_nonnegative,
-    )
+    return NowcastSeries(sub.start.add(fit.shift.weeks), tuple(float(v) for v in est))
 
 
 def rolling_weekly_fit(
@@ -232,7 +210,6 @@ def rolling_weekly_fit(
     y: WeeklySeries,
     s: ShiftSpec,
     warmup: int | None = None,
-    alpha: float = 0.05,
     clamp_nonnegative: bool = False,
 ) -> NowcastSeries:
     """One-step-ahead estimates with weekly coefficient updates.
@@ -266,12 +243,7 @@ def rolling_weekly_fit(
         if clamp_nonnegative:
             est = max(est, 0.0)
         values.append(est)
-    return NowcastSeries(
-        start=first_week,
-        values=tuple(values),
-        mode=NowcastMode.ROLLING_WEEKLY,
-        clamp_nonnegative=clamp_nonnegative,
-    )
+    return NowcastSeries(first_week, tuple(values))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Sign convention for shifts: +k ("lagging") pairs search week t with case
 week t+k, i.e. the case data are moved later relative to the searches.
--k ("preceding") is the mirror image. Shifts beyond +/-max_shift (default
-2) are rejected.
+-k ("preceding") is the mirror image. Shifts beyond +/-MAX_SHIFT (2
+weeks) are rejected.
 """
 
 from __future__ import annotations
@@ -11,12 +11,12 @@ from __future__ import annotations
 import datetime as _dt
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import EmptyOverlap, InsufficientOverlap, NegativeValue
 
-DEFAULT_MAX_SHIFT = 2
+MAX_SHIFT = 2
 MIN_PAIRS = 3
 _STAMP = re.compile(r"[0-9]{4}-W[0-9]{2}")
 _ONE_WEEK = _dt.timedelta(weeks=1)
@@ -92,11 +92,10 @@ class ShiftSpec:
     """Signed week offset: +k lagging, -k preceding."""
 
     weeks: int
-    max_shift: int = field(default=DEFAULT_MAX_SHIFT, compare=False)
 
     def __post_init__(self):
-        if abs(self.weeks) > self.max_shift:
-            raise ValueError(f"|shift| = {abs(self.weeks)} exceeds maximum {self.max_shift}")
+        if abs(self.weeks) > MAX_SHIFT:
+            raise ValueError(f"|shift| = {abs(self.weeks)} exceeds maximum {MAX_SHIFT}")
 
 
 def week_range(start: WeekStamp, n: int) -> Iterator[WeekStamp]:

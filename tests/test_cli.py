@@ -2,9 +2,15 @@ import json
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
+from flunowcast import stats
 from flunowcast.cli import _COMMANDS, run
+from flunowcast.ingest import parse_cases_csv, parse_trends_csv
+
+from .oracles import definitional_pearson, normal_equations_ols
 
 
 def synth_files(tmp_path, extra=()):
@@ -120,6 +126,34 @@ class TestPipelineCommands:
         assert lines[0] == "term,estimate,std_error,ci_low,ci_high,p_value"
         assert lines[1].startswith("(intercept),")
 
+    @pytest.mark.parametrize("alpha", ["0", "1.5", "-1", "nan"])
+    def test_fit_rejects_alpha_outside_unit_interval(self, fixtures, tmp_path, capsys, alpha):
+        cases, panel = fixtures
+        capsys.readouterr()
+        assert run([
+            "fit", "--cases", str(cases), "--panel", str(panel),
+            f"--alpha={alpha}", "--out", str(tmp_path / "fit.csv"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "fit.csv").exists()
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["select", "--out", "sel.json"], 0),
+        (["nowcast", "--mode", "full", "--out-estimates", "e.csv", "--out-table", "t.csv"], 0),
+        (["nowcast", "--mode", "rolling", "--warmup", "40",
+          "--out-estimates", "e.csv", "--out-table", "t.csv"], 0),
+        (["fit", "--shift", "2", "--out", "fit.csv"], 1),
+    ])
+    def test_critical_value_only_where_fit_prints_intervals(
+            self, fixtures, tmp_path, monkeypatch, argv, expected):
+        cases, panel = fixtures
+        real, calls = stats.t_critical, []
+        monkeypatch.setattr(stats, "t_critical", lambda *a: calls.append(a) or real(*a))
+        monkeypatch.chdir(tmp_path)
+        assert run(argv[:1] + ["--cases", str(cases), "--panel", str(panel)] + argv[1:]) == 0
+        assert len(calls) == expected
+
     @pytest.mark.parametrize("mode", ["full", "rolling"])
     def test_nowcast(self, fixtures, tmp_path, mode):
         cases, panel = fixtures
@@ -167,6 +201,69 @@ class TestPipelineCommands:
                 p.name: p.read_bytes() for p in sorted(d.iterdir())
             }
         assert outputs["one"] == outputs["two"]
+
+
+def shifted_design(cases, panel, k):
+    """Search volumes at week t and cases at week t+k, paired by week stamp."""
+    case_at = dict(zip(cases.weeks(), cases.values))
+    weeks = list(panel.series[0].weeks())
+    keep = [i for i, w in enumerate(weeks) if w.add(k) in case_at]
+    X = np.array([[sr.values[i] for sr in panel.series] for i in keep], dtype=float)
+    return X, np.array([case_at[weeks[i].add(k)] for i in keep], dtype=float)
+
+
+class TestAgainstOracles:
+    """Printed CLI outputs against tests/oracles.py and scipy."""
+
+    @pytest.fixture()
+    def fixtures(self, tmp_path):
+        cases, panel = synth_files(tmp_path, ["--noise-queries", "2"])
+        return cases, panel, parse_cases_csv(cases.read_bytes()), parse_trends_csv(panel.read_bytes())
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.10])
+    def test_fit_table(self, fixtures, tmp_path, alpha):
+        cases, panel, y, queries = fixtures
+        out = tmp_path / "fit.csv"
+        assert run([
+            "fit", "--cases", str(cases), "--panel", str(panel),
+            "--shift", "2", "--alpha", str(alpha), "--out", str(out),
+        ]) == 0
+        lines = out.read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:-1]]
+
+        X, yv = shifted_design(y, queries, 2)
+        beta = normal_equations_ols(X, yv)
+        A = np.hstack([np.ones((len(yv), 1)), X])
+        resid = yv - A @ beta
+        dof = len(yv) - A.shape[1]
+        se = np.sqrt(resid @ resid / dof * np.diag(np.linalg.inv(A.T @ A)))
+        tq = scipy_stats.t.ppf(1 - alpha / 2, dof)
+
+        assert f"residual_dof={dof} " in lines[-1]
+        assert [r[0] for r in rows] == ["(intercept)", *queries.labels]
+        for row, b, s in zip(rows, beta, se):
+            est, std_error, lo, hi, p = map(float, row[1:])
+            # printed to 6 significant digits
+            assert est == pytest.approx(b, rel=1e-5)
+            assert std_error == pytest.approx(s, rel=1e-5)
+            slack = 1e-8 * (abs(b) + tq * s)
+            assert lo == pytest.approx(b - tq * s, rel=1e-5, abs=slack)
+            assert hi == pytest.approx(b + tq * s, rel=1e-5, abs=slack)
+            assert p == pytest.approx(2 * scipy_stats.t.sf(abs(b / s), dof), rel=1e-5, abs=1e-12)
+
+    def test_correlate_sidecar_overall(self, fixtures, tmp_path):
+        cases, panel, y, queries = fixtures
+        sidecar = tmp_path / "table.json"
+        assert run([
+            "correlate", "--cases", str(cases), "--panel", str(panel), "--shift", "2",
+            "--out", str(tmp_path / "table.csv"), "--sidecar", str(sidecar),
+        ]) == 0
+        detail = json.loads(sidecar.read_text())
+        X, yv = shifted_design(y, queries, 2)
+        assert [d["query"] for d in detail] == list(queries.labels)
+        for j, d in enumerate(detail):
+            assert d["overall"]["n"] == len(yv)
+            assert abs(d["overall"]["value"] - definitional_pearson(X[:, j], yv)) <= 1e-12
 
 
 def readme_commands() -> list[list[str]]:

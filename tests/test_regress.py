@@ -11,8 +11,9 @@ from flunowcast.errors import (
     Underdetermined,
 )
 from flunowcast.regress import (
-    NowcastMode,
+    NowcastSeries,
     QueryPanel,
+    coefficient_stats,
     evaluate,
     fit_ols,
     in_sample_objective,
@@ -43,15 +44,15 @@ def random_panel(rng, n_queries, n_weeks):
 class TestFitOls:
     def test_exact_line(self):
         fit = fit_ols(panel_of([("x", [0, 1, 2])]), ws([1, 3, 5]), ShiftSpec(0))
-        assert fit.intercept.estimate == pytest.approx(1.0, abs=1e-12)
-        assert fit.coefficients[0][1].estimate == pytest.approx(2.0, abs=1e-12)
+        assert fit.betas[0] == pytest.approx(1.0, abs=1e-12)
+        assert fit.betas[1] == pytest.approx(2.0, abs=1e-12)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
     def test_normal_equations_by_hand(self):
         # x=[0,1,2], y=[0,0,3]: slope 1.5, intercept -0.5
         fit = fit_ols(panel_of([("x", [0, 1, 2])]), ws([0, 0, 3]), ShiftSpec(0))
-        assert fit.coefficients[0][1].estimate == pytest.approx(1.5, abs=1e-12)
-        assert fit.intercept.estimate == pytest.approx(-0.5, abs=1e-12)
+        assert fit.betas[1] == pytest.approx(1.5, abs=1e-12)
+        assert fit.betas[0] == pytest.approx(-0.5, abs=1e-12)
 
     def test_duplicated_columns_singular(self):
         vals = [1.0, 4.0, 2.0, 8.0, 5.0]
@@ -107,8 +108,11 @@ class TestFitOls:
         rng = np.random.default_rng(13)
         x = rng.uniform(0, 100, size=40)
         y_vals = 2 * x + rng.normal(0, 10, size=40)
-        fit = fit_ols(panel_of([("x", x)]), ws(y_vals), ShiftSpec(0), alpha=0.05)
-        for _, c in [("b0", fit.intercept)] + list(fit.coefficients):
+        fit = fit_ols(panel_of([("x", x)]), ws(y_vals), ShiftSpec(0))
+        rows = coefficient_stats(fit, 0.05)
+        assert [term for term, _ in rows] == ["(intercept)", "x"]
+        for (_, c), beta, se in zip(rows, fit.betas, fit.std_errors):
+            assert (c.estimate, c.std_error) == (beta, se)
             assert c.ci_low <= c.estimate <= c.ci_high
             width = c.ci_high - c.ci_low
             assert width == pytest.approx(2 * (c.estimate - c.ci_low), abs=1e-9)
@@ -141,7 +145,6 @@ class TestPredict:
         unclamped = predict(fit, panel_of([("x", x)]))
         assert min(unclamped.values) < 0
         assert min(clamped.values) == 0.0
-        assert clamped.clamp_nonnegative
 
     def test_missing_query(self):
         fit = fit_ols(panel_of([("x", [0, 1, 2])]), ws([1, 3, 5]), ShiftSpec(0))
@@ -230,9 +233,7 @@ class TestRollingWeeklyFit:
 
 class TestEvaluate:
     def _nowcast(self, values, start=W0):
-        from flunowcast.regress import NowcastSeries
-
-        return NowcastSeries(start, tuple(values), NowcastMode.FULL_PERIOD)
+        return NowcastSeries(start, tuple(values))
 
     def test_identical_series_r_one(self):
         rng = np.random.default_rng(19)

@@ -24,6 +24,7 @@ from flunowcast.timeseries import ShiftSpec, WeekStamp, WeeklySeries
 from .oracles import definitional_pearson, t_density_p_value
 
 W0 = WeekStamp(2009, 1)
+CENTI = st.integers(-10000, 10000).map(lambda i: i / 100)  # 0.01 grid on [-100, 100]
 
 
 def ws(values, label=""):
@@ -63,9 +64,12 @@ class TestPearson:
         r2, _ = pearson([(b, a) for a, b in pairs])
         assert r1 == pytest.approx(r2, abs=1e-15)
 
+    # coordinates on a 0.01 grid: arbitrary floats such as 1.48e-159 round
+    # away under the affine map or underflow in the sums of squares, which
+    # breaks the property for any floating-point Pearson
     @given(
         data=st.lists(
-            st.tuples(st.floats(-100, 100), st.floats(-100, 100)),
+            st.tuples(CENTI, CENTI),
             min_size=4, max_size=40,
         ),
         a=st.floats(0.1, 10), b=st.floats(-50, 50),

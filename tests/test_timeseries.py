@@ -114,7 +114,6 @@ class TestShiftPair:
     def test_shift_beyond_maximum_rejected(self):
         with pytest.raises(ValueError):
             ShiftSpec(3)
-        assert ShiftSpec(5, max_shift=5).weeks == 5
 
     def test_role_reversal_symmetry(self):
         fwd = shift_pair(self.x, self.y, ShiftSpec(1))
