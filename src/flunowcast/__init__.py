@@ -4,10 +4,8 @@ table/figure emission, with a seeded synthetic-data generator."""
 
 from .regress import (
     CoefficientStats,
-    EvaluationResult,
     ModelFit,
     NowcastSeries,
-    QueryPanel,
     coefficient_stats,
     evaluate,
     fit_ols,
@@ -25,6 +23,7 @@ from .stats import (
     student_t_two_sided_p,
 )
 from .timeseries import (
+    QueryPanel,
     ShiftSpec,
     WeekStamp,
     WeeklySeries,
@@ -37,7 +36,6 @@ from .timeseries import (
 __all__ = [
     "CoefficientStats",
     "CorrelationResult",
-    "EvaluationResult",
     "ModelFit",
     "NAReason",
     "NowcastSeries",

@@ -8,6 +8,7 @@ paths named in flags; stdout carries human-readable summaries.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from . import report, selection, synth
@@ -131,31 +132,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_correlate(args) -> int:
+def _cmd_table(args) -> int:
     cases, panel = _load_inputs(args)
     cfg = SignificanceConfig(args.alpha)
-    table = report.table_overall_annual(panel, cases, cfg, ShiftSpec(args.shift))
+    if args.command == "correlate":
+        table = report.table_overall_annual(panel, cases, cfg, ShiftSpec(args.shift))
+        done = f"{len(panel)} queries x {len(cases)} weeks"
+    else:
+        table = report.table_shift_scan(panel, cases, tuple(args.shifts), cfg)
+        done = f"shifts {args.shifts}"
     _write(args.out, table.to_csv())
     if args.sidecar:
         _write(args.sidecar, table.to_sidecar_json())
-    print(f"correlate: {len(panel)} queries x {len(cases)} weeks -> {args.out}")
-    return 0
-
-
-def _cmd_shift_scan(args) -> int:
-    cases, panel = _load_inputs(args)
-    cfg = SignificanceConfig(args.alpha)
-    table = report.table_shift_scan(panel, cases, tuple(args.shifts), cfg)
-    _write(args.out, table.to_csv())
-    if args.sidecar:
-        _write(args.sidecar, table.to_sidecar_json())
-    print(f"shift-scan: shifts {args.shifts} -> {args.out}")
+    print(f"{args.command}: {done} -> {args.out}")
     return 0
 
 
 def _cmd_select(args) -> int:
-    import json
-
     cases, panel = _load_inputs(args)
     cfg = SignificanceConfig(args.alpha)
     result = selection.greedy_select(panel, cases, [ShiftSpec(k) for k in args.shifts], cfg)
@@ -201,14 +194,11 @@ def _cmd_nowcast(args) -> int:
                             clamp_nonnegative=args.clamp)
     ev = evaluate(estimates, cases, cfg)
     valid = estimates.valid_items()
-    est_series = None
-    if valid:
-        est_series = WeeklySeries(valid[0][0], tuple(v for _, v in valid), "estimates")
-    _write(args.out_estimates,
-           report.figure_data(([est_series] if est_series else []) + [cases]))
-    table = report.table_model_by_shift(panel, cases, sel, cfg, tuple(args.shifts))
+    shown = [WeeklySeries(valid[0][0], [v for _, v in valid], "estimates")] if valid else []
+    _write(args.out_estimates, report.figure_data(shown + [cases]))
+    table = report.table_model_by_shift(panel, cases, sel, tuple(args.shifts))
     _write(args.out_table, table.to_csv())
-    overall = "NA" if ev.overall.na else f"{ev.overall.r:.2f}"
+    overall = "NA" if ev.na else f"{ev.r:.2f}"
     print(f"nowcast ({args.mode}): queries {','.join(sel.chosen_labels)} "
           f"shift {sel.best_shift.weeks:+d} overall r {overall}")
     return 0
@@ -236,16 +226,15 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_report_fig(args) -> int:
-    cases = parse_cases_csv(_read(args.cases))
-    panel = parse_trends_csv(_read(args.panel))
+    cases, panel = _load_inputs(args)
     _write(args.out, report.figure_data([cases] + list(panel.series)))
     print(f"report-fig: {1 + len(panel)} series -> {args.out}")
     return 0
 
 
 _COMMANDS = {
-    "correlate": _cmd_correlate,
-    "shift-scan": _cmd_shift_scan,
+    "correlate": _cmd_table,
+    "shift-scan": _cmd_table,
     "select": _cmd_select,
     "fit": _cmd_fit,
     "nowcast": _cmd_nowcast,

@@ -11,6 +11,8 @@ files must be complete, a gap there is an error.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import (
     GapInCases,
     MalformedHeader,
@@ -19,8 +21,7 @@ from .errors import (
     NonContiguousAfterFill,
     ValueOutOfRange,
 )
-from .regress import QueryPanel
-from .timeseries import WeekStamp, WeeklySeries, week_range
+from .timeseries import QueryPanel, WeekStamp, WeeklySeries, week_range
 
 
 def _decode_lines(data: bytes) -> list[str]:
@@ -77,21 +78,15 @@ def parse_trends_csv(data: bytes) -> QueryPanel:
     if not rows:
         raise MalformedRow("panel has no data rows")
 
-    # zero-fill omitted weeks between the first and last stamp
-    filled: list[list[int]] = [rows[0][1]]
-    for (prev, _), (week, vals) in zip(rows, rows[1:]):
-        gap = prev.weeks_until(week) - 1
-        if gap < 0:
-            raise NonContiguousAfterFill(f"week {week} out of order or duplicated")
-        filled.extend([0] * len(labels) for _ in range(gap))
-        filled.append(vals)
-
     start = rows[0][0]
-    series = tuple(
-        WeeklySeries(start, tuple(float(r[j]) for r in filled), label)
-        for j, label in enumerate(labels)
-    )
-    return QueryPanel(tuple(labels), series)
+    offsets = [start.weeks_until(week) for week, _ in rows]
+    for (week, _), prev, at in zip(rows[1:], offsets, offsets[1:]):
+        if at <= prev:
+            raise NonContiguousAfterFill(f"week {week} out of order or duplicated")
+    # weeks the file omits stay zero
+    matrix = np.zeros((offsets[-1] + 1, len(labels)))
+    matrix[offsets] = [vals for _, vals in rows]
+    return QueryPanel(start, tuple(labels), matrix)
 
 
 def parse_cases_csv(data: bytes) -> WeeklySeries:
@@ -121,18 +116,19 @@ def parse_cases_csv(data: bytes) -> WeeklySeries:
         counts.append(count)
     if not weeks:
         raise MalformedRow("case file has no data rows")
-    return WeeklySeries(weeks[0], tuple(float(c) for c in counts), "cases")
+    return WeeklySeries(weeks[0], counts, "cases")
 
 
 def write_trends_csv(panel: QueryPanel) -> bytes:
     lines = ["week," + ",".join(panel.labels)]
-    for i, week in enumerate(week_range(panel.start, panel.n_weeks)):
-        lines.append(f"{week}," + ",".join(str(int(s.values[i])) for s in panel.series))
+    rows = panel.matrix.astype(int).tolist()
+    for week, row in zip(week_range(panel.start, panel.n_weeks), rows):
+        lines.append(f"{week}," + ",".join(map(str, row)))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def write_cases_csv(cases: WeeklySeries) -> bytes:
     lines = ["week,cases"]
-    for week, v in zip(cases.weeks(), cases.values):
+    for week, v in zip(cases.weeks(), cases.values.tolist()):
         lines.append(f"{week},{int(v)}")
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -16,66 +16,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stats
-from .errors import (
-    EmptyOverlap,
-    InsufficientOverlap,
-    MissingQuery,
-    SingularDesign,
-    TooFewPairs,
-    Underdetermined,
-    ZeroVariance,
-)
+from .errors import EmptyOverlap, InsufficientOverlap, SingularDesign, Underdetermined
 from .stats import CorrelationResult, NAReason, SignificanceConfig
-from .timeseries import ShiftSpec, WeekStamp, WeeklySeries, week_range, window
+from .timeseries import (
+    ArrayFields,
+    QueryPanel,
+    ShiftSpec,
+    WeekStamp,
+    WeeklySeries,
+    week_range,
+    window,
+)
 
 PIVOT_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class QueryPanel:
-    """Named collection of weekly search-volume series on one week range."""
-
-    labels: tuple[str, ...]
-    series: tuple[WeeklySeries, ...]
-
-    def __post_init__(self):
-        if len(self.labels) < 1:
-            raise ValueError("panel needs at least one query")
-        if len(self.labels) != len(set(self.labels)):
-            raise ValueError("panel labels must be distinct")
-        if len(self.labels) != len(self.series):
-            raise ValueError("labels and series length mismatch")
-        first = self.series[0]
-        for s in self.series[1:]:
-            if s.start != first.start or len(s) != len(first):
-                raise ValueError("panel series must share start and length")
-
-    @classmethod
-    def build(cls, series: list[WeeklySeries]) -> "QueryPanel":
-        return cls(tuple(s.label for s in series), tuple(series))
-
-    @property
-    def start(self) -> WeekStamp:
-        return self.series[0].start
-
-    @property
-    def n_weeks(self) -> int:
-        return len(self.series[0])
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def items(self):
-        return list(zip(self.labels, self.series))
-
-    def get(self, label: str) -> WeeklySeries:
-        try:
-            return self.series[self.labels.index(label)]
-        except ValueError:
-            raise MissingQuery(f"query {label!r} not in panel") from None
-
-    def subset(self, labels: list[str]) -> "QueryPanel":
-        return QueryPanel(tuple(labels), tuple(self.get(l) for l in labels))
 
 
 @dataclass(frozen=True)
@@ -87,9 +40,8 @@ class CoefficientStats:
     p_value: float
 
 
-# eq=False: a generated == would compare the arrays and raise
 @dataclass(frozen=True, eq=False)
-class ModelFit:
+class ModelFit(ArrayFields):
     labels: tuple[str, ...]
     betas: np.ndarray  # intercept first
     std_errors: np.ndarray  # same order as betas
@@ -99,8 +51,8 @@ class ModelFit:
     fitted: WeeklySeries  # in-sample estimates, stamped at case weeks
 
 
-@dataclass(frozen=True)
-class NowcastSeries:
+@dataclass(frozen=True, eq=False)
+class NowcastSeries(ArrayFields):
     """Weekly model estimates stamped at case weeks.
 
     NaN marks a week with no estimate (rolling warmup); such weeks are
@@ -108,7 +60,10 @@ class NowcastSeries:
     """
 
     start: WeekStamp
-    values: tuple[float, ...]
+    values: np.ndarray
+
+    def __post_init__(self):
+        self._freeze("values")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -117,16 +72,13 @@ class NowcastSeries:
         return list(week_range(self.start, len(self.values)))
 
     def valid_items(self) -> list[tuple[WeekStamp, float]]:
-        return [(w, v) for w, v in zip(self.weeks(), self.values) if not math.isnan(v)]
+        return [(w, v) for w, v in zip(self.weeks(), self.values.tolist()) if not math.isnan(v)]
 
 
 def _design_rows(panel: QueryPanel, y: WeeklySeries, s: ShiftSpec):
     """Joint rows (x vector at week t, y at week t+k) and the first y week."""
     xi, yi, n = window(panel.start, panel.n_weeks, y, s)
-    cols = np.array([sr.values[xi:xi + n] for sr in panel.series], dtype=float)
-    # C order, as rows built one by one had: BLAS may round a strided row's dot differently
-    X = np.ascontiguousarray(cols.T)
-    return X, np.array(y.values[yi:yi + n], dtype=float), y.start.add(yi)
+    return panel.matrix[xi:xi + n], y.values[yi:yi + n], y.start.add(yi)
 
 
 def _row_estimates(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -146,14 +98,20 @@ def _qr_solve(X: np.ndarray, yv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.solve(r, q.T @ yv), r
 
 
-def fit_ols(panel: QueryPanel, y: WeeklySeries, s: ShiftSpec) -> ModelFit:
-    """Fit the nowcast model on the full overlapping period."""
+def _full_period_solve(panel: QueryPanel, y: WeeklySeries, s: ShiftSpec):
+    """The full-period least-squares solve: (X, y, first y week, beta, R)."""
     X, yv, first_week = _design_rows(panel, y, s)
     m, nq = X.shape
     if m < nq + 2:
         raise Underdetermined(f"{m} fitted weeks for {nq} queries (need >= {nq + 2})")
-    Xd = np.hstack([np.ones((m, 1)), X])
-    beta, r = _qr_solve(Xd, yv)
+    beta, r = _qr_solve(np.hstack([np.ones((m, 1)), X]), yv)
+    return X, yv, first_week, beta, r
+
+
+def fit_ols(panel: QueryPanel, y: WeeklySeries, s: ShiftSpec) -> ModelFit:
+    """Fit the nowcast model on the full overlapping period."""
+    X, yv, first_week, beta, r = _full_period_solve(panel, y, s)
+    m, nq = X.shape
     fitted = _row_estimates(X, beta)
     resid = yv - fitted
     rss = float(resid @ resid)
@@ -169,7 +127,7 @@ def fit_ols(panel: QueryPanel, y: WeeklySeries, s: ShiftSpec) -> ModelFit:
         r_squared=1.0 if tss == 0.0 else min(max(1.0 - rss / tss, 0.0), 1.0),
         residual_dof=dof,
         shift=s,
-        fitted=WeeklySeries(first_week, tuple(float(v) for v in fitted), "fitted"),
+        fitted=WeeklySeries(first_week, fitted, "fitted"),
     )
 
 
@@ -197,12 +155,10 @@ def predict(fit: ModelFit, panel: QueryPanel, clamp_nonnegative: bool = False) -
     Estimates are stamped at case weeks (search week + shift). Negative
     estimates are kept unless clamping is requested.
     """
-    sub = panel.subset(list(fit.labels))
-    X = np.array([sr.values for sr in sub.series], dtype=float).T
-    est = _row_estimates(X, fit.betas)
+    est = _row_estimates(panel.subset(list(fit.labels)).matrix, fit.betas)
     if clamp_nonnegative:
         est = np.maximum(est, 0.0)
-    return NowcastSeries(sub.start.add(fit.shift.weeks), tuple(float(v) for v in est))
+    return NowcastSeries(panel.start.add(fit.shift.weeks), est)
 
 
 def rolling_weekly_fit(
@@ -243,49 +199,38 @@ def rolling_weekly_fit(
         if clamp_nonnegative:
             est = max(est, 0.0)
         values.append(est)
-    return NowcastSeries(first_week, tuple(values))
-
-
-@dataclass(frozen=True)
-class EvaluationResult:
-    overall: CorrelationResult
-    by_year: tuple[tuple[int, CorrelationResult], ...]
+    return NowcastSeries(first_week, values)
 
 
 def evaluate(
     estimates: NowcastSeries,
     y: WeeklySeries,
     cfg: SignificanceConfig = SignificanceConfig(),
-) -> EvaluationResult:
-    """Correlate non-sentinel estimates against actual cases, overall and per year."""
+) -> CorrelationResult:
+    """Gated correlation of the non-NaN estimates against actual cases."""
     try:
         ei, yi, n = window(estimates.start, len(estimates), y, ShiftSpec(0))
     except (EmptyOverlap, InsufficientOverlap):
-        return EvaluationResult(CorrelationResult.not_applicable(NAReason.TOO_FEW_PAIRS), ())
-    kept = [
-        (w.iso_year, (e, v))
-        for w, e, v in zip(week_range(y.start.add(yi), n),
-                           estimates.values[ei:ei + n], y.values[yi:yi + n])
-        if not math.isnan(e)
-    ]
-    overall, per_year = stats.gated_by_year([p for _, p in kept], [yr for yr, _ in kept], cfg)
-    return EvaluationResult(overall=overall, by_year=tuple(per_year.items()))
+        return CorrelationResult.not_applicable(NAReason.TOO_FEW_PAIRS)
+    est, actual = estimates.values[ei:ei + n], y.values[yi:yi + n]
+    kept = ~np.isnan(est)
+    return stats.gated_columns(est[kept, None], actual[kept], cfg)[0]
 
 
 def in_sample_objective(panel: QueryPanel, y: WeeklySeries, s: ShiftSpec) -> float | None:
-    """Plain Pearson r between full-period model estimates and cases.
+    """Pearson r between full-period model estimates and cases.
 
-    The selection objective: no significance gating, None when the fit
-    or the correlation is undefined.
+    With an intercept that r is the square root of R^2, taken straight
+    from the solve. The selection objective: no significance gating,
+    None when the fit is undefined or y or the estimates are constant.
     """
     try:
-        fit = fit_ols(panel, y, s)
+        X, yv, _, beta, _ = _full_period_solve(panel, y, s)
     except (Underdetermined, SingularDesign, EmptyOverlap, InsufficientOverlap):
         return None
-    yi = y.start.weeks_until(fit.fitted.start)
-    pairs = list(zip(fit.fitted.values, y.values[yi:yi + len(fit.fitted)]))
-    try:
-        r, _ = stats.pearson(pairs)
-    except (TooFewPairs, ZeroVariance):
+    dy = yv - yv.mean()
+    df = X @ beta[1:] + (beta[0] - yv.mean())
+    tss, ess = float(dy @ dy), float(df @ df)
+    if tss == 0.0 or ess == 0.0:
         return None
-    return r
+    return min(math.sqrt(ess / tss), 1.0)

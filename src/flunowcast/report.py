@@ -12,15 +12,17 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import stats
 from .errors import EmptyLabel, EmptyOverlap, InsufficientOverlap
-from .regress import QueryPanel, in_sample_objective
+from .regress import in_sample_objective
 from .selection import SelectionResult
 from .stats import CorrelationResult, NAReason, SignificanceConfig
-from .timeseries import ShiftSpec, WeeklySeries, week_range, window
+from .timeseries import QueryPanel, ShiftSpec, WeeklySeries, iso_years, window
 
-FOOTNOTES = ("NA: Not applicable", "p<0.05")
 DEFAULT_SHIFTS = (-2, -1, 0, 1, 2)
+_TOO_FEW = CorrelationResult.not_applicable(NAReason.TOO_FEW_PAIRS)
 
 
 @dataclass(frozen=True)
@@ -45,34 +47,36 @@ def _fmt(res: CorrelationResult) -> str:
 
 
 def _cell_detail(res: CorrelationResult) -> dict:
-    if res.na:
-        return {
-            "value": None if math.isnan(res.r) else res.r,
-            "p": None if math.isnan(res.p_value) else res.p_value,
-            "n": res.n or None,
-            "na_reason": res.na_reason.value,
-        }
-    return {"value": res.r, "p": res.p_value, "n": res.n, "na_reason": None}
+    return {
+        "value": None if math.isnan(res.r) else res.r,
+        "p": None if math.isnan(res.p_value) else res.p_value,
+        "n": res.n or None,
+        "na_reason": res.na_reason and res.na_reason.value,
+    }
 
 
-def shifted_cells(
-    x: WeeklySeries,
-    y: WeeklySeries,
-    s: ShiftSpec,
-    cfg: SignificanceConfig,
-) -> tuple[CorrelationResult, dict[int, CorrelationResult]]:
-    """Overall plus per-year correlation for one query at one shift.
+def _footnotes(cfg: SignificanceConfig) -> tuple[str, ...]:
+    return ("NA: Not applicable", f"p<{cfg.alpha:g}")
 
-    Years are assigned from the case-series week of each pair.
+
+def shifted_cells(panel: QueryPanel, y: WeeklySeries, s: ShiftSpec,
+                  cfg: SignificanceConfig) -> dict[int, list[CorrelationResult]]:
+    """Every query's correlation in each ISO year of the cases at one shift.
+
+    Years are assigned from the case-series week of each pair, so one
+    year's pairs are a contiguous run of rows, correlated in one call.
     """
+    years = iso_years(y.start, len(y))
+    cells = dict.fromkeys(years.tolist(), [_TOO_FEW] * len(panel))  # weeks are in order
     try:
-        xi, yi, n = window(x.start, len(x), y, s)
+        xi, yi, n = window(panel.start, panel.n_weeks, y, s)
     except (InsufficientOverlap, EmptyOverlap):
-        na = CorrelationResult.not_applicable(NAReason.TOO_FEW_PAIRS)
-        return na, {}
-    pairs = list(zip(x.values[xi:xi + n], y.values[yi:yi + n]))
-    years = [w.iso_year for w in week_range(y.start.add(yi), n)]
-    return stats.gated_by_year(pairs, years, cfg)
+        return cells
+    X, yv, years = panel.matrix[xi:xi + n], y.values[yi:yi + n], years[yi:yi + n]
+    cuts = [0, *(np.flatnonzero(np.diff(years)) + 1).tolist(), n]
+    cells.update((int(years[a]), stats.gated_columns(X[a:b], yv[a:b], cfg))
+                 for a, b in zip(cuts, cuts[1:]))
+    return cells
 
 
 def table_overall_annual(
@@ -82,20 +86,19 @@ def table_overall_annual(
     s: ShiftSpec = ShiftSpec(0),
 ) -> Table:
     """Per-query correlations, overall and per year (zero shift by default)."""
-    years = sorted({w.iso_year for w in y.weeks()})
-    columns = ("query", "overall") + tuple(str(yr) for yr in years)
+    overall = stats.correlate_columns(panel.start, panel.matrix, y, s, cfg)
+    per_year = shifted_cells(panel, y, s, cfg)
+    columns = ("query", "overall") + tuple(str(yr) for yr in per_year)
     rows, sidecar = [], []
-    for label, series in panel.items():
-        overall, per_year = shifted_cells(series, y, s, cfg)
-        na = CorrelationResult.not_applicable(NAReason.TOO_FEW_PAIRS)
-        cells = [overall] + [per_year.get(yr, na) for yr in years]
-        rows.append((label,) + tuple(_fmt(c) for c in cells))
+    for j, label in enumerate(panel.labels):
+        by_year = {str(yr): cells[j] for yr, cells in per_year.items()}
+        rows.append((label, _fmt(overall[j])) + tuple(_fmt(c) for c in by_year.values()))
         sidecar.append({
             "query": label,
-            "overall": _cell_detail(overall),
-            "years": {str(yr): _cell_detail(per_year.get(yr, na)) for yr in years},
+            "overall": _cell_detail(overall[j]),
+            "years": {yr: _cell_detail(c) for yr, c in by_year.items()},
         })
-    return Table(columns, tuple(rows), FOOTNOTES, tuple(sidecar))
+    return Table(columns, tuple(rows), _footnotes(cfg), tuple(sidecar))
 
 
 def shift_row_label(k: int) -> str:
@@ -109,33 +112,25 @@ def table_shift_scan(
     cfg: SignificanceConfig = SignificanceConfig(),
 ) -> Table:
     """Per-year, per-shift, per-query correlation grid."""
-    years = sorted({w.iso_year for w in y.weeks()})
     columns = ("year", "dataset") + tuple(panel.labels)
-    na = CorrelationResult.not_applicable(NAReason.TOO_FEW_PAIRS)
-    # per (query, shift): overall + per-year cells, computed once
-    grid = {
-        (label, k): shifted_cells(series, y, ShiftSpec(k), cfg)
-        for label, series in panel.items()
-        for k in shifts
-    }
+    grid = {k: shifted_cells(panel, y, ShiftSpec(k), cfg) for k in shifts}
     rows, sidecar = [], []
-    for yr in years:
+    for yr in dict.fromkeys(iso_years(y.start, len(y)).tolist()):
         for k in shifts:
-            cells = [grid[(label, k)][1].get(yr, na) for label in panel.labels]
+            cells = grid[k][yr]
             rows.append((str(yr), shift_row_label(k)) + tuple(_fmt(c) for c in cells))
             sidecar.append({
                 "year": yr,
                 "shift": k,
                 "cells": {label: _cell_detail(c) for label, c in zip(panel.labels, cells)},
             })
-    return Table(columns, tuple(rows), FOOTNOTES, tuple(sidecar))
+    return Table(columns, tuple(rows), _footnotes(cfg), tuple(sidecar))
 
 
 def table_model_by_shift(
     panel: QueryPanel,
     y: WeeklySeries,
     selection: SelectionResult,
-    cfg: SignificanceConfig = SignificanceConfig(),
     shifts: tuple[int, ...] = DEFAULT_SHIFTS,
 ) -> Table:
     """Model objective for the selected query set at each shift."""
@@ -160,7 +155,7 @@ def figure_data(series: list[WeeklySeries]) -> bytes:
     for s in series:
         if not s.label:
             raise EmptyLabel("every figure series needs a non-empty label")
-        rows.extend((str(w), s.label, v) for w, v in zip(s.weeks(), s.values))
+        rows.extend((str(w), s.label, v) for w, v in zip(s.weeks(), s.values.tolist()))
     rows.sort(key=lambda r: (r[0], r[1]))
     lines = ["week,label,value"]
     lines.extend(f"{w},{label},{v:.2f}" for w, label, v in rows)

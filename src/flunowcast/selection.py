@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 from . import stats
 from .errors import NoUsableQuery
-from .regress import QueryPanel, in_sample_objective
+from .regress import in_sample_objective
 from .stats import SignificanceConfig
-from .timeseries import ShiftSpec, WeeklySeries
+from .timeseries import QueryPanel, ShiftSpec, WeeklySeries
 
 IMPROVEMENT_EPS = 1e-6
 
@@ -26,19 +26,15 @@ class SelectionResult:
     trace: tuple[tuple[int, str, float], ...]  # (step, label added, objective after)
 
 
-def _candidate_pool(panel, y, s, cfg) -> list[str]:
-    """Queries with a positive, non-NA individual correlation, best first."""
-    ranked = stats.rank_queries(panel, y, s, cfg)
-    return [label for label, res in ranked if not res.na and res.r > 0.0]
-
-
 def _greedy_one_shift(
     panel: QueryPanel,
     y: WeeklySeries,
     s: ShiftSpec,
     cfg: SignificanceConfig,
-) -> tuple[tuple[str, ...], float, tuple[tuple[int, str, float], ...]] | None:
-    pool = _candidate_pool(panel, y, s, cfg)
+) -> SelectionResult | None:
+    # candidates: a positive, non-NA individual correlation, best first
+    ranked = stats.rank_queries(panel, y, s, cfg)
+    pool = [label for label, res in ranked if not res.na and res.r > 0.0]
     if not pool:
         return None
     chosen = [pool[0]]
@@ -60,7 +56,7 @@ def _greedy_one_shift(
         remaining.remove(best_label)
         objective = best_obj
         trace.append((len(chosen), best_label, objective))
-    return tuple(chosen), objective, tuple(trace)
+    return SelectionResult(tuple(chosen), s, objective, tuple(trace))
 
 
 def greedy_select(
@@ -76,11 +72,8 @@ def greedy_select(
     best = None
     for s in shifts:
         outcome = _greedy_one_shift(panel, y, s, cfg)
-        if outcome is None:
-            continue
-        chosen, objective, trace = outcome
-        if best is None or objective > best.objective:
-            best = SelectionResult(chosen, s, objective, trace)
+        if outcome is not None and (best is None or outcome.objective > best.objective):
+            best = outcome
     if best is None:
         raise NoUsableQuery("no query has a usable correlation at any shift")
     return best

@@ -1,8 +1,10 @@
 """Pearson correlation with t-test significance and NA semantics.
 
-A correlation that cannot be computed (constant series, too few pairs)
-or fails the significance gate is reported as NA with a reason code,
-never as an exception, mirroring how surveillance tables mark cells.
+One kernel correlates every column of a (weeks x queries) window with
+the cases at once; `pearson` and `correlate` are that kernel on one
+column. A correlation that cannot be computed (constant series, too few
+pairs) or fails the significance gate is reported as NA with a reason
+code, never as an exception, mirroring how surveillance tables mark cells.
 """
 
 from __future__ import annotations
@@ -11,8 +13,10 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EmptyOverlap, InsufficientOverlap, InvalidDof, TooFewPairs, ZeroVariance
-from .timeseries import ShiftSpec, WeeklySeries, shift_pair
+from .timeseries import MIN_PAIRS, QueryPanel, ShiftSpec, WeekStamp, WeeklySeries, window
 
 _BETA_TOL = 1e-12
 _BETA_MAX_ITER = 300
@@ -47,26 +51,41 @@ class CorrelationResult:
         return cls(r=r, p_value=p_value, n=n, na=True, na_reason=reason)
 
 
-def pearson(pairs: list[tuple[float, float]]) -> tuple[float, int]:
-    """Product-moment correlation of the pair list.
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """Column sums adding rows in order, as a sum over pairs would; a
+    pairwise np.sum rounds differently and moves printed p-values."""
+    return np.cumsum(a, axis=0)[-1]
+
+
+def _pearson_columns(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """r of each column of X (rows are weeks) against y, and which columns
+    have a constant side; r is NaN there."""
+    n = len(y)
+    dx = X - _row_sum(X) / n
+    dy = y - _row_sum(y) / n
+    sxx = _row_sum(dx * dx)
+    syy = _row_sum(dy * dy)
+    sxy = _row_sum(dx * dy[:, None])
+    flat = (sxx == 0.0) | (syy == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = sxy / np.sqrt(sxx * syy)
+    # guard against rounding pushing |r| past 1
+    return np.clip(r, -1.0, 1.0), flat
+
+
+def pearson(x, y) -> tuple[float, int]:
+    """Product-moment correlation of two aligned value sequences, and n.
 
     Raises ZeroVariance / TooFewPairs on degenerate input; `correlate`
-    converts those into NA cells.
+    gives NA cells there instead.
     """
-    n = len(pairs)
-    if n < 3:
-        raise TooFewPairs(f"need at least 3 pairs, got {n}")
-    mx = sum(p[0] for p in pairs) / n
-    my = sum(p[1] for p in pairs) / n
-    sxx = sum((p[0] - mx) ** 2 for p in pairs)
-    syy = sum((p[1] - my) ** 2 for p in pairs)
-    if sxx == 0.0 or syy == 0.0:
+    y = np.asarray(y, dtype=float)
+    if len(y) < MIN_PAIRS:
+        raise TooFewPairs(f"need at least {MIN_PAIRS} pairs, got {len(y)}")
+    r, flat = _pearson_columns(np.asarray(x, dtype=float)[:, None], y)
+    if flat[0]:
         raise ZeroVariance("a coordinate has zero variance")
-    sxy = sum((p[0] - mx) * (p[1] - my) for p in pairs)
-    r = sxy / math.sqrt(sxx * syy)
-    # guard against rounding pushing |r| past 1
-    r = max(-1.0, min(1.0, r))
-    return r, n
+    return float(r[0]), len(y)
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
@@ -163,37 +182,32 @@ def correlation_p_value(r: float, n: int) -> float:
     return student_t_two_sided_p(t, n - 2)
 
 
-def gated_result(
-    pairs: list[tuple[float, float]],
-    cfg: SignificanceConfig = SignificanceConfig(),
-) -> CorrelationResult:
-    """Correlate a pair list, mapping degenerate or insignificant cases to NA."""
+def gated_columns(X: np.ndarray, y: np.ndarray, cfg: SignificanceConfig) -> list[CorrelationResult]:
+    """Gated r of every column of X (rows are weeks) against y; degenerate
+    or insignificant columns come back as NA cells, never as exceptions."""
+    n = len(y)
+    if n < MIN_PAIRS:
+        return [CorrelationResult.not_applicable(NAReason.TOO_FEW_PAIRS)] * X.shape[1]
+    r, flat = _pearson_columns(X, y)
+    cells = []
+    for rj, zero in zip(r.tolist(), flat.tolist()):
+        if zero:
+            cells.append(CorrelationResult.not_applicable(NAReason.ZERO_VARIANCE))
+        elif (p := correlation_p_value(rj, n)) >= cfg.alpha:
+            cells.append(CorrelationResult.not_applicable(NAReason.NOT_SIGNIFICANT, rj, p, n))
+        else:
+            cells.append(CorrelationResult(rj, p, n))
+    return cells
+
+
+def correlate_columns(start: WeekStamp, X: np.ndarray, y: WeeklySeries, s: ShiftSpec,
+                      cfg: SignificanceConfig) -> list[CorrelationResult]:
+    """gated_columns over X's weekly rows from `start` paired with y under shift s."""
     try:
-        r, n = pearson(pairs)
-    except TooFewPairs:
-        return CorrelationResult.not_applicable(NAReason.TOO_FEW_PAIRS)
-    except ZeroVariance:
-        return CorrelationResult.not_applicable(NAReason.ZERO_VARIANCE)
-    p = correlation_p_value(r, n)
-    if p >= cfg.alpha:
-        return CorrelationResult.not_applicable(NAReason.NOT_SIGNIFICANT, r=r, p_value=p, n=n)
-    return CorrelationResult(r=r, p_value=p, n=n)
-
-
-def gated_by_year(
-    pairs: list[tuple[float, float]],
-    years: list[int],
-    cfg: SignificanceConfig,
-) -> tuple[CorrelationResult, dict[int, CorrelationResult]]:
-    """gated_result over all pairs, and over each year's pairs in year order.
-
-    `years[i]` is the ISO year that pair i is assigned to.
-    """
-    per_year = {
-        yr: gated_result([p for p, y in zip(pairs, years) if y == yr], cfg)
-        for yr in sorted(set(years))
-    }
-    return gated_result(pairs, cfg), per_year
+        xi, yi, n = window(start, len(X), y, s)
+    except (InsufficientOverlap, EmptyOverlap):
+        return [CorrelationResult.not_applicable(NAReason.TOO_FEW_PAIRS)] * X.shape[1]
+    return gated_columns(X[xi:xi + n], y.values[yi:yi + n], cfg)
 
 
 def correlate(
@@ -207,15 +221,11 @@ def correlate(
     Total over valid series: degenerate inputs come back as NA with a
     reason, never raise.
     """
-    try:
-        pairs = shift_pair(x, y, s)
-    except (InsufficientOverlap, EmptyOverlap):
-        return CorrelationResult.not_applicable(NAReason.TOO_FEW_PAIRS)
-    return gated_result(pairs, cfg)
+    return correlate_columns(x.start, x.values[:, None], y, s, cfg)[0]
 
 
 def rank_queries(
-    panel,
+    panel: QueryPanel,
     y: WeeklySeries,
     s: ShiftSpec,
     cfg: SignificanceConfig = SignificanceConfig(),
@@ -225,7 +235,7 @@ def rank_queries(
     Ties break on label code points so downstream selection is
     deterministic.
     """
-    scored = [(label, correlate(series, y, s, cfg)) for label, series in panel.items()]
+    scored = list(zip(panel.labels, correlate_columns(panel.start, panel.matrix, y, s, cfg)))
 
     def key(item):
         label, res = item

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfig
-from .regress import QueryPanel
-from .timeseries import WeekStamp, WeeklySeries, scale_0_100, week_range
+from .timeseries import QueryPanel, WeekStamp, WeeklySeries, iso_years, scale_0_100
 
 DEFAULT_START = WeekStamp(2009, 1)
 
@@ -73,11 +72,8 @@ def _spike_pulse(cfg: ScenarioConfig, horizon: int) -> np.ndarray:
 
 
 def _decay_weights(cfg: ScenarioConfig) -> np.ndarray:
-    start_year = cfg.start.iso_year
-    years = np.array(
-        [w.iso_year - start_year for w in week_range(cfg.start, cfg.weeks)], dtype=float
-    )
-    return cfg.attention_decay ** years
+    years = iso_years(cfg.start, cfg.weeks) - cfg.start.iso_year
+    return cfg.attention_decay ** years.astype(float)
 
 
 def generate(cfg: ScenarioConfig) -> tuple[WeeklySeries, QueryPanel]:
@@ -88,12 +84,12 @@ def generate(cfg: ScenarioConfig) -> tuple[WeeklySeries, QueryPanel]:
     level = _bump_level(cfg, horizon)
     case_noise = rng.normal(0.0, 1.0, size=horizon) * cfg.noise_sd * np.sqrt(level + 1.0)
     cases_ext = np.maximum(np.rint(level + case_noise), 0.0)
-    cases = WeeklySeries(cfg.start, tuple(cases_ext[:cfg.weeks]), "cases")
+    cases = WeeklySeries(cfg.start, cases_ext[:cfg.weeks], "cases")
 
     pulse = _spike_pulse(cfg, cfg.weeks)
     decay = _decay_weights(cfg)
 
-    series = []
+    labels, columns = [], []
     for i in range(cfg.n_signal_queries):
         # amplitude alone would cancel under 0-100 rescaling, so each
         # query also gets a baseline offset to keep columns distinct
@@ -102,10 +98,11 @@ def generate(cfg: ScenarioConfig) -> tuple[WeeklySeries, QueryPanel]:
         lead_source = cases_ext[cfg.lead_weeks:cfg.lead_weeks + cfg.weeks]
         raw = scale * lead_source * decay + offset + pulse
         raw += rng.normal(0.0, 1.0, size=cfg.weeks) * cfg.noise_sd * np.sqrt(raw.clip(0) + 1.0)
-        raw = np.maximum(raw, 0.0)
-        series.append(scale_0_100(WeeklySeries(cfg.start, tuple(raw), f"signal_{i + 1}")))
+        labels.append(f"signal_{i + 1}")
+        columns.append(np.maximum(raw, 0.0))
     for i in range(cfg.n_noise_queries):
-        raw = rng.uniform(0.0, 100.0, size=cfg.weeks)
-        series.append(scale_0_100(WeeklySeries(cfg.start, tuple(raw), f"noise_{i + 1}")))
+        labels.append(f"noise_{i + 1}")
+        columns.append(rng.uniform(0.0, 100.0, size=cfg.weeks))
 
-    return cases, QueryPanel.build(series)
+    matrix = np.column_stack([scale_0_100(WeeklySeries(cfg.start, c)).values for c in columns])
+    return cases, QueryPanel(cfg.start, tuple(labels), matrix)

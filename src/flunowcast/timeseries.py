@@ -1,4 +1,7 @@
-"""Date-anchored weekly series: week arithmetic, shift windows, 0-100 scaling.
+"""Date-anchored weekly data: week arithmetic, shift windows, 0-100 scaling.
+
+Weekly values are read-only float64 arrays: one per series, and one
+C-order (weeks x queries) matrix per query panel.
 
 Sign convention for shifts: +k ("lagging") pairs search week t with case
 week t+k, i.e. the case data are moved later relative to the searches.
@@ -9,12 +12,13 @@ weeks) are rejected.
 from __future__ import annotations
 
 import datetime as _dt
-import math
 import re
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import EmptyOverlap, InsufficientOverlap, NegativeValue
+import numpy as np
+
+from .errors import EmptyOverlap, InsufficientOverlap, MissingQuery, NegativeValue
 
 MAX_SHIFT = 2
 MIN_PAIRS = 3
@@ -59,21 +63,42 @@ class WeekStamp:
         return (other._monday() - self._monday()).days // 7
 
 
-@dataclass(frozen=True)
-class WeeklySeries:
+class ArrayFields:
+    """Base of the dataclasses that hold arrays, weekly values read-only.
+
+    They take eq=False, since a generated == would compare the arrays and
+    raise; this == compares array fields element-wise, NaN equal to NaN.
+    """
+
+    def _freeze(self, name: str) -> np.ndarray:
+        """Replace field `name` by a read-only C-order float64 copy."""
+        a = np.array(getattr(self, name), dtype=float, order="C")
+        a.flags.writeable = False
+        object.__setattr__(self, name, a)
+        return a
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = ((getattr(self, f), getattr(other, f)) for f in self.__dataclass_fields__)
+        return all(np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
+                   for a, b in pairs)
+
+
+@dataclass(frozen=True, eq=False)
+class WeeklySeries(ArrayFields):
     """Contiguous weekly values anchored at a start week."""
 
     start: WeekStamp
-    values: tuple[float, ...]
+    values: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if len(vals) < 1:
+        vals = self._freeze("values")
+        if vals.ndim != 1 or len(vals) < 1:
             raise ValueError("series must contain at least one week")
-        if not all(math.isfinite(v) for v in vals):
+        if not np.isfinite(vals).all():
             raise ValueError("series values must be finite")
-        object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -85,6 +110,57 @@ class WeeklySeries:
 
     def weeks(self) -> Iterator[WeekStamp]:
         return week_range(self.start, len(self.values))
+
+
+@dataclass(frozen=True, eq=False)
+class QueryPanel(ArrayFields):
+    """Search volumes of distinct queries on one week range.
+
+    `matrix[t, j]` is query j's volume in week t from `start`.
+    """
+
+    start: WeekStamp
+    labels: tuple[str, ...]
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        m = self._freeze("matrix")
+        if not self.labels or len(self.labels) != len(set(self.labels)):
+            raise ValueError("panel needs at least one query, and distinct labels")
+        if m.ndim != 2 or m.shape[1] != len(self.labels) or len(m) < 1:
+            raise ValueError(f"matrix shape {m.shape} is not weeks x {len(self.labels)} queries")
+        if not np.isfinite(m).all():
+            raise ValueError("panel values must be finite")
+        object.__setattr__(self, "labels", tuple(self.labels))
+
+    @classmethod
+    def build(cls, series: list[WeeklySeries]) -> "QueryPanel":
+        if len({(s.start, len(s)) for s in series}) != 1:
+            raise ValueError("panel needs series that share start and length")
+        return cls(series[0].start, tuple(s.label for s in series),
+                   np.column_stack([s.values for s in series]))
+
+    @property
+    def n_weeks(self) -> int:
+        return len(self.matrix)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    @property
+    def series(self) -> tuple[WeeklySeries, ...]:
+        return tuple(WeeklySeries(self.start, col, label)
+                     for label, col in zip(self.labels, self.matrix.T))
+
+    def get(self, label: str) -> WeeklySeries:
+        return self.subset([label]).series[0]
+
+    def subset(self, labels: list[str]) -> "QueryPanel":
+        missing = [l for l in labels if l not in self.labels]
+        if missing:
+            raise MissingQuery(f"query {missing[0]!r} not in panel")
+        columns = [self.labels.index(l) for l in labels]
+        return QueryPanel(self.start, tuple(labels), self.matrix[:, columns])
 
 
 @dataclass(frozen=True)
@@ -107,6 +183,11 @@ def week_range(start: WeekStamp, n: int) -> Iterator[WeekStamp]:
         day += _ONE_WEEK
 
 
+def iso_years(start: WeekStamp, n: int) -> np.ndarray:
+    """ISO year of each of the n consecutive weeks from `start`."""
+    return np.fromiter((w.iso_year for w in week_range(start, n)), dtype=int, count=n)
+
+
 def window(x_start: WeekStamp, x_len: int, y: WeeklySeries, s: ShiftSpec) -> tuple[int, int, int]:
     """Index offsets pairing search week t with case week t+k under shift s.
 
@@ -127,14 +208,10 @@ def window(x_start: WeekStamp, x_len: int, y: WeeklySeries, s: ShiftSpec) -> tup
     return lo + max(-k, 0), lo - d + max(k, 0), n
 
 
-def shift_pair(x: WeeklySeries, y: WeeklySeries, s: ShiftSpec) -> list[tuple[float, float]]:
-    """Pairs (x_t, y_{t+k}) for shift +k; (x_t, y_{t-k}) for -k."""
+def shift_pair(x: WeeklySeries, y: WeeklySeries, s: ShiftSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Aligned values (x_t, y_{t+k}) for shift +k; (x_t, y_{t-k}) for -k."""
     xi, yi, n = window(x.start, len(x), y, s)
-    return list(zip(x.values[xi:xi + n], y.values[yi:yi + n]))
-
-
-def _round_half_up(v: float) -> int:
-    return math.floor(v + 0.5)
+    return x.values[xi:xi + n], y.values[yi:yi + n]
 
 
 def scale_0_100(s: WeeklySeries) -> WeeklySeries:
@@ -143,10 +220,9 @@ def scale_0_100(s: WeeklySeries) -> WeeklySeries:
     Matches the integer normalization of search-volume exports; an
     all-zero series is returned unchanged.
     """
-    if any(v < 0 for v in s.values):
+    if (s.values < 0).any():
         raise NegativeValue(f"negative value in series {s.label!r}")
-    top = max(s.values)
+    top = s.values.max()
     if top == 0:
         return s
-    scaled = tuple(float(_round_half_up(100.0 * v / top)) for v in s.values)
-    return WeeklySeries(s.start, scaled, s.label)
+    return WeeklySeries(s.start, np.floor(100.0 * s.values / top + 0.5), s.label)

@@ -56,6 +56,17 @@ class TestCorrelate:
         detail = json.loads(sidecar.read_text())
         assert detail[0]["overall"]["value"] >= 0.999
 
+    @pytest.mark.parametrize("command", ["correlate", "shift-scan"])
+    @pytest.mark.parametrize("alpha", ["0.05", "0.001"])
+    def test_footnote_names_the_gate(self, tmp_path, command, alpha):
+        cases, panel = synth_files(tmp_path)
+        out = tmp_path / "table.csv"
+        assert run([
+            command, "--cases", str(cases), "--panel", str(panel),
+            "--alpha", alpha, "--out", str(out),
+        ]) == 0
+        assert out.read_text().splitlines()[-2:] == ["NA: Not applicable", f"p<{alpha}"]
+
     def test_missing_required_flag_is_usage_error(self, tmp_path, capsys):
         code = run(["correlate", "--panel", "p.csv", "--out", "t.csv"])
         assert code == 2

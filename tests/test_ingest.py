@@ -25,13 +25,13 @@ class TestParseTrends:
         panel = parse_trends_csv(data)
         assert panel.labels == ("flu", "fever")
         assert panel.n_weeks == 3
-        assert panel.get("fever").values == (20.0, 40.0, 60.0)
+        assert panel.get("fever").values.tolist() == [20.0, 40.0, 60.0]
 
     def test_zero_fill_restores_omitted_week(self):
         data = b"week,flu\n2009-W01,10\n2009-W04,40\n"
         panel = parse_trends_csv(data)
         assert panel.n_weeks == 4
-        assert panel.get("flu").values == (10.0, 0.0, 0.0, 40.0)
+        assert panel.get("flu").values.tolist() == [10.0, 0.0, 0.0, 40.0]
 
     def test_value_out_of_range(self):
         with pytest.raises(ValueOutOfRange):

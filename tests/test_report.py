@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import stats as scipy_stats
 
 from flunowcast.errors import EmptyLabel
 from flunowcast.regress import QueryPanel
@@ -14,7 +16,10 @@ from flunowcast.report import (
 )
 from flunowcast.selection import greedy_select
 from flunowcast.synth import ScenarioConfig, generate
-from flunowcast.timeseries import ShiftSpec, WeekStamp, WeeklySeries
+from flunowcast.stats import SignificanceConfig
+from flunowcast.timeseries import ShiftSpec, WeekStamp, WeeklySeries, week_range
+
+from .oracles import definitional_pearson
 
 W0 = WeekStamp(2009, 1)
 
@@ -127,6 +132,76 @@ class TestTableShiftScan:
         second_year = [r for r in table.rows if r[0] == "2010"]
         assert len(second_year) == 5
         assert all(r[2] == "NA" for r in second_year)
+
+
+# starts just before ISO years with 53 weeks (2009, 2015, 2020), and one plain year
+SCAN_STARTS = [WeekStamp(2009, 49), WeekStamp(2015, 51), WeekStamp(2020, 52), WeekStamp(2011, 1)]
+
+
+@st.composite
+def scan_inputs(draw):
+    """An integer panel (some columns constant) and a case series that
+    overlaps it partly, both starting near a W53 year boundary."""
+    start = draw(st.sampled_from(SCAN_STARTS))
+    n_weeks = draw(st.integers(1, 18))
+    columns = []
+    for j in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            columns.append([draw(st.integers(0, 100))] * n_weeks)
+        else:
+            columns.append(draw(st.lists(st.integers(0, 100), min_size=n_weeks, max_size=n_weeks)))
+    panel = QueryPanel.build([
+        WeeklySeries(start, col, f"q{j}") for j, col in enumerate(columns)
+    ])
+    n_cases = draw(st.integers(1, 18))
+    cases = WeeklySeries(
+        start.add(draw(st.integers(-4, 4))),
+        draw(st.lists(st.integers(0, 30), min_size=n_cases, max_size=n_cases)),
+    )
+    shifts = tuple(sorted(draw(st.sets(st.integers(-2, 2), min_size=1))))
+    alpha = draw(st.sampled_from([0.001, 0.05, 0.3]))
+    return panel, cases, shifts, alpha
+
+
+class TestShiftScanAgainstPairs:
+    """Every shift-scan cell against pairs built by week stamp."""
+
+    @given(scan_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_cells_match_pairs_built_by_week_stamp(self, inputs):
+        panel, cases, shifts, alpha = inputs
+        table = table_shift_scan(panel, cases, shifts, SignificanceConfig(alpha))
+        case_at = dict(zip(cases.weeks(), cases.values))
+        columns = [s.values for s in panel.series]
+        weeks = list(week_range(panel.start, panel.n_weeks))
+        shared = set(weeks) & set(case_at)
+        years = sorted({w.iso_year for w in case_at})
+        assert [(row["year"], row["shift"]) for row in table.sidecar] == [
+            (yr, k) for yr in years for k in shifts
+        ]
+        for row in table.sidecar:
+            yr, k = row["year"], row["shift"]
+            # search week w pairs with case week w+k; the pair's year is the case week's
+            rows = [i for i, w in enumerate(weeks)
+                    if w in shared and w.add(k) in shared and w.add(k).iso_year == yr]
+            ys = [case_at[weeks[i].add(k)] for i in rows]
+            for j, label in enumerate(panel.labels):
+                cell = row["cells"][label]
+                xs = [columns[j][i] for i in rows]
+                if len(rows) < 3:
+                    assert cell["na_reason"] == "TooFewPairs"
+                    continue
+                if len(set(xs)) == 1 or len(set(ys)) == 1:
+                    assert cell["na_reason"] == "ZeroVariance"
+                    continue
+                r = definitional_pearson(xs, ys)
+                assert cell["n"] == len(rows)
+                assert abs(cell["value"] - r) <= 1e-12
+                dof = len(rows) - 2
+                p = 0.0 if r * r >= 1.0 else 2 * scipy_stats.t.sf(
+                    abs(r) * np.sqrt(dof / (1.0 - r * r)), dof)
+                if abs(p - alpha) > 1e-9:
+                    assert cell["na_reason"] == ("NotSignificant" if p >= alpha else None)
 
 
 class TestTableModelByShift:

@@ -33,17 +33,17 @@ def ws(values, label=""):
 
 class TestPearson:
     def test_perfect_positive(self):
-        r, n = pearson([(1, 1), (2, 2), (3, 3)])
+        r, n = pearson([1, 2, 3], [1, 2, 3])
         assert r == pytest.approx(1.0, abs=1e-15)
         assert n == 3
 
     def test_perfect_negative(self):
-        r, _ = pearson([(1, 3), (2, 2), (3, 1)])
+        r, _ = pearson([1, 2, 3], [3, 2, 1])
         assert r == pytest.approx(-1.0, abs=1e-15)
 
     def test_hand_computed_value(self):
         # definitional sums: sxy=4, sxx=syy=5 -> r = 4/5
-        r, n = pearson([(1, 1), (2, 3), (3, 2), (4, 4)])
+        r, n = pearson([1, 2, 3, 4], [1, 3, 2, 4])
         assert r == pytest.approx(
             definitional_pearson([1, 2, 3, 4], [1, 3, 2, 4]), abs=1e-15
         )
@@ -52,16 +52,16 @@ class TestPearson:
 
     def test_too_few_pairs(self):
         with pytest.raises(TooFewPairs):
-            pearson([(1, 1), (2, 2)])
+            pearson([1, 2], [1, 2])
 
     def test_zero_variance(self):
         with pytest.raises(ZeroVariance):
-            pearson([(1, 1), (1, 2), (1, 3)])
+            pearson([1, 1, 1], [1, 2, 3])
 
     def test_symmetric_under_swap(self):
-        pairs = [(1.0, 4.0), (2.5, 1.0), (3.0, 9.0), (7.0, 2.0)]
-        r1, _ = pearson(pairs)
-        r2, _ = pearson([(b, a) for a, b in pairs])
+        xs, ys = [1.0, 2.5, 3.0, 7.0], [4.0, 1.0, 9.0, 2.0]
+        r1, _ = pearson(xs, ys)
+        r2, _ = pearson(ys, xs)
         assert r1 == pytest.approx(r2, abs=1e-15)
 
     # coordinates on a 0.01 grid: arbitrary floats such as 1.48e-159 round
@@ -76,11 +76,12 @@ class TestPearson:
     )
     @settings(max_examples=100)
     def test_affine_invariance(self, data, a, b):
+        xs, ys = zip(*data)
         try:
-            r0, _ = pearson(data)
+            r0, _ = pearson(xs, ys)
         except ZeroVariance:
             return
-        r1, _ = pearson([(a * x + b, y) for x, y in data])
+        r1, _ = pearson([a * x + b for x in xs], ys)
         assert abs(r1 - r0) <= 1e-9
 
     def test_matches_definitional_oracle(self):
@@ -88,7 +89,7 @@ class TestPearson:
         for _ in range(50):
             x = rng.normal(size=30)
             y = rng.normal(size=30)
-            r, _ = pearson(list(zip(x, y)))
+            r, _ = pearson(x, y)
             assert r == pytest.approx(definitional_pearson(x, y), abs=1e-12)
 
 

@@ -8,6 +8,7 @@ from flunowcast.ingest import (
     write_cases_csv,
     write_trends_csv,
 )
+from flunowcast.report import table_overall_annual
 from flunowcast.selection import greedy_select
 from flunowcast.stats import correlate
 from flunowcast.synth import ScenarioConfig, generate
@@ -114,3 +115,40 @@ class TestGenerate:
         cases, panel = generate(scenario())
         assert cases.start == WeekStamp(2009, 1)
         assert panel.start == cases.start
+
+
+class TestFailureModes:
+    """The two failure modes of search-based flu estimates (Lazer et al.,
+    "The Parable of Google Flu", Science 343, 2014), on fixed seeds."""
+
+    FIVE_SEASONS = ((20, 800, 3), (70, 1000, 4), (120, 900, 3), (170, 800, 3), (230, 900, 3))
+
+    @pytest.mark.parametrize("seed", [7, 42])
+    def test_attention_decay_kills_late_year_cells(self, seed):
+        # every year has a season, so only the decay can silence later years
+        dead = []
+        for decay in (1.0, 0.2, 0.05):
+            cases, panel = generate(scenario(
+                seed=seed, weeks=261, epidemic_peaks=self.FIVE_SEASONS, lead_weeks=0,
+                attention_decay=decay, noise_sd=0.05, n_signal_queries=3,
+            ))
+            table = table_overall_annual(panel, cases)
+            dead.append(sum(
+                1
+                for row in table.sidecar
+                for cell in list(row["years"].values())[1:]
+                if cell["na_reason"] is not None or cell["value"] < 0.3
+            ))
+        assert dead[0] < dead[1] < dead[2], dead
+
+    @pytest.mark.parametrize("seed", [7, 42])
+    def test_media_spike_lowers_overall_r_at_true_lead(self, seed):
+        # the spike sits between seasons, where cases are near zero
+        rs = []
+        for magnitude in (0.0, 100.0, 400.0, 1600.0):
+            cases, panel = generate(scenario(
+                seed=seed, noise_sd=0.05, media_spikes=((85, magnitude, 4.0),),
+            ))
+            rs.append([correlate(q, cases, ShiftSpec(2)).r for q in panel.series])
+        for query_rs in zip(*rs):
+            assert all(b < a for a, b in zip(query_rs, query_rs[1:])), query_rs
