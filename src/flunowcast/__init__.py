@@ -5,9 +5,7 @@ table/figure emission, with a seeded synthetic-data generator."""
 from .regress import (
     CoefficientStats,
     ModelFit,
-    NowcastSeries,
     coefficient_stats,
-    evaluate,
     fit_ols,
     predict,
     rolling_weekly_fit,
@@ -38,7 +36,6 @@ __all__ = [
     "CorrelationResult",
     "ModelFit",
     "NAReason",
-    "NowcastSeries",
     "QueryPanel",
     "SelectionResult",
     "ShiftSpec",
@@ -47,7 +44,6 @@ __all__ = [
     "WeeklySeries",
     "coefficient_stats",
     "correlate",
-    "evaluate",
     "fit_ols",
     "greedy_select",
     "pearson",

@@ -11,10 +11,12 @@ import argparse
 import json
 import sys
 
-from . import report, selection, synth
+import numpy as np
+
+from . import report, selection, stats, synth
 from .errors import DataError
 from .ingest import parse_cases_csv, parse_trends_csv, write_cases_csv, write_trends_csv
-from .regress import coefficient_stats, evaluate, fit_ols, predict, rolling_weekly_fit
+from .regress import coefficient_stats, fit_ols, predict, rolling_weekly_fit
 from .stats import SignificanceConfig
 from .timeseries import ShiftSpec, WeekStamp, WeeklySeries
 
@@ -187,18 +189,20 @@ def _cmd_nowcast(args) -> int:
     sel = selection.greedy_select(panel, cases, [ShiftSpec(k) for k in args.shifts], cfg)
     sub = panel.subset(list(sel.chosen_labels))
     if args.mode == "rolling":
-        estimates = rolling_weekly_fit(sub, cases, sel.best_shift,
-                                       warmup=args.warmup, clamp_nonnegative=args.clamp)
+        estimates = rolling_weekly_fit(sub, cases, sel.best_shift, warmup=args.warmup)
     else:
-        estimates = predict(fit_ols(sub, cases, sel.best_shift), sub,
-                            clamp_nonnegative=args.clamp)
-    ev = evaluate(estimates, cases, cfg)
-    valid = estimates.valid_items()
-    shown = [WeeklySeries(valid[0][0], [v for _, v in valid], "estimates")] if valid else []
+        estimates = predict(fit_ols(sub, cases, sel.best_shift), sub)
+    shown, overall = [], "NA"
+    if estimates is not None:
+        if args.clamp:
+            estimates = WeeklySeries(estimates.start, np.maximum(estimates.values, 0.0),
+                                     estimates.label)
+        ev = stats.correlate(estimates, cases, ShiftSpec(0), cfg)
+        shown = [estimates]
+        overall = "NA" if ev.na else f"{ev.r:.2f}"
     _write(args.out_estimates, report.figure_data(shown + [cases]))
     table = report.table_model_by_shift(panel, cases, sel, tuple(args.shifts))
     _write(args.out_table, table.to_csv())
-    overall = "NA" if ev.na else f"{ev.r:.2f}"
     print(f"nowcast ({args.mode}): queries {','.join(sel.chosen_labels)} "
           f"shift {sel.best_shift.weeks:+d} overall r {overall}")
     return 0

@@ -1,9 +1,11 @@
-"""Multi-query linear nowcast model: OLS fit, rolling refits, evaluation.
+"""Multi-query linear nowcast model: OLS fit and rolling refits.
 
 The model is y_t = b0 + b1*x_1t + ... + bn*x_nt, fit by least squares.
 The solver is QR-based (Householder); normal equations exist only as a
-test oracle elsewhere. Rolling mode refits the coefficients once per
-week on all strictly-prior weeks, so estimates never see the future.
+test oracle elsewhere. Both nowcast modes return one weekly series of
+estimates stamped at case weeks: `predict` applies a full-period fit to
+every panel week, and `rolling_weekly_fit` refits the coefficients once
+per week on all strictly-prior weeks, so estimates never see the future.
 Coefficient inference (intervals, p-values) is computed only on request,
 by `coefficient_stats`.
 """
@@ -17,16 +19,7 @@ import numpy as np
 
 from . import stats
 from .errors import EmptyOverlap, InsufficientOverlap, SingularDesign, Underdetermined
-from .stats import CorrelationResult, NAReason, SignificanceConfig
-from .timeseries import (
-    ArrayFields,
-    QueryPanel,
-    ShiftSpec,
-    WeekStamp,
-    WeeklySeries,
-    week_range,
-    window,
-)
+from .timeseries import ArrayFields, QueryPanel, ShiftSpec, WeeklySeries, window
 
 PIVOT_TOL = 1e-10
 
@@ -48,42 +41,12 @@ class ModelFit(ArrayFields):
     r_squared: float
     residual_dof: int
     shift: ShiftSpec
-    fitted: WeeklySeries  # in-sample estimates, stamped at case weeks
-
-
-@dataclass(frozen=True, eq=False)
-class NowcastSeries(ArrayFields):
-    """Weekly model estimates stamped at case weeks.
-
-    NaN marks a week with no estimate (rolling warmup); such weeks are
-    excluded from evaluation.
-    """
-
-    start: WeekStamp
-    values: np.ndarray
-
-    def __post_init__(self):
-        self._freeze("values")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def weeks(self) -> list[WeekStamp]:
-        return list(week_range(self.start, len(self.values)))
-
-    def valid_items(self) -> list[tuple[WeekStamp, float]]:
-        return [(w, v) for w, v in zip(self.weeks(), self.values.tolist()) if not math.isnan(v)]
 
 
 def _design_rows(panel: QueryPanel, y: WeeklySeries, s: ShiftSpec):
     """Joint rows (x vector at week t, y at week t+k) and the first y week."""
     xi, yi, n = window(panel.start, panel.n_weeks, y, s)
     return panel.matrix[xi:xi + n], y.values[yi:yi + n], y.start.add(yi)
-
-
-def _row_estimates(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    # per-row dot keeps fit_ols and predict bit-identical on shared weeks
-    return np.array([beta[0] + float(np.dot(row, beta[1:])) for row in X])
 
 
 def _qr_solve(X: np.ndarray, yv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -99,21 +62,20 @@ def _qr_solve(X: np.ndarray, yv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _full_period_solve(panel: QueryPanel, y: WeeklySeries, s: ShiftSpec):
-    """The full-period least-squares solve: (X, y, first y week, beta, R)."""
-    X, yv, first_week = _design_rows(panel, y, s)
+    """The full-period least-squares solve: (X, y, beta, R)."""
+    X, yv, _ = _design_rows(panel, y, s)
     m, nq = X.shape
     if m < nq + 2:
         raise Underdetermined(f"{m} fitted weeks for {nq} queries (need >= {nq + 2})")
     beta, r = _qr_solve(np.hstack([np.ones((m, 1)), X]), yv)
-    return X, yv, first_week, beta, r
+    return X, yv, beta, r
 
 
 def fit_ols(panel: QueryPanel, y: WeeklySeries, s: ShiftSpec) -> ModelFit:
     """Fit the nowcast model on the full overlapping period."""
-    X, yv, first_week, beta, r = _full_period_solve(panel, y, s)
+    X, yv, beta, r = _full_period_solve(panel, y, s)
     m, nq = X.shape
-    fitted = _row_estimates(X, beta)
-    resid = yv - fitted
+    resid = yv - (beta[0] + X @ beta[1:])
     rss = float(resid @ resid)
     dof = m - (nq + 1)
     # (X'X)^-1 = R^-1 R^-T
@@ -127,7 +89,6 @@ def fit_ols(panel: QueryPanel, y: WeeklySeries, s: ShiftSpec) -> ModelFit:
         r_squared=1.0 if tss == 0.0 else min(max(1.0 - rss / tss, 0.0), 1.0),
         residual_dof=dof,
         shift=s,
-        fitted=WeeklySeries(first_week, fitted, "fitted"),
     )
 
 
@@ -149,16 +110,15 @@ def coefficient_stats(fit: ModelFit, alpha: float) -> list[tuple[str, Coefficien
     return rows
 
 
-def predict(fit: ModelFit, panel: QueryPanel, clamp_nonnegative: bool = False) -> NowcastSeries:
+def predict(fit: ModelFit, panel: QueryPanel) -> WeeklySeries:
     """Evaluate the fitted model on every week of the panel.
 
-    Estimates are stamped at case weeks (search week + shift). Negative
-    estimates are kept unless clamping is requested.
+    Estimates are stamped at case weeks (search week + shift); negative
+    estimates are kept.
     """
-    est = _row_estimates(panel.subset(list(fit.labels)).matrix, fit.betas)
-    if clamp_nonnegative:
-        est = np.maximum(est, 0.0)
-    return NowcastSeries(panel.start.add(fit.shift.weeks), est)
+    X = panel.subset(list(fit.labels)).matrix
+    return WeeklySeries(panel.start.add(fit.shift.weeks), fit.betas[0] + X @ fit.betas[1:],
+                        "estimates")
 
 
 def rolling_weekly_fit(
@@ -166,14 +126,14 @@ def rolling_weekly_fit(
     y: WeeklySeries,
     s: ShiftSpec,
     warmup: int | None = None,
-    clamp_nonnegative: bool = False,
-) -> NowcastSeries:
+) -> WeeklySeries | None:
     """One-step-ahead estimates with weekly coefficient updates.
 
     The estimate for week t comes from a model fit on all weeks strictly
-    before t (expanding window). Weeks inside the warmup carry NaN. An
-    explicit warmup's first window must be fittable; the default starts
-    at the first fittable window from week nq + 4 on.
+    before t (expanding window). The series starts at the first estimated
+    week; None when no week gets an estimate. An explicit warmup's first
+    window must be fittable; the default starts at the first fittable
+    window from week nq + 4 on.
     """
     X, yv, first_week = _design_rows(panel, y, s)
     m, nq = X.shape
@@ -182,39 +142,21 @@ def rolling_weekly_fit(
         warmup = nq + 4
     if warmup < nq + 2:
         raise Underdetermined(f"warmup {warmup} < {nq + 2} minimum for {nq} queries")
-    values = [math.nan] * min(warmup, m)
+    values = []
     for t in range(warmup, m):
         Xd = np.hstack([np.ones((t, 1)), X[:t]])
         try:
             beta, _ = _qr_solve(Xd, yv[:t])
         except SingularDesign:
-            # singular windows (e.g. still-flat query columns) just yield
-            # no estimate, so the default warmup runs on to the first
-            # fittable one
-            if t == warmup and not default_warmup:
+            # the default warmup runs on past singular windows (e.g.
+            # still-flat query columns) to the first fittable one; adding
+            # rows never lowers the column rank, so later windows fit too
+            if values or not default_warmup:
                 raise
-            values.append(math.nan)
             continue
-        est = float(beta[0] + X[t] @ beta[1:])
-        if clamp_nonnegative:
-            est = max(est, 0.0)
-        values.append(est)
-    return NowcastSeries(first_week, values)
-
-
-def evaluate(
-    estimates: NowcastSeries,
-    y: WeeklySeries,
-    cfg: SignificanceConfig = SignificanceConfig(),
-) -> CorrelationResult:
-    """Gated correlation of the non-NaN estimates against actual cases."""
-    try:
-        ei, yi, n = window(estimates.start, len(estimates), y, ShiftSpec(0))
-    except (EmptyOverlap, InsufficientOverlap):
-        return CorrelationResult.not_applicable(NAReason.TOO_FEW_PAIRS)
-    est, actual = estimates.values[ei:ei + n], y.values[yi:yi + n]
-    kept = ~np.isnan(est)
-    return stats.gated_columns(est[kept, None], actual[kept], cfg)[0]
+        values.append(float(beta[0] + X[t] @ beta[1:]))
+    # estimates are contiguous and end at the last fitted week
+    return WeeklySeries(first_week.add(m - len(values)), values, "estimates") if values else None
 
 
 def in_sample_objective(panel: QueryPanel, y: WeeklySeries, s: ShiftSpec) -> float | None:
@@ -225,7 +167,7 @@ def in_sample_objective(panel: QueryPanel, y: WeeklySeries, s: ShiftSpec) -> flo
     None when the fit is undefined or y or the estimates are constant.
     """
     try:
-        X, yv, _, beta, _ = _full_period_solve(panel, y, s)
+        X, yv, beta, _ = _full_period_solve(panel, y, s)
     except (Underdetermined, SingularDesign, EmptyOverlap, InsufficientOverlap):
         return None
     dy = yv - yv.mean()

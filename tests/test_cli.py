@@ -294,3 +294,36 @@ def test_readme_examples_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert run(argv[1:]) == 0, " ".join(argv)
+
+
+class TestNowcastOnReadmeFixture:
+    @pytest.fixture()
+    def inputs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        synth_argv = next(argv for argv in readme_commands() if argv[1] == "synth")
+        assert run(synth_argv[1:]) == 0
+        return ["--cases", "cases.csv", "--panel", "panel.csv"]
+
+    @pytest.mark.parametrize("mode", ["full", "rolling"])
+    def test_clamp_zeroes_negative_estimates(self, inputs, mode):
+        files = {}
+        for flag in ([], ["--clamp"]):
+            out = f"est{''.join(flag)}.csv"
+            assert run(["nowcast", *inputs, "--mode", mode, "--warmup", "40", *flag,
+                        "--out-estimates", out, "--out-table", "table.csv"]) == 0
+            files[tuple(flag)] = Path(out).read_text().splitlines()
+        negative = [line for line in files[()] if ",estimates,-" in line]
+        # on this fixture only the rolling estimates dip below zero
+        assert bool(negative) == (mode == "rolling")
+        expected = [line.rsplit(",", 1)[0] + ",0.00" if line in negative else line
+                    for line in files[()]]
+        assert files[("--clamp",)] == expected
+
+    def test_rolling_without_estimated_weeks(self, inputs, capsys):
+        # the fixture has 259 fitted weeks at the chosen shift of +2
+        assert run(["nowcast", *inputs, "--mode", "rolling", "--warmup", "300",
+                    "--out-estimates", "est.csv", "--out-table", "table.csv"]) == 0
+        rows = Path("est.csv").read_text().splitlines()
+        assert rows[0] == "week,label,value"
+        assert {row.split(",")[1] for row in rows[1:]} == {"cases"}
+        assert capsys.readouterr().out.endswith("overall r NA\n")

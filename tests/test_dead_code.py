@@ -1,0 +1,75 @@
+"""No unused imports and no module-level name that the package never uses.
+
+Read with `ast` from the source files: a name counts as used where it is
+loaded, imported by another module, or listed in `__all__`.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "flunowcast"
+MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+           for path in sorted(PACKAGE.glob("*.py"))}
+EXEMPT = {"__all__", "__version__"}
+
+
+def exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def loaded(tree: ast.Module) -> set[str]:
+    """Names read as variables or as attributes anywhere in `tree`."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names | exported(tree)
+
+
+def imported(tree: ast.Module) -> list[tuple[str, str]]:
+    """(bound name, imported name) of every import but `from __future__`."""
+    pairs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            pairs += [((a.asname or a.name).split(".")[0], a.name) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            pairs += [(a.asname or a.name, a.name) for a in node.names]
+    return pairs
+
+
+def defined(tree: ast.Module) -> list[str]:
+    """Module-level functions, classes and assigned names."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_no_unused_imports(module):
+    tree = MODULES[module]
+    unused = [bound for bound, _ in imported(tree) if bound not in loaded(tree)]
+    assert unused == [], f"{module} imports {unused} without using them"
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_every_module_level_name_is_used(module):
+    used = set()
+    for name, tree in MODULES.items():
+        used |= loaded(tree)
+        if name != module:
+            used |= {original for _, original in imported(tree)}
+    unused = [n for n in defined(MODULES[module]) if n not in used | EXEMPT]
+    assert unused == [], f"{module} defines {unused}, which the package never uses"

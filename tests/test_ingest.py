@@ -103,3 +103,61 @@ class TestFuzz:
                 parser(blob)
             except DataError:
                 pass
+
+
+VALID_PANEL = "week,flu,fever\n2015-W51,10,20\n2015-W52,30,40\n2015-W53,100,0\n2016-W01,7,7\n"
+VALID_CASES = "week,cases\n2015-W51,5\n2015-W52,0\n2015-W53,12\n2016-W01,3\n"
+
+ascii_counts = st.sampled_from(["0", "5", "12", "100", "101"])
+# non-ASCII digits, signs, padding and other number forms
+integer_cells = st.one_of(
+    st.text(st.characters(categories=["Nd", "No"]), min_size=1, max_size=3),
+    st.sampled_from(["²", "١٢", "３", "⑤", "½", "1e2", "1.0", "0x1", "1_0", "", "-", "+"]),
+    st.builds(str.__add__, st.sampled_from(["+", "-", "--", "+-", "-+"]), ascii_counts),
+    st.builds(lambda pad, n, tail: pad + n + tail, st.sampled_from([" ", "\t", "\u00a0", ""]),
+              ascii_counts, st.sampled_from([" ", "\t", "\n", ","])),
+)
+# 2015 has an ISO week 53, 2016 does not
+week_cells = st.sampled_from([
+    "2016-W53", "2015-W54", "2015-W00", " 2015-W52", "2015-W52 ", "2015-w52", "2015-W5",
+    "+2015-W52", "２０１５-W52", "2015-W٥٢", "2015-W52-1", "",
+])
+
+
+@st.composite
+def mutated_csv(draw, text):
+    """A valid CSV with some cells replaced and some rows duplicated, dropped or swapped."""
+    rows = [line.split(",") for line in text.splitlines()]
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(1, len(rows) - 1))
+        op = draw(st.sampled_from(["value", "week", "duplicate", "drop", "swap"]))
+        if op == "value":
+            rows[i][draw(st.integers(1, len(rows[i]) - 1))] = draw(integer_cells)
+        elif op == "week":
+            rows[i][0] = draw(week_cells)
+        elif op == "duplicate":
+            rows.insert(i, list(rows[i]))
+        elif op == "drop" and len(rows) > 2:
+            del rows[i]
+        elif op == "swap":
+            j = draw(st.integers(1, len(rows) - 1))
+            rows[i], rows[j] = rows[j], rows[i]
+    return ("\n".join(",".join(row) for row in rows) + "\n").encode("utf-8")
+
+
+class TestGrammarFuzz:
+    @pytest.mark.parametrize("parser,text", [
+        (parse_trends_csv, VALID_PANEL),
+        (parse_cases_csv, VALID_CASES),
+    ])
+    def test_valid_inputs_parse(self, parser, text):
+        parser(text.encode("utf-8"))
+
+    @given(panel=mutated_csv(VALID_PANEL), cases=mutated_csv(VALID_CASES))
+    @settings(max_examples=500)
+    def test_cell_mutations_raise_only_data_errors(self, panel, cases):
+        for parser, blob in ((parse_trends_csv, panel), (parse_cases_csv, cases)):
+            try:
+                parser(blob)
+            except DataError:
+                pass

@@ -1,7 +1,6 @@
-import math
-
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flunowcast.errors import (
     DataError,
@@ -11,15 +10,14 @@ from flunowcast.errors import (
     Underdetermined,
 )
 from flunowcast.regress import (
-    NowcastSeries,
     QueryPanel,
     coefficient_stats,
-    evaluate,
     fit_ols,
     in_sample_objective,
     predict,
     rolling_weekly_fit,
 )
+from flunowcast.stats import correlate
 from flunowcast.timeseries import ShiftSpec, WeekStamp, WeeklySeries
 
 from .oracles import definitional_pearson, normal_equations_ols
@@ -79,8 +77,9 @@ class TestFitOls:
         rng = np.random.default_rng(11)
         X = rng.uniform(0, 1, size=(60, 3))
         y_vals = rng.uniform(0, 1, size=60)
-        fit = fit_ols(panel_of([(f"q{i}", X[:, i]) for i in range(3)]), ws(y_vals), ShiftSpec(0))
-        resid = y_vals - np.array(fit.fitted.values)
+        panel = panel_of([(f"q{i}", X[:, i]) for i in range(3)])
+        fit = fit_ols(panel, ws(y_vals), ShiftSpec(0))
+        resid = y_vals - predict(fit, panel).values
         assert abs(resid.sum()) <= 1e-8
         for j in range(3):
             assert abs(resid @ X[:, j]) <= 1e-8
@@ -124,6 +123,39 @@ class TestFitOls:
         assert fit.r_squared == pytest.approx(1.0, abs=1e-9)
 
 
+@st.composite
+def near_collinear_designs(draw):
+    """Integer 0-100 panels whose column `dup` is column `src` + eps * noise."""
+    nq = draw(st.integers(2, 4))
+    m = draw(st.integers(nq + 2, 40))
+    cells = st.lists(st.integers(0, 100), min_size=m * nq, max_size=m * nq)
+    X = np.array(draw(cells), dtype=float).reshape(m, nq)
+    src, dup = draw(st.permutations(range(nq)))[:2]
+    eps = 10.0 ** draw(st.floats(-14, 0))
+    noise = np.array(draw(st.lists(st.floats(-1, 1), min_size=m, max_size=m)))
+    X[:, dup] = X[:, src] + eps * noise
+    y = np.array(draw(st.lists(st.integers(0, 1000), min_size=m, max_size=m)), dtype=float)
+    return X, y
+
+
+class TestNearCollinear:
+    @given(near_collinear_designs())
+    @settings(max_examples=300, deadline=None)
+    def test_singular_or_as_accurate_as_lstsq(self, design):
+        # an unpivoted QR either flags the lost rank or solves as well as
+        # the conditioning allows
+        X, y = design
+        panel = panel_of([(f"q{j}", X[:, j]) for j in range(X.shape[1])])
+        try:
+            fit = fit_ols(panel, ws(y), ShiftSpec(0))
+        except SingularDesign:
+            return
+        A = np.column_stack([np.ones(len(y)), X])
+        ref = np.linalg.lstsq(A, y, rcond=None)[0]
+        bound = np.linalg.cond(A) * 1e-14 * np.linalg.norm(ref)
+        assert np.linalg.norm(fit.betas - ref) <= bound
+
+
 class TestPredict:
     def test_forward_evaluation(self):
         fit = fit_ols(panel_of([("x", [0, 1, 2])]), ws([1, 3, 5]), ShiftSpec(0))
@@ -135,31 +167,10 @@ class TestPredict:
         est = predict(fit, panel_of([("x", [0.0, 0.0, 0.0])]))
         assert est.values == pytest.approx((1.0, 1.0, 1.0), abs=1e-12)
 
-    def test_clamp_rule(self):
-        rng = np.random.default_rng(15)
-        x = rng.uniform(0, 10, size=10)
-        y_vals = x - 5 + rng.normal(0, 0.1, size=10)
-        fit = fit_ols(panel_of([("x", x)]), ws(y_vals), ShiftSpec(0))
-        clamped = predict(fit, panel_of([("x", x)]), clamp_nonnegative=True)
-        unclamped = predict(fit, panel_of([("x", x)]))
-        assert min(unclamped.values) < 0
-        assert min(clamped.values) == 0.0
-
     def test_missing_query(self):
         fit = fit_ols(panel_of([("x", [0, 1, 2])]), ws([1, 3, 5]), ShiftSpec(0))
         with pytest.raises(MissingQuery):
             predict(fit, panel_of([("other", [0, 1, 2])]))
-
-    def test_reproduces_stored_fitted_values(self):
-        rng = np.random.default_rng(16)
-        panel = random_panel(rng, 3, 50)
-        y = ws(rng.uniform(0, 500, size=50))
-        fit = fit_ols(panel, y, ShiftSpec(1))
-        est = predict(fit, panel)
-        # estimates are stamped at case weeks; the fitted span is a sub-range
-        by_week = dict(zip(est.weeks(), est.values))
-        for week, v in zip(fit.fitted.weeks(), fit.fitted.values):
-            assert by_week[week] == pytest.approx(v, abs=0)
 
     def test_estimates_stamped_at_case_weeks(self):
         fit = fit_ols(panel_of([("x", [0, 1, 2, 3, 4])]), ws([1, 3, 5, 7, 9]), ShiftSpec(2))
@@ -172,19 +183,19 @@ class TestRollingWeeklyFit:
         x = np.linspace(0, 10, 30)
         y_vals = 3 * x + 1
         est = rolling_weekly_fit(panel_of([("x", x)]), ws(y_vals), ShiftSpec(0), warmup=5)
-        for (week, v), expected in zip(est.valid_items(), y_vals[5:]):
-            assert v == pytest.approx(expected, abs=1e-8)
+        assert est.start == W0.add(5)
+        assert est.values == pytest.approx(y_vals[5:], abs=1e-8)
 
     def test_warmup_weeks_are_sentinels(self):
         x = np.linspace(0, 10, 30)
         est = rolling_weekly_fit(panel_of([("x", x)]), ws(3 * x + 1), ShiftSpec(0), warmup=7)
-        assert all(math.isnan(v) for v in est.values[:7])
-        assert len(est.valid_items()) == 23
+        assert est.start == W0.add(7)
+        assert len(est) == 23
 
     def test_warmup_equal_to_length_gives_empty(self):
         x = np.linspace(0, 10, 30)
         est = rolling_weekly_fit(panel_of([("x", x)]), ws(3 * x + 1), ShiftSpec(0), warmup=30)
-        assert est.valid_items() == []
+        assert est is None
 
     def test_warmup_below_minimum_rejected(self):
         x = np.linspace(0, 10, 30)
@@ -199,10 +210,10 @@ class TestRollingWeeklyFit:
         with pytest.raises(SingularDesign):
             rolling_weekly_fit(panel, y, ShiftSpec(0), warmup=5)
         est = rolling_weekly_fit(panel, y, ShiftSpec(0))
-        assert all(math.isnan(v) for v in est.values[:13])
-        assert est.values[13] == pytest.approx(3 * x[13] + 1, abs=1e-8)
-        assert np.array_equal(
-            est.values[13:], rolling_weekly_fit(panel, y, ShiftSpec(0), warmup=13).values[13:])
+        assert est.start == W0.add(13)
+        assert len(est) == 40 - 13
+        assert est.values[0] == pytest.approx(3 * x[13] + 1, abs=1e-8)
+        assert est == rolling_weekly_fit(panel, y, ShiftSpec(0), warmup=13)
 
     def test_default_warmup_is_queries_plus_four_when_fittable(self):
         rng = np.random.default_rng(22)
@@ -228,29 +239,31 @@ class TestRollingWeeklyFit:
         perturbed = y_vals.copy()
         perturbed[t:] += rng.uniform(100, 500, size=60 - t)
         after = rolling_weekly_fit(panel, ws(perturbed), ShiftSpec(0), warmup=10)
-        assert np.array_equal(base.values[:t + 1], after.values[:t + 1], equal_nan=True)
+        assert after.start == base.start == W0.add(10)
+        assert np.array_equal(base.values[:t + 1 - 10], after.values[:t + 1 - 10])
 
 
 class TestEvaluate:
     def _nowcast(self, values, start=W0):
-        return NowcastSeries(start, tuple(values))
+        return WeeklySeries(start, tuple(values), "estimates")
 
     def test_identical_series_r_one(self):
         rng = np.random.default_rng(19)
         vals = rng.uniform(0, 100, size=120)
-        res = evaluate(self._nowcast(vals), ws(vals))
+        res = correlate(self._nowcast(vals), ws(vals), ShiftSpec(0))
         assert res.r == pytest.approx(1.0, abs=1e-12)
 
     def test_negated_series_r_minus_one(self):
         rng = np.random.default_rng(20)
         vals = rng.uniform(1, 100, size=52)
-        res = evaluate(self._nowcast(-vals), ws(vals))
+        res = correlate(self._nowcast(-vals), ws(vals), ShiftSpec(0))
         assert res.r == pytest.approx(-1.0, abs=1e-12)
 
     def test_sentinels_excluded(self):
         vals = [10.0, 20.0, 30.0, 40.0, 50.0, 60.0]
-        est = self._nowcast([math.nan, math.nan] + vals[2:])
-        res = evaluate(est, ws(vals))
+        # rolling estimates start after the warmup: only shared weeks count
+        est = self._nowcast(vals[2:], start=W0.add(2))
+        res = correlate(est, ws(vals), ShiftSpec(0))
         assert res.n == 4
 
     def test_lead_structure_prefers_true_shift(self):
