@@ -16,7 +16,6 @@ from .stats import (
     NAReason,
     SignificanceConfig,
     correlate,
-    pearson,
     rank_queries,
     student_t_two_sided_p,
 )
@@ -26,8 +25,6 @@ from .timeseries import (
     WeekStamp,
     WeeklySeries,
     scale_0_100,
-    shift_pair,
-    week_range,
     window,
 )
 
@@ -46,14 +43,11 @@ __all__ = [
     "correlate",
     "fit_ols",
     "greedy_select",
-    "pearson",
     "predict",
     "rank_queries",
     "rolling_weekly_fit",
     "scale_0_100",
-    "shift_pair",
     "student_t_two_sided_p",
-    "week_range",
     "window",
 ]
 

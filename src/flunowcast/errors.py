@@ -25,14 +25,6 @@ class NegativeValue(DataError):
 
 # -- stats --------------------------------------------------------------
 
-class ZeroVariance(DataError):
-    """A coordinate of the pair list is constant."""
-
-
-class TooFewPairs(DataError):
-    """Correlation needs at least three pairs."""
-
-
 class InvalidDof(DataError):
     """Degrees of freedom must be a positive integer."""
 

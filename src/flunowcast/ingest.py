@@ -21,7 +21,7 @@ from .errors import (
     NonContiguousAfterFill,
     ValueOutOfRange,
 )
-from .timeseries import QueryPanel, WeekStamp, WeeklySeries, week_range
+from .timeseries import QueryPanel, WeekStamp, WeeklySeries, week_labels
 
 
 def _decode_lines(data: bytes) -> list[str]:
@@ -122,13 +122,13 @@ def parse_cases_csv(data: bytes) -> WeeklySeries:
 def write_trends_csv(panel: QueryPanel) -> bytes:
     lines = ["week," + ",".join(panel.labels)]
     rows = panel.matrix.astype(int).tolist()
-    for week, row in zip(week_range(panel.start, panel.n_weeks), rows):
+    for week, row in zip(week_labels(panel.start, panel.n_weeks), rows):
         lines.append(f"{week}," + ",".join(map(str, row)))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def write_cases_csv(cases: WeeklySeries) -> bytes:
     lines = ["week,cases"]
-    for week, v in zip(cases.weeks(), cases.values.tolist()):
+    for week, v in zip(week_labels(cases.start, len(cases)), cases.values.tolist()):
         lines.append(f"{week},{int(v)}")
     return ("\n".join(lines) + "\n").encode("utf-8")

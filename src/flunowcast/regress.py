@@ -5,7 +5,9 @@ The solver is QR-based (Householder); normal equations exist only as a
 test oracle elsewhere. Both nowcast modes return one weekly series of
 estimates stamped at case weeks: `predict` applies a full-period fit to
 every panel week, and `rolling_weekly_fit` refits the coefficients once
-per week on all strictly-prior weeks, so estimates never see the future.
+per week on all strictly-prior weeks. Only the coefficients are refit:
+the queries and the shift are the caller's, and `nowcast` picks them once
+from all weeks.
 Coefficient inference (intervals, p-values) is computed only on request,
 by `coefficient_stats`.
 """
@@ -44,9 +46,9 @@ class ModelFit(ArrayFields):
 
 
 def _design_rows(panel: QueryPanel, y: WeeklySeries, s: ShiftSpec):
-    """Joint rows (x vector at week t, y at week t+k) and the first y week."""
+    """Joint rows (x vector at week t, y at week t+k) and the first y index."""
     xi, yi, n = window(panel.start, panel.n_weeks, y, s)
-    return panel.matrix[xi:xi + n], y.values[yi:yi + n], y.start.add(yi)
+    return panel.matrix[xi:xi + n], y.values[yi:yi + n], yi
 
 
 def _qr_solve(X: np.ndarray, yv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -129,13 +131,14 @@ def rolling_weekly_fit(
 ) -> WeeklySeries | None:
     """One-step-ahead estimates with weekly coefficient updates.
 
-    The estimate for week t comes from a model fit on all weeks strictly
-    before t (expanding window). The series starts at the first estimated
-    week; None when no week gets an estimate. An explicit warmup's first
-    window must be fittable; the default starts at the first fittable
-    window from week nq + 4 on.
+    The estimate for week t comes from coefficients fit on all weeks
+    strictly before t (expanding window); the panel's queries and the
+    shift s are used as given, whatever weeks chose them. The series starts
+    at the first estimated week; None when no week gets an estimate. An
+    explicit warmup's first window must be fittable; the default starts at
+    the first fittable window from week nq + 4 on.
     """
-    X, yv, first_week = _design_rows(panel, y, s)
+    X, yv, yi = _design_rows(panel, y, s)
     m, nq = X.shape
     default_warmup = warmup is None
     if default_warmup:
@@ -156,7 +159,7 @@ def rolling_weekly_fit(
             continue
         values.append(float(beta[0] + X[t] @ beta[1:]))
     # estimates are contiguous and end at the last fitted week
-    return WeeklySeries(first_week.add(m - len(values)), values, "estimates") if values else None
+    return WeeklySeries(y.start.add(yi + m - len(values)), values, "estimates") if values else None
 
 
 def in_sample_objective(panel: QueryPanel, y: WeeklySeries, s: ShiftSpec) -> float | None:

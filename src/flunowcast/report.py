@@ -19,7 +19,7 @@ from .errors import EmptyLabel, EmptyOverlap, InsufficientOverlap
 from .regress import in_sample_objective
 from .selection import SelectionResult
 from .stats import CorrelationResult, NAReason, SignificanceConfig
-from .timeseries import QueryPanel, ShiftSpec, WeeklySeries, iso_years, window
+from .timeseries import QueryPanel, ShiftSpec, WeeklySeries, iso_years, week_labels, window
 
 DEFAULT_SHIFTS = (-2, -1, 0, 1, 2)
 _TOO_FEW = CorrelationResult.not_applicable(NAReason.TOO_FEW_PAIRS)
@@ -148,15 +148,17 @@ def table_model_by_shift(
 
 
 def figure_data(series: list[WeeklySeries]) -> bytes:
-    """Long-format plot data: week,label,value sorted by (week, label)."""
+    """Long-format plot data: week,label,value rows week by week, and
+    within a week in label order (equal labels in input order)."""
     if not series:
         raise EmptyLabel("figure needs at least one series")
-    rows = []
-    for s in series:
-        if not s.label:
-            raise EmptyLabel("every figure series needs a non-empty label")
-        rows.extend((str(w), s.label, v) for w, v in zip(s.weeks(), s.values.tolist()))
-    rows.sort(key=lambda r: (r[0], r[1]))
+    if not all(s.label for s in series):
+        raise EmptyLabel("every figure series needs a non-empty label")
+    first = min(s.start for s in series)
+    columns = [(first.weeks_until(s.start), s.label, s.values.tolist())
+               for s in sorted(series, key=lambda s: s.label)]
     lines = ["week,label,value"]
-    lines.extend(f"{w},{label},{v:.2f}" for w, label, v in rows)
+    for t, week in enumerate(week_labels(first, max(at + len(v) for at, _, v in columns))):
+        lines.extend(f"{week},{label},{values[t - at]:.2f}"
+                     for at, label, values in columns if 0 <= t - at < len(values))
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -1,10 +1,10 @@
 """Pearson correlation with t-test significance and NA semantics.
 
 One kernel correlates every column of a (weeks x queries) window with
-the cases at once; `pearson` and `correlate` are that kernel on one
-column. A correlation that cannot be computed (constant series, too few
-pairs) or fails the significance gate is reported as NA with a reason
-code, never as an exception, mirroring how surveillance tables mark cells.
+the cases at once; `correlate` is that kernel on one column. A
+correlation that cannot be computed (constant series, too few pairs) or
+fails the significance gate is reported as NA with a reason code, never
+as an exception, mirroring how surveillance tables mark cells.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyOverlap, InsufficientOverlap, InvalidDof, TooFewPairs, ZeroVariance
+from .errors import EmptyOverlap, InsufficientOverlap, InvalidDof
 from .timeseries import MIN_PAIRS, QueryPanel, ShiftSpec, WeekStamp, WeeklySeries, window
 
 _BETA_TOL = 1e-12
@@ -42,13 +42,16 @@ class CorrelationResult:
     r: float
     p_value: float
     n: int
-    na: bool = False
     na_reason: NAReason | None = None
+
+    @property
+    def na(self) -> bool:
+        return self.na_reason is not None
 
     @classmethod
     def not_applicable(cls, reason: NAReason, r: float = math.nan,
                        p_value: float = math.nan, n: int = 0) -> "CorrelationResult":
-        return cls(r=r, p_value=p_value, n=n, na=True, na_reason=reason)
+        return cls(r=r, p_value=p_value, n=n, na_reason=reason)
 
 
 def _row_sum(a: np.ndarray) -> np.ndarray:
@@ -71,21 +74,6 @@ def _pearson_columns(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
         r = sxy / np.sqrt(sxx * syy)
     # guard against rounding pushing |r| past 1
     return np.clip(r, -1.0, 1.0), flat
-
-
-def pearson(x, y) -> tuple[float, int]:
-    """Product-moment correlation of two aligned value sequences, and n.
-
-    Raises ZeroVariance / TooFewPairs on degenerate input; `correlate`
-    gives NA cells there instead.
-    """
-    y = np.asarray(y, dtype=float)
-    if len(y) < MIN_PAIRS:
-        raise TooFewPairs(f"need at least {MIN_PAIRS} pairs, got {len(y)}")
-    r, flat = _pearson_columns(np.asarray(x, dtype=float)[:, None], y)
-    if flat[0]:
-        raise ZeroVariance("a coordinate has zero variance")
-    return float(r[0]), len(y)
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:

@@ -71,11 +71,6 @@ def _spike_pulse(cfg: ScenarioConfig, horizon: int) -> np.ndarray:
     return pulse
 
 
-def _decay_weights(cfg: ScenarioConfig) -> np.ndarray:
-    years = iso_years(cfg.start, cfg.weeks) - cfg.start.iso_year
-    return cfg.attention_decay ** years.astype(float)
-
-
 def generate(cfg: ScenarioConfig) -> tuple[WeeklySeries, QueryPanel]:
     """Produce (cases, panel) for the scenario, deterministically per seed."""
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
@@ -87,7 +82,7 @@ def generate(cfg: ScenarioConfig) -> tuple[WeeklySeries, QueryPanel]:
     cases = WeeklySeries(cfg.start, cases_ext[:cfg.weeks], "cases")
 
     pulse = _spike_pulse(cfg, cfg.weeks)
-    decay = _decay_weights(cfg)
+    decay = cfg.attention_decay ** (iso_years(cfg.start, cfg.weeks) - cfg.start.iso_year)
 
     labels, columns = [], []
     for i in range(cfg.n_signal_queries):

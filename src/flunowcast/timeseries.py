@@ -1,7 +1,8 @@
 """Date-anchored weekly data: week arithmetic, shift windows, 0-100 scaling.
 
 Weekly values are read-only float64 arrays: one per series, and one
-C-order (weeks x queries) matrix per query panel.
+C-order (weeks x queries) matrix per query panel. Only this module turns
+week positions into stamps and ISO years; 0001-W01..9999-W52 is the range.
 
 Sign convention for shifts: +k ("lagging") pairs search week t with case
 week t+k, i.e. the case data are moved later relative to the searches.
@@ -14,7 +15,6 @@ from __future__ import annotations
 import datetime as _dt
 import re
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -23,7 +23,8 @@ from .errors import EmptyOverlap, InsufficientOverlap, MissingQuery, NegativeVal
 MAX_SHIFT = 2
 MIN_PAIRS = 3
 _STAMP = re.compile(r"[0-9]{4}-W[0-9]{2}")
-_ONE_WEEK = _dt.timedelta(weeks=1)
+# 9999-W52 is the last ISO week a `date` can hold
+_LAST_MONDAY = _dt.date.fromisocalendar(9999, 52, 1).toordinal()
 
 
 @dataclass(frozen=True, order=True)
@@ -50,17 +51,20 @@ class WeekStamp:
     def __str__(self) -> str:
         return f"{self.iso_year:04d}-W{self.iso_week:02d}"
 
-    def _monday(self) -> _dt.date:
-        return _dt.date.fromisocalendar(self.iso_year, self.iso_week, 1)
+    def _monday(self, weeks: int = 0) -> int:
+        """Day ordinal of the Monday `weeks` weeks from this week's."""
+        d = _dt.date.fromisocalendar(self.iso_year, self.iso_week, 1).toordinal() + 7 * weeks
+        if not 1 <= d <= _LAST_MONDAY:
+            raise ValueError(f"{weeks:+d} weeks from {self} is outside 0001-W01..9999-W52")
+        return d
 
     def add(self, weeks: int) -> "WeekStamp":
-        d = self._monday() + _dt.timedelta(weeks=weeks)
-        y, w, _ = d.isocalendar()
+        y, w, _ = _dt.date.fromordinal(self._monday(weeks)).isocalendar()
         return WeekStamp(y, w)
 
     def weeks_until(self, other: "WeekStamp") -> int:
         """Signed number of weeks from self to other."""
-        return (other._monday() - self._monday()).days // 7
+        return (other._monday() - self._monday()) // 7
 
 
 class ArrayFields:
@@ -103,14 +107,6 @@ class WeeklySeries(ArrayFields):
     def __len__(self) -> int:
         return len(self.values)
 
-    @property
-    def end(self) -> WeekStamp:
-        """Last week covered (inclusive)."""
-        return self.start.add(len(self.values) - 1)
-
-    def weeks(self) -> Iterator[WeekStamp]:
-        return week_range(self.start, len(self.values))
-
 
 @dataclass(frozen=True, eq=False)
 class QueryPanel(ArrayFields):
@@ -133,13 +129,6 @@ class QueryPanel(ArrayFields):
             raise ValueError("panel values must be finite")
         object.__setattr__(self, "labels", tuple(self.labels))
 
-    @classmethod
-    def build(cls, series: list[WeeklySeries]) -> "QueryPanel":
-        if len({(s.start, len(s)) for s in series}) != 1:
-            raise ValueError("panel needs series that share start and length")
-        return cls(series[0].start, tuple(s.label for s in series),
-                   np.column_stack([s.values for s in series]))
-
     @property
     def n_weeks(self) -> int:
         return len(self.matrix)
@@ -151,9 +140,6 @@ class QueryPanel(ArrayFields):
     def series(self) -> tuple[WeeklySeries, ...]:
         return tuple(WeeklySeries(self.start, col, label)
                      for label, col in zip(self.labels, self.matrix.T))
-
-    def get(self, label: str) -> WeeklySeries:
-        return self.subset([label]).series[0]
 
     def subset(self, labels: list[str]) -> "QueryPanel":
         missing = [l for l in labels if l not in self.labels]
@@ -174,18 +160,23 @@ class ShiftSpec:
             raise ValueError(f"|shift| = {abs(self.weeks)} exceeds maximum {MAX_SHIFT}")
 
 
-def week_range(start: WeekStamp, n: int) -> Iterator[WeekStamp]:
-    """The n consecutive weeks from `start`, stepping one date by 7 days."""
-    day = start._monday()
-    for _ in range(n):
-        year, week, _ = day.isocalendar()
-        yield WeekStamp(year, week)
-        day += _ONE_WEEK
+def _mondays(start: WeekStamp, n: int) -> range:
+    """Day ordinals of the Mondays of the n consecutive weeks from `start`."""
+    first = start._monday()
+    start._monday(max(n - 1, 0))  # raises if the range runs off the calendar
+    return range(first, first + 7 * n, 7)
+
+
+def week_labels(start: WeekStamp, n: int) -> list[str]:
+    """'YYYY-Www' stamps of the n consecutive weeks from `start`."""
+    return ["%04d-W%02d" % _dt.date.fromordinal(d).isocalendar()[:2] for d in _mondays(start, n)]
 
 
 def iso_years(start: WeekStamp, n: int) -> np.ndarray:
-    """ISO year of each of the n consecutive weeks from `start`."""
-    return np.fromiter((w.iso_year for w in week_range(start, n)), dtype=int, count=n)
+    """ISO year of each of the n consecutive weeks from `start`: the
+    calendar year of the week's Thursday."""
+    monday = np.datetime64(_dt.date.fromordinal(_mondays(start, n).start), "D")
+    return (monday + np.arange(3, 7 * n, 7)).astype("datetime64[Y]").astype(int) + 1970
 
 
 def window(x_start: WeekStamp, x_len: int, y: WeeklySeries, s: ShiftSpec) -> tuple[int, int, int]:
@@ -199,19 +190,14 @@ def window(x_start: WeekStamp, x_len: int, y: WeeklySeries, s: ShiftSpec) -> tup
     lo, hi = max(0, d), min(x_len, d + len(y))
     if lo >= hi:
         raise EmptyOverlap(
-            f"series ranges {x_start}..{x_start.add(x_len - 1)} and {y.start}..{y.end} are disjoint"
+            f"series ranges {x_start}..{x_start.add(x_len - 1)} and "
+            f"{y.start}..{y.start.add(len(y) - 1)} are disjoint"
         )
     k = s.weeks
     n = max(hi - lo - abs(k), 0)
     if n < MIN_PAIRS:
         raise InsufficientOverlap(f"only {n} pairs remain after shifting by {k} (need {MIN_PAIRS})")
     return lo + max(-k, 0), lo - d + max(k, 0), n
-
-
-def shift_pair(x: WeeklySeries, y: WeeklySeries, s: ShiftSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Aligned values (x_t, y_{t+k}) for shift +k; (x_t, y_{t-k}) for -k."""
-    xi, yi, n = window(x.start, len(x), y, s)
-    return x.values[xi:xi + n], y.values[yi:yi + n]
 
 
 def scale_0_100(s: WeeklySeries) -> WeeklySeries:

@@ -2,10 +2,12 @@
 
 These deliberately avoid the library's own code paths: correlation from
 the definitional sums, p-values from permutation resampling and
-quadrature, OLS from Gaussian elimination on the normal equations, and
-subset selection by exhaustive enumeration.
+quadrature, OLS from Gaussian elimination on the normal equations,
+subset selection by exhaustive enumeration, ISO weeks from stepping a
+date one week at a time, and figure rows from one stable sort.
 """
 
+import datetime
 import itertools
 import math
 
@@ -113,3 +115,27 @@ def exhaustive_best_subset(columns, y):
             if r > best_r:
                 best_set, best_r = combo, r
     return best_set, best_r
+
+
+def isocalendar_walk(iso_year, iso_week, n):
+    """(ISO year, ISO week) of the n weeks from the given one, stepping a
+    date by 7 days; OverflowError where the walk leaves the calendar."""
+    day = datetime.date.fromisocalendar(iso_year, iso_week, 1)
+    weeks = []
+    for i in range(n):
+        if i:
+            day += datetime.timedelta(weeks=1)
+        weeks.append(day.isocalendar()[:2])
+    return weeks
+
+
+def sorted_figure_data(series):
+    """Figure CSV by definition: every (week, label, value) row of every
+    series, stably sorted by (week stamp, label)."""
+    rows = []
+    for s in series:
+        weeks = isocalendar_walk(s.start.iso_year, s.start.iso_week, len(s.values))
+        rows += [("%04d-W%02d" % w, s.label, v) for w, v in zip(weeks, s.values.tolist())]
+    rows.sort(key=lambda r: (r[0], r[1]))
+    lines = ["week,label,value"] + [f"{w},{label},{v:.2f}" for w, label, v in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")

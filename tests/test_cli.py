@@ -9,6 +9,7 @@ from scipy import stats as scipy_stats
 from flunowcast import stats
 from flunowcast.cli import _COMMANDS, run
 from flunowcast.ingest import parse_cases_csv, parse_trends_csv
+from flunowcast.timeseries import WeekStamp
 
 from .oracles import definitional_pearson, normal_equations_ols
 
@@ -216,8 +217,8 @@ class TestPipelineCommands:
 
 def shifted_design(cases, panel, k):
     """Search volumes at week t and cases at week t+k, paired by week stamp."""
-    case_at = dict(zip(cases.weeks(), cases.values))
-    weeks = list(panel.series[0].weeks())
+    case_at = {cases.start.add(i): v for i, v in enumerate(cases.values)}
+    weeks = [panel.start.add(i) for i in range(panel.n_weeks)]
     keep = [i for i, w in enumerate(weeks) if w.add(k) in case_at]
     X = np.array([[sr.values[i] for sr in panel.series] for i in keep], dtype=float)
     return X, np.array([case_at[weeks[i].add(k)] for i in keep], dtype=float)
@@ -327,3 +328,64 @@ class TestNowcastOnReadmeFixture:
         assert rows[0] == "week,label,value"
         assert {row.split(",")[1] for row in rows[1:]} == {"cases"}
         assert capsys.readouterr().out.endswith("overall r NA\n")
+
+
+class TestPastTheCalendar:
+    """Weeks after 9999-W52 are a data error: exit 1, one line, no file."""
+
+    def assert_one_line_error(self, capsys, *paths):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: ") and err.count("\n") == 1
+        assert not any(p.exists() for p in paths)
+
+    def test_synth_past_9999_w52(self, tmp_path, capsys):
+        cases, panel = tmp_path / "cases.csv", tmp_path / "panel.csv"
+        assert run(["synth", "--seed", "1", "--weeks", "20", "--peaks", "5:10:2",
+                    "--start", "9999-W50", "--out-cases", str(cases),
+                    "--out-panel", str(panel)]) == 1
+        self.assert_one_line_error(capsys, cases, panel)
+
+    def test_nowcast_estimates_past_9999_w52(self, tmp_path, capsys):
+        # 52 weeks of cases end at 9999-W52; estimates at shift +2 run two weeks past it
+        cases, panel = synth_files(tmp_path, ["--weeks", "52", "--start", "9999-W01"])
+        inputs = ["--cases", str(cases), "--panel", str(panel)]
+        assert run(["select", *inputs, "--out", str(tmp_path / "sel.json")]) == 0
+        assert json.loads((tmp_path / "sel.json").read_text())["shift"] == 2
+        capsys.readouterr()
+        est, table = tmp_path / "est.csv", tmp_path / "table.csv"
+        assert run(["nowcast", *inputs, "--out-estimates", str(est),
+                    "--out-table", str(table)]) == 1
+        self.assert_one_line_error(capsys, est, table)
+
+
+def test_rolling_selection_sees_the_weeks_it_estimates(tmp_path, monkeypatch, capsys):
+    """Rolling mode refits only the coefficients on earlier weeks: the
+    queries are chosen once from all weeks, so changing cases after week t
+    changes the chosen set and with it estimates at weeks <= t."""
+    monkeypatch.chdir(tmp_path)
+    start, n, t = WeekStamp(2015, 1), 80, 40
+    rng = np.random.default_rng(1)
+    cases = rng.integers(10, 200, n)
+    before_t = np.arange(n) < t
+    # query a tracks the cases before t, query b the cases from t on
+    a = np.where(before_t, cases // 2, rng.integers(0, 100, n))
+    b = np.where(before_t, rng.integers(0, 100, n), cases // 2)
+    Path("panel.csv").write_text(
+        "week,a,b\n" + "".join(f"{start.add(i)},{x},{y}\n" for i, (x, y) in enumerate(zip(a, b))))
+    later = cases.copy()
+    later[t + 1:] = rng.integers(10, 200, n - t - 1)
+
+    runs = []
+    for tag, values in (("base", cases), ("later", later)):
+        Path(f"{tag}.csv").write_text(
+            "week,cases\n" + "".join(f"{start.add(i)},{v}\n" for i, v in enumerate(values)))
+        assert run(["nowcast", "--cases", f"{tag}.csv", "--panel", "panel.csv", "--shifts=0",
+                    "--mode", "rolling", "--warmup", "10",
+                    "--out-estimates", f"est-{tag}.csv", "--out-table", "table.csv"]) == 0
+        rows = [line.split(",") for line in Path(f"est-{tag}.csv").read_text().splitlines()]
+        runs.append((capsys.readouterr().out,
+                     {w: v for w, label, v in rows if label == "estimates"}))
+    (base_out, base), (later_out, after) = runs
+    assert " queries a,b " in base_out and " queries a " in later_out
+    up_to_t = [str(start.add(i)) for i in range(10, t + 1)]
+    assert any(base[w] != after[w] for w in up_to_t)

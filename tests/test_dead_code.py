@@ -73,3 +73,12 @@ def test_every_module_level_name_is_used(module):
             used |= {original for _, original in imported(tree)}
     unused = [n for n in defined(MODULES[module]) if n not in used | EXEMPT]
     assert unused == [], f"{module} defines {unused}, which the package never uses"
+
+
+def test_every_export_resolves_and_every_public_import_is_exported():
+    import flunowcast
+
+    missing = [name for name in flunowcast.__all__ if not hasattr(flunowcast, name)]
+    assert missing == [], f"__all__ lists {missing}, which flunowcast does not define"
+    public = {bound for bound, _ in imported(MODULES["__init__.py"]) if not bound.startswith("_")}
+    assert sorted(public - set(flunowcast.__all__)) == []

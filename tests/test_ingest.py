@@ -25,13 +25,13 @@ class TestParseTrends:
         panel = parse_trends_csv(data)
         assert panel.labels == ("flu", "fever")
         assert panel.n_weeks == 3
-        assert panel.get("fever").values.tolist() == [20.0, 40.0, 60.0]
+        assert panel.matrix[:, 1].tolist() == [20.0, 40.0, 60.0]
 
     def test_zero_fill_restores_omitted_week(self):
         data = b"week,flu\n2009-W01,10\n2009-W04,40\n"
         panel = parse_trends_csv(data)
         assert panel.n_weeks == 4
-        assert panel.get("flu").values.tolist() == [10.0, 0.0, 0.0, 40.0]
+        assert panel.matrix[:, 0].tolist() == [10.0, 0.0, 0.0, 40.0]
 
     def test_value_out_of_range(self):
         with pytest.raises(ValueOutOfRange):
@@ -65,7 +65,7 @@ class TestParseCases:
         series = parse_cases_csv(("\n".join(lines) + "\n").encode())
         assert len(series) == 261
         assert series.start == start
-        assert series.end == WeekStamp(2013, 52)
+        assert series.start.add(len(series) - 1) == WeekStamp(2013, 52)
 
     def test_gap_is_error(self):
         with pytest.raises(GapInCases):

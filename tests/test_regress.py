@@ -30,7 +30,8 @@ def ws(values, label=""):
 
 
 def panel_of(columns):
-    return QueryPanel.build([ws(v, label) for label, v in columns])
+    labels, values = zip(*columns)
+    return QueryPanel(W0, labels, np.column_stack(values))
 
 
 def random_panel(rng, n_queries, n_weeks):

@@ -17,15 +17,20 @@ from flunowcast.report import (
 from flunowcast.selection import greedy_select
 from flunowcast.synth import ScenarioConfig, generate
 from flunowcast.stats import SignificanceConfig
-from flunowcast.timeseries import ShiftSpec, WeekStamp, WeeklySeries, week_range
+from flunowcast.timeseries import ShiftSpec, WeekStamp, WeeklySeries
 
-from .oracles import definitional_pearson
+from .oracles import definitional_pearson, sorted_figure_data
 
 W0 = WeekStamp(2009, 1)
 
 
 def ws(values, label=""):
     return WeeklySeries(W0, tuple(values), label)
+
+
+def panel_of(columns):
+    labels, values = zip(*columns)
+    return QueryPanel(W0, labels, np.column_stack(values))
 
 
 def with_target_r(y_vals, target, seed):
@@ -52,7 +57,7 @@ class TestTableOverallAnnual:
             with_target_r(y2, 0.29, 2),
             np.zeros(52),
         ])
-        panel = QueryPanel.build([ws(x, "q")])
+        panel = panel_of([("q", x)])
         table = table_overall_annual(panel, ws(np.concatenate([y1, y2, y3])))
         assert table.columns == ("query", "overall", "2009", "2010", "2011")
         row = table.rows[0]
@@ -65,12 +70,12 @@ class TestTableOverallAnnual:
     def test_identical_series_all_ones(self):
         rng = np.random.default_rng(51)
         y_vals = rng.uniform(0, 100, size=120)
-        table = table_overall_annual(QueryPanel.build([ws(y_vals, "q")]), ws(y_vals))
+        table = table_overall_annual(panel_of([("q", y_vals)]), ws(y_vals))
         assert all(cell == "1.00" for cell in table.rows[0][1:])
 
     def test_constant_panel_all_na(self):
         table = table_overall_annual(
-            QueryPanel.build([ws(np.full(60, 3.0), "q")]),
+            panel_of([("q", np.full(60, 3.0))]),
             ws(np.random.default_rng(52).uniform(0, 10, size=60)),
         )
         assert all(cell == "NA" for cell in table.rows[0][1:])
@@ -79,7 +84,7 @@ class TestTableOverallAnnual:
     def test_csv_is_byte_deterministic(self):
         rng = np.random.default_rng(53)
         y_vals = rng.uniform(0, 100, size=80)
-        panel = QueryPanel.build([ws(0.7 * y_vals + rng.normal(0, 20, 80), "q")])
+        panel = panel_of([("q", 0.7 * y_vals + rng.normal(0, 20, 80))])
         t1 = table_overall_annual(panel, ws(y_vals))
         t2 = table_overall_annual(panel, ws(y_vals))
         assert t1.to_csv() == t2.to_csv()
@@ -128,7 +133,7 @@ class TestTableShiftScan:
         rng = np.random.default_rng(61)
         y_vals = np.concatenate([rng.uniform(10, 100, size=52), np.zeros(52)])
         x = np.concatenate([y_vals[:52], np.zeros(52)])
-        table = table_shift_scan(QueryPanel.build([ws(x, "q")]), ws(y_vals))
+        table = table_shift_scan(panel_of([("q", x)]), ws(y_vals))
         second_year = [r for r in table.rows if r[0] == "2010"]
         assert len(second_year) == 5
         assert all(r[2] == "NA" for r in second_year)
@@ -150,9 +155,8 @@ def scan_inputs(draw):
             columns.append([draw(st.integers(0, 100))] * n_weeks)
         else:
             columns.append(draw(st.lists(st.integers(0, 100), min_size=n_weeks, max_size=n_weeks)))
-    panel = QueryPanel.build([
-        WeeklySeries(start, col, f"q{j}") for j, col in enumerate(columns)
-    ])
+    panel = QueryPanel(start, tuple(f"q{j}" for j in range(len(columns))),
+                       np.column_stack(columns))
     n_cases = draw(st.integers(1, 18))
     cases = WeeklySeries(
         start.add(draw(st.integers(-4, 4))),
@@ -171,9 +175,9 @@ class TestShiftScanAgainstPairs:
     def test_cells_match_pairs_built_by_week_stamp(self, inputs):
         panel, cases, shifts, alpha = inputs
         table = table_shift_scan(panel, cases, shifts, SignificanceConfig(alpha))
-        case_at = dict(zip(cases.weeks(), cases.values))
+        case_at = {cases.start.add(i): v for i, v in enumerate(cases.values)}
         columns = [s.values for s in panel.series]
-        weeks = list(week_range(panel.start, panel.n_weeks))
+        weeks = [panel.start.add(i) for i in range(panel.n_weeks)]
         shared = set(weeks) & set(case_at)
         years = sorted({w.iso_year for w in case_at})
         assert [(row["year"], row["shift"]) for row in table.sidecar] == [
@@ -233,7 +237,7 @@ class TestTableModelByShift:
     def test_identity_fixture_cell_is_one(self):
         rng = np.random.default_rng(64)
         y_vals = rng.uniform(10, 100, size=60)
-        panel = QueryPanel.build([ws(y_vals, "q")])
+        panel = panel_of([("q", y_vals)])
         table = table_model_by_shift(panel, ws(y_vals), self._selection(panel, ws(y_vals)))
         cells = dict(zip(table.columns[1:], table.rows[0][1:]))
         assert cells["0-week lagging"] == "1.00"
@@ -241,7 +245,7 @@ class TestTableModelByShift:
     def test_header_order(self):
         rng = np.random.default_rng(65)
         y_vals = rng.uniform(10, 100, size=60)
-        panel = QueryPanel.build([ws(y_vals, "q")])
+        panel = panel_of([("q", y_vals)])
         table = table_model_by_shift(panel, ws(y_vals), self._selection(panel, ws(y_vals)))
         assert table.columns == (
             "dataset",
@@ -277,3 +281,15 @@ class TestFigureData:
             WeeklySeries(W0, tuple(v for w, l, v in parsed if l == "actual"), "actual"),
         ])
         assert rebuilt == data
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(["cases", "estimates", "q1", "q10", "q2"]),  # duplicates allowed
+        st.integers(-6, 40),  # start, in weeks from 2015-W50 (2015 has 53 weeks)
+        st.lists(st.integers(-100_000, 100_000).map(lambda c: c / 1000), min_size=1, max_size=20),
+    ), min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_one_stable_sort_of_all_rows(self, specs):
+        # different starts and lengths, gaps between ranges, equal labels
+        base = WeekStamp(2015, 50)
+        series = [WeeklySeries(base.add(at), values, label) for label, at, values in specs]
+        assert figure_data(series) == sorted_figure_data(series)

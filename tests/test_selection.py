@@ -18,7 +18,8 @@ def ws(values, label=""):
 
 
 def panel_of(columns):
-    return QueryPanel.build([ws(v, label) for label, v in columns])
+    labels, values = zip(*columns)
+    return QueryPanel(W0, labels, np.column_stack(values))
 
 
 class TestGreedySelect:
@@ -30,7 +31,7 @@ class TestGreedySelect:
         assert result.chosen_labels == ("x1",)
         assert result.objective == pytest.approx(1.0, abs=1e-9)
         best_set, best_r = exhaustive_best_subset(
-            {"x1": np.array(y_vals), "x2": np.array(panel.get("x2").values)}, y_vals
+            {"x1": np.array(y_vals), "x2": panel.matrix[:, 1]}, y_vals
         )
         assert result.objective >= best_r - 1e-9
 

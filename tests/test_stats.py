@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
-from flunowcast.errors import InvalidDof, TooFewPairs, ZeroVariance
+from flunowcast.errors import InvalidDof
 from flunowcast.regress import QueryPanel
 from flunowcast.stats import (
     CorrelationResult,
@@ -13,7 +13,6 @@ from flunowcast.stats import (
     SignificanceConfig,
     correlate,
     correlation_p_value,
-    pearson,
     rank_queries,
     regularized_incomplete_beta,
     student_t_two_sided_p,
@@ -31,38 +30,33 @@ def ws(values, label=""):
     return WeeklySeries(W0, tuple(values), label)
 
 
+def cell(xs, ys):
+    """The shift-0 correlation cell of two aligned sequences (r is kept
+    when the gate rejects it)."""
+    return correlate(ws(xs), ws(ys), ShiftSpec(0))
+
+
 class TestPearson:
     def test_perfect_positive(self):
-        r, n = pearson([1, 2, 3], [1, 2, 3])
-        assert r == pytest.approx(1.0, abs=1e-15)
-        assert n == 3
+        res = cell([1, 2, 3], [1, 2, 3])
+        assert res.r == pytest.approx(1.0, abs=1e-15)
+        assert res.n == 3
 
     def test_perfect_negative(self):
-        r, _ = pearson([1, 2, 3], [3, 2, 1])
-        assert r == pytest.approx(-1.0, abs=1e-15)
+        assert cell([1, 2, 3], [3, 2, 1]).r == pytest.approx(-1.0, abs=1e-15)
 
     def test_hand_computed_value(self):
         # definitional sums: sxy=4, sxx=syy=5 -> r = 4/5
-        r, n = pearson([1, 2, 3, 4], [1, 3, 2, 4])
-        assert r == pytest.approx(
+        res = cell([1, 2, 3, 4], [1, 3, 2, 4])
+        assert res.r == pytest.approx(
             definitional_pearson([1, 2, 3, 4], [1, 3, 2, 4]), abs=1e-15
         )
-        assert r == pytest.approx(0.8, abs=1e-12)
-        assert n == 4
-
-    def test_too_few_pairs(self):
-        with pytest.raises(TooFewPairs):
-            pearson([1, 2], [1, 2])
-
-    def test_zero_variance(self):
-        with pytest.raises(ZeroVariance):
-            pearson([1, 1, 1], [1, 2, 3])
+        assert res.r == pytest.approx(0.8, abs=1e-12)
+        assert res.n == 4
 
     def test_symmetric_under_swap(self):
         xs, ys = [1.0, 2.5, 3.0, 7.0], [4.0, 1.0, 9.0, 2.0]
-        r1, _ = pearson(xs, ys)
-        r2, _ = pearson(ys, xs)
-        assert r1 == pytest.approx(r2, abs=1e-15)
+        assert cell(xs, ys).r == pytest.approx(cell(ys, xs).r, abs=1e-15)
 
     # coordinates on a 0.01 grid: arbitrary floats such as 1.48e-159 round
     # away under the affine map or underflow in the sums of squares, which
@@ -77,20 +71,18 @@ class TestPearson:
     @settings(max_examples=100)
     def test_affine_invariance(self, data, a, b):
         xs, ys = zip(*data)
-        try:
-            r0, _ = pearson(xs, ys)
-        except ZeroVariance:
+        res = cell(xs, ys)
+        if res.na_reason is NAReason.ZERO_VARIANCE:
             return
-        r1, _ = pearson([a * x + b for x in xs], ys)
-        assert abs(r1 - r0) <= 1e-9
+        r1 = cell([a * x + b for x in xs], ys).r
+        assert abs(r1 - res.r) <= 1e-9
 
     def test_matches_definitional_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             x = rng.normal(size=30)
             y = rng.normal(size=30)
-            r, _ = pearson(x, y)
-            assert r == pytest.approx(definitional_pearson(x, y), abs=1e-12)
+            assert cell(x, y).r == pytest.approx(definitional_pearson(x, y), abs=1e-12)
 
 
 class TestStudentT:
@@ -192,7 +184,8 @@ class TestCorrelate:
 
 class TestRankQueries:
     def _panel(self, columns):
-        return QueryPanel.build([ws(v, label) for label, v in columns])
+        labels, values = zip(*columns)
+        return QueryPanel(W0, labels, np.column_stack(values))
 
     def test_descending_with_na_last(self):
         rng = np.random.default_rng(6)

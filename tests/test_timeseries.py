@@ -1,8 +1,9 @@
+import datetime
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from flunowcast.errors import EmptyOverlap, InsufficientOverlap, NegativeValue
 from flunowcast.timeseries import (
@@ -10,17 +11,25 @@ from flunowcast.timeseries import (
     ShiftSpec,
     WeekStamp,
     WeeklySeries,
+    iso_years,
     scale_0_100,
-    shift_pair,
-    week_range,
+    week_labels,
     window,
 )
+
+from .oracles import isocalendar_walk
 
 W = WeekStamp
 
 
 def series(start, values, label=""):
     return WeeklySeries(start, tuple(values), label)
+
+
+def paired(x, y, k):
+    """The (x_t, y_{t+k}) value pairs that `window` selects."""
+    xi, yi, n = window(x.start, len(x), y, ShiftSpec(k))
+    return list(zip(x.values[xi:xi + n].tolist(), y.values[yi:yi + n].tolist()))
 
 
 class TestWeekStamp:
@@ -55,7 +64,7 @@ class TestAlign:
         a = series(W(2009, 1), [1, 2, 3, 4])
         b = series(W(2009, 1), [5, 6, 7, 8])
         assert window(a.start, len(a), b, ShiftSpec(0)) == (0, 0, 4)
-        assert list(zip(*shift_pair(a, b, ShiftSpec(0)))) == list(zip(a.values, b.values))
+        assert paired(a, b, 0) == list(zip(a.values, b.values))
 
     def test_partial_overlap(self):
         a = series(W(2009, 1), [1, 2, 3, 4, 5])
@@ -63,7 +72,7 @@ class TestAlign:
         # the shared weeks are 2009-W03..W05
         assert window(a.start, len(a), b, ShiftSpec(0)) == (2, 0, 3)
         assert window(b.start, len(b), a, ShiftSpec(0)) == (0, 2, 3)
-        assert list(zip(*shift_pair(a, b, ShiftSpec(0)))) == [(3.0, 9.0), (4.0, 8.0), (5.0, 7.0)]
+        assert paired(a, b, 0) == [(3.0, 9.0), (4.0, 8.0), (5.0, 7.0)]
 
     def test_disjoint_raises(self):
         a = series(W(2009, 1), [1, 2])
@@ -71,7 +80,7 @@ class TestAlign:
         with pytest.raises(EmptyOverlap):
             window(a.start, len(a), b, ShiftSpec(0))
         with pytest.raises(EmptyOverlap):
-            shift_pair(b, a, ShiftSpec(0))
+            paired(b, a, 0)
 
     @given(d=st.integers(-8, 8), nx=st.integers(1, 12), ny=st.integers(1, 12),
            k=st.integers(-2, 2))
@@ -100,53 +109,98 @@ class TestShiftPair:
         self.y = series(W(2009, 1), [1, 2, 3, 4])
 
     def test_zero_shift_equals_align(self):
-        assert list(zip(*shift_pair(self.x, self.y, ShiftSpec(0)))) == [(10, 1), (20, 2), (30, 3), (40, 4)]
+        assert paired(self.x, self.y, 0) == [(10, 1), (20, 2), (30, 3), (40, 4)]
 
     def test_positive_shift_lags_cases(self):
-        assert list(zip(*shift_pair(self.x, self.y, ShiftSpec(1)))) == [(10, 2), (20, 3), (30, 4)]
+        assert paired(self.x, self.y, 1) == [(10, 2), (20, 3), (30, 4)]
 
     def test_negative_shift_precedes_cases(self):
-        assert list(zip(*shift_pair(self.x, self.y, ShiftSpec(-1)))) == [(20, 1), (30, 2), (40, 3)]
+        assert paired(self.x, self.y, -1) == [(20, 1), (30, 2), (40, 3)]
 
     def test_too_few_pairs(self):
         with pytest.raises(InsufficientOverlap):
-            shift_pair(self.x, self.y, ShiftSpec(2))
+            paired(self.x, self.y, 2)
 
     def test_shift_beyond_maximum_rejected(self):
         with pytest.raises(ValueError):
             ShiftSpec(3)
 
     def test_role_reversal_symmetry(self):
-        fwd_x, fwd_y = shift_pair(self.x, self.y, ShiftSpec(1))
-        rev_y, rev_x = shift_pair(self.y, self.x, ShiftSpec(-1))
-        assert np.array_equal(fwd_x, rev_x) and np.array_equal(fwd_y, rev_y)
+        assert paired(self.x, self.y, 1) == [(x, y) for y, x in paired(self.y, self.x, -1)]
 
     def test_stamped_pairs_carry_case_weeks(self):
         xi, yi, n = window(self.x.start, len(self.x), self.y, ShiftSpec(1))
         assert (xi, yi, n) == (0, 1, 3)
-        case_weeks = list(week_range(self.y.start.add(yi), n))
+        case_weeks = [self.y.start.add(yi + i) for i in range(n)]
         assert case_weeks == [W(2009, 2), W(2009, 3), W(2009, 4)]
 
     @given(k=st.integers(-2, 2), n=st.integers(5, 30))
     def test_pair_count(self, k, n):
         x = series(W(2009, 1), list(range(n)))
         y = series(W(2009, 1), list(range(n)))
-        xs, ys = shift_pair(x, y, ShiftSpec(k))
-        assert len(xs) == len(ys) == n - abs(k)
+        assert len(paired(x, y, k)) == n - abs(k)
 
 
 class TestWeekRange:
+    """`week_labels` and `iso_years` over a range of weeks."""
+
     def test_steps_across_week_53(self):
         # 2009 has 53 ISO weeks, 2010 has 52
-        assert list(week_range(W(2009, 52), 3)) == [W(2009, 52), W(2009, 53), W(2010, 1)]
-        assert list(week_range(W(2010, 52), 2)) == [W(2010, 52), W(2011, 1)]
+        assert week_labels(W(2009, 52), 3) == ["2009-W52", "2009-W53", "2010-W01"]
+        assert week_labels(W(2010, 52), 2) == ["2010-W52", "2011-W01"]
+        assert iso_years(W(2009, 52), 3).tolist() == [2009, 2009, 2010]
 
     def test_matches_add(self):
         for start in (W(2008, 30), W(2009, 53), W(2015, 1)):
-            assert list(week_range(start, 300)) == [start.add(i) for i in range(300)]
+            weeks = [start.add(i) for i in range(300)]
+            assert week_labels(start, 300) == [str(w) for w in weeks]
+            assert iso_years(start, 300).tolist() == [w.iso_year for w in weeks]
 
     def test_empty(self):
-        assert list(week_range(W(2009, 1), 0)) == []
+        assert week_labels(W(2009, 1), 0) == []
+        assert iso_years(W(2009, 1), 0).tolist() == []
+
+
+# years whose ISO calendar has 53 weeks, and the first and last years
+# a `date` holds
+EDGE_YEARS = [1, 2, 4, 9, 2004, 2009, 2015, 2020, 2026, 9993, 9998, 9999]
+
+
+@st.composite
+def week_spans(draw):
+    year = draw(st.one_of(st.integers(1, 9999), st.sampled_from(EDGE_YEARS)))
+    week = draw(st.one_of(st.integers(1, 53), st.integers(50, 53)))
+    if week == 53 and datetime.date(year, 12, 28).isocalendar()[1] != 53:
+        week = 52
+    return year, week, draw(st.integers(0, 600))
+
+
+class TestCalendarWalk:
+    """Week stamps and years against stepping a date one week at a time."""
+
+    @given(week_spans())
+    @settings(max_examples=500)
+    def test_labels_and_years_match_isocalendar(self, span):
+        year, week, n = span
+        try:
+            weeks = isocalendar_walk(year, week, n)
+        except OverflowError:
+            for past_the_calendar in (week_labels, iso_years):
+                with pytest.raises(ValueError):
+                    past_the_calendar(W(year, week), n)
+            return
+        assert week_labels(W(year, week), n) == ["%04d-W%02d" % w for w in weeks]
+        assert iso_years(W(year, week), n).tolist() == [y for y, _ in weeks]
+
+    def test_add_stops_at_the_calendar_ends(self):
+        assert W(9999, 51).add(1) == W(9999, 52)
+        assert W(1, 2).add(-1) == W(1, 1)
+        for start, k in ((W(9999, 52), 1), (W(9999, 1), 52), (W(1, 1), -1)):
+            with pytest.raises(ValueError):
+                start.add(k)
+        assert week_labels(W(9999, 50), 3)[-1] == "9999-W52"
+        with pytest.raises(ValueError):
+            week_labels(W(9999, 50), 4)
 
 
 class TestScale0100:
@@ -181,5 +235,5 @@ class TestWeeklySeries:
 
     def test_end_and_lookup(self):
         s = series(W(2009, 51), [1, 2, 3, 4, 5])
-        assert s.end == W(2010, 2)  # 2009 has 53 ISO weeks
-        assert dict(zip(s.weeks(), s.values))[W(2009, 53)] == 3.0
+        assert s.start.add(len(s) - 1) == W(2010, 2)  # 2009 has 53 ISO weeks
+        assert s.values[s.start.weeks_until(W(2009, 53))] == 3.0
