@@ -18,27 +18,41 @@ from .errors import DataError
 from .ingest import parse_cases_csv, parse_trends_csv, write_cases_csv, write_trends_csv
 from .regress import coefficient_stats, fit_ols, predict, rolling_weekly_fit
 from .stats import SignificanceConfig
-from .timeseries import ShiftSpec, WeekStamp, WeeklySeries
+from .timeseries import MAX_SHIFT, ShiftSpec, WeekStamp, WeeklySeries
+
+
+def _parse_shift(text: str) -> int:
+    k = int(text)
+    if abs(k) > MAX_SHIFT:
+        raise argparse.ArgumentTypeError(f"shift {k} is beyond +/-{MAX_SHIFT} weeks")
+    return k
 
 
 def _parse_shift_range(text: str) -> list[int]:
-    """Parse '-2..2' (inclusive) or a comma list '-2,-1,0,1,2'."""
+    """Parse '-2..2' (inclusive) or a comma list '-2,-1,0,1,2' of distinct shifts."""
     if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
+        lo, hi = map(_parse_shift, text.split("..", 1))
         if lo > hi:
             raise argparse.ArgumentTypeError(f"empty shift range {text!r}")
         return list(range(lo, hi + 1))
-    return [int(p) for p in text.split(",")]
+    shifts = [_parse_shift(p) for p in text.split(",")]
+    if len(set(shifts)) < len(shifts):
+        raise argparse.ArgumentTypeError(f"repeated shift in {text!r}")
+    return shifts
 
 
-def _parse_triples(text: str) -> tuple[tuple[float, float, float], ...]:
-    """Parse 'a:b:c[,a:b:c...]' into float triples."""
+def _parse_triples(text: str, first=float) -> tuple[tuple[float, float, float], ...]:
+    """Parse 'a:b:c[,a:b:c...]' into triples, a converted by `first`."""
     out = []
     for part in text.split(","):
         a, b, c = part.split(":")
-        out.append((float(a), float(b), float(c)))
+        out.append((first(a), float(b), float(c)))
     return tuple(out)
+
+
+def _parse_spikes(text: str) -> tuple[tuple[int, float, float], ...]:
+    """Parse 'week:magnitude:decay[,...]' with an integer week."""
+    return _parse_triples(text, int)
 
 
 def _read(path: str) -> bytes:
@@ -68,7 +82,7 @@ def _add_common(p, shift=False, shifts=False, alpha_help="significance level of 
     p.add_argument("--panel", required=True, help="search-volume panel CSV")
     p.add_argument("--alpha", type=float, default=0.05, help=alpha_help)
     if shift:
-        p.add_argument("--shift", type=int, default=0, help="week shift, -2..2")
+        p.add_argument("--shift", type=_parse_shift, default=0, help="week shift, -2..2")
     if shifts:
         p.add_argument("--shifts", type=_parse_shift_range, default=[-2, -1, 0, 1, 2],
                        help="shift range, e.g. -2..2")
@@ -116,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--peaks", type=_parse_triples, required=True,
                    help="center:height:width[,center:height:width...]")
     p.add_argument("--lead", type=int, default=2)
-    p.add_argument("--spikes", type=_parse_triples, default=(),
+    p.add_argument("--spikes", type=_parse_spikes, default=(),
                    help="week:magnitude:decay[,...]")
     p.add_argument("--decay", type=float, default=1.0)
     p.add_argument("--noise-sd", type=float, default=0.0)
@@ -214,7 +228,7 @@ def _cmd_synth(args) -> int:
         weeks=args.weeks,
         epidemic_peaks=args.peaks,
         lead_weeks=args.lead,
-        media_spikes=tuple((int(w), m, d) for w, m, d in args.spikes),
+        media_spikes=args.spikes,
         attention_decay=args.decay,
         noise_sd=args.noise_sd,
         n_signal_queries=args.signal_queries,

@@ -155,7 +155,7 @@ def figure_data(series: list[WeeklySeries]) -> bytes:
     if not all(s.label for s in series):
         raise EmptyLabel("every figure series needs a non-empty label")
     first = min(s.start for s in series)
-    columns = [(first.weeks_until(s.start), s.label, s.values.tolist())
+    columns = [(s.start - first, s.label, s.values.tolist())
                for s in sorted(series, key=lambda s: s.label)]
     lines = ["week,label,value"]
     for t, week in enumerate(week_labels(first, max(at + len(v) for at, _, v in columns))):

@@ -82,7 +82,8 @@ def generate(cfg: ScenarioConfig) -> tuple[WeeklySeries, QueryPanel]:
     cases = WeeklySeries(cfg.start, cases_ext[:cfg.weeks], "cases")
 
     pulse = _spike_pulse(cfg, cfg.weeks)
-    decay = cfg.attention_decay ** (iso_years(cfg.start, cfg.weeks) - cfg.start.iso_year)
+    years = iso_years(cfg.start, cfg.weeks)
+    decay = cfg.attention_decay ** (years - years[0])
 
     labels, columns = [], []
     for i in range(cfg.n_signal_queries):

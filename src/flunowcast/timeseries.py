@@ -24,22 +24,24 @@ MAX_SHIFT = 2
 MIN_PAIRS = 3
 _STAMP = re.compile(r"[0-9]{4}-W[0-9]{2}")
 # 9999-W52 is the last ISO week a `date` can hold
-_LAST_MONDAY = _dt.date.fromisocalendar(9999, 52, 1).toordinal()
+_LAST_WEEK = _dt.date.fromisocalendar(9999, 52, 1).toordinal() // 7
 
 
-@dataclass(frozen=True, order=True)
-class WeekStamp:
-    """One ISO-8601 week, ordered lexicographically by (year, week)."""
+class WeekStamp(int):
+    """One ISO-8601 week, held as its number: its Monday's day ordinal // 7.
 
-    iso_year: int
-    iso_week: int
+    So 0001-W01 is 0, stamps order by (year, week), and `b - a` is the
+    number of weeks from a to b. The calendar is consulted only to build,
+    parse and print a stamp.
+    """
 
-    def __post_init__(self):
+    def __new__(cls, iso_year: int, iso_week: int) -> "WeekStamp":
         # fromisocalendar validates the week number against the year
         try:
-            _dt.date.fromisocalendar(self.iso_year, self.iso_week, 1)
+            monday = _dt.date.fromisocalendar(iso_year, iso_week, 1)
         except ValueError as exc:
-            raise ValueError(f"invalid ISO week {self.iso_year}-W{self.iso_week:02d}") from exc
+            raise ValueError(f"invalid ISO week {iso_year}-W{iso_week:02d}") from exc
+        return int.__new__(cls, monday.toordinal() // 7)
 
     @classmethod
     def parse(cls, text: str) -> "WeekStamp":
@@ -49,22 +51,17 @@ class WeekStamp:
         return cls(int(text[:4]), int(text[6:]))
 
     def __str__(self) -> str:
-        return f"{self.iso_year:04d}-W{self.iso_week:02d}"
+        return "%04d-W%02d" % _dt.date.fromordinal(7 * self + 1).isocalendar()[:2]
 
-    def _monday(self, weeks: int = 0) -> int:
-        """Day ordinal of the Monday `weeks` weeks from this week's."""
-        d = _dt.date.fromisocalendar(self.iso_year, self.iso_week, 1).toordinal() + 7 * weeks
-        if not 1 <= d <= _LAST_MONDAY:
-            raise ValueError(f"{weeks:+d} weeks from {self} is outside 0001-W01..9999-W52")
-        return d
+    __repr__ = __str__
+
+    def __reduce__(self):  # int's own would call WeekStamp(number)
+        return WeekStamp.parse, (str(self),)
 
     def add(self, weeks: int) -> "WeekStamp":
-        y, w, _ = _dt.date.fromordinal(self._monday(weeks)).isocalendar()
-        return WeekStamp(y, w)
-
-    def weeks_until(self, other: "WeekStamp") -> int:
-        """Signed number of weeks from self to other."""
-        return (other._monday() - self._monday()) // 7
+        if not 0 <= self + weeks <= _LAST_WEEK:
+            raise ValueError(f"{weeks:+d} weeks from {self} is outside 0001-W01..9999-W52")
+        return int.__new__(WeekStamp, self + weeks)
 
 
 class ArrayFields:
@@ -160,22 +157,18 @@ class ShiftSpec:
             raise ValueError(f"|shift| = {abs(self.weeks)} exceeds maximum {MAX_SHIFT}")
 
 
-def _mondays(start: WeekStamp, n: int) -> range:
-    """Day ordinals of the Mondays of the n consecutive weeks from `start`."""
-    first = start._monday()
-    start._monday(max(n - 1, 0))  # raises if the range runs off the calendar
-    return range(first, first + 7 * n, 7)
-
-
 def week_labels(start: WeekStamp, n: int) -> list[str]:
     """'YYYY-Www' stamps of the n consecutive weeks from `start`."""
-    return ["%04d-W%02d" % _dt.date.fromordinal(d).isocalendar()[:2] for d in _mondays(start, n)]
+    start.add(max(n - 1, 0))  # raises if the range runs off the calendar
+    return ["%04d-W%02d" % _dt.date.fromordinal(d).isocalendar()[:2]
+            for d in range(7 * start + 1, 7 * (start + n), 7)]
 
 
 def iso_years(start: WeekStamp, n: int) -> np.ndarray:
     """ISO year of each of the n consecutive weeks from `start`: the
     calendar year of the week's Thursday."""
-    monday = np.datetime64(_dt.date.fromordinal(_mondays(start, n).start), "D")
+    start.add(max(n - 1, 0))
+    monday = np.datetime64(_dt.date.fromordinal(7 * start + 1), "D")
     return (monday + np.arange(3, 7 * n, 7)).astype("datetime64[Y]").astype(int) + 1970
 
 
@@ -186,7 +179,7 @@ def window(x_start: WeekStamp, x_len: int, y: WeeklySeries, s: ShiftSpec) -> tup
     (x[xi + i], y.values[yi + i]) for i < n, both taken from the weeks the
     two ranges share.
     """
-    d = x_start.weeks_until(y.start)  # y's first week, in x indices
+    d = y.start - x_start  # y's first week, in x indices
     lo, hi = max(0, d), min(x_len, d + len(y))
     if lo >= hi:
         raise EmptyOverlap(

@@ -134,7 +134,7 @@ def sorted_figure_data(series):
     series, stably sorted by (week stamp, label)."""
     rows = []
     for s in series:
-        weeks = isocalendar_walk(s.start.iso_year, s.start.iso_week, len(s.values))
+        weeks = isocalendar_walk(*map(int, str(s.start).split("-W")), len(s.values))
         rows += [("%04d-W%02d" % w, s.label, v) for w, v in zip(weeks, s.values.tolist())]
     rows.sort(key=lambda r: (r[0], r[1]))
     lines = ["week,label,value"] + [f"{w},{label},{v:.2f}" for w, label, v in rows]

@@ -217,7 +217,7 @@ def test_criterion_7_failure_mode():
     """Attention decay reproduces the late-year NA collapse."""
     cases, panel = generate(DECAY_SCENARIO)
     cfg = SignificanceConfig()
-    years = sorted({cases.start.add(i).iso_year for i in range(len(cases))})
+    years = sorted({int(str(cases.start.add(i))[:4]) for i in range(len(cases))})
     first, last_two = years[0], years[-2:]
     per_year = shifted_cells(panel, cases, ShiftSpec(0), cfg)
     for j, label in enumerate(panel.labels):
@@ -235,7 +235,7 @@ def test_criterion_8_no_lookahead():
     X = rng.uniform(0, 100, size=(80, 2))
     panel = panel_of((f"q{j}", X[:, j]) for j in range(2))
     base = rolling_weekly_fit(panel, ws(base_y), ShiftSpec(0), warmup=10)
-    first = W0.weeks_until(base.start)
+    first = base.start - W0
     for _ in range(20):
         t = int(rng.integers(11, 79))
         # cases from week t on, query volumes from t+1 on: week t's own

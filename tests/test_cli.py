@@ -43,6 +43,16 @@ class TestSynth:
         assert len(parse_cases_csv(cases.read_bytes())) == 150
         assert parse_trends_csv(panel.read_bytes()).labels == ("signal_1", "signal_2")
 
+    @pytest.mark.parametrize("week", ["inf", "nan", "10.9"])
+    def test_spike_week_must_be_an_integer(self, tmp_path, capsys, week):
+        cases, panel = tmp_path / "cases.csv", tmp_path / "panel.csv"
+        assert run(["synth", "--seed", "1", "--weeks", "30", "--peaks", "10:50:3",
+                    "--spikes", f"{week}:50:2", "--out-cases", str(cases),
+                    "--out-panel", str(panel)]) == 2
+        assert f"argument --spikes: invalid _parse_spikes value: '{week}:50:2'" in (
+            capsys.readouterr().err)
+        assert not cases.exists() and not panel.exists()
+
 
 class TestCorrelate:
     def test_lead_fixture_top_query(self, tmp_path, capsys):
@@ -71,6 +81,20 @@ class TestCorrelate:
     def test_missing_required_flag_is_usage_error(self, tmp_path, capsys):
         code = run(["correlate", "--panel", "p.csv", "--out", "t.csv"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["shift-scan", "--shifts=1,1"], "repeated shift in '1,1'"),
+        (["shift-scan", "--shifts=-3..2"], "shift -3 is beyond +/-2 weeks"),
+        (["correlate", "--shift", "3"], "shift 3 is beyond +/-2 weeks"),
+    ])
+    def test_bad_shift_is_usage_error(self, tmp_path, capsys, argv, reason):
+        cases, panel = synth_files(tmp_path)
+        out = tmp_path / "t.csv"
+        capsys.readouterr()
+        assert run([*argv, "--cases", str(cases), "--panel", str(panel), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.endswith(f"error: argument {argv[1].split('=')[0]}: "
+                                                f"{reason}\n")
+        assert not out.exists()
 
     def test_unreadable_file_is_data_error(self, tmp_path):
         code = run([

@@ -1,7 +1,9 @@
-"""No unused imports and no module-level name that the package never uses.
+"""No unused imports, and no module-level name or class member that the
+package never uses.
 
 Read with `ast` from the source files: a name counts as used where it is
-loaded, imported by another module, or listed in `__all__`.
+loaded, imported by another module, or listed in `__all__`; a class
+member counts as used where some module reads an attribute of its name.
 """
 
 import ast
@@ -57,6 +59,23 @@ def defined(tree: ast.Module) -> list[str]:
     return names
 
 
+def members(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, member) of each method, property, dataclass field or enum
+    member of every class in `tree`, dunders aside."""
+    pairs = []
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            pairs += [(cls.name, n) for n in names if not (n.startswith("__") and n.endswith("__"))]
+    return pairs
+
+
 @pytest.mark.parametrize("module", sorted(MODULES))
 def test_no_unused_imports(module):
     tree = MODULES[module]
@@ -82,3 +101,11 @@ def test_every_export_resolves_and_every_public_import_is_exported():
     assert missing == [], f"__all__ lists {missing}, which flunowcast does not define"
     public = {bound for bound, _ in imported(MODULES["__init__.py"]) if not bound.startswith("_")}
     assert sorted(public - set(flunowcast.__all__)) == []
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_every_class_member_is_read(module):
+    read = {node.attr for tree in MODULES.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{cls}.{name}" for cls, name in members(MODULES[module]) if name not in read]
+    assert unread == [], f"{module} defines {unread}, which no module reads"

@@ -18,6 +18,8 @@ from flunowcast.ingest import (
 )
 from flunowcast.timeseries import WeekStamp
 
+from .oracles import isocalendar_walk
+
 
 class TestParseTrends:
     def test_two_query_file(self):
@@ -92,6 +94,50 @@ def test_only_ascii_digits_parse_as_integers(parser, header, cell):
     # digits (which int() accepts); int() alone accepts '+5' and '1_0'
     with pytest.raises(MalformedRow):
         parser(f"{header}\n2015-W01,{cell}\n".encode("utf-8"))
+
+
+@pytest.mark.parametrize("parser,header", [
+    (parse_trends_csv, "week,flu"),
+    (parse_cases_csv, "week,cases"),
+])
+def test_first_bad_line_in_file_order_wins(parser, header):
+    # line 3 repeats a week, line 5 has a malformed cell
+    with pytest.raises(NonContiguousAfterFill, match="week 2009-W01 "):
+        parser(f"{header}\n2009-W01,1\n2009-W01,2\n2009-W02,3\n2009-W03,x\n".encode())
+    # line 3 has a malformed cell, line 5 repeats a week
+    with pytest.raises(MalformedRow, match="line 3: "):
+        parser(f"{header}\n2009-W01,1\n2009-W02,x\n2009-W03,3\n2009-W03,4\n".encode())
+
+
+# ISO years 2009, 2015, 2020 and 2026 have a week 53
+@st.composite
+def gapped_panels(draw):
+    """(start, rows of the full weekly range, whether the file lists each row)."""
+    start = WeekStamp(draw(st.sampled_from([2009, 2015, 2020, 2026])), draw(st.integers(47, 53)))
+    n, width = draw(st.integers(8, 14)), draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(0, 100), min_size=width, max_size=width),
+                         min_size=n, max_size=n))
+    listed = [True] + draw(st.lists(st.booleans(), min_size=n - 2, max_size=n - 2)) + [True]
+    return start, [r if keep else [0] * width for r, keep in zip(rows, listed)], listed
+
+
+class TestWriterRoundTrip:
+    @given(gapped_panels())
+    @settings(max_examples=200)
+    def test_gapped_panels_across_week_53(self, case):
+        start, rows, listed = case
+        weeks = ["%04d-W%02d" % w for w in isocalendar_walk(*map(int, str(start).split("-W")),
+                                                           len(rows))]
+        header = "week," + ",".join(f"q{j}" for j in range(len(rows[0])))
+        lines = [f"{w}," + ",".join(map(str, r)) for w, r in zip(weeks, rows)]
+        gapped = [line for line, keep in zip(lines, listed) if keep]
+        panel = parse_trends_csv(("\n".join([header] + gapped) + "\n").encode())
+        full = ("\n".join([header] + lines) + "\n").encode()
+        assert write_trends_csv(panel) == full
+        assert parse_trends_csv(full) == panel
+        cases = parse_cases_csv(("week,cases\n" + "".join(
+            f"{w},{r[0]}\n" for w, r in zip(weeks, rows))).encode())
+        assert parse_cases_csv(write_cases_csv(cases)) == cases
 
 
 class TestFuzz:

@@ -1,5 +1,7 @@
+import copy
 import datetime
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -49,6 +51,8 @@ class TestWeekStamp:
     def test_parse_round_trip(self):
         assert W.parse("2009-W01") == W(2009, 1)
         assert str(W(2013, 52)) == "2013-W52"
+        for copied in (copy.deepcopy(W(2009, 53)), pickle.loads(pickle.dumps(W(2009, 53)))):
+            assert type(copied) is W and repr(copied) == "2009-W53"
         for bad in ("2009/01", "2015-W 1", "2015-W001", "+201-W01", "２015-W01", "2015-W١"):
             with pytest.raises(ValueError):
                 W.parse(bad)
@@ -56,7 +60,7 @@ class TestWeekStamp:
     def test_add_and_distance_are_inverse(self):
         a = W(2009, 1)
         for k in range(-10, 300, 7):
-            assert a.weeks_until(a.add(k)) == k
+            assert a.add(k) - a == k
 
 
 class TestAlign:
@@ -154,7 +158,7 @@ class TestWeekRange:
         for start in (W(2008, 30), W(2009, 53), W(2015, 1)):
             weeks = [start.add(i) for i in range(300)]
             assert week_labels(start, 300) == [str(w) for w in weeks]
-            assert iso_years(start, 300).tolist() == [w.iso_year for w in weeks]
+            assert iso_years(start, 300).tolist() == [int(str(w)[:4]) for w in weeks]
 
     def test_empty(self):
         assert week_labels(W(2009, 1), 0) == []
@@ -167,12 +171,41 @@ EDGE_YEARS = [1, 2, 4, 9, 2004, 2009, 2015, 2020, 2026, 9993, 9998, 9999]
 
 
 @st.composite
-def week_spans(draw):
+def iso_weeks(draw):
     year = draw(st.one_of(st.integers(1, 9999), st.sampled_from(EDGE_YEARS)))
     week = draw(st.one_of(st.integers(1, 53), st.integers(50, 53)))
     if week == 53 and datetime.date(year, 12, 28).isocalendar()[1] != 53:
         week = 52
-    return year, week, draw(st.integers(0, 600))
+    return year, week
+
+
+@st.composite
+def week_spans(draw):
+    return (*draw(iso_weeks()), draw(st.integers(0, 600)))
+
+
+class TestWeekArithmetic:
+    """Week numbers against `datetime` Mondays, across the whole calendar."""
+
+    @given(iso_weeks(), iso_weeks(),
+           st.one_of(st.integers(-600, 600), st.integers(-530_000, 530_000)))
+    @settings(max_examples=1000)
+    def test_matches_datetime(self, year_week_a, year_week_b, k):
+        a, b = W(*year_week_a), W(*year_week_b)
+        monday_a = datetime.date.fromisocalendar(*year_week_a, 1)
+        monday_b = datetime.date.fromisocalendar(*year_week_b, 1)
+        assert b - a == (monday_b - monday_a).days // 7
+        assert (a < b) == (year_week_a < year_week_b)
+        text = "%04d-W%02d" % year_week_a
+        assert W.parse(text) == a and str(W.parse(text)) == text
+        try:
+            monday = monday_a + datetime.timedelta(weeks=k)
+        except OverflowError:
+            with pytest.raises(ValueError, match=f"from {text} is outside"):
+                a.add(k)
+            return
+        assert a.add(k) - a == k
+        assert str(a.add(k)) == "%04d-W%02d" % monday.isocalendar()[:2]
 
 
 class TestCalendarWalk:
@@ -236,4 +269,4 @@ class TestWeeklySeries:
     def test_end_and_lookup(self):
         s = series(W(2009, 51), [1, 2, 3, 4, 5])
         assert s.start.add(len(s) - 1) == W(2010, 2)  # 2009 has 53 ISO weeks
-        assert s.values[s.start.weeks_until(W(2009, 53))] == 3.0
+        assert s.values[W(2009, 53) - s.start] == 3.0
