@@ -51,31 +51,26 @@ def _design_rows(panel: QueryPanel, y: WeeklySeries, s: ShiftSpec):
     return panel.matrix[xi:xi + n], y.values[yi:yi + n], yi
 
 
-def _qr_solve(X: np.ndarray, yv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least squares via Householder QR; raises SingularDesign on rank loss.
+def _solve(X: np.ndarray, yv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares of yv on an intercept and X's columns, via Householder QR.
 
-    Returns (beta, R) with X = QR.
+    Returns (beta, R), intercept first, with [1 X] = QR. Raises
+    Underdetermined below nq + 2 rows and SingularDesign on rank loss.
     """
-    q, r = np.linalg.qr(X)
+    m, nq = X.shape
+    if m < nq + 2:
+        raise Underdetermined(f"{m} fitted weeks for {nq} queries (need >= {nq + 2})")
+    q, r = np.linalg.qr(np.hstack([np.ones((m, 1)), X]))
     diag = np.abs(np.diag(r))
-    if diag.size == 0 or np.min(diag) <= PIVOT_TOL * max(np.max(diag), 1.0):
+    if np.min(diag) <= PIVOT_TOL * max(np.max(diag), 1.0):
         raise SingularDesign("design matrix columns are collinear")
     return np.linalg.solve(r, q.T @ yv), r
 
 
-def _full_period_solve(panel: QueryPanel, y: WeeklySeries, s: ShiftSpec):
-    """The full-period least-squares solve: (X, y, beta, R)."""
-    X, yv, _ = _design_rows(panel, y, s)
-    m, nq = X.shape
-    if m < nq + 2:
-        raise Underdetermined(f"{m} fitted weeks for {nq} queries (need >= {nq + 2})")
-    beta, r = _qr_solve(np.hstack([np.ones((m, 1)), X]), yv)
-    return X, yv, beta, r
-
-
 def fit_ols(panel: QueryPanel, y: WeeklySeries, s: ShiftSpec) -> ModelFit:
     """Fit the nowcast model on the full overlapping period."""
-    X, yv, beta, r = _full_period_solve(panel, y, s)
+    X, yv, _ = _design_rows(panel, y, s)
+    beta, r = _solve(X, yv)
     m, nq = X.shape
     resid = yv - (beta[0] + X @ beta[1:])
     rss = float(resid @ resid)
@@ -147,9 +142,8 @@ def rolling_weekly_fit(
         raise Underdetermined(f"warmup {warmup} < {nq + 2} minimum for {nq} queries")
     values = []
     for t in range(warmup, m):
-        Xd = np.hstack([np.ones((t, 1)), X[:t]])
         try:
-            beta, _ = _qr_solve(Xd, yv[:t])
+            beta, _ = _solve(X[:t], yv[:t])
         except SingularDesign:
             # the default warmup runs on past singular windows (e.g.
             # still-flat query columns) to the first fittable one; adding
@@ -170,7 +164,8 @@ def in_sample_objective(panel: QueryPanel, y: WeeklySeries, s: ShiftSpec) -> flo
     None when the fit is undefined or y or the estimates are constant.
     """
     try:
-        X, yv, beta, _ = _full_period_solve(panel, y, s)
+        X, yv, _ = _design_rows(panel, y, s)
+        beta, _ = _solve(X, yv)
     except (Underdetermined, SingularDesign, EmptyOverlap, InsufficientOverlap):
         return None
     dy = yv - yv.mean()

@@ -18,11 +18,10 @@ from . import stats
 from .errors import EmptyLabel, EmptyOverlap, InsufficientOverlap
 from .regress import in_sample_objective
 from .selection import SelectionResult
-from .stats import CorrelationResult, NAReason, SignificanceConfig
+from .stats import CorrelationResult, SignificanceConfig
 from .timeseries import QueryPanel, ShiftSpec, WeeklySeries, iso_years, week_labels, window
 
 DEFAULT_SHIFTS = (-2, -1, 0, 1, 2)
-_TOO_FEW = CorrelationResult.not_applicable(NAReason.TOO_FEW_PAIRS)
 
 
 @dataclass(frozen=True)
@@ -67,7 +66,7 @@ def shifted_cells(panel: QueryPanel, y: WeeklySeries, s: ShiftSpec,
     year's pairs are a contiguous run of rows, correlated in one call.
     """
     years = iso_years(y.start, len(y))
-    cells = dict.fromkeys(years.tolist(), [_TOO_FEW] * len(panel))  # weeks are in order
+    cells = dict.fromkeys(years.tolist(), [stats.TOO_FEW_CELL] * len(panel))  # weeks are in order
     try:
         xi, yi, n = window(panel.start, panel.n_weeks, y, s)
     except (InsufficientOverlap, EmptyOverlap):

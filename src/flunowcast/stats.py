@@ -48,10 +48,8 @@ class CorrelationResult:
     def na(self) -> bool:
         return self.na_reason is not None
 
-    @classmethod
-    def not_applicable(cls, reason: NAReason, r: float = math.nan,
-                       p_value: float = math.nan, n: int = 0) -> "CorrelationResult":
-        return cls(r=r, p_value=p_value, n=n, na_reason=reason)
+
+TOO_FEW_CELL = CorrelationResult(math.nan, math.nan, 0, NAReason.TOO_FEW_PAIRS)
 
 
 def _row_sum(a: np.ndarray) -> np.ndarray:
@@ -175,14 +173,14 @@ def gated_columns(X: np.ndarray, y: np.ndarray, cfg: SignificanceConfig) -> list
     or insignificant columns come back as NA cells, never as exceptions."""
     n = len(y)
     if n < MIN_PAIRS:
-        return [CorrelationResult.not_applicable(NAReason.TOO_FEW_PAIRS)] * X.shape[1]
+        return [TOO_FEW_CELL] * X.shape[1]
     r, flat = _pearson_columns(X, y)
     cells = []
     for rj, zero in zip(r.tolist(), flat.tolist()):
         if zero:
-            cells.append(CorrelationResult.not_applicable(NAReason.ZERO_VARIANCE))
+            cells.append(CorrelationResult(math.nan, math.nan, 0, NAReason.ZERO_VARIANCE))
         elif (p := correlation_p_value(rj, n)) >= cfg.alpha:
-            cells.append(CorrelationResult.not_applicable(NAReason.NOT_SIGNIFICANT, rj, p, n))
+            cells.append(CorrelationResult(rj, p, n, NAReason.NOT_SIGNIFICANT))
         else:
             cells.append(CorrelationResult(rj, p, n))
     return cells
@@ -194,7 +192,7 @@ def correlate_columns(start: WeekStamp, X: np.ndarray, y: WeeklySeries, s: Shift
     try:
         xi, yi, n = window(start, len(X), y, s)
     except (InsufficientOverlap, EmptyOverlap):
-        return [CorrelationResult.not_applicable(NAReason.TOO_FEW_PAIRS)] * X.shape[1]
+        return [TOO_FEW_CELL] * X.shape[1]
     return gated_columns(X[xi:xi + n], y.values[yi:yi + n], cfg)
 
 

@@ -48,6 +48,12 @@ class ScenarioConfig:
             raise InvalidConfig("noise_sd must be non-negative")
         if self.lead_weeks < 0:
             raise InvalidConfig("lead_weeks must be non-negative")
+        # checked before generate allocates: the lead weeks are generated
+        # past the cases but never stamped, so only the weeks meet the calendar
+        if self.lead_weeks > self.weeks:
+            raise InvalidConfig(f"lead_weeks {self.lead_weeks} exceeds weeks {self.weeks}")
+        if self.start + self.weeks - 1 > WeekStamp(9999, 52):
+            raise InvalidConfig(f"{self.weeks} weeks from {self.start} run past 9999-W52")
         if self.n_signal_queries < 0 or self.n_noise_queries < 0:
             raise InvalidConfig("query counts must be non-negative")
         if self.n_signal_queries + self.n_noise_queries < 1:

@@ -357,9 +357,9 @@ class TestNowcastOnReadmeFixture:
 class TestPastTheCalendar:
     """Weeks after 9999-W52 are a data error: exit 1, one line, no file."""
 
-    def assert_one_line_error(self, capsys, *paths):
+    def assert_one_line_error(self, capsys, error, *paths):
         err = capsys.readouterr().err
-        assert err.startswith("error: ValueError: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
         assert not any(p.exists() for p in paths)
 
     def test_synth_past_9999_w52(self, tmp_path, capsys):
@@ -367,7 +367,16 @@ class TestPastTheCalendar:
         assert run(["synth", "--seed", "1", "--weeks", "20", "--peaks", "5:10:2",
                     "--start", "9999-W50", "--out-cases", str(cases),
                     "--out-panel", str(panel)]) == 1
-        self.assert_one_line_error(capsys, cases, panel)
+        self.assert_one_line_error(capsys, "InvalidConfig", cases, panel)
+
+    @pytest.mark.parametrize("horizon", [["--weeks", "999999999999"],
+                                         ["--weeks", "30", "--lead", "999999999999"]])
+    def test_synth_rejects_a_horizon_too_long_to_allocate(self, tmp_path, capsys, horizon):
+        # the config is checked before generate sizes any array by the horizon
+        cases, panel = tmp_path / "cases.csv", tmp_path / "panel.csv"
+        assert run(["synth", "--seed", "1", *horizon, "--peaks", "5:10:2",
+                    "--out-cases", str(cases), "--out-panel", str(panel)]) == 1
+        self.assert_one_line_error(capsys, "InvalidConfig", cases, panel)
 
     def test_nowcast_estimates_past_9999_w52(self, tmp_path, capsys):
         # 52 weeks of cases end at 9999-W52; estimates at shift +2 run two weeks past it
@@ -379,7 +388,7 @@ class TestPastTheCalendar:
         est, table = tmp_path / "est.csv", tmp_path / "table.csv"
         assert run(["nowcast", *inputs, "--out-estimates", str(est),
                     "--out-table", str(table)]) == 1
-        self.assert_one_line_error(capsys, est, table)
+        self.assert_one_line_error(capsys, "ValueError", est, table)
 
 
 def test_rolling_selection_sees_the_weeks_it_estimates(tmp_path, monkeypatch, capsys):

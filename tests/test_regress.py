@@ -179,6 +179,18 @@ class TestPredict:
         assert est.start == W0.add(2)
 
 
+@st.composite
+def rolling_problems(draw):
+    """Integer 0-100 panels of 1-3 queries, integer cases over the same
+    15-60 weeks, and a shift."""
+    nq = draw(st.integers(1, 3))
+    m = draw(st.integers(15, 60))
+    cells = st.lists(st.integers(0, 100), min_size=m * nq, max_size=m * nq)
+    X = np.array(draw(cells), dtype=float).reshape(m, nq)
+    y = draw(st.lists(st.integers(0, 1000), min_size=m, max_size=m))
+    return panel_of([(f"q{j}", X[:, j]) for j in range(nq)]), ws(y), draw(st.integers(-2, 2))
+
+
 class TestRollingWeeklyFit:
     def test_noiseless_recovery(self):
         x = np.linspace(0, 10, 30)
@@ -242,6 +254,30 @@ class TestRollingWeeklyFit:
         after = rolling_weekly_fit(panel, ws(perturbed), ShiftSpec(0), warmup=10)
         assert after.start == base.start == W0.add(10)
         assert np.array_equal(base.values[:t + 1 - 10], after.values[:t + 1 - 10])
+
+    @given(rolling_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_each_estimate_is_a_full_period_fit_on_the_weeks_before_it(self, problem):
+        # design row i is estimated from a fit on rows 0..i-1, which is
+        # fit_ols on the cases cut to their first i + |k| weeks
+        panel, y, k = problem
+        s, xi, warmup = ShiftSpec(k), max(-k, 0), len(panel) + 4
+        fits = []
+        try:
+            for i in range(warmup, len(y) - abs(k)):
+                fits.append((i, fit_ols(panel, WeeklySeries(y.start, y.values[:i + abs(k)]), s)))
+        except SingularDesign:
+            with pytest.raises(SingularDesign):
+                rolling_weekly_fit(panel, y, s, warmup)
+            return
+        est = rolling_weekly_fit(panel, y, s, warmup)
+        assert est.start == y.start.add(max(k, 0) + warmup)
+        assert len(est) == len(fits)
+        for value, (i, fit) in zip(est.values, fits):
+            x = panel.matrix[xi + i]
+            # the two sum the same terms in a different order
+            scale = abs(fit.betas[0]) + np.abs(x) @ np.abs(fit.betas[1:])
+            assert abs(value - predict(fit, panel).values[xi + i]) <= 1e-12 * scale
 
 
 class TestEvaluate:
