@@ -11,6 +11,8 @@ files must be complete, a gap there is an error.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import (
@@ -60,6 +62,22 @@ def _rows(lines: list[str], width: int):
         yield i, week, [_parse_int(c, i) for c in cells[1:]]
 
 
+def _table(lines: list[str], width: int) -> tuple[list[WeekStamp], np.ndarray]:
+    """Every data row's week and its cells as one (rows x width - 1) array;
+    no rows if a row misses the row grammar (its cells of at most 15 digits
+    read as exact floats) or its ISO week, for the row-by-row reader."""
+    body = lines[1:]
+    row = re.compile(rf"[0-9]{{4}}-W[0-9]{{2}}(?:,-?[0-9]{{1,15}}){{{width - 1}}}")
+    try:  # a row that misses leaves `weeks` short
+        weeks = [WeekStamp.parse(line[:8]) for line in body if row.fullmatch(line)]
+    except ValueError:  # a week number past the year's last
+        weeks = []
+    if not body or len(weeks) < len(body):
+        return [], np.empty((0, width - 1))
+    cells = np.fromstring(",".join(line[9:] for line in body), sep=",")
+    return weeks, np.add(cells, 0.0, out=cells).reshape(len(body), width - 1)  # -0 reads as 0
+
+
 def parse_trends_csv(data: bytes) -> QueryPanel:
     """Parse a search-volume panel, zero-filling omitted weeks."""
     lines = _decode_lines(data)
@@ -69,18 +87,19 @@ def parse_trends_csv(data: bytes) -> QueryPanel:
     labels = header[1:]
     if len(labels) != len(set(labels)) or any(not l for l in labels):
         raise MalformedHeader("query labels must be non-empty and distinct")
-    weeks: list[WeekStamp] = []
-    rows: list[list[int]] = []
-    for i, week, vals in _rows(lines, len(header)):
-        for v in vals:
-            if not 0 <= v <= 100:
-                raise ValueOutOfRange(f"line {i}: search volume {v} outside 0-100")
-        if weeks and week <= weeks[-1]:
-            raise NonContiguousAfterFill(f"week {week} out of order or duplicated")
-        weeks.append(week)
-        rows.append(vals)
-    if not rows:
-        raise MalformedRow("panel has no data rows")
+    weeks, rows = _table(lines, len(header))
+    if not (len(rows) and ((rows >= 0) & (rows <= 100)).all() and (np.diff(weeks) > 0).all()):
+        weeks, rows = [], []
+        for i, week, vals in _rows(lines, len(header)):
+            for v in vals:
+                if not 0 <= v <= 100:
+                    raise ValueOutOfRange(f"line {i}: search volume {v} outside 0-100")
+            if weeks and week <= weeks[-1]:
+                raise NonContiguousAfterFill(f"week {week} out of order or duplicated")
+            weeks.append(week)
+            rows.append(vals)
+        if not rows:
+            raise MalformedRow("panel has no data rows")
     # weeks the file omits stay zero
     matrix = np.zeros((weeks[-1] - weeks[0] + 1, len(labels)))
     matrix[[w - weeks[0] for w in weeks]] = rows
@@ -92,19 +111,21 @@ def parse_cases_csv(data: bytes) -> WeeklySeries:
     lines = _decode_lines(data)
     if lines[0] != "week,cases":
         raise MalformedHeader(f"expected 'week,cases', got {lines[0]!r}")
-    weeks: list[WeekStamp] = []
-    counts: list[int] = []
-    for i, week, (count,) in _rows(lines, 2):
-        if count < 0:
-            raise NegativeCount(f"line {i}: negative case count {count}")
-        if weeks and week - weeks[-1] > 1:
-            raise GapInCases(f"missing week(s) before {week}")
-        if weeks and week <= weeks[-1]:
-            raise NonContiguousAfterFill(f"week {week} out of order or duplicated")
-        weeks.append(week)
-        counts.append(count)
-    if not weeks:
-        raise MalformedRow("case file has no data rows")
+    weeks, rows = _table(lines, 2)
+    counts = rows[:, 0]
+    if not (len(counts) and (counts >= 0).all() and (np.diff(weeks) == 1).all()):
+        weeks, counts = [], []
+        for i, week, (count,) in _rows(lines, 2):
+            if count < 0:
+                raise NegativeCount(f"line {i}: negative case count {count}")
+            if weeks and week - weeks[-1] > 1:
+                raise GapInCases(f"missing week(s) before {week}")
+            if weeks and week <= weeks[-1]:
+                raise NonContiguousAfterFill(f"week {week} out of order or duplicated")
+            weeks.append(week)
+            counts.append(count)
+        if not weeks:
+            raise MalformedRow("case file has no data rows")
     return WeeklySeries(weeks[0], counts, "cases")
 
 

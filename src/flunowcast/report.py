@@ -58,24 +58,22 @@ def _footnotes(cfg: SignificanceConfig) -> tuple[str, ...]:
     return ("NA: Not applicable", f"p<{cfg.alpha:g}")
 
 
-def shifted_cells(panel: QueryPanel, y: WeeklySeries, s: ShiftSpec,
-                  cfg: SignificanceConfig) -> dict[int, list[CorrelationResult]]:
-    """Every query's correlation in each ISO year of the cases at one shift.
-
-    Years are assigned from the case-series week of each pair, so one
-    year's pairs are a contiguous run of rows, correlated in one call.
-    """
+def _year_windows(panel: QueryPanel, y: WeeklySeries,
+                  s: ShiftSpec) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """The (search rows, case values) window of each ISO year of the cases
+    at one shift, empty where the shift leaves the year no pairs. Years are
+    assigned from the case-series week of each pair, so one year's pairs
+    are a contiguous run of rows."""
     years = iso_years(y.start, len(y))
-    cells = dict.fromkeys(years.tolist(), [stats.TOO_FEW_CELL] * len(panel))  # weeks are in order
+    windows = dict.fromkeys(years.tolist(), (panel.matrix[:0], y.values[:0]))  # weeks are in order
     try:
         xi, yi, n = window(panel.start, panel.n_weeks, y, s)
     except (InsufficientOverlap, EmptyOverlap):
-        return cells
+        return windows
     X, yv, years = panel.matrix[xi:xi + n], y.values[yi:yi + n], years[yi:yi + n]
     cuts = [0, *(np.flatnonzero(np.diff(years)) + 1).tolist(), n]
-    cells.update((int(years[a]), stats.gated_columns(X[a:b], yv[a:b], cfg))
-                 for a, b in zip(cuts, cuts[1:]))
-    return cells
+    windows.update((int(years[a]), (X[a:b], yv[a:b])) for a, b in zip(cuts, cuts[1:]))
+    return windows
 
 
 def table_overall_annual(
@@ -85,12 +83,13 @@ def table_overall_annual(
     s: ShiftSpec = ShiftSpec(0),
 ) -> Table:
     """Per-query correlations, overall and per year (zero shift by default)."""
-    overall = stats.correlate_columns(panel.start, panel.matrix, y, s, cfg)
-    per_year = shifted_cells(panel, y, s, cfg)
-    columns = ("query", "overall") + tuple(str(yr) for yr in per_year)
+    windows = _year_windows(panel, y, s)
+    overall, *year_cells = stats.gated_columns(
+        [stats.paired_rows(panel.start, panel.matrix, y, s), *windows.values()], cfg)
+    columns = ("query", "overall") + tuple(str(yr) for yr in windows)
     rows, sidecar = [], []
     for j, label in enumerate(panel.labels):
-        by_year = {str(yr): cells[j] for yr, cells in per_year.items()}
+        by_year = {str(yr): cells[j] for yr, cells in zip(windows, year_cells)}
         rows.append((label, _fmt(overall[j])) + tuple(_fmt(c) for c in by_year.values()))
         sidecar.append({
             "query": label,
@@ -112,11 +111,13 @@ def table_shift_scan(
 ) -> Table:
     """Per-year, per-shift, per-query correlation grid."""
     columns = ("year", "dataset") + tuple(panel.labels)
-    grid = {k: shifted_cells(panel, y, ShiftSpec(k), cfg) for k in shifts}
+    windows = {(k, yr): w for k in shifts
+               for yr, w in _year_windows(panel, y, ShiftSpec(k)).items()}
+    grid = dict(zip(windows, stats.gated_columns(list(windows.values()), cfg)))
     rows, sidecar = [], []
     for yr in dict.fromkeys(iso_years(y.start, len(y)).tolist()):
         for k in shifts:
-            cells = grid[k][yr]
+            cells = grid[k, yr]
             rows.append((str(yr), shift_row_label(k)) + tuple(_fmt(c) for c in cells))
             sidecar.append({
                 "year": yr,

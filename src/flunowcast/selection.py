@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from . import stats
 from .errors import NoUsableQuery
 from .regress import in_sample_objective
-from .stats import SignificanceConfig
+from .stats import CorrelationResult, SignificanceConfig
 from .timeseries import QueryPanel, ShiftSpec, WeeklySeries
 
 IMPROVEMENT_EPS = 1e-6
@@ -30,10 +30,9 @@ def _greedy_one_shift(
     panel: QueryPanel,
     y: WeeklySeries,
     s: ShiftSpec,
-    cfg: SignificanceConfig,
+    ranked: list[tuple[str, CorrelationResult]],
 ) -> SelectionResult | None:
     # candidates: a positive, non-NA individual correlation, best first
-    ranked = stats.rank_queries(panel, y, s, cfg)
     pool = [label for label, res in ranked if not res.na and res.r > 0.0]
     if not pool:
         return None
@@ -70,8 +69,8 @@ def greedy_select(
     Ties between shifts keep the earlier entry of `shifts`.
     """
     best = None
-    for s in shifts:
-        outcome = _greedy_one_shift(panel, y, s, cfg)
+    for s, ranked in zip(shifts, stats.rank_queries(panel, y, shifts, cfg)):
+        outcome = _greedy_one_shift(panel, y, s, ranked)
         if outcome is not None and (best is None or outcome.objective > best.objective):
             best = outcome
     if best is None:

@@ -1,10 +1,12 @@
 """Pearson correlation with t-test significance and NA semantics.
 
 One kernel correlates every column of a (weeks x queries) window with
-the cases at once; `correlate` is that kernel on one column. A
-correlation that cannot be computed (constant series, too few pairs) or
-fails the significance gate is reported as NA with a reason code, never
-as an exception, mirroring how surveillance tables mark cells.
+the cases at once; `correlate` is that kernel on one column. The cells'
+p-values run as one batch of continued fractions, each equal to the
+scalar `student_t_two_sided_p`. A correlation that cannot be computed
+(constant series, too few pairs) or fails the significance gate is
+reported as NA with a reason code, never as an exception, mirroring how
+surveillance tables mark cells.
 """
 
 from __future__ import annotations
@@ -110,6 +112,37 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     return h
 
 
+def _beta_continued_fractions(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """_beta_continued_fraction on arrays of lanes: the same steps in the
+    same order, each lane leaving as soon as it converges."""
+    tiny = 1e-300
+
+    def floor(v):  # the scalar's `if abs(v) < tiny: v = tiny`
+        return np.where(np.abs(v) < tiny, tiny, v)
+
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c, d = np.ones_like(x), 1.0 / floor(1.0 - qab * x / qap)
+    h, out, lanes = d, np.empty_like(x), np.arange(len(x))
+    for m in range(1, _BETA_MAX_ITER + 1):
+        if not len(lanes):
+            return out
+        m2 = 2 * m
+        # the scalar loop's two steps, which differ only in aa
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 / floor(1.0 + aa * d)
+            c = floor(1.0 + aa / c)
+            delta = d * c
+            h = h * delta
+        done = np.abs(delta - 1.0) < _BETA_TOL
+        if done.any():
+            out[lanes[done]] = h[done]
+            lanes, a, b, x, qab, qap, qam, c, d, h = (
+                v[~done] for v in (lanes, a, b, x, qab, qap, qam, c, d, h))
+    out[lanes] = h  # lanes still running at _BETA_MAX_ITER
+    return out
+
+
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     """I_x(a, b) via the continued-fraction expansion."""
     if x <= 0.0:
@@ -153,47 +186,72 @@ def t_critical(alpha: float, dof: int) -> float:
             break
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if student_t_two_sided_p(mid, dof) > alpha:
-            lo = mid
-        else:
-            hi = mid
+        bracket = (mid, hi) if student_t_two_sided_p(mid, dof) > alpha else (lo, mid)
+        if bracket == (lo, hi):  # every later step would repeat this one
+            break
+        lo, hi = bracket
     return 0.5 * (lo + hi)
 
 
-def correlation_p_value(r: float, n: int) -> float:
-    """Two-sided p for the null of zero correlation, t with n-2 dof."""
-    if abs(r) >= 1.0:
-        return 0.0
-    t = r * math.sqrt((n - 2) / (1.0 - r * r))
-    return student_t_two_sided_p(t, n - 2)
+def correlation_p_values(r: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Two-sided p of each lane's finite r over n pairs (null: zero
+    correlation, t with n - 2 dof): student_t_two_sided_p's steps on arrays,
+    with lgamma, log, log1p and exp from `math` lane by lane, so that each p
+    equals the scalar one."""
+    p = np.zeros(len(r))  # where |r| >= 1
+    live = np.abs(r) < 1.0
+    r, dof = r[live], n[live] - 2
+    t = r * np.sqrt(dof / (1.0 - r * r))
+    x, cx = dof / (dof + t * t), t * t / (dof + t * t)
+    upper = cx < 0.5  # p is 1 - I_cx(1/2, dof/2), else I_x(dof/2, 1/2); t = 0 gives 1
+    half = dof / 2.0
+    a, b, z = np.where(upper, 0.5, half), np.where(upper, half, 0.5), np.where(upper, cx, x)
+    # I_z(a, b) as regularized_incomplete_beta computes it
+    inc = (z >= 1.0).astype(float)
+    mid = (0.0 < z) & (z < 1.0)
+    a, b, z = a[mid], b[mid], z[mid]
+    front = np.array([
+        math.exp(math.lgamma(ai + bi) - math.lgamma(ai) - math.lgamma(bi)
+                 + ai * math.log(zi) + bi * math.log1p(-zi))
+        for ai, bi, zi in zip(a.tolist(), b.tolist(), z.tolist())])
+    direct = z < (a + 1.0) / (a + b + 2.0)
+    v = front * _beta_continued_fractions(np.where(direct, a, b), np.where(direct, b, a),
+                                          np.where(direct, z, 1.0 - z)) / np.where(direct, a, b)
+    inc[mid] = np.where(direct, v, 1.0 - v)
+    p[live] = np.where(upper, 1.0 - inc, inc)
+    return p
 
 
-def gated_columns(X: np.ndarray, y: np.ndarray, cfg: SignificanceConfig) -> list[CorrelationResult]:
-    """Gated r of every column of X (rows are weeks) against y; degenerate
-    or insignificant columns come back as NA cells, never as exceptions."""
-    n = len(y)
-    if n < MIN_PAIRS:
-        return [TOO_FEW_CELL] * X.shape[1]
-    r, flat = _pearson_columns(X, y)
-    cells = []
-    for rj, zero in zip(r.tolist(), flat.tolist()):
-        if zero:
-            cells.append(CorrelationResult(math.nan, math.nan, 0, NAReason.ZERO_VARIANCE))
-        elif (p := correlation_p_value(rj, n)) >= cfg.alpha:
-            cells.append(CorrelationResult(rj, p, n, NAReason.NOT_SIGNIFICANT))
-        else:
-            cells.append(CorrelationResult(rj, p, n))
-    return cells
-
-
-def correlate_columns(start: WeekStamp, X: np.ndarray, y: WeeklySeries, s: ShiftSpec,
-                      cfg: SignificanceConfig) -> list[CorrelationResult]:
-    """gated_columns over X's weekly rows from `start` paired with y under shift s."""
+def paired_rows(start: WeekStamp, X: np.ndarray, y: WeeklySeries,
+                s: ShiftSpec) -> tuple[np.ndarray, np.ndarray]:
+    """X's weekly rows from `start` and their case values under shift s; none if too few."""
     try:
         xi, yi, n = window(start, len(X), y, s)
     except (InsufficientOverlap, EmptyOverlap):
-        return [TOO_FEW_CELL] * X.shape[1]
-    return gated_columns(X[xi:xi + n], y.values[yi:yi + n], cfg)
+        return X[:0], y.values[:0]
+    return X[xi:xi + n], y.values[yi:yi + n]
+
+
+def gated_columns(windows: list[tuple[np.ndarray, np.ndarray]],
+                  cfg: SignificanceConfig) -> list[list[CorrelationResult]]:
+    """Gated r of every column of each window's X (rows are weeks) against
+    its y, every p-value in one kernel call; degenerate or insignificant
+    columns come back as NA cells, never as exceptions."""
+    pearson = [_pearson_columns(X, y) if len(y) >= MIN_PAIRS else None for X, y in windows]
+    kept = [(rf[0][~rf[1]], len(y)) for (_, y), rf in zip(windows, pearson) if rf is not None]
+    r = np.concatenate([np.empty(0)] + [rj for rj, _ in kept])
+    n = np.repeat([n for _, n in kept], [len(rj) for rj, _ in kept])
+    p = iter(correlation_p_values(r, n).tolist())
+
+    def cell(r: float, zero: bool, n: int) -> CorrelationResult:
+        if zero:
+            return CorrelationResult(math.nan, math.nan, 0, NAReason.ZERO_VARIANCE)
+        pj = next(p)
+        return CorrelationResult(r, pj, n, NAReason.NOT_SIGNIFICANT if pj >= cfg.alpha else None)
+
+    return [[TOO_FEW_CELL] * X.shape[1] if rf is None
+            else [cell(rj, zero, len(y)) for rj, zero in zip(rf[0].tolist(), rf[1].tolist())]
+            for (X, y), rf in zip(windows, pearson)]
 
 
 def correlate(
@@ -207,26 +265,26 @@ def correlate(
     Total over valid series: degenerate inputs come back as NA with a
     reason, never raise.
     """
-    return correlate_columns(x.start, x.values[:, None], y, s, cfg)[0]
+    return gated_columns([paired_rows(x.start, x.values[:, None], y, s)], cfg)[0][0]
 
 
 def rank_queries(
     panel: QueryPanel,
     y: WeeklySeries,
-    s: ShiftSpec,
+    shifts: list[ShiftSpec],
     cfg: SignificanceConfig = SignificanceConfig(),
-) -> list[tuple[str, CorrelationResult]]:
-    """Each query correlated against cases, best first, NA cells last.
+) -> list[list[tuple[str, CorrelationResult]]]:
+    """At each shift, each query correlated against cases, best first, NA
+    cells last; all shifts' p-values in one kernel call.
 
     Ties break on label code points so downstream selection is
     deterministic.
     """
-    scored = list(zip(panel.labels, correlate_columns(panel.start, panel.matrix, y, s, cfg)))
-
     def key(item):
         label, res = item
         if res.na:
             return (1, 0.0, label)
         return (0, -res.r, label)
 
-    return sorted(scored, key=key)
+    windows = [paired_rows(panel.start, panel.matrix, y, s) for s in shifts]
+    return [sorted(zip(panel.labels, cells), key=key) for cells in gated_columns(windows, cfg)]

@@ -4,7 +4,9 @@ These deliberately avoid the library's own code paths: correlation from
 the definitional sums, p-values from permutation resampling and
 quadrature, OLS from Gaussian elimination on the normal equations,
 subset selection by exhaustive enumeration, ISO weeks from stepping a
-date one week at a time, and figure rows from one stable sort.
+date one week at a time, and figure rows from one stable sort. The
+one exception is `correlation_p_value`: one scalar library p-value per
+cell, the reference that the batched p-value kernel must equal exactly.
 """
 
 import datetime
@@ -12,6 +14,8 @@ import itertools
 import math
 
 import numpy as np
+
+from flunowcast.stats import student_t_two_sided_p
 
 
 def definitional_pearson(xs, ys):
@@ -42,6 +46,15 @@ def permutation_p_value(xs, ys, n_perm=10_000, seed=0):
     r_perm = np.abs(pc @ xs_norm) / denom
     hits = int(np.sum(r_perm >= r_obs - 1e-15))
     return (hits + 1) / (n_perm + 1)
+
+
+def correlation_p_value(r, n):
+    """Two-sided p for the null of zero correlation, t with n-2 dof, one
+    scalar student_t_two_sided_p call per cell."""
+    if abs(r) >= 1.0:
+        return 0.0
+    t = r * math.sqrt((n - 2) / (1.0 - r * r))
+    return student_t_two_sided_p(t, n - 2)
 
 
 def t_density_p_value(t, dof, n_points=400_001):

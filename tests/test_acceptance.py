@@ -27,13 +27,14 @@ from flunowcast.regress import (
     predict,
     rolling_weekly_fit,
 )
-from flunowcast.report import shifted_cells, table_model_by_shift
+from flunowcast.report import table_model_by_shift, table_overall_annual
 from flunowcast.selection import greedy_select
-from flunowcast.stats import SignificanceConfig, correlate, correlation_p_value
+from flunowcast.stats import SignificanceConfig, correlate
 from flunowcast.synth import ScenarioConfig, generate
 from flunowcast.timeseries import ShiftSpec, WeekStamp, WeeklySeries, window
 
 from .oracles import (
+    correlation_p_value,
     definitional_pearson,
     exhaustive_best_subset,
     normal_equations_ols,
@@ -219,12 +220,12 @@ def test_criterion_7_failure_mode():
     cfg = SignificanceConfig()
     years = sorted({int(str(cases.start.add(i))[:4]) for i in range(len(cases))})
     first, last_two = years[0], years[-2:]
-    per_year = shifted_cells(panel, cases, ShiftSpec(0), cfg)
-    for j, label in enumerate(panel.labels):
-        assert per_year[first][j].r > 0.6, f"{label} weak in year 1"
+    table = table_overall_annual(panel, cases, cfg)
+    for label, row in zip(panel.labels, table.sidecar):
+        assert row["years"][str(first)]["value"] > 0.6, f"{label} weak in year 1"
         for yr in last_two:
-            res = per_year[yr][j]
-            assert res.na or res.r < 0.3, f"{label} still usable in {yr}"
+            res = row["years"][str(yr)]
+            assert res["na_reason"] or res["value"] < 0.3, f"{label} still usable in {yr}"
     _report(7, f"year {first} r > 0.6 for all queries; years {last_two} all NA or r < 0.3")
 
 

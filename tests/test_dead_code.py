@@ -2,8 +2,8 @@
 package never uses.
 
 Read with `ast` from the source files: a name counts as used where it is
-loaded, imported by another module, or listed in `__all__`; a class
-member counts as used where some module reads an attribute of its name.
+loaded or imported by another module; a class member counts as used
+where some module reads an attribute of its name.
 """
 
 import ast
@@ -14,15 +14,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "flunowcast"
 MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
            for path in sorted(PACKAGE.glob("*.py"))}
-EXEMPT = {"__all__", "__version__"}
-
-
-def exported(tree: ast.Module) -> set[str]:
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            return set(ast.literal_eval(node.value))
-    return set()
+EXEMPT = {"__version__"}
 
 
 def loaded(tree: ast.Module) -> set[str]:
@@ -33,7 +25,7 @@ def loaded(tree: ast.Module) -> set[str]:
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-    return names | exported(tree)
+    return names
 
 
 def imported(tree: ast.Module) -> list[tuple[str, str]]:

@@ -1,6 +1,10 @@
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flunowcast import ingest
 from flunowcast.errors import (
     DataError,
     GapInCases,
@@ -171,14 +175,15 @@ week_cells = st.sampled_from([
 
 
 @st.composite
-def mutated_csv(draw, text):
+def mutated_csv(draw, text, cells=integer_cells,
+                ops=("value", "week", "duplicate", "drop", "swap")):
     """A valid CSV with some cells replaced and some rows duplicated, dropped or swapped."""
     rows = [line.split(",") for line in text.splitlines()]
     for _ in range(draw(st.integers(1, 4))):
         i = draw(st.integers(1, len(rows) - 1))
-        op = draw(st.sampled_from(["value", "week", "duplicate", "drop", "swap"]))
+        op = draw(st.sampled_from(ops))
         if op == "value":
-            rows[i][draw(st.integers(1, len(rows[i]) - 1))] = draw(integer_cells)
+            rows[i][draw(st.integers(1, len(rows[i]) - 1))] = draw(cells)
         elif op == "week":
             rows[i][0] = draw(week_cells)
         elif op == "duplicate":
@@ -207,3 +212,71 @@ class TestGrammarFuzz:
                 parser(blob)
             except DataError:
                 pass
+
+
+# cells the whole-file path reads (signed zeros, leading zeros), checks
+# (out of range, negative) or leaves to the row-by-row reader (16+ digits)
+array_cells = st.one_of(st.sampled_from(
+    ["-0", "-00", "007", "0100", "0101", "101", "-1", "250", "0" * 16 + "42", "9" * 16]),
+    integer_cells)
+# mostly cell changes, so that most files stay valid elsewhere
+array_ops = ("value", "value", "value", "week", "duplicate", "drop", "swap")
+
+
+def parsed(parser, blob):
+    """What `parser` makes of `blob`: its fields, arrays as shape and raw
+    bytes (so -0.0 differs from 0.0), or the error's type and message."""
+    try:
+        result = parser(blob)
+    except DataError as exc:
+        return type(exc), str(exc)
+    return [(v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+            for v in vars(result).values()]
+
+
+def row_by_row(parser, blob):
+    """parsed() with the whole-file path always missing."""
+    with mock.patch.object(ingest, "_table", lambda lines, width: ([], np.empty((0, width - 1)))):
+        return parsed(parser, blob)
+
+
+class TestWholeFilePath:
+    @pytest.mark.parametrize("parser,header,cells,weeks", [
+        (parse_trends_csv, "week,flu", ["-0", "007", "0100"], ["2015-W53", "2016-W01", "2016-W03"]),
+        (parse_cases_csv, "week,cases", ["-0", "007", "0" * 15], ["2015-W52", "2015-W53", "2016-W01"]),
+    ])
+    def test_reads_what_the_row_reader_reads(self, parser, header, cells, weeks):
+        text = "".join(f"{w},{c}\n" for w, c in zip(weeks, cells))
+        lines = [header] + text.splitlines()
+        assert len(ingest._table(lines, 2)[1]) == 3
+        blob = f"{header}\n{text}".encode()
+        assert parsed(parser, blob) == row_by_row(parser, blob)
+
+    @pytest.mark.parametrize("cell", ["+5", "١٢", " 5", "0" * 16, "1.0", ""])
+    def test_leaves_other_cells_to_the_row_reader(self, cell):
+        assert len(ingest._table(["week,flu", "2015-W01,1", f"2015-W02,{cell}"], 2)[1]) == 0
+
+    @pytest.mark.parametrize("parser,text", [
+        (parse_trends_csv, "week,flu\n2015-W01,7\n2015-W02,101\n"),
+        (parse_trends_csv, "week,flu\n2015-W01,7\n2015-W02,-1\n"),
+        (parse_trends_csv, "week,flu\n2015-W02,7\n2015-W02,8\n"),
+        (parse_trends_csv, "week,flu\n2015-W03,7\n2015-W02,8\n"),
+        (parse_cases_csv, "week,cases\n2015-W01,7\n2015-W02,-1\n"),
+        (parse_cases_csv, "week,cases\n2015-W01,7\n2015-W03,8\n"),
+        (parse_cases_csv, "week,cases\n2015-W02,7\n2015-W02,8\n"),
+        (parse_cases_csv, "week,cases\n2015-W02,7\n2015-W01,8\n"),
+    ])
+    def test_a_failed_check_raises_as_the_row_reader_does(self, parser, text):
+        with pytest.raises(DataError):
+            parser(text.encode())
+        assert parsed(parser, text.encode()) == row_by_row(parser, text.encode())
+
+    def test_leaves_a_week_past_the_year_to_the_row_reader(self):
+        assert len(ingest._table(["week,flu", "2015-W53,1", "2016-W53,2"], 2)[1]) == 0
+
+    @given(panel=mutated_csv(VALID_PANEL, array_cells, array_ops),
+           cases=mutated_csv(VALID_CASES, array_cells, array_ops))
+    @settings(max_examples=500)
+    def test_agrees_with_the_row_reader(self, panel, cases):
+        for parser, blob in ((parse_trends_csv, panel), (parse_cases_csv, cases)):
+            assert parsed(parser, blob) == row_by_row(parser, blob)

@@ -12,7 +12,7 @@ from flunowcast.stats import (
     NAReason,
     SignificanceConfig,
     correlate,
-    correlation_p_value,
+    correlation_p_values,
     rank_queries,
     regularized_incomplete_beta,
     student_t_two_sided_p,
@@ -20,7 +20,7 @@ from flunowcast.stats import (
 )
 from flunowcast.timeseries import ShiftSpec, WeekStamp, WeeklySeries
 
-from .oracles import definitional_pearson, t_density_p_value
+from .oracles import correlation_p_value, definitional_pearson, t_density_p_value
 
 W0 = WeekStamp(2009, 1)
 CENTI = st.integers(-10000, 10000).map(lambda i: i / 100)  # 0.01 grid on [-100, 100]
@@ -134,6 +134,58 @@ class TestStudentT:
                 assert student_t_two_sided_p(t, dof) == pytest.approx(alpha, abs=1e-9)
 
 
+def bisection_t_critical(alpha, dof):
+    """t_critical with all 200 bisection steps."""
+    lo, hi = 0.0, 1.0
+    while student_t_two_sided_p(hi, dof) > alpha:
+        hi *= 2.0
+        if hi > 1e12:
+            break
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if student_t_two_sided_p(mid, dof) > alpha:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("dof", [1, 2, 7, 143, 257, 1000])
+@pytest.mark.parametrize("alpha", [0.5, 0.05, 0.001, 1e-12])
+def test_t_critical_stops_where_bisection_has_converged(alpha, dof):
+    assert t_critical(alpha, dof) == bisection_t_critical(alpha, dof)
+
+
+@st.composite
+def correlation_cells(draw):
+    """(r, n) with r often near where the p-value switches formula.
+
+    r**2 is cx = t**2 / (dof + t**2): the tail switches at cx = 1/2, and the
+    continued fraction switches between direct and reflected where cx
+    crosses (a + 1) / (a + b + 2) for a = 1/2, b = dof/2.
+    """
+    n = draw(st.one_of(st.just(3), st.integers(3, 12), st.integers(100, 900)))
+    edges = [0.0, 1.0, math.sqrt(0.5), math.sqrt(1.5 / ((n - 2) / 2 + 2.5))]
+    r = draw(st.one_of(
+        st.sampled_from([0.0, 1.0, -1.0, 1.5, -3.0, 1e-170, 5e-324]),
+        st.floats(-1.0, 1.0),
+        st.builds(lambda edge, rel, sign: sign * edge * (1.0 + rel),
+                  st.sampled_from(edges), st.floats(-1e-6, 1e-6), st.sampled_from([1.0, -1.0])),
+    ))
+    return r, n
+
+
+class TestBatchedPValues:
+    @given(st.lists(correlation_cells(), min_size=1, max_size=60))
+    @settings(max_examples=300)
+    def test_equal_to_the_scalar_p_lane_for_lane(self, cells):
+        r, n = (np.array(v) for v in zip(*cells))
+        assert correlation_p_values(r, n).tolist() == [correlation_p_value(*c) for c in cells]
+
+    def test_no_lanes(self):
+        assert correlation_p_values(np.array([]), np.array([], dtype=int)).tolist() == []
+
+
 class TestCorrelate:
     def test_constant_series_is_na(self):
         res = correlate(ws([5, 5, 5, 5]), ws([1, 2, 3, 4]), ShiftSpec(0))
@@ -196,7 +248,7 @@ class TestRankQueries:
             ("flat", np.zeros(40)),
             ("best", y_vals + 0.01 * noise),
         ])
-        ranked = rank_queries(panel, ws(y_vals), ShiftSpec(0))
+        ranked = rank_queries(panel, ws(y_vals), [ShiftSpec(0)])[0]
         labels = [l for l, _ in ranked]
         assert labels[0] == "best"
         assert labels[-1] == "flat"
@@ -222,17 +274,24 @@ class TestRankQueries:
             ("H1N1 vaccine", with_target_r(0.43, 2)),
             ("virus H1N1", with_target_r(0.39, 3)),
         ])
-        ranked = rank_queries(panel, ws(y_vals), ShiftSpec(0))
+        ranked = rank_queries(panel, ws(y_vals), [ShiftSpec(0)])[0]
         assert [l for l, _ in ranked] == ["H1N1", "H1N1 vaccine", "virus H1N1"]
 
     def test_tie_breaks_on_label(self):
         y_vals = [1.0, 2.0, 3.0, 4.0, 5.0]
         panel = self._panel([("b", y_vals), ("a", y_vals)])
-        ranked = rank_queries(panel, ws(y_vals), ShiftSpec(0))
+        ranked = rank_queries(panel, ws(y_vals), [ShiftSpec(0)])[0]
         assert [l for l, _ in ranked] == ["a", "b"]
+
+    def test_one_call_ranks_each_shift_as_a_call_of_its_own(self):
+        rng = np.random.default_rng(9)
+        panel = self._panel([(f"q{i}", rng.uniform(0, 10, size=30)) for i in range(4)])
+        y = ws(rng.uniform(0, 10, size=30))
+        shifts = [ShiftSpec(k) for k in (-2, 0, 1)]
+        assert rank_queries(panel, y, shifts) == [rank_queries(panel, y, [s])[0] for s in shifts]
 
     def test_output_is_permutation_of_labels(self):
         rng = np.random.default_rng(8)
         panel = self._panel([(f"q{i}", rng.uniform(0, 10, size=20)) for i in range(6)])
-        ranked = rank_queries(panel, ws(rng.uniform(0, 10, size=20)), ShiftSpec(0))
+        ranked = rank_queries(panel, ws(rng.uniform(0, 10, size=20)), [ShiftSpec(0)])[0]
         assert sorted(l for l, _ in ranked) == sorted(panel.labels)
