@@ -3,7 +3,7 @@
 Two fixed CSV layouts, both UTF-8 with LF endings and no quoting:
 
   search panel:  week,<label1>,<label2>,...   rows YYYY-Www,<int 0-100>,...
-  case counts:   week,cases                   rows YYYY-Www,<int >= 0>
+  case counts:   week,cases                   rows YYYY-Www,<int 0-2**53>
 
 Search-volume files may omit zero weeks (zero-filled on parse); case
 files must be complete, a gap there is an error.
@@ -118,6 +118,8 @@ def parse_cases_csv(data: bytes) -> WeeklySeries:
         for i, week, (count,) in _rows(lines, 2):
             if count < 0:
                 raise NegativeCount(f"line {i}: negative case count {count}")
+            if count > 2 ** 53:  # past it, a float no longer holds every count
+                raise MalformedRow(f"line {i}: case count above 2**53")
             if weeks and week - weeks[-1] > 1:
                 raise GapInCases(f"missing week(s) before {week}")
             if weeks and week <= weeks[-1]:

@@ -9,7 +9,8 @@ per week on all strictly-prior weeks. Only the coefficients are refit:
 the queries and the shift are the caller's, and `nowcast` picks them once
 from all weeks.
 Coefficient inference (intervals, p-values) is computed only on request,
-by `coefficient_stats`.
+by `coefficient_stats`: one critical t, and every term's p from one
+call of the Student-t kernel.
 """
 
 from __future__ import annotations
@@ -94,17 +95,14 @@ def coefficient_stats(fit: ModelFit, alpha: float) -> list[tuple[str, Coefficien
 
     Intercept first, as "(intercept)". The p-values do not depend on alpha.
     """
-    dof = fit.residual_dof
-    tcrit = stats.t_critical(alpha, dof)
-    rows = []
-    for term, est, se in zip(("(intercept)",) + fit.labels, fit.betas, fit.std_errors):
-        est, se = float(est), float(se)
-        if se == 0.0:
-            rows.append((term, CoefficientStats(est, 0.0, est, est, 0.0)))
-        else:
-            p = stats.student_t_two_sided_p(est / se, dof)
-            rows.append((term, CoefficientStats(est, se, est - tcrit * se, est + tcrit * se, p)))
-    return rows
+    tcrit = stats.t_critical(alpha, fit.residual_dof)
+    live = fit.std_errors != 0.0
+    p = np.zeros(len(fit.betas))
+    p[live] = stats.t_two_sided_p(fit.betas[live] / fit.std_errors[live], fit.residual_dof)
+    return [(term, CoefficientStats(est, se, est - tcrit * se, est + tcrit * se, pj) if se != 0.0
+             else CoefficientStats(est, 0.0, est, est, 0.0))
+            for term, est, se, pj in zip(("(intercept)",) + fit.labels, fit.betas.tolist(),
+                                         fit.std_errors.tolist(), p.tolist())]
 
 
 def predict(fit: ModelFit, panel: QueryPanel) -> WeeklySeries:

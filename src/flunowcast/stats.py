@@ -1,9 +1,11 @@
 """Pearson correlation with t-test significance and NA semantics.
 
 One kernel correlates every column of a (weeks x queries) window with
-the cases at once; `correlate` is that kernel on one column. The cells'
-p-values run as one batch of continued fractions, each equal to the
-scalar `student_t_two_sided_p`. A correlation that cannot be computed
+the cases at once; `correlate` is that kernel on one column. Every
+Student-t p-value, the cells' and the fitted coefficients', comes from
+one batched kernel, `t_two_sided_p`, whose lanes run the incomplete-beta
+continued fraction side by side; `t_critical` inverts that kernel by
+Newton's method. A correlation that cannot be computed
 (constant series, too few pairs) or fails the significance gate is
 reported as NA with a reason code, never as an exception, mirroring how
 surveillance tables mark cells.
@@ -22,6 +24,7 @@ from .timeseries import MIN_PAIRS, QueryPanel, ShiftSpec, WeekStamp, WeeklySerie
 
 _BETA_TOL = 1e-12
 _BETA_MAX_ITER = 300
+_NEWTON_MAX_ITER = 200
 
 
 class NAReason(enum.Enum):
@@ -76,48 +79,12 @@ def _pearson_columns(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.clip(r, -1.0, 1.0), flat
 
 
-def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    """Lentz's continued fraction for the regularized incomplete beta."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, _BETA_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _BETA_TOL:
-            break
-    return h
-
-
 def _beta_continued_fractions(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """_beta_continued_fraction on arrays of lanes: the same steps in the
-    same order, each lane leaving as soon as it converges."""
+    """Lentz's continued fraction for the regularized incomplete beta on
+    arrays of lanes, each lane leaving as soon as it converges."""
     tiny = 1e-300
 
-    def floor(v):  # the scalar's `if abs(v) < tiny: v = tiny`
+    def floor(v):  # keep Lentz's d and c off zero
         return np.where(np.abs(v) < tiny, tiny, v)
 
     qab, qap, qam = a + b, a + 1.0, a - 1.0
@@ -127,7 +94,7 @@ def _beta_continued_fractions(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np
         if not len(lanes):
             return out
         m2 = 2 * m
-        # the scalar loop's two steps, which differ only in aa
+        # the even and the odd step of term m, which differ only in aa
         for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
                    -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
             d = 1.0 / floor(1.0 + aa * d)
@@ -143,82 +110,62 @@ def _beta_continued_fractions(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np
     return out
 
 
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) via the continued-fraction expansion."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_continued_fraction(a, b, x) / a
-    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
-
-
-def student_t_two_sided_p(t: float, dof: int) -> float:
-    """P(|T| >= |t|) for Student's t with `dof` degrees of freedom."""
-    if dof < 1:
-        raise InvalidDof(f"dof must be >= 1, got {dof}")
-    if not math.isfinite(t):
-        raise InvalidDof("t statistic must be finite")
-    if t == 0.0:
-        return 1.0
-    # use whichever tail argument is computed without cancellation
-    x = dof / (dof + t * t)
-    cx = t * t / (dof + t * t)
-    if cx < 0.5:
-        return 1.0 - regularized_incomplete_beta(0.5, dof / 2.0, cx)
-    return regularized_incomplete_beta(dof / 2.0, 0.5, x)
-
-
-def t_critical(alpha: float, dof: int) -> float:
-    """Two-sided critical value: the t with student_t_two_sided_p(t) = alpha."""
-    if dof < 1:
-        raise InvalidDof(f"dof must be >= 1, got {dof}")
-    lo, hi = 0.0, 1.0
-    while student_t_two_sided_p(hi, dof) > alpha:
-        hi *= 2.0
-        if hi > 1e12:
-            break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        bracket = (mid, hi) if student_t_two_sided_p(mid, dof) > alpha else (lo, mid)
-        if bracket == (lo, hi):  # every later step would repeat this one
-            break
-        lo, hi = bracket
-    return 0.5 * (lo + hi)
-
-
-def correlation_p_values(r: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Two-sided p of each lane's finite r over n pairs (null: zero
-    correlation, t with n - 2 dof): student_t_two_sided_p's steps on arrays,
-    with lgamma, log, log1p and exp from `math` lane by lane, so that each p
-    equals the scalar one."""
-    p = np.zeros(len(r))  # where |r| >= 1
-    live = np.abs(r) < 1.0
-    r, dof = r[live], n[live] - 2
-    t = r * np.sqrt(dof / (1.0 - r * r))
+def t_two_sided_p(t: np.ndarray, dof) -> np.ndarray:
+    """P(|T| >= |t|) of each finite lane of t for Student's t with `dof`
+    >= 1 degrees of freedom, one number or one per lane; lgamma, log,
+    log1p and exp come from `math` lane by lane, so that a p is the same
+    on every host."""
     x, cx = dof / (dof + t * t), t * t / (dof + t * t)
     upper = cx < 0.5  # p is 1 - I_cx(1/2, dof/2), else I_x(dof/2, 1/2); t = 0 gives 1
     half = dof / 2.0
     a, b, z = np.where(upper, 0.5, half), np.where(upper, half, 0.5), np.where(upper, cx, x)
-    # I_z(a, b) as regularized_incomplete_beta computes it
-    inc = (z >= 1.0).astype(float)
+    inc = (z >= 1.0).astype(float)  # I_z(a, b), 0 and 1 at the ends
     mid = (0.0 < z) & (z < 1.0)
     a, b, z = a[mid], b[mid], z[mid]
     front = np.array([
         math.exp(math.lgamma(ai + bi) - math.lgamma(ai) - math.lgamma(bi)
                  + ai * math.log(zi) + bi * math.log1p(-zi))
         for ai, bi, zi in zip(a.tolist(), b.tolist(), z.tolist())])
+    # the fraction converges fast below Beta(a, b)'s mean; above, I_z(a, b) = 1 - I_1-z(b, a)
     direct = z < (a + 1.0) / (a + b + 2.0)
     v = front * _beta_continued_fractions(np.where(direct, a, b), np.where(direct, b, a),
                                           np.where(direct, z, 1.0 - z)) / np.where(direct, a, b)
     inc[mid] = np.where(direct, v, 1.0 - v)
-    p[live] = np.where(upper, 1.0 - inc, inc)
+    return np.where(upper, 1.0 - inc, inc)
+
+
+def t_critical(alpha: float, dof: int) -> float:
+    """Two-sided critical value: the t with t_two_sided_p(t, dof) = alpha.
+
+    Newton's method on the kernel, whose derivative is minus twice the t
+    density: p is convex and decreasing for t > 0, so from a start below
+    the root (the Cornish-Fisher expansion's first two terms) each step
+    climbs towards it. Quadratic convergence leaves an error of the order
+    of the last step squared, so a step below 1e-9 t is the last.
+    """
+    from statistics import NormalDist  # here, so that only `fit` pays for importing it
+
+    if dof < 1:
+        raise InvalidDof(f"dof must be >= 1, got {dof}")
+    z = -NormalDist().inv_cdf(alpha / 2)
+    t = z + (z ** 3 + z) / (4 * dof)
+    log_c = math.lgamma((dof + 1) / 2) - math.lgamma(dof / 2) - 0.5 * math.log(dof * math.pi)
+    for _ in range(_NEWTON_MAX_ITER):
+        density = math.exp(log_c - (dof + 1) / 2 * math.log1p(t * t / dof))
+        step = (t_two_sided_p(np.array([t]), dof).item() - alpha) / (2.0 * density)
+        t += step
+        if not step > 1e-9 * t:
+            break
+    return t
+
+
+def correlation_p_values(r: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Two-sided p of each lane's finite r over n pairs (null: zero
+    correlation, t with n - 2 dof); 0 where |r| >= 1."""
+    p = np.zeros(len(r))
+    live = np.abs(r) < 1.0
+    r, dof = r[live], n[live] - 2
+    p[live] = t_two_sided_p(r * np.sqrt(dof / (1.0 - r * r)), dof)
     return p
 
 

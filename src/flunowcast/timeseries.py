@@ -118,8 +118,11 @@ class QueryPanel(ArrayFields):
 
     def __post_init__(self):
         m = self._freeze("matrix")
-        if not self.labels or len(self.labels) != len(set(self.labels)):
-            raise ValueError("panel needs at least one query, and distinct labels")
+        if not self.labels:
+            raise ValueError("panel needs at least one query")
+        if len(self.labels) != len(set(self.labels)):
+            repeated = next(l for i, l in enumerate(self.labels) if l in self.labels[:i])
+            raise ValueError(f"panel labels must be distinct: {repeated!r} is repeated")
         if m.ndim != 2 or m.shape[1] != len(self.labels) or len(m) < 1:
             raise ValueError(f"matrix shape {m.shape} is not weeks x {len(self.labels)} queries")
         if not np.isfinite(m).all():

@@ -5,8 +5,9 @@ the definitional sums, p-values from permutation resampling and
 quadrature, OLS from Gaussian elimination on the normal equations,
 subset selection by exhaustive enumeration, ISO weeks from stepping a
 date one week at a time, and figure rows from one stable sort. The
-one exception is `correlation_p_value`: one scalar library p-value per
-cell, the reference that the batched p-value kernel must equal exactly.
+Student-t p-value is also here one scalar continued fraction at a
+time: the batched kernel must equal it exactly, lane for lane, and
+`t_critical` must agree with its bisection.
 """
 
 import datetime
@@ -15,7 +16,8 @@ import math
 
 import numpy as np
 
-from flunowcast.stats import student_t_two_sided_p
+_BETA_TOL = 1e-12
+_BETA_MAX_ITER = 300
 
 
 def definitional_pearson(xs, ys):
@@ -46,6 +48,88 @@ def permutation_p_value(xs, ys, n_perm=10_000, seed=0):
     r_perm = np.abs(pc @ xs_norm) / denom
     hits = int(np.sum(r_perm >= r_obs - 1e-15))
     return (hits + 1) / (n_perm + 1)
+
+
+def _beta_continued_fraction(a, b, x):
+    """Lentz's continued fraction for the regularized incomplete beta
+    (Press et al., Numerical Recipes, section 6.4)."""
+    tiny = 1e-300
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < tiny:
+        d = tiny
+    d = 1.0 / d
+    h = d
+    for m in range(1, _BETA_MAX_ITER + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _BETA_TOL:
+            break
+    return h
+
+
+def regularized_incomplete_beta(a, b, x):
+    """I_x(a, b) via the continued-fraction expansion."""
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    ln_front = (
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        + a * math.log(x) + b * math.log1p(-x)
+    )
+    front = math.exp(ln_front)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_continued_fraction(a, b, x) / a
+    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
+
+
+def student_t_two_sided_p(t, dof):
+    """P(|T| >= |t|) for Student's t with `dof` degrees of freedom."""
+    if t == 0.0:
+        return 1.0
+    # use whichever tail argument is computed without cancellation
+    x = dof / (dof + t * t)
+    cx = t * t / (dof + t * t)
+    if cx < 0.5:
+        return 1.0 - regularized_incomplete_beta(0.5, dof / 2.0, cx)
+    return regularized_incomplete_beta(dof / 2.0, 0.5, x)
+
+
+def bisection_t_critical(alpha, dof):
+    """The t with student_t_two_sided_p(t, dof) = alpha, by 200 bisection
+    steps from a doubling bracket."""
+    lo, hi = 0.0, 1.0
+    while student_t_two_sided_p(hi, dof) > alpha:
+        hi *= 2.0
+        if hi > 1e12:
+            break
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if student_t_two_sided_p(mid, dof) > alpha:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def correlation_p_value(r, n):

@@ -124,6 +124,20 @@ class TestCorrelate:
         ])
         assert code == 1
 
+    def test_case_count_too_large_for_a_float_is_one_error_line(self, tmp_path, capsys):
+        cases, panel = synth_files(tmp_path)
+        lines = cases.read_text().split("\n")
+        lines[2] = lines[2].split(",")[0] + "," + "9" * 400
+        cases.write_text("\n".join(lines))
+        capsys.readouterr()
+        code = run([
+            "correlate", "--cases", str(cases), "--panel", str(panel),
+            "--out", str(tmp_path / "t.csv"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: MalformedRow: line 3: case count above 2**53\n"
+        assert not (tmp_path / "t.csv").exists()
+
 
 class TestPipelineCommands:
     @pytest.fixture()
@@ -161,6 +175,17 @@ class TestPipelineCommands:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "term,estimate,std_error,ci_low,ci_high,p_value"
         assert lines[1].startswith("(intercept),")
+
+    def test_fit_names_a_repeated_query(self, fixtures, tmp_path, capsys):
+        cases, panel = fixtures
+        capsys.readouterr()
+        assert run([
+            "fit", "--cases", str(cases), "--panel", str(panel),
+            "--queries", "signal_1,signal_2,signal_1", "--out", str(tmp_path / "fit.csv"),
+        ]) == 1
+        assert capsys.readouterr().err == (
+            "error: ValueError: panel labels must be distinct: 'signal_1' is repeated\n")
+        assert not (tmp_path / "fit.csv").exists()
 
     @pytest.mark.parametrize("alpha", ["0", "1.5", "-1", "nan"])
     def test_fit_rejects_alpha_outside_unit_interval(self, fixtures, tmp_path, capsys, alpha):

@@ -81,6 +81,11 @@ class TestParseCases:
         with pytest.raises(NegativeCount):
             parse_cases_csv(b"week,cases\n2009-W01,-3\n")
 
+    def test_counts_are_bounded_at_2_to_the_53(self):
+        assert parse_cases_csv(b"week,cases\n2009-W01,9007199254740992\n").values[0] == 2 ** 53
+        with pytest.raises(MalformedRow, match="^line 3: case count above 2"):
+            parse_cases_csv(b"week,cases\n2009-W01,1\n2009-W02,9007199254740993\n")
+
     def test_round_trip_identity(self):
         data = b"week,cases\n2009-W52,5\n2009-W53,0\n2010-W01,12\n"
         series = parse_cases_csv(data)
