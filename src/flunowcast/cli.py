@@ -17,8 +17,8 @@ from . import report, selection, stats, synth
 from .errors import DataError
 from .ingest import parse_cases_csv, parse_trends_csv, write_cases_csv, write_trends_csv
 from .regress import coefficient_stats, fit_ols, predict, rolling_weekly_fit
-from .stats import SignificanceConfig
-from .timeseries import MAX_SHIFT, ShiftSpec, WeekStamp, WeeklySeries
+from .stats import ALPHA
+from .timeseries import DEFAULT_SHIFTS, MAX_SHIFT, WeekStamp, WeeklySeries
 
 
 def _parse_shift(text: str) -> int:
@@ -80,11 +80,11 @@ def _load_inputs(args):
 def _add_common(p, shift=False, shifts=False, alpha_help="significance level of the gate"):
     p.add_argument("--cases", required=True, help="case-count CSV (week,cases)")
     p.add_argument("--panel", required=True, help="search-volume panel CSV")
-    p.add_argument("--alpha", type=float, default=0.05, help=alpha_help)
+    p.add_argument("--alpha", type=float, default=ALPHA, help=alpha_help)
     if shift:
         p.add_argument("--shift", type=_parse_shift, default=0, help="week shift, -2..2")
     if shifts:
-        p.add_argument("--shifts", type=_parse_shift_range, default=[-2, -1, 0, 1, 2],
+        p.add_argument("--shifts", type=_parse_shift_range, default=list(DEFAULT_SHIFTS),
                        help="shift range, e.g. -2..2")
 
 
@@ -150,12 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_table(args) -> int:
     cases, panel = _load_inputs(args)
-    cfg = SignificanceConfig(args.alpha)
     if args.command == "correlate":
-        table = report.table_overall_annual(panel, cases, cfg, ShiftSpec(args.shift))
+        table = report.table_overall_annual(panel, cases, args.alpha, args.shift)
         done = f"{len(panel)} queries x {len(cases)} weeks"
     else:
-        table = report.table_shift_scan(panel, cases, tuple(args.shifts), cfg)
+        table = report.table_shift_scan(panel, cases, tuple(args.shifts), args.alpha)
         done = f"shifts {args.shifts}"
     _write(args.out, table.to_csv())
     if args.sidecar:
@@ -166,32 +165,30 @@ def _cmd_table(args) -> int:
 
 def _cmd_select(args) -> int:
     cases, panel = _load_inputs(args)
-    cfg = SignificanceConfig(args.alpha)
-    result = selection.greedy_select(panel, cases, [ShiftSpec(k) for k in args.shifts], cfg)
+    result = selection.greedy_select(panel, cases, args.shifts, args.alpha)
     payload = {
         "chosen": list(result.chosen_labels),
-        "shift": result.best_shift.weeks,
+        "shift": result.best_shift,
         "objective": result.objective,
         "trace": [{"step": s, "added": l, "objective": o} for s, l, o in result.trace],
     }
     _write(args.out, (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8"))
-    print(f"select: {len(result.chosen_labels)} queries at shift {result.best_shift.weeks:+d}, "
+    print(f"select: {len(result.chosen_labels)} queries at shift {result.best_shift:+d}, "
           f"objective {result.objective:.4f}")
     return 0
 
 
 def _cmd_fit(args) -> int:
-    cfg = SignificanceConfig(args.alpha)
     cases, panel = _load_inputs(args)
     if args.queries:
         panel = panel.subset(args.queries.split(","))
-    fit = fit_ols(panel, cases, ShiftSpec(args.shift))
+    fit = fit_ols(panel, cases, args.shift)
     lines = ["term,estimate,std_error,ci_low,ci_high,p_value"]
-    for name, c in coefficient_stats(fit, cfg.alpha):
+    for name, c in coefficient_stats(fit, args.alpha):
         lines.append(f"{name},{c.estimate:.6g},{c.std_error:.6g},"
                      f"{c.ci_low:.6g},{c.ci_high:.6g},{c.p_value:.6g}")
     lines.append(f"# r_squared={fit.r_squared:.4f} residual_dof={fit.residual_dof} "
-                 f"shift={fit.shift.weeks:+d}")
+                 f"shift={fit.shift:+d}")
     _write(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
     print(f"fit: {len(panel)} queries, r^2 {fit.r_squared:.4f} -> {args.out}")
     return 0
@@ -199,8 +196,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_nowcast(args) -> int:
     cases, panel = _load_inputs(args)
-    cfg = SignificanceConfig(args.alpha)
-    sel = selection.greedy_select(panel, cases, [ShiftSpec(k) for k in args.shifts], cfg)
+    sel = selection.greedy_select(panel, cases, args.shifts, args.alpha)
     sub = panel.subset(list(sel.chosen_labels))
     if args.mode == "rolling":
         estimates = rolling_weekly_fit(sub, cases, sel.best_shift, warmup=args.warmup)
@@ -211,14 +207,14 @@ def _cmd_nowcast(args) -> int:
         if args.clamp:
             estimates = WeeklySeries(estimates.start, np.maximum(estimates.values, 0.0),
                                      estimates.label)
-        ev = stats.correlate(estimates, cases, ShiftSpec(0), cfg)
+        ev = stats.correlate(estimates, cases, 0, args.alpha)
         shown = [estimates]
         overall = "NA" if ev.na else f"{ev.r:.2f}"
     _write(args.out_estimates, report.figure_data(shown + [cases]))
     table = report.table_model_by_shift(panel, cases, sel, tuple(args.shifts))
     _write(args.out_table, table.to_csv())
     print(f"nowcast ({args.mode}): queries {','.join(sel.chosen_labels)} "
-          f"shift {sel.best_shift.weeks:+d} overall r {overall}")
+          f"shift {sel.best_shift:+d} overall r {overall}")
     return 0
 
 

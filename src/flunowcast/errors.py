@@ -11,12 +11,12 @@ class DataError(Exception):
 
 # -- timeseries ---------------------------------------------------------
 
-class EmptyOverlap(DataError):
-    """Two series share no common week range."""
-
-
 class InsufficientOverlap(DataError):
     """Fewer than the minimum number of pairs remain after shifting."""
+
+
+class EmptyOverlap(InsufficientOverlap):
+    """Two series share no common week range: the zero-pair case."""
 
 
 class NegativeValue(DataError):

@@ -46,7 +46,10 @@ def _parse_int(text: str, lineno: int) -> int:
     # str.isdigit alone admits non-ASCII digits such as '²' and '١'
     if not (digits.isascii() and digits.isdigit()):
         raise MalformedRow(f"line {lineno}: not an integer: {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise MalformedRow(f"line {lineno}: integer of {len(digits)} digits is too long") from None
 
 
 def _rows(lines: list[str], width: int):

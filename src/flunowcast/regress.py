@@ -7,7 +7,7 @@ estimates stamped at case weeks: `predict` applies a full-period fit to
 every panel week, and `rolling_weekly_fit` refits the coefficients once
 per week on all strictly-prior weeks. Only the coefficients are refit:
 the queries and the shift are the caller's, and `nowcast` picks them once
-from all weeks.
+from all weeks. Every fit takes its rows from `timeseries.paired`.
 Coefficient inference (intervals, p-values) is computed only on request,
 by `coefficient_stats`: one critical t, and every term's p from one
 call of the Student-t kernel.
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stats
-from .errors import EmptyOverlap, InsufficientOverlap, SingularDesign, Underdetermined
-from .timeseries import ArrayFields, QueryPanel, ShiftSpec, WeeklySeries, window
+from .errors import InsufficientOverlap, SingularDesign, Underdetermined
+from .timeseries import ArrayFields, QueryPanel, WeeklySeries, paired
 
 PIVOT_TOL = 1e-10
 
@@ -43,13 +43,7 @@ class ModelFit(ArrayFields):
     std_errors: np.ndarray  # same order as betas
     r_squared: float
     residual_dof: int
-    shift: ShiftSpec
-
-
-def _design_rows(panel: QueryPanel, y: WeeklySeries, s: ShiftSpec):
-    """Joint rows (x vector at week t, y at week t+k) and the first y index."""
-    xi, yi, n = window(panel.start, panel.n_weeks, y, s)
-    return panel.matrix[xi:xi + n], y.values[yi:yi + n], yi
+    shift: int
 
 
 def _solve(X: np.ndarray, yv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -68,9 +62,9 @@ def _solve(X: np.ndarray, yv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.solve(r, q.T @ yv), r
 
 
-def fit_ols(panel: QueryPanel, y: WeeklySeries, s: ShiftSpec) -> ModelFit:
-    """Fit the nowcast model on the full overlapping period."""
-    X, yv, _ = _design_rows(panel, y, s)
+def fit_ols(panel: QueryPanel, y: WeeklySeries, k: int) -> ModelFit:
+    """Fit the nowcast model on the full overlapping period at shift k."""
+    X, yv, _ = paired(panel.start, panel.matrix, y, k)
     beta, r = _solve(X, yv)
     m, nq = X.shape
     resid = yv - (beta[0] + X @ beta[1:])
@@ -86,7 +80,7 @@ def fit_ols(panel: QueryPanel, y: WeeklySeries, s: ShiftSpec) -> ModelFit:
         std_errors=ses,
         r_squared=1.0 if tss == 0.0 else min(max(1.0 - rss / tss, 0.0), 1.0),
         residual_dof=dof,
-        shift=s,
+        shift=k,
     )
 
 
@@ -112,26 +106,26 @@ def predict(fit: ModelFit, panel: QueryPanel) -> WeeklySeries:
     estimates are kept.
     """
     X = panel.subset(list(fit.labels)).matrix
-    return WeeklySeries(panel.start.add(fit.shift.weeks), fit.betas[0] + X @ fit.betas[1:],
+    return WeeklySeries(panel.start.add(fit.shift), fit.betas[0] + X @ fit.betas[1:],
                         "estimates")
 
 
 def rolling_weekly_fit(
     panel: QueryPanel,
     y: WeeklySeries,
-    s: ShiftSpec,
+    k: int,
     warmup: int | None = None,
 ) -> WeeklySeries | None:
     """One-step-ahead estimates with weekly coefficient updates.
 
     The estimate for week t comes from coefficients fit on all weeks
     strictly before t (expanding window); the panel's queries and the
-    shift s are used as given, whatever weeks chose them. The series starts
+    shift k are used as given, whatever weeks chose them. The series starts
     at the first estimated week; None when no week gets an estimate. An
     explicit warmup's first window must be fittable; the default starts at
     the first fittable window from week nq + 4 on.
     """
-    X, yv, yi = _design_rows(panel, y, s)
+    X, yv, yi = paired(panel.start, panel.matrix, y, k)
     m, nq = X.shape
     default_warmup = warmup is None
     if default_warmup:
@@ -154,7 +148,7 @@ def rolling_weekly_fit(
     return WeeklySeries(y.start.add(yi + m - len(values)), values, "estimates") if values else None
 
 
-def in_sample_objective(panel: QueryPanel, y: WeeklySeries, s: ShiftSpec) -> float | None:
+def in_sample_objective(panel: QueryPanel, y: WeeklySeries, k: int) -> float | None:
     """Pearson r between full-period model estimates and cases.
 
     With an intercept that r is the square root of R^2, taken straight
@@ -162,9 +156,9 @@ def in_sample_objective(panel: QueryPanel, y: WeeklySeries, s: ShiftSpec) -> flo
     None when the fit is undefined or y or the estimates are constant.
     """
     try:
-        X, yv, _ = _design_rows(panel, y, s)
+        X, yv, _ = paired(panel.start, panel.matrix, y, k)
         beta, _ = _solve(X, yv)
-    except (Underdetermined, SingularDesign, EmptyOverlap, InsufficientOverlap):
+    except (Underdetermined, SingularDesign, InsufficientOverlap):
         return None
     dy = yv - yv.mean()
     df = X @ beta[1:] + (beta[0] - yv.mean())

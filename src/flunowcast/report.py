@@ -15,13 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stats
-from .errors import EmptyLabel, EmptyOverlap, InsufficientOverlap
+from .errors import EmptyLabel, InsufficientOverlap
 from .regress import in_sample_objective
 from .selection import SelectionResult
-from .stats import CorrelationResult, SignificanceConfig
-from .timeseries import QueryPanel, ShiftSpec, WeeklySeries, iso_years, week_labels, window
-
-DEFAULT_SHIFTS = (-2, -1, 0, 1, 2)
+from .stats import ALPHA, CorrelationResult
+from .timeseries import (DEFAULT_SHIFTS, QueryPanel, WeeklySeries, iso_years, paired,
+                         week_labels)
 
 
 @dataclass(frozen=True)
@@ -54,12 +53,12 @@ def _cell_detail(res: CorrelationResult) -> dict:
     }
 
 
-def _footnotes(cfg: SignificanceConfig) -> tuple[str, ...]:
-    return ("NA: Not applicable", f"p<{cfg.alpha:g}")
+def _footnotes(alpha: float) -> tuple[str, ...]:
+    return ("NA: Not applicable", f"p<{alpha:g}")
 
 
 def _year_windows(panel: QueryPanel, y: WeeklySeries,
-                  s: ShiftSpec) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+                  k: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """The (search rows, case values) window of each ISO year of the cases
     at one shift, empty where the shift leaves the year no pairs. Years are
     assigned from the case-series week of each pair, so one year's pairs
@@ -67,11 +66,11 @@ def _year_windows(panel: QueryPanel, y: WeeklySeries,
     years = iso_years(y.start, len(y))
     windows = dict.fromkeys(years.tolist(), (panel.matrix[:0], y.values[:0]))  # weeks are in order
     try:
-        xi, yi, n = window(panel.start, panel.n_weeks, y, s)
-    except (InsufficientOverlap, EmptyOverlap):
+        X, yv, yi = paired(panel.start, panel.matrix, y, k)
+    except InsufficientOverlap:
         return windows
-    X, yv, years = panel.matrix[xi:xi + n], y.values[yi:yi + n], years[yi:yi + n]
-    cuts = [0, *(np.flatnonzero(np.diff(years)) + 1).tolist(), n]
+    years = years[yi:yi + len(yv)]
+    cuts = [0, *(np.flatnonzero(np.diff(years)) + 1).tolist(), len(yv)]
     windows.update((int(years[a]), (X[a:b], yv[a:b])) for a, b in zip(cuts, cuts[1:]))
     return windows
 
@@ -79,13 +78,13 @@ def _year_windows(panel: QueryPanel, y: WeeklySeries,
 def table_overall_annual(
     panel: QueryPanel,
     y: WeeklySeries,
-    cfg: SignificanceConfig = SignificanceConfig(),
-    s: ShiftSpec = ShiftSpec(0),
+    alpha: float = ALPHA,
+    k: int = 0,
 ) -> Table:
     """Per-query correlations, overall and per year (zero shift by default)."""
-    windows = _year_windows(panel, y, s)
+    windows = _year_windows(panel, y, k)
     overall, *year_cells = stats.gated_columns(
-        [stats.paired_rows(panel.start, panel.matrix, y, s), *windows.values()], cfg)
+        [stats.paired_rows(panel.start, panel.matrix, y, k), *windows.values()], alpha)
     columns = ("query", "overall") + tuple(str(yr) for yr in windows)
     rows, sidecar = [], []
     for j, label in enumerate(panel.labels):
@@ -96,7 +95,7 @@ def table_overall_annual(
             "overall": _cell_detail(overall[j]),
             "years": {yr: _cell_detail(c) for yr, c in by_year.items()},
         })
-    return Table(columns, tuple(rows), _footnotes(cfg), tuple(sidecar))
+    return Table(columns, tuple(rows), _footnotes(alpha), tuple(sidecar))
 
 
 def shift_row_label(k: int) -> str:
@@ -107,13 +106,13 @@ def table_shift_scan(
     panel: QueryPanel,
     y: WeeklySeries,
     shifts: tuple[int, ...] = DEFAULT_SHIFTS,
-    cfg: SignificanceConfig = SignificanceConfig(),
+    alpha: float = ALPHA,
 ) -> Table:
     """Per-year, per-shift, per-query correlation grid."""
     columns = ("year", "dataset") + tuple(panel.labels)
     windows = {(k, yr): w for k in shifts
-               for yr, w in _year_windows(panel, y, ShiftSpec(k)).items()}
-    grid = dict(zip(windows, stats.gated_columns(list(windows.values()), cfg)))
+               for yr, w in _year_windows(panel, y, k).items()}
+    grid = dict(zip(windows, stats.gated_columns(list(windows.values()), alpha)))
     rows, sidecar = [], []
     for yr in dict.fromkeys(iso_years(y.start, len(y)).tolist()):
         for k in shifts:
@@ -124,7 +123,7 @@ def table_shift_scan(
                 "shift": k,
                 "cells": {label: _cell_detail(c) for label, c in zip(panel.labels, cells)},
             })
-    return Table(columns, tuple(rows), _footnotes(cfg), tuple(sidecar))
+    return Table(columns, tuple(rows), _footnotes(alpha), tuple(sidecar))
 
 
 def table_model_by_shift(
@@ -138,13 +137,13 @@ def table_model_by_shift(
     columns = ("dataset",) + tuple(shift_row_label(k) for k in shifts)
     cells, detail = [], {}
     for k in shifts:
-        obj = in_sample_objective(sub, y, ShiftSpec(k))
+        obj = in_sample_objective(sub, y, k)
         cells.append("NA" if obj is None else f"{obj:.2f}")
         detail[shift_row_label(k)] = obj
     rows = (("model",) + tuple(cells),)
     sidecar = ({"dataset": "model", "objectives": detail,
                 "queries": list(selection.chosen_labels)},)
-    return Table(columns, rows, ("p<0.05",), sidecar)
+    return Table(columns, rows, (f"p<{ALPHA:g}",), sidecar)
 
 
 def figure_data(series: list[WeeklySeries]) -> bytes:

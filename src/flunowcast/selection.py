@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from . import stats
 from .errors import NoUsableQuery
 from .regress import in_sample_objective
-from .stats import CorrelationResult, SignificanceConfig
-from .timeseries import QueryPanel, ShiftSpec, WeeklySeries
+from .stats import ALPHA, CorrelationResult
+from .timeseries import QueryPanel, WeeklySeries
 
 IMPROVEMENT_EPS = 1e-6
 
@@ -21,7 +21,7 @@ IMPROVEMENT_EPS = 1e-6
 @dataclass(frozen=True)
 class SelectionResult:
     chosen_labels: tuple[str, ...]
-    best_shift: ShiftSpec
+    best_shift: int
     objective: float
     trace: tuple[tuple[int, str, float], ...]  # (step, label added, objective after)
 
@@ -29,7 +29,7 @@ class SelectionResult:
 def _greedy_one_shift(
     panel: QueryPanel,
     y: WeeklySeries,
-    s: ShiftSpec,
+    k: int,
     ranked: list[tuple[str, CorrelationResult]],
 ) -> SelectionResult | None:
     # candidates: a positive, non-NA individual correlation, best first
@@ -37,7 +37,7 @@ def _greedy_one_shift(
     if not pool:
         return None
     chosen = [pool[0]]
-    objective = in_sample_objective(panel.subset(chosen), y, s)
+    objective = in_sample_objective(panel.subset(chosen), y, k)
     if objective is None:
         return None
     trace = [(1, pool[0], objective)]
@@ -46,7 +46,7 @@ def _greedy_one_shift(
         best_label, best_obj = None, objective
         # pool order encodes individual rank, which is the tie-break
         for label in remaining:
-            obj = in_sample_objective(panel.subset(chosen + [label]), y, s)
+            obj = in_sample_objective(panel.subset(chosen + [label]), y, k)
             if obj is not None and obj > best_obj + IMPROVEMENT_EPS:
                 best_label, best_obj = label, obj
         if best_label is None:
@@ -55,22 +55,22 @@ def _greedy_one_shift(
         remaining.remove(best_label)
         objective = best_obj
         trace.append((len(chosen), best_label, objective))
-    return SelectionResult(tuple(chosen), s, objective, tuple(trace))
+    return SelectionResult(tuple(chosen), k, objective, tuple(trace))
 
 
 def greedy_select(
     panel: QueryPanel,
     y: WeeklySeries,
-    shifts: list[ShiftSpec],
-    cfg: SignificanceConfig = SignificanceConfig(),
+    shifts: list[int],
+    alpha: float = ALPHA,
 ) -> SelectionResult:
     """Run greedy selection at every shift and keep the best outcome.
 
     Ties between shifts keep the earlier entry of `shifts`.
     """
     best = None
-    for s, ranked in zip(shifts, stats.rank_queries(panel, y, shifts, cfg)):
-        outcome = _greedy_one_shift(panel, y, s, ranked)
+    for k, ranked in zip(shifts, stats.rank_queries(panel, y, shifts, alpha)):
+        outcome = _greedy_one_shift(panel, y, k, ranked)
         if outcome is not None and (best is None or outcome.objective > best.objective):
             best = outcome
     if best is None:

@@ -8,7 +8,8 @@ continued fraction side by side; `t_critical` inverts that kernel by
 Newton's method. A correlation that cannot be computed
 (constant series, too few pairs) or fails the significance gate is
 reported as NA with a reason code, never as an exception, mirroring how
-surveillance tables mark cells.
+surveillance tables mark cells. Alpha is a float, checked to lie in
+(0, 1) where it is used: at the gate and in `t_critical`.
 """
 
 from __future__ import annotations
@@ -19,27 +20,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyOverlap, InsufficientOverlap, InvalidDof
-from .timeseries import MIN_PAIRS, QueryPanel, ShiftSpec, WeekStamp, WeeklySeries, window
+from .errors import InsufficientOverlap, InvalidDof
+from .timeseries import MIN_PAIRS, QueryPanel, WeekStamp, WeeklySeries, paired
 
 _BETA_TOL = 1e-12
 _BETA_MAX_ITER = 300
 _NEWTON_MAX_ITER = 200
+ALPHA = 0.05  # the default significance level
 
 
 class NAReason(enum.Enum):
     ZERO_VARIANCE = "ZeroVariance"
     TOO_FEW_PAIRS = "TooFewPairs"
     NOT_SIGNIFICANT = "NotSignificant"
-
-
-@dataclass(frozen=True)
-class SignificanceConfig:
-    alpha: float = 0.05
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -145,6 +138,8 @@ def t_critical(alpha: float, dof: int) -> float:
     """
     from statistics import NormalDist  # here, so that only `fit` pays for importing it
 
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
     if dof < 1:
         raise InvalidDof(f"dof must be >= 1, got {dof}")
     z = -NormalDist().inv_cdf(alpha / 2)
@@ -170,20 +165,21 @@ def correlation_p_values(r: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 
 def paired_rows(start: WeekStamp, X: np.ndarray, y: WeeklySeries,
-                s: ShiftSpec) -> tuple[np.ndarray, np.ndarray]:
-    """X's weekly rows from `start` and their case values under shift s; none if too few."""
+                k: int) -> tuple[np.ndarray, np.ndarray]:
+    """X's weekly rows from `start` and their case values under shift k; none if too few."""
     try:
-        xi, yi, n = window(start, len(X), y, s)
-    except (InsufficientOverlap, EmptyOverlap):
+        return paired(start, X, y, k)[:2]
+    except InsufficientOverlap:
         return X[:0], y.values[:0]
-    return X[xi:xi + n], y.values[yi:yi + n]
 
 
 def gated_columns(windows: list[tuple[np.ndarray, np.ndarray]],
-                  cfg: SignificanceConfig) -> list[list[CorrelationResult]]:
+                  alpha: float) -> list[list[CorrelationResult]]:
     """Gated r of every column of each window's X (rows are weeks) against
-    its y, every p-value in one kernel call; degenerate or insignificant
-    columns come back as NA cells, never as exceptions."""
+    its y at level alpha, every p-value in one kernel call; degenerate or
+    insignificant columns come back as NA cells, never as exceptions."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
     pearson = [_pearson_columns(X, y) if len(y) >= MIN_PAIRS else None for X, y in windows]
     kept = [(rf[0][~rf[1]], len(y)) for (_, y), rf in zip(windows, pearson) if rf is not None]
     r = np.concatenate([np.empty(0)] + [rj for rj, _ in kept])
@@ -194,7 +190,7 @@ def gated_columns(windows: list[tuple[np.ndarray, np.ndarray]],
         if zero:
             return CorrelationResult(math.nan, math.nan, 0, NAReason.ZERO_VARIANCE)
         pj = next(p)
-        return CorrelationResult(r, pj, n, NAReason.NOT_SIGNIFICANT if pj >= cfg.alpha else None)
+        return CorrelationResult(r, pj, n, NAReason.NOT_SIGNIFICANT if pj >= alpha else None)
 
     return [[TOO_FEW_CELL] * X.shape[1] if rf is None
             else [cell(rj, zero, len(y)) for rj, zero in zip(rf[0].tolist(), rf[1].tolist())]
@@ -204,22 +200,22 @@ def gated_columns(windows: list[tuple[np.ndarray, np.ndarray]],
 def correlate(
     x: WeeklySeries,
     y: WeeklySeries,
-    s: ShiftSpec,
-    cfg: SignificanceConfig = SignificanceConfig(),
+    k: int,
+    alpha: float = ALPHA,
 ) -> CorrelationResult:
     """Shift, correlate, and significance-gate one query against cases.
 
     Total over valid series: degenerate inputs come back as NA with a
     reason, never raise.
     """
-    return gated_columns([paired_rows(x.start, x.values[:, None], y, s)], cfg)[0][0]
+    return gated_columns([paired_rows(x.start, x.values[:, None], y, k)], alpha)[0][0]
 
 
 def rank_queries(
     panel: QueryPanel,
     y: WeeklySeries,
-    shifts: list[ShiftSpec],
-    cfg: SignificanceConfig = SignificanceConfig(),
+    shifts: list[int],
+    alpha: float = ALPHA,
 ) -> list[list[tuple[str, CorrelationResult]]]:
     """At each shift, each query correlated against cases, best first, NA
     cells last; all shifts' p-values in one kernel call.
@@ -233,5 +229,5 @@ def rank_queries(
             return (1, 0.0, label)
         return (0, -res.r, label)
 
-    windows = [paired_rows(panel.start, panel.matrix, y, s) for s in shifts]
-    return [sorted(zip(panel.labels, cells), key=key) for cells in gated_columns(windows, cfg)]
+    windows = [paired_rows(panel.start, panel.matrix, y, k) for k in shifts]
+    return [sorted(zip(panel.labels, cells), key=key) for cells in gated_columns(windows, alpha)]

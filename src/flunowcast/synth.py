@@ -12,6 +12,7 @@ reproduces its output bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,10 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.weeks < 20:
             raise InvalidConfig("scenario needs at least 20 weeks")
+        numbers = [v for peak in self.epidemic_peaks for v in peak]
+        numbers += [v for _, m, d in self.media_spikes for v in (m, d)] + [self.noise_sd]
+        if not all(map(math.isfinite, numbers)):
+            raise InvalidConfig("peaks, spikes and noise_sd must be finite")
         if any(w <= 0 for _, _, w in self.epidemic_peaks):
             raise InvalidConfig("peak widths must be positive")
         if any(m < 0 for _, m, _ in self.media_spikes):
@@ -82,9 +87,15 @@ def generate(cfg: ScenarioConfig) -> tuple[WeeklySeries, QueryPanel]:
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     horizon = cfg.weeks + cfg.lead_weeks
 
-    level = _bump_level(cfg, horizon)
-    case_noise = rng.normal(0.0, 1.0, size=horizon) * cfg.noise_sd * np.sqrt(level + 1.0)
-    cases_ext = np.maximum(np.rint(level + case_noise), 0.0)
+    # overflow is silent: a tiny width's exp(-inf) is the right 0, and the
+    # inf or nan of huge peaks fails the bound below
+    with np.errstate(over="ignore", invalid="ignore"):
+        level = _bump_level(cfg, horizon)
+        case_noise = rng.normal(0.0, 1.0, size=horizon) * cfg.noise_sd * np.sqrt(level + 1.0)
+        cases_ext = np.maximum(np.rint(level + case_noise), 0.0)
+    # the case parser's bound, on the lead weeks too: they feed the queries
+    if not (cases_ext <= 2 ** 53).all():
+        raise InvalidConfig("a generated case count exceeds 2**53")
     cases = WeeklySeries(cfg.start, cases_ext[:cfg.weeks], "cases")
 
     pulse = _spike_pulse(cfg, cfg.weeks)

@@ -1,13 +1,14 @@
-"""Date-anchored weekly data: week arithmetic, shift windows, 0-100 scaling.
+"""Date-anchored weekly data: week arithmetic, shifted pairing, 0-100 scaling.
 
 Weekly values are read-only float64 arrays: one per series, and one
 C-order (weeks x queries) matrix per query panel. Only this module turns
 week positions into stamps and ISO years; 0001-W01..9999-W52 is the range.
 
-Sign convention for shifts: +k ("lagging") pairs search week t with case
-week t+k, i.e. the case data are moved later relative to the searches.
--k ("preceding") is the mirror image. Shifts beyond +/-MAX_SHIFT (2
-weeks) are rejected.
+A shift is a plain int k. Sign convention: +k ("lagging") pairs search
+week t with case week t+k, i.e. the case data are moved later relative
+to the searches; -k ("preceding") is the mirror image. `paired` is the
+one routine that applies a shift, and it rejects shifts beyond
++/-MAX_SHIFT (2 weeks).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from .errors import EmptyOverlap, InsufficientOverlap, MissingQuery, NegativeValue
 
 MAX_SHIFT = 2
+DEFAULT_SHIFTS = (-2, -1, 0, 1, 2)
 MIN_PAIRS = 3
 _STAMP = re.compile(r"[0-9]{4}-W[0-9]{2}")
 # 9999-W52 is the last ISO week a `date` can hold
@@ -129,10 +131,6 @@ class QueryPanel(ArrayFields):
             raise ValueError("panel values must be finite")
         object.__setattr__(self, "labels", tuple(self.labels))
 
-    @property
-    def n_weeks(self) -> int:
-        return len(self.matrix)
-
     def __len__(self) -> int:
         return len(self.labels)
 
@@ -147,17 +145,6 @@ class QueryPanel(ArrayFields):
             raise MissingQuery(f"query {missing[0]!r} not in panel")
         columns = [self.labels.index(l) for l in labels]
         return QueryPanel(self.start, tuple(labels), self.matrix[:, columns])
-
-
-@dataclass(frozen=True)
-class ShiftSpec:
-    """Signed week offset: +k lagging, -k preceding."""
-
-    weeks: int
-
-    def __post_init__(self):
-        if abs(self.weeks) > MAX_SHIFT:
-            raise ValueError(f"|shift| = {abs(self.weeks)} exceeds maximum {MAX_SHIFT}")
 
 
 def week_labels(start: WeekStamp, n: int) -> list[str]:
@@ -175,25 +162,25 @@ def iso_years(start: WeekStamp, n: int) -> np.ndarray:
     return (monday + np.arange(3, 7 * n, 7)).astype("datetime64[Y]").astype(int) + 1970
 
 
-def window(x_start: WeekStamp, x_len: int, y: WeeklySeries, s: ShiftSpec) -> tuple[int, int, int]:
-    """Index offsets pairing search week t with case week t+k under shift s.
-
-    x is a weekly column of `x_len` values from `x_start`. Pair i is
-    (x[xi + i], y.values[yi + i]) for i < n, both taken from the weeks the
-    two ranges share.
-    """
-    d = y.start - x_start  # y's first week, in x indices
-    lo, hi = max(0, d), min(x_len, d + len(y))
+def paired(start: WeekStamp, X: np.ndarray, y: WeeklySeries,
+           k: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """X's weekly rows from `start` paired with y's values, search week t
+    with case week t+k, and y's index of the first pair. Disjoint ranges
+    raise EmptyOverlap, the zero-pair case of InsufficientOverlap."""
+    if abs(k) > MAX_SHIFT:
+        raise ValueError(f"|shift| = {abs(k)} exceeds maximum {MAX_SHIFT}")
+    d = y.start - start  # y's first week, in X's rows
+    lo, hi = max(0, d), min(len(X), d + len(y))
     if lo >= hi:
         raise EmptyOverlap(
-            f"series ranges {x_start}..{x_start.add(x_len - 1)} and "
+            f"series ranges {start}..{start.add(len(X) - 1)} and "
             f"{y.start}..{y.start.add(len(y) - 1)} are disjoint"
         )
-    k = s.weeks
     n = max(hi - lo - abs(k), 0)
     if n < MIN_PAIRS:
         raise InsufficientOverlap(f"only {n} pairs remain after shifting by {k} (need {MIN_PAIRS})")
-    return lo + max(-k, 0), lo - d + max(k, 0), n
+    xi, yi = lo + max(-k, 0), lo - d + max(k, 0)
+    return X[xi:xi + n], y.values[yi:yi + n], yi
 
 
 def scale_0_100(s: WeeklySeries) -> WeeklySeries:

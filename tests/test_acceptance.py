@@ -29,9 +29,9 @@ from flunowcast.regress import (
 )
 from flunowcast.report import table_model_by_shift, table_overall_annual
 from flunowcast.selection import greedy_select
-from flunowcast.stats import SignificanceConfig, correlate
+from flunowcast.stats import correlate
 from flunowcast.synth import ScenarioConfig, generate
-from flunowcast.timeseries import ShiftSpec, WeekStamp, WeeklySeries, window
+from flunowcast.timeseries import WeekStamp, WeeklySeries, paired
 
 from .oracles import (
     correlation_p_value,
@@ -42,7 +42,7 @@ from .oracles import (
 )
 
 W0 = WeekStamp(2009, 1)
-SHIFTS = [ShiftSpec(k) for k in (-2, -1, 0, 1, 2)]
+SHIFTS = [-2, -1, 0, 1, 2]
 
 # committed scenario: three queries leading cases by two weeks over the
 # 261-week study span, light noise
@@ -84,7 +84,7 @@ def test_criterion_1_correlation_oracle():
         n = int(rng.integers(10, 262))
         x = rng.uniform(-100, 100, size=n)
         y = rng.uniform(-100, 100, size=n)
-        res = correlate(ws(x), ws(y), ShiftSpec(0))
+        res = correlate(ws(x), ws(y), 0)
         assert res.n == n
         worst = max(worst, abs(res.r - definitional_pearson(x, y)))
     elapsed = time.perf_counter() - t0
@@ -123,7 +123,7 @@ def test_criterion_3_ols_oracle():
         X = rng.uniform(0, 1, size=(m, nq))
         y_vals = rng.uniform(0, 1, size=m)
         panel = panel_of((f"q{j}", X[:, j]) for j in range(nq))
-        fit = fit_ols(panel, ws(y_vals), ShiftSpec(0))
+        fit = fit_ols(panel, ws(y_vals), 0)
         expected = normal_equations_ols(X, y_vals)
         np.testing.assert_allclose(fit.betas, expected, rtol=1e-9, atol=1e-12)
         resid = y_vals - predict(fit, panel).values
@@ -151,7 +151,7 @@ def test_criterion_4_greedy_oracle():
             )
         panel = panel_of(sorted(cols.items()))
         try:
-            result = greedy_select(panel, ws(y_vals), [ShiftSpec(0)])
+            result = greedy_select(panel, ws(y_vals), [0])
         except DataError:
             continue
         objs = [o for _, _, o in result.trace]
@@ -169,7 +169,7 @@ def test_criterion_4_greedy_oracle():
         for j in range(4):
             cols[f"noise{j}"] = g.uniform(0, 100, size=60)
         panel = panel_of(sorted(cols.items()))
-        result = greedy_select(panel, ws(y_vals), [ShiftSpec(0)])
+        result = greedy_select(panel, ws(y_vals), [0])
         _, best_r = exhaustive_best_subset(cols, y_vals)
         assert abs(result.objective - best_r) <= 1e-9
     _report(4, f"{checked} random instances bounded by exhaustive optimum, "
@@ -184,8 +184,8 @@ def test_criterion_5_shift_structure():
     for label, series in zip(panel.labels, panel.series):
         rs = []
         for k in (-2, -1, 0, 1, 2):
-            xi, yi, n = window(series.start, len(series), cases, ShiftSpec(k))
-            rs.append(definitional_pearson(series.values[xi:xi + n], cases.values[yi:yi + n]))
+            X, yv, _ = paired(series.start, series.values[:, None], cases, k)
+            rs.append(definitional_pearson(X[:, 0], yv))
         assert all(b > a for a, b in zip(rs, rs[1:])), f"{label} not strictly rising"
 
     sel = greedy_select(panel, cases, SHIFTS)
@@ -203,8 +203,8 @@ def test_criterion_6_model_strength():
     cases, panel = generate(LEAD_SCENARIO)
     sel = greedy_select(panel, cases, SHIFTS)
     sub = panel.subset(list(sel.chosen_labels))
-    obj_plus2 = in_sample_objective(sub, cases, ShiftSpec(2))
-    obj_minus2 = in_sample_objective(sub, cases, ShiftSpec(-2))
+    obj_plus2 = in_sample_objective(sub, cases, 2)
+    obj_minus2 = in_sample_objective(sub, cases, -2)
     assert obj_plus2 > 0.70
     assert obj_minus2 <= 0.70
     # determinism per seed
@@ -217,10 +217,9 @@ def test_criterion_6_model_strength():
 def test_criterion_7_failure_mode():
     """Attention decay reproduces the late-year NA collapse."""
     cases, panel = generate(DECAY_SCENARIO)
-    cfg = SignificanceConfig()
     years = sorted({int(str(cases.start.add(i))[:4]) for i in range(len(cases))})
     first, last_two = years[0], years[-2:]
-    table = table_overall_annual(panel, cases, cfg)
+    table = table_overall_annual(panel, cases)
     for label, row in zip(panel.labels, table.sidecar):
         assert row["years"][str(first)]["value"] > 0.6, f"{label} weak in year 1"
         for yr in last_two:
@@ -235,7 +234,7 @@ def test_criterion_8_no_lookahead():
     base_y = rng.uniform(0, 300, size=80)
     X = rng.uniform(0, 100, size=(80, 2))
     panel = panel_of((f"q{j}", X[:, j]) for j in range(2))
-    base = rolling_weekly_fit(panel, ws(base_y), ShiftSpec(0), warmup=10)
+    base = rolling_weekly_fit(panel, ws(base_y), 0, warmup=10)
     first = base.start - W0
     for _ in range(20):
         t = int(rng.integers(11, 79))
@@ -246,7 +245,7 @@ def test_criterion_8_no_lookahead():
         X_pert = X.copy()
         X_pert[t + 1:] = rng.uniform(0, 100, size=(79 - t, 2))
         panel_pert = panel_of((f"q{j}", X_pert[:, j]) for j in range(2))
-        after = rolling_weekly_fit(panel_pert, ws(y_pert), ShiftSpec(0), warmup=10)
+        after = rolling_weekly_fit(panel_pert, ws(y_pert), 0, warmup=10)
         # estimates of weeks <= t, matched by week offset from the start
         assert after.start == base.start
         assert np.array_equal(base.values[:t + 1 - first], after.values[:t + 1 - first])

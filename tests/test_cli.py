@@ -1,12 +1,16 @@
 import json
+import os
+import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from flunowcast import stats
+from flunowcast import errors, stats
 from flunowcast.cli import _COMMANDS, run
 from flunowcast.ingest import parse_cases_csv, parse_trends_csv
 from flunowcast.timeseries import WeekStamp
@@ -27,6 +31,56 @@ def synth_files(tmp_path, extra=()):
     ])
     assert code == 0
     return cases, panel
+
+
+def run_process(argv, cwd):
+    """Run `python -m flunowcast` in a child process, as a user does, and
+    check what the user sees: no traceback and no warning text on stderr,
+    and on exit 1 exactly one line, `error: <DataError subclass>: ...`.
+    Warnings that Python prints to stderr are visible only from a child."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "flunowcast", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr, proc.stderr
+    if proc.returncode == 1:
+        line = re.fullmatch(r"error: (\w+): .+\n", proc.stderr)
+        assert line, proc.stderr
+        error = getattr(errors, line[1], None)
+        assert isinstance(error, type) and issubclass(error, errors.DataError), proc.stderr
+    return proc
+
+
+class TestProcess:
+    SYNTH = ["synth", "--seed", "1", "--weeks", "30", "--out-cases", "cases.csv",
+             "--out-panel", "panel.csv"]
+
+    @pytest.mark.parametrize("options", [
+        ["--peaks", "20:800:nan"],
+        ["--peaks", "20:inf:3"],
+        ["--peaks", "10:50:3", "--spikes", "10:nan:2"],
+        ["--peaks", "10:50:3", "--noise-sd", "inf"],
+        # counts past 2**53, which the case parser rejects
+        ["--peaks", "20:1e17:3"],
+        ["--peaks", "20:1e308:3,20:1e308:3"],
+    ], ids=shlex.join)
+    def test_synth_writes_nothing_its_parser_rejects(self, tmp_path, options):
+        proc = run_process(self.SYNTH + options, tmp_path)
+        assert proc.returncode == 1 and proc.stderr.startswith("error: InvalidConfig: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_needle_peak_overflows_silently(self, tmp_path):
+        # ((t - center) / width) ** 2 overflows to inf, whose exp(-inf) is 0
+        assert run_process(self.SYNTH + ["--peaks", "20:800:1e-300"], tmp_path).returncode == 0
+
+    def test_a_count_of_5000_digits_is_a_malformed_row(self, tmp_path):
+        _, panel = synth_files(tmp_path)
+        (tmp_path / "big.csv").write_text(f"week,cases\n2009-W01,1\n2009-W02,{'9' * 5000}\n")
+        proc = run_process(["correlate", "--cases", "big.csv", "--panel", str(panel),
+                            "--out", "table.csv"], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: MalformedRow: line 3: integer of 5000 digits is too long\n"
 
 
 class TestSynth:
@@ -267,7 +321,7 @@ class TestPipelineCommands:
 def shifted_design(cases, panel, k):
     """Search volumes at week t and cases at week t+k, paired by week stamp."""
     case_at = {cases.start.add(i): v for i, v in enumerate(cases.values)}
-    weeks = [panel.start.add(i) for i in range(panel.n_weeks)]
+    weeks = [panel.start.add(i) for i in range(len(panel.matrix))]
     keep = [i for i, w in enumerate(weeks) if w.add(k) in case_at]
     X = np.array([[sr.values[i] for sr in panel.series] for i in keep], dtype=float)
     return X, np.array([case_at[weeks[i].add(k)] for i in keep], dtype=float)

@@ -30,13 +30,13 @@ class TestParseTrends:
         data = b"week,flu,fever\n2009-W01,10,20\n2009-W02,30,40\n2009-W03,50,60\n"
         panel = parse_trends_csv(data)
         assert panel.labels == ("flu", "fever")
-        assert panel.n_weeks == 3
+        assert len(panel.matrix) == 3
         assert panel.matrix[:, 1].tolist() == [20.0, 40.0, 60.0]
 
     def test_zero_fill_restores_omitted_week(self):
         data = b"week,flu\n2009-W01,10\n2009-W04,40\n"
         panel = parse_trends_csv(data)
-        assert panel.n_weeks == 4
+        assert len(panel.matrix) == 4
         assert panel.matrix[:, 0].tolist() == [10.0, 0.0, 0.0, 40.0]
 
     def test_value_out_of_range(self):
@@ -103,6 +103,18 @@ def test_only_ascii_digits_parse_as_integers(parser, header, cell):
     # digits (which int() accepts); int() alone accepts '+5' and '1_0'
     with pytest.raises(MalformedRow):
         parser(f"{header}\n2015-W01,{cell}\n".encode("utf-8"))
+
+
+@pytest.mark.parametrize("parser,header", [
+    (parse_trends_csv, "week,flu"),
+    (parse_cases_csv, "week,cases"),
+])
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_an_integer_too_long_for_int_is_a_malformed_row(parser, header, sign):
+    # int() refuses strings of more than 4,300 digits with a bare ValueError
+    data = f"{header}\n2015-W01,1\n2015-W02,{sign}{'9' * 5000}\n".encode("utf-8")
+    with pytest.raises(MalformedRow, match="^line 3: integer of 5000 digits is too long$"):
+        parser(data)
 
 
 @pytest.mark.parametrize("parser,header", [

@@ -18,7 +18,7 @@ from flunowcast.regress import (
     rolling_weekly_fit,
 )
 from flunowcast.stats import correlate
-from flunowcast.timeseries import ShiftSpec, WeekStamp, WeeklySeries
+from flunowcast.timeseries import WeekStamp, WeeklySeries
 
 from .oracles import definitional_pearson, normal_equations_ols
 
@@ -41,25 +41,25 @@ def random_panel(rng, n_queries, n_weeks):
 
 class TestFitOls:
     def test_exact_line(self):
-        fit = fit_ols(panel_of([("x", [0, 1, 2])]), ws([1, 3, 5]), ShiftSpec(0))
+        fit = fit_ols(panel_of([("x", [0, 1, 2])]), ws([1, 3, 5]), 0)
         assert fit.betas[0] == pytest.approx(1.0, abs=1e-12)
         assert fit.betas[1] == pytest.approx(2.0, abs=1e-12)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
     def test_normal_equations_by_hand(self):
         # x=[0,1,2], y=[0,0,3]: slope 1.5, intercept -0.5
-        fit = fit_ols(panel_of([("x", [0, 1, 2])]), ws([0, 0, 3]), ShiftSpec(0))
+        fit = fit_ols(panel_of([("x", [0, 1, 2])]), ws([0, 0, 3]), 0)
         assert fit.betas[1] == pytest.approx(1.5, abs=1e-12)
         assert fit.betas[0] == pytest.approx(-0.5, abs=1e-12)
 
     def test_duplicated_columns_singular(self):
         vals = [1.0, 4.0, 2.0, 8.0, 5.0]
         with pytest.raises(SingularDesign):
-            fit_ols(panel_of([("a", vals), ("b", vals)]), ws([1, 2, 3, 4, 5]), ShiftSpec(0))
+            fit_ols(panel_of([("a", vals), ("b", vals)]), ws([1, 2, 3, 4, 5]), 0)
 
     def test_underdetermined(self):
         with pytest.raises(Underdetermined):
-            fit_ols(panel_of([("a", [1, 2, 3]), ("b", [2, 1, 3])]), ws([1, 2, 3]), ShiftSpec(0))
+            fit_ols(panel_of([("a", [1, 2, 3]), ("b", [2, 1, 3])]), ws([1, 2, 3]), 0)
 
     def test_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(10)
@@ -69,7 +69,7 @@ class TestFitOls:
             X = rng.uniform(0, 100, size=(m, nq))
             y_vals = rng.uniform(0, 1000, size=m)
             fit = fit_ols(
-                panel_of([(f"q{i}", X[:, i]) for i in range(nq)]), ws(y_vals), ShiftSpec(0)
+                panel_of([(f"q{i}", X[:, i]) for i in range(nq)]), ws(y_vals), 0
             )
             expected = normal_equations_ols(X, y_vals)
             np.testing.assert_allclose(fit.betas, expected, rtol=1e-9)
@@ -79,7 +79,7 @@ class TestFitOls:
         X = rng.uniform(0, 1, size=(60, 3))
         y_vals = rng.uniform(0, 1, size=60)
         panel = panel_of([(f"q{i}", X[:, i]) for i in range(3)])
-        fit = fit_ols(panel, ws(y_vals), ShiftSpec(0))
+        fit = fit_ols(panel, ws(y_vals), 0)
         resid = y_vals - predict(fit, panel).values
         assert abs(resid.sum()) <= 1e-8
         for j in range(3):
@@ -89,7 +89,7 @@ class TestFitOls:
         rng = np.random.default_rng(12)
         x = rng.uniform(0, 100, size=50)
         y_vals = 2 * x + rng.normal(0, 30, size=50)
-        fit = fit_ols(panel_of([("x", x)]), ws(y_vals), ShiftSpec(0))
+        fit = fit_ols(panel_of([("x", x)]), ws(y_vals), 0)
         r = definitional_pearson(x, y_vals)
         assert fit.r_squared == pytest.approx(r * r, abs=1e-10)
 
@@ -98,16 +98,16 @@ class TestFitOls:
         panel = panel_of([("x", [1, 2, 3, 4])])
         y = WeeklySeries(W0.add(3), (5.0, 6.0, 7.0, 8.0))
         with pytest.raises(InsufficientOverlap):
-            fit_ols(panel, y, ShiftSpec(2))
+            fit_ols(panel, y, 2)
         with pytest.raises(DataError):
-            rolling_weekly_fit(panel, y, ShiftSpec(2))
-        assert in_sample_objective(panel, y, ShiftSpec(2)) is None
+            rolling_weekly_fit(panel, y, 2)
+        assert in_sample_objective(panel, y, 2) is None
 
     def test_ci_brackets_estimate(self):
         rng = np.random.default_rng(13)
         x = rng.uniform(0, 100, size=40)
         y_vals = 2 * x + rng.normal(0, 10, size=40)
-        fit = fit_ols(panel_of([("x", x)]), ws(y_vals), ShiftSpec(0))
+        fit = fit_ols(panel_of([("x", x)]), ws(y_vals), 0)
         rows = coefficient_stats(fit, 0.05)
         assert [term for term, _ in rows] == ["(intercept)", "x"]
         for (_, c), beta, se in zip(rows, fit.betas, fit.std_errors):
@@ -120,7 +120,7 @@ class TestFitOls:
         rng = np.random.default_rng(14)
         y_vals = rng.uniform(0, 100, size=40)
         x = list(y_vals[2:]) + [0.0, 0.0]  # x_t = y_{t+2}
-        fit = fit_ols(panel_of([("x", x)]), ws(y_vals), ShiftSpec(2))
+        fit = fit_ols(panel_of([("x", x)]), ws(y_vals), 2)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-9)
 
 
@@ -148,7 +148,7 @@ class TestNearCollinear:
         X, y = design
         panel = panel_of([(f"q{j}", X[:, j]) for j in range(X.shape[1])])
         try:
-            fit = fit_ols(panel, ws(y), ShiftSpec(0))
+            fit = fit_ols(panel, ws(y), 0)
         except SingularDesign:
             return
         A = np.column_stack([np.ones(len(y)), X])
@@ -159,22 +159,22 @@ class TestNearCollinear:
 
 class TestPredict:
     def test_forward_evaluation(self):
-        fit = fit_ols(panel_of([("x", [0, 1, 2])]), ws([1, 3, 5]), ShiftSpec(0))
+        fit = fit_ols(panel_of([("x", [0, 1, 2])]), ws([1, 3, 5]), 0)
         est = predict(fit, panel_of([("x", [0, 1, 2])]))
         assert est.values == pytest.approx((1.0, 3.0, 5.0), abs=1e-12)
 
     def test_constant_panel_gives_intercept_plus_term(self):
-        fit = fit_ols(panel_of([("x", [0, 1, 2])]), ws([1, 3, 5]), ShiftSpec(0))
+        fit = fit_ols(panel_of([("x", [0, 1, 2])]), ws([1, 3, 5]), 0)
         est = predict(fit, panel_of([("x", [0.0, 0.0, 0.0])]))
         assert est.values == pytest.approx((1.0, 1.0, 1.0), abs=1e-12)
 
     def test_missing_query(self):
-        fit = fit_ols(panel_of([("x", [0, 1, 2])]), ws([1, 3, 5]), ShiftSpec(0))
+        fit = fit_ols(panel_of([("x", [0, 1, 2])]), ws([1, 3, 5]), 0)
         with pytest.raises(MissingQuery):
             predict(fit, panel_of([("other", [0, 1, 2])]))
 
     def test_estimates_stamped_at_case_weeks(self):
-        fit = fit_ols(panel_of([("x", [0, 1, 2, 3, 4])]), ws([1, 3, 5, 7, 9]), ShiftSpec(2))
+        fit = fit_ols(panel_of([("x", [0, 1, 2, 3, 4])]), ws([1, 3, 5, 7, 9]), 2)
         est = predict(fit, panel_of([("x", [0, 1, 2, 3, 4])]))
         assert est.start == W0.add(2)
 
@@ -195,25 +195,25 @@ class TestRollingWeeklyFit:
     def test_noiseless_recovery(self):
         x = np.linspace(0, 10, 30)
         y_vals = 3 * x + 1
-        est = rolling_weekly_fit(panel_of([("x", x)]), ws(y_vals), ShiftSpec(0), warmup=5)
+        est = rolling_weekly_fit(panel_of([("x", x)]), ws(y_vals), 0, warmup=5)
         assert est.start == W0.add(5)
         assert est.values == pytest.approx(y_vals[5:], abs=1e-8)
 
     def test_warmup_weeks_are_sentinels(self):
         x = np.linspace(0, 10, 30)
-        est = rolling_weekly_fit(panel_of([("x", x)]), ws(3 * x + 1), ShiftSpec(0), warmup=7)
+        est = rolling_weekly_fit(panel_of([("x", x)]), ws(3 * x + 1), 0, warmup=7)
         assert est.start == W0.add(7)
         assert len(est) == 23
 
     def test_warmup_equal_to_length_gives_empty(self):
         x = np.linspace(0, 10, 30)
-        est = rolling_weekly_fit(panel_of([("x", x)]), ws(3 * x + 1), ShiftSpec(0), warmup=30)
+        est = rolling_weekly_fit(panel_of([("x", x)]), ws(3 * x + 1), 0, warmup=30)
         assert est is None
 
     def test_warmup_below_minimum_rejected(self):
         x = np.linspace(0, 10, 30)
         with pytest.raises(Underdetermined):
-            rolling_weekly_fit(panel_of([("x", x)]), ws(3 * x + 1), ShiftSpec(0), warmup=2)
+            rolling_weekly_fit(panel_of([("x", x)]), ws(3 * x + 1), 0, warmup=2)
 
     def test_default_warmup_skips_unfittable_start(self):
         # flat pre-season: the query is zero for 12 weeks, so every window
@@ -221,37 +221,37 @@ class TestRollingWeeklyFit:
         x = np.concatenate([np.zeros(12), np.linspace(1, 20, 28)])
         panel, y = panel_of([("x", x)]), ws(3 * x + 1)
         with pytest.raises(SingularDesign):
-            rolling_weekly_fit(panel, y, ShiftSpec(0), warmup=5)
-        est = rolling_weekly_fit(panel, y, ShiftSpec(0))
+            rolling_weekly_fit(panel, y, 0, warmup=5)
+        est = rolling_weekly_fit(panel, y, 0)
         assert est.start == W0.add(13)
         assert len(est) == 40 - 13
         assert est.values[0] == pytest.approx(3 * x[13] + 1, abs=1e-8)
-        assert est == rolling_weekly_fit(panel, y, ShiftSpec(0), warmup=13)
+        assert est == rolling_weekly_fit(panel, y, 0, warmup=13)
 
     def test_default_warmup_is_queries_plus_four_when_fittable(self):
         rng = np.random.default_rng(22)
         panel = random_panel(rng, 2, 60)
         y = ws(rng.uniform(0, 300, size=60))
-        assert rolling_weekly_fit(panel, y, ShiftSpec(1)) == rolling_weekly_fit(
-            panel, y, ShiftSpec(1), warmup=6)
+        assert rolling_weekly_fit(panel, y, 1) == rolling_weekly_fit(
+            panel, y, 1, warmup=6)
 
     def test_determinism_replay(self):
         rng = np.random.default_rng(17)
         panel = random_panel(rng, 2, 60)
         y = ws(rng.uniform(0, 300, size=60))
-        a = rolling_weekly_fit(panel, y, ShiftSpec(1))
-        b = rolling_weekly_fit(panel, y, ShiftSpec(1))
+        a = rolling_weekly_fit(panel, y, 1)
+        b = rolling_weekly_fit(panel, y, 1)
         assert a == b
 
     def test_no_lookahead(self):
         rng = np.random.default_rng(18)
         panel = random_panel(rng, 2, 60)
         y_vals = rng.uniform(0, 300, size=60)
-        base = rolling_weekly_fit(panel, ws(y_vals), ShiftSpec(0), warmup=10)
+        base = rolling_weekly_fit(panel, ws(y_vals), 0, warmup=10)
         t = 25
         perturbed = y_vals.copy()
         perturbed[t:] += rng.uniform(100, 500, size=60 - t)
-        after = rolling_weekly_fit(panel, ws(perturbed), ShiftSpec(0), warmup=10)
+        after = rolling_weekly_fit(panel, ws(perturbed), 0, warmup=10)
         assert after.start == base.start == W0.add(10)
         assert np.array_equal(base.values[:t + 1 - 10], after.values[:t + 1 - 10])
 
@@ -261,16 +261,16 @@ class TestRollingWeeklyFit:
         # design row i is estimated from a fit on rows 0..i-1, which is
         # fit_ols on the cases cut to their first i + |k| weeks
         panel, y, k = problem
-        s, xi, warmup = ShiftSpec(k), max(-k, 0), len(panel) + 4
+        xi, warmup = max(-k, 0), len(panel) + 4
         fits = []
         try:
             for i in range(warmup, len(y) - abs(k)):
-                fits.append((i, fit_ols(panel, WeeklySeries(y.start, y.values[:i + abs(k)]), s)))
+                fits.append((i, fit_ols(panel, WeeklySeries(y.start, y.values[:i + abs(k)]), k)))
         except SingularDesign:
             with pytest.raises(SingularDesign):
-                rolling_weekly_fit(panel, y, s, warmup)
+                rolling_weekly_fit(panel, y, k, warmup)
             return
-        est = rolling_weekly_fit(panel, y, s, warmup)
+        est = rolling_weekly_fit(panel, y, k, warmup)
         assert est.start == y.start.add(max(k, 0) + warmup)
         assert len(est) == len(fits)
         for value, (i, fit) in zip(est.values, fits):
@@ -287,20 +287,20 @@ class TestEvaluate:
     def test_identical_series_r_one(self):
         rng = np.random.default_rng(19)
         vals = rng.uniform(0, 100, size=120)
-        res = correlate(self._nowcast(vals), ws(vals), ShiftSpec(0))
+        res = correlate(self._nowcast(vals), ws(vals), 0)
         assert res.r == pytest.approx(1.0, abs=1e-12)
 
     def test_negated_series_r_minus_one(self):
         rng = np.random.default_rng(20)
         vals = rng.uniform(1, 100, size=52)
-        res = correlate(self._nowcast(-vals), ws(vals), ShiftSpec(0))
+        res = correlate(self._nowcast(-vals), ws(vals), 0)
         assert res.r == pytest.approx(-1.0, abs=1e-12)
 
     def test_sentinels_excluded(self):
         vals = [10.0, 20.0, 30.0, 40.0, 50.0, 60.0]
         # rolling estimates start after the warmup: only shared weeks count
         est = self._nowcast(vals[2:], start=W0.add(2))
-        res = correlate(est, ws(vals), ShiftSpec(0))
+        res = correlate(est, ws(vals), 0)
         assert res.n == 4
 
     def test_lead_structure_prefers_true_shift(self):
@@ -315,6 +315,6 @@ class TestEvaluate:
             lead_weeks=2, noise_sd=0.1, n_signal_queries=2,
         )
         cases, panel = generate(cfg)
-        r_plus = in_sample_objective(panel, cases, ShiftSpec(2))
-        r_minus = in_sample_objective(panel, cases, ShiftSpec(-2))
+        r_plus = in_sample_objective(panel, cases, 2)
+        r_minus = in_sample_objective(panel, cases, -2)
         assert r_plus > r_minus

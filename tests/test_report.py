@@ -16,8 +16,7 @@ from flunowcast.report import (
 )
 from flunowcast.selection import greedy_select
 from flunowcast.synth import ScenarioConfig, generate
-from flunowcast.stats import SignificanceConfig
-from flunowcast.timeseries import ShiftSpec, WeekStamp, WeeklySeries
+from flunowcast.timeseries import WeekStamp, WeeklySeries
 
 from .oracles import definitional_pearson, sorted_figure_data
 
@@ -174,10 +173,10 @@ class TestShiftScanAgainstPairs:
     @settings(max_examples=300, deadline=None)
     def test_cells_match_pairs_built_by_week_stamp(self, inputs):
         panel, cases, shifts, alpha = inputs
-        table = table_shift_scan(panel, cases, shifts, SignificanceConfig(alpha))
+        table = table_shift_scan(panel, cases, shifts, alpha)
         case_at = {cases.start.add(i): v for i, v in enumerate(cases.values)}
         columns = [s.values for s in panel.series]
-        weeks = [panel.start.add(i) for i in range(panel.n_weeks)]
+        weeks = [panel.start.add(i) for i in range(len(panel.matrix))]
         shared = set(weeks) & set(case_at)
         years = sorted({int(str(w)[:4]) for w in case_at})
         assert [(row["year"], row["shift"]) for row in table.sidecar] == [
@@ -210,7 +209,7 @@ class TestShiftScanAgainstPairs:
 
 class TestTableModelByShift:
     def _selection(self, panel, cases):
-        return greedy_select(panel, cases, [ShiftSpec(k) for k in (-2, -1, 0, 1, 2)])
+        return greedy_select(panel, cases, [-2, -1, 0, 1, 2])
 
     def test_lead_fixture_maximized_at_plus_two(self):
         cfg = ScenarioConfig(

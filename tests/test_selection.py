@@ -4,13 +4,12 @@ import pytest
 from flunowcast.errors import NoUsableQuery
 from flunowcast.regress import QueryPanel, in_sample_objective
 from flunowcast.selection import greedy_select
-from flunowcast.stats import SignificanceConfig
-from flunowcast.timeseries import ShiftSpec, WeekStamp, WeeklySeries
+from flunowcast.timeseries import WeekStamp, WeeklySeries
 
 from .oracles import exhaustive_best_subset
 
 W0 = WeekStamp(2009, 1)
-SHIFTS = [ShiftSpec(k) for k in (-2, -1, 0, 1, 2)]
+SHIFTS = [-2, -1, 0, 1, 2]
 
 
 def ws(values, label=""):
@@ -27,7 +26,7 @@ class TestGreedySelect:
         rng = np.random.default_rng(30)
         y_vals = rng.uniform(10, 100, size=80)
         panel = panel_of([("x1", y_vals), ("x2", rng.uniform(0, 100, size=80))])
-        result = greedy_select(panel, ws(y_vals), [ShiftSpec(0)])
+        result = greedy_select(panel, ws(y_vals), [0])
         assert result.chosen_labels == ("x1",)
         assert result.objective == pytest.approx(1.0, abs=1e-9)
         best_set, best_r = exhaustive_best_subset(
@@ -41,7 +40,7 @@ class TestGreedySelect:
         x2 = rng.uniform(0, 100, size=80)
         y_vals = x1 + x2
         panel = panel_of([("x1", x1), ("x2", x2)])
-        result = greedy_select(panel, ws(y_vals), [ShiftSpec(0)])
+        result = greedy_select(panel, ws(y_vals), [0])
         assert set(result.chosen_labels) == {"x1", "x2"}
         assert result.objective == pytest.approx(1.0, abs=1e-9)
 
@@ -49,7 +48,7 @@ class TestGreedySelect:
         rng = np.random.default_rng(32)
         y_vals = rng.uniform(0, 50, size=40)
         panel = panel_of([("only", y_vals + rng.normal(0, 2, size=40))])
-        result = greedy_select(panel, ws(y_vals), [ShiftSpec(0)])
+        result = greedy_select(panel, ws(y_vals), [0])
         assert result.chosen_labels == ("only",)
         assert len(result.trace) == 1
 
@@ -82,7 +81,7 @@ class TestGreedySelect:
         y_vals = rng.uniform(10, 100, size=60)
         lead = np.concatenate([y_vals[2:], [10.0, 10.0]])  # x_t = y_{t+2}
         result = greedy_select(panel_of([("lead", lead)]), ws(y_vals), SHIFTS)
-        assert result.best_shift.weeks == 2
+        assert result.best_shift == 2
 
     def test_determinism(self):
         rng = np.random.default_rng(36)
@@ -103,7 +102,7 @@ class TestGreedySelect:
             cols = {k: np.clip(v, 0, None) for k, v in cols.items()}
             panel = panel_of(list(cols.items()))
             try:
-                result = greedy_select(panel, ws(y_vals), [ShiftSpec(0)])
+                result = greedy_select(panel, ws(y_vals), [0])
             except NoUsableQuery:
                 continue
             _, best_r = exhaustive_best_subset(cols, y_vals)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,18 +8,27 @@ from scipy import stats as scipy_stats
 
 from flunowcast import stats
 from flunowcast.errors import InvalidDof
-from flunowcast.regress import QueryPanel
+from flunowcast.regress import (
+    QueryPanel,
+    coefficient_stats,
+    fit_ols,
+    in_sample_objective,
+    rolling_weekly_fit,
+)
+from flunowcast.report import table_model_by_shift, table_overall_annual, table_shift_scan
+from flunowcast.selection import SelectionResult, greedy_select
 from flunowcast.stats import (
+    ALPHA,
     CorrelationResult,
     NAReason,
-    SignificanceConfig,
     correlate,
     correlation_p_values,
+    gated_columns,
     rank_queries,
     t_critical,
     t_two_sided_p,
 )
-from flunowcast.timeseries import ShiftSpec, WeekStamp, WeeklySeries
+from flunowcast.timeseries import WeekStamp, WeeklySeries
 
 from .oracles import (
     bisection_t_critical,
@@ -40,7 +50,7 @@ def ws(values, label=""):
 def cell(xs, ys):
     """The shift-0 correlation cell of two aligned sequences (r is kept
     when the gate rejects it)."""
-    return correlate(ws(xs), ws(ys), ShiftSpec(0))
+    return correlate(ws(xs), ws(ys), 0)
 
 
 class TestPearson:
@@ -232,7 +242,7 @@ class TestBatchedPValues:
 
 class TestCorrelate:
     def test_constant_series_is_na(self):
-        res = correlate(ws([5, 5, 5, 5]), ws([1, 2, 3, 4]), ShiftSpec(0))
+        res = correlate(ws([5, 5, 5, 5]), ws([1, 2, 3, 4]), 0)
         assert res.na and res.na_reason is NAReason.ZERO_VARIANCE
 
     def test_constructed_identity_at_shift_two(self):
@@ -241,21 +251,21 @@ class TestCorrelate:
         y = ws(y_vals)
         # x_t = y_{t+2}: searches lead cases by two weeks
         x = ws(list(y_vals[2:]) + [0.0, 0.0])
-        res = correlate(x, y, ShiftSpec(2))
+        res = correlate(x, y, 2)
         assert not res.na
         assert res.r == pytest.approx(1.0, abs=1e-12)
         assert res.p_value < 0.05
 
     def test_insignificant_is_na_with_values_kept(self):
         rng = np.random.default_rng(4)
-        res = correlate(ws(rng.normal(size=40)), ws(rng.normal(size=40)), ShiftSpec(0))
+        res = correlate(ws(rng.normal(size=40)), ws(rng.normal(size=40)), 0)
         if res.na:
             assert res.na_reason is NAReason.NOT_SIGNIFICANT
             assert res.p_value >= 0.05
             assert math.isfinite(res.r)
 
     def test_short_overlap_is_na(self):
-        res = correlate(ws([1, 2, 3]), ws([1, 2, 3]), ShiftSpec(2))
+        res = correlate(ws([1, 2, 3]), ws([1, 2, 3]), 2)
         assert res.na and res.na_reason is NAReason.TOO_FEW_PAIRS
 
     def test_never_raises_on_degenerate_input(self):
@@ -263,7 +273,7 @@ class TestCorrelate:
         y = ws([1, 2, 3, 4])
         for x in degenerate:
             for k in (-2, -1, 0, 1, 2):
-                res = correlate(x, y, ShiftSpec(k))
+                res = correlate(x, y, k)
                 assert isinstance(res, CorrelationResult)
 
     def test_p_matches_permutation_test(self):
@@ -292,7 +302,7 @@ class TestRankQueries:
             ("flat", np.zeros(40)),
             ("best", y_vals + 0.01 * noise),
         ])
-        ranked = rank_queries(panel, ws(y_vals), [ShiftSpec(0)])[0]
+        ranked = rank_queries(panel, ws(y_vals), [0])[0]
         labels = [l for l, _ in ranked]
         assert labels[0] == "best"
         assert labels[-1] == "flat"
@@ -318,24 +328,67 @@ class TestRankQueries:
             ("H1N1 vaccine", with_target_r(0.43, 2)),
             ("virus H1N1", with_target_r(0.39, 3)),
         ])
-        ranked = rank_queries(panel, ws(y_vals), [ShiftSpec(0)])[0]
+        ranked = rank_queries(panel, ws(y_vals), [0])[0]
         assert [l for l, _ in ranked] == ["H1N1", "H1N1 vaccine", "virus H1N1"]
 
     def test_tie_breaks_on_label(self):
         y_vals = [1.0, 2.0, 3.0, 4.0, 5.0]
         panel = self._panel([("b", y_vals), ("a", y_vals)])
-        ranked = rank_queries(panel, ws(y_vals), [ShiftSpec(0)])[0]
+        ranked = rank_queries(panel, ws(y_vals), [0])[0]
         assert [l for l, _ in ranked] == ["a", "b"]
 
     def test_one_call_ranks_each_shift_as_a_call_of_its_own(self):
         rng = np.random.default_rng(9)
         panel = self._panel([(f"q{i}", rng.uniform(0, 10, size=30)) for i in range(4)])
         y = ws(rng.uniform(0, 10, size=30))
-        shifts = [ShiftSpec(k) for k in (-2, 0, 1)]
+        shifts = [-2, 0, 1]
         assert rank_queries(panel, y, shifts) == [rank_queries(panel, y, [s])[0] for s in shifts]
 
     def test_output_is_permutation_of_labels(self):
         rng = np.random.default_rng(8)
         panel = self._panel([(f"q{i}", rng.uniform(0, 10, size=20)) for i in range(6)])
-        ranked = rank_queries(panel, ws(rng.uniform(0, 10, size=20)), [ShiftSpec(0)])[0]
+        ranked = rank_queries(panel, ws(rng.uniform(0, 10, size=20)), [0])[0]
         assert sorted(l for l, _ in ranked) == sorted(panel.labels)
+
+
+def _entry_points():
+    """(id, call, bad value, message) of every library entry point that
+    takes a shift (k = +/-3 is beyond the bound) or an alpha (outside (0, 1))."""
+    rng = np.random.default_rng(12)
+    X = rng.uniform(0, 100, size=(20, 2))
+    y = ws(X @ [2.0, 1.0] + rng.normal(0, 5, size=20), "cases")
+    panel = QueryPanel(W0, ("a", "b"), X)
+    fit = fit_ols(panel, y, 0)
+    chosen = SelectionResult(("a",), 0, 0.9, ())
+    takes_shift = {
+        "correlate": lambda k: correlate(panel.series[0], y, k),
+        "rank_queries": lambda k: rank_queries(panel, y, [k]),
+        "greedy_select": lambda k: greedy_select(panel, y, [k]),
+        "fit_ols": lambda k: fit_ols(panel, y, k),
+        "rolling_weekly_fit": lambda k: rolling_weekly_fit(panel, y, k),
+        "in_sample_objective": lambda k: in_sample_objective(panel, y, k),
+        "table_overall_annual": lambda k: table_overall_annual(panel, y, ALPHA, k),
+        "table_shift_scan": lambda k: table_shift_scan(panel, y, (k,)),
+        "table_model_by_shift": lambda k: table_model_by_shift(panel, y, chosen, (k,)),
+    }
+    takes_alpha = {
+        "correlate": lambda a: correlate(panel.series[0], y, 0, a),
+        "rank_queries": lambda a: rank_queries(panel, y, [0], a),
+        "greedy_select": lambda a: greedy_select(panel, y, [0], a),
+        "gated_columns": lambda a: gated_columns([(X, y.values)], a),
+        "table_overall_annual": lambda a: table_overall_annual(panel, y, a),
+        "table_shift_scan": lambda a: table_shift_scan(panel, y, (0,), a),
+        "coefficient_stats": lambda a: coefficient_stats(fit, a),
+        "t_critical": lambda a: t_critical(a, 10),
+    }
+    return ([(f"{name}-shift{k}", call, k, "|shift| = 3 exceeds maximum 2")
+             for name, call in takes_shift.items() for k in (-3, 3)]
+            + [(f"{name}-alpha{a}", call, a, "alpha must be in (0, 1)")
+               for name, call in takes_alpha.items() for a in (0.0, 1.0, 1.5, math.nan)])
+
+
+@pytest.mark.parametrize("call, bad, message",
+                         [pytest.param(*case[1:], id=case[0]) for case in _entry_points()])
+def test_every_entry_point_rejects_a_bad_shift_or_alpha(call, bad, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(bad)

@@ -12,7 +12,7 @@ from flunowcast.report import table_overall_annual
 from flunowcast.selection import greedy_select
 from flunowcast.stats import correlate
 from flunowcast.synth import ScenarioConfig, generate
-from flunowcast.timeseries import ShiftSpec, WeekStamp
+from flunowcast.timeseries import WeekStamp
 
 PEAKS = ((20, 800, 3), (60, 1200, 4), (110, 900, 3))
 
@@ -45,18 +45,41 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig):
             scenario(n_signal_queries=0, n_noise_queries=0)
 
+    @pytest.mark.parametrize("field", [
+        {"epidemic_peaks": ((20, 800, float("nan")),)},
+        {"epidemic_peaks": ((20, float("inf"), 3),)},
+        {"epidemic_peaks": ((float("-inf"), 800, 3),)},
+        {"media_spikes": ((10, float("nan"), 2),)},
+        {"media_spikes": ((10, 5, float("inf")),)},
+        {"noise_sd": float("inf")},
+        {"noise_sd": float("nan")},
+    ])
+    def test_non_finite_numbers(self, field):
+        with pytest.raises(InvalidConfig, match="must be finite"):
+            scenario(**field)
+
+    def test_counts_above_2_53_are_not_generated(self):
+        # the case parser rejects them; at 1e17 every peak week is past the bound
+        with pytest.raises(InvalidConfig, match=r"exceeds 2\*\*53"):
+            generate(scenario(epidemic_peaks=((20, 1e17, 3),)))
+        # lead weeks are generated past the cases: a peak there is bounded too
+        with pytest.raises(InvalidConfig, match=r"exceeds 2\*\*53"):
+            generate(scenario(weeks=30, lead_weeks=5, epidemic_peaks=((33, 1e17, 1),)))
+        cases, _ = generate(scenario(epidemic_peaks=((20, 9e15, 3),)))
+        assert parse_cases_csv(write_cases_csv(cases)) == cases
+
 
 class TestGenerate:
     def test_noiseless_lead_gives_near_perfect_correlation(self):
         cases, panel = generate(scenario())
-        res = correlate(panel.series[0], cases, ShiftSpec(2))
+        res = correlate(panel.series[0], cases, 2)
         assert not res.na
         assert res.r >= 0.999
 
     def test_wrong_shift_is_strictly_worse(self):
         cases, panel = generate(scenario())
-        r2 = correlate(panel.series[0], cases, ShiftSpec(2)).r
-        r0 = correlate(panel.series[0], cases, ShiftSpec(0)).r
+        r2 = correlate(panel.series[0], cases, 2).r
+        r0 = correlate(panel.series[0], cases, 0).r
         assert r0 < r2
 
     def test_attention_decay_crushes_late_volume(self):
@@ -104,8 +127,8 @@ class TestGenerate:
     def test_greedy_recovers_capped_lead(self, lead):
         cfg = scenario(lead_weeks=lead)
         cases, panel = generate(cfg)
-        sel = greedy_select(panel, cases, [ShiftSpec(k) for k in (-2, -1, 0, 1, 2)])
-        assert sel.best_shift.weeks == min(lead, 2)
+        sel = greedy_select(panel, cases, [-2, -1, 0, 1, 2])
+        assert sel.best_shift == min(lead, 2)
 
     def test_case_counts_are_nonnegative_integers(self):
         cases, _ = generate(scenario(noise_sd=1.0))
@@ -149,6 +172,6 @@ class TestFailureModes:
             cases, panel = generate(scenario(
                 seed=seed, noise_sd=0.05, media_spikes=((85, magnitude, 4.0),),
             ))
-            rs.append([correlate(q, cases, ShiftSpec(2)).r for q in panel.series])
+            rs.append([correlate(q, cases, 2).r for q in panel.series])
         for query_rs in zip(*rs):
             assert all(b < a for a, b in zip(query_rs, query_rs[1:])), query_rs

@@ -10,13 +10,12 @@ from hypothesis import given, settings, strategies as st
 from flunowcast.errors import EmptyOverlap, InsufficientOverlap, NegativeValue
 from flunowcast.timeseries import (
     MIN_PAIRS,
-    ShiftSpec,
     WeekStamp,
     WeeklySeries,
     iso_years,
+    paired,
     scale_0_100,
     week_labels,
-    window,
 )
 
 from .oracles import isocalendar_walk
@@ -28,10 +27,10 @@ def series(start, values, label=""):
     return WeeklySeries(start, tuple(values), label)
 
 
-def paired(x, y, k):
-    """The (x_t, y_{t+k}) value pairs that `window` selects."""
-    xi, yi, n = window(x.start, len(x), y, ShiftSpec(k))
-    return list(zip(x.values[xi:xi + n].tolist(), y.values[yi:yi + n].tolist()))
+def pairs(x, y, k):
+    """The (x_t, y_{t+k}) value pairs that `paired` selects."""
+    X, yv, _ = paired(x.start, x.values[:, None], y, k)
+    return list(zip(X[:, 0].tolist(), yv.tolist()))
 
 
 class TestWeekStamp:
@@ -67,44 +66,49 @@ class TestAlign:
     def test_identical_ranges_unchanged(self):
         a = series(W(2009, 1), [1, 2, 3, 4])
         b = series(W(2009, 1), [5, 6, 7, 8])
-        assert window(a.start, len(a), b, ShiftSpec(0)) == (0, 0, 4)
-        assert paired(a, b, 0) == list(zip(a.values, b.values))
+        assert paired(a.start, a.values[:, None], b, 0)[2] == 0
+        assert pairs(a, b, 0) == list(zip(a.values, b.values))
 
     def test_partial_overlap(self):
         a = series(W(2009, 1), [1, 2, 3, 4, 5])
         b = series(W(2009, 3), [9, 8, 7, 6])
         # the shared weeks are 2009-W03..W05
-        assert window(a.start, len(a), b, ShiftSpec(0)) == (2, 0, 3)
-        assert window(b.start, len(b), a, ShiftSpec(0)) == (0, 2, 3)
-        assert paired(a, b, 0) == [(3.0, 9.0), (4.0, 8.0), (5.0, 7.0)]
+        assert paired(a.start, a.values[:, None], b, 0)[2] == 0
+        assert paired(b.start, b.values[:, None], a, 0)[2] == 2
+        assert pairs(a, b, 0) == [(3.0, 9.0), (4.0, 8.0), (5.0, 7.0)]
 
     def test_disjoint_raises(self):
         a = series(W(2009, 1), [1, 2])
         b = series(W(2009, 5), [1, 2])
         with pytest.raises(EmptyOverlap):
-            window(a.start, len(a), b, ShiftSpec(0))
+            pairs(a, b, 0)
         with pytest.raises(EmptyOverlap):
-            paired(b, a, 0)
+            pairs(b, a, 0)
+
+    def test_disjoint_is_the_zero_pair_case(self):
+        assert issubclass(EmptyOverlap, InsufficientOverlap)
 
     @given(d=st.integers(-8, 8), nx=st.integers(1, 12), ny=st.integers(1, 12),
            k=st.integers(-2, 2))
     def test_window_matches_pairing_by_week_stamp(self, d, nx, ny, k):
         x_start = W(2009, 50)
+        X = np.arange(nx, dtype=float)[:, None]  # each row holds its index
         y = series(x_start.add(d), range(ny))
         x_weeks = [x_start.add(i) for i in range(nx)]
         y_weeks = [y.start.add(j) for j in range(ny)]
         shared = set(x_weeks) & set(y_weeks)
-        pairs = [(i, y_weeks.index(w.add(k))) for i, w in enumerate(x_weeks)
-                 if w in shared and w.add(k) in shared]
+        expected = [(i, y_weeks.index(w.add(k))) for i, w in enumerate(x_weeks)
+                    if w in shared and w.add(k) in shared]
         if not shared:
             with pytest.raises(EmptyOverlap):
-                window(x_start, nx, y, ShiftSpec(k))
-        elif len(pairs) < MIN_PAIRS:
+                paired(x_start, X, y, k)
+        elif len(expected) < MIN_PAIRS:
             with pytest.raises(InsufficientOverlap):
-                window(x_start, nx, y, ShiftSpec(k))
+                paired(x_start, X, y, k)
         else:
-            xi, yi, n = window(x_start, nx, y, ShiftSpec(k))
-            assert [(xi + i, yi + i) for i in range(n)] == pairs
+            rows, yv, yi = paired(x_start, X, y, k)
+            assert list(zip(rows[:, 0].tolist(), yv.tolist())) == expected
+            assert yi == expected[0][1]
 
 
 class TestShiftPair:
@@ -113,36 +117,37 @@ class TestShiftPair:
         self.y = series(W(2009, 1), [1, 2, 3, 4])
 
     def test_zero_shift_equals_align(self):
-        assert paired(self.x, self.y, 0) == [(10, 1), (20, 2), (30, 3), (40, 4)]
+        assert pairs(self.x, self.y, 0) == [(10, 1), (20, 2), (30, 3), (40, 4)]
 
     def test_positive_shift_lags_cases(self):
-        assert paired(self.x, self.y, 1) == [(10, 2), (20, 3), (30, 4)]
+        assert pairs(self.x, self.y, 1) == [(10, 2), (20, 3), (30, 4)]
 
     def test_negative_shift_precedes_cases(self):
-        assert paired(self.x, self.y, -1) == [(20, 1), (30, 2), (40, 3)]
+        assert pairs(self.x, self.y, -1) == [(20, 1), (30, 2), (40, 3)]
 
     def test_too_few_pairs(self):
         with pytest.raises(InsufficientOverlap):
-            paired(self.x, self.y, 2)
+            pairs(self.x, self.y, 2)
 
     def test_shift_beyond_maximum_rejected(self):
-        with pytest.raises(ValueError):
-            ShiftSpec(3)
+        for k in (-3, 3):
+            with pytest.raises(ValueError, match=r"^\|shift\| = 3 exceeds maximum 2$"):
+                pairs(self.x, self.y, k)
 
     def test_role_reversal_symmetry(self):
-        assert paired(self.x, self.y, 1) == [(x, y) for y, x in paired(self.y, self.x, -1)]
+        assert pairs(self.x, self.y, 1) == [(x, y) for y, x in pairs(self.y, self.x, -1)]
 
     def test_stamped_pairs_carry_case_weeks(self):
-        xi, yi, n = window(self.x.start, len(self.x), self.y, ShiftSpec(1))
-        assert (xi, yi, n) == (0, 1, 3)
-        case_weeks = [self.y.start.add(yi + i) for i in range(n)]
+        _, yv, yi = paired(self.x.start, self.x.values[:, None], self.y, 1)
+        assert (yi, len(yv)) == (1, 3)
+        case_weeks = [self.y.start.add(yi + i) for i in range(len(yv))]
         assert case_weeks == [W(2009, 2), W(2009, 3), W(2009, 4)]
 
     @given(k=st.integers(-2, 2), n=st.integers(5, 30))
     def test_pair_count(self, k, n):
         x = series(W(2009, 1), list(range(n)))
         y = series(W(2009, 1), list(range(n)))
-        assert len(paired(x, y, k)) == n - abs(k)
+        assert len(pairs(x, y, k)) == n - abs(k)
 
 
 class TestWeekRange:
