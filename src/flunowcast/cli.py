@@ -211,7 +211,7 @@ def _cmd_nowcast(args) -> int:
         shown = [estimates]
         overall = "NA" if ev.na else f"{ev.r:.2f}"
     _write(args.out_estimates, report.figure_data(shown + [cases]))
-    table = report.table_model_by_shift(panel, cases, sel, tuple(args.shifts))
+    table = report.table_model_by_shift(sub, cases, tuple(args.shifts))
     _write(args.out_table, table.to_csv())
     print(f"nowcast ({args.mode}): queries {','.join(sel.chosen_labels)} "
           f"shift {sel.best_shift:+d} overall r {overall}")

@@ -17,7 +17,6 @@ import numpy as np
 from . import stats
 from .errors import EmptyLabel, InsufficientOverlap
 from .regress import in_sample_objective
-from .selection import SelectionResult
 from .stats import ALPHA, CorrelationResult
 from .timeseries import (DEFAULT_SHIFTS, QueryPanel, WeeklySeries, iso_years, paired,
                          week_labels)
@@ -127,23 +126,15 @@ def table_shift_scan(
 
 
 def table_model_by_shift(
-    panel: QueryPanel,
+    chosen: QueryPanel,
     y: WeeklySeries,
-    selection: SelectionResult,
     shifts: tuple[int, ...] = DEFAULT_SHIFTS,
 ) -> Table:
-    """Model objective for the selected query set at each shift."""
-    sub = panel.subset(list(selection.chosen_labels))
+    """Model objective of the chosen queries at each shift; no sidecar."""
     columns = ("dataset",) + tuple(shift_row_label(k) for k in shifts)
-    cells, detail = [], {}
-    for k in shifts:
-        obj = in_sample_objective(sub, y, k)
-        cells.append("NA" if obj is None else f"{obj:.2f}")
-        detail[shift_row_label(k)] = obj
-    rows = (("model",) + tuple(cells),)
-    sidecar = ({"dataset": "model", "objectives": detail,
-                "queries": list(selection.chosen_labels)},)
-    return Table(columns, rows, (f"p<{ALPHA:g}",), sidecar)
+    objectives = [in_sample_objective(chosen, y, k) for k in shifts]
+    cells = tuple("NA" if obj is None else f"{obj:.2f}" for obj in objectives)
+    return Table(columns, (("model",) + cells,), (f"p<{ALPHA:g}",), ())
 
 
 def figure_data(series: list[WeeklySeries]) -> bytes:

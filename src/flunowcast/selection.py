@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from . import stats
 from .errors import NoUsableQuery
 from .regress import in_sample_objective
-from .stats import ALPHA, CorrelationResult
+from .stats import ALPHA
 from .timeseries import QueryPanel, WeeklySeries
 
 IMPROVEMENT_EPS = 1e-6
@@ -30,10 +30,8 @@ def _greedy_one_shift(
     panel: QueryPanel,
     y: WeeklySeries,
     k: int,
-    ranked: list[tuple[str, CorrelationResult]],
+    pool: list[str],
 ) -> SelectionResult | None:
-    # candidates: a positive, non-NA individual correlation, best first
-    pool = [label for label, res in ranked if not res.na and res.r > 0.0]
     if not pool:
         return None
     chosen = [pool[0]]
@@ -68,9 +66,13 @@ def greedy_select(
 
     Ties between shifts keep the earlier entry of `shifts`.
     """
+    windows = [stats.paired_rows(panel.start, panel.matrix, y, k) for k in shifts]
     best = None
-    for k, ranked in zip(shifts, stats.rank_queries(panel, y, shifts, alpha)):
-        outcome = _greedy_one_shift(panel, y, k, ranked)
+    for k, cells in zip(shifts, stats.gated_columns(windows, alpha)):
+        # candidates: a positive, significant correlation, best first, ties on label code points
+        pool = sorted((-c.r, label) for label, c in zip(panel.labels, cells)
+                      if not c.na and c.r > 0.0)
+        outcome = _greedy_one_shift(panel, y, k, [label for _, label in pool])
         if outcome is not None and (best is None or outcome.objective > best.objective):
             best = outcome
     if best is None:

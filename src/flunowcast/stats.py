@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientOverlap, InvalidDof
-from .timeseries import MIN_PAIRS, QueryPanel, WeekStamp, WeeklySeries, paired
+from .timeseries import MIN_PAIRS, WeekStamp, WeeklySeries, paired
 
 _BETA_TOL = 1e-12
 _BETA_MAX_ITER = 300
@@ -108,6 +109,11 @@ def t_two_sided_p(t: np.ndarray, dof) -> np.ndarray:
     >= 1 degrees of freedom, one number or one per lane; lgamma, log,
     log1p and exp come from `math` lane by lane, so that a p is the same
     on every host."""
+    # x = dof / (dof + t * t) leaves the floats past |t| ~ 1e154 sqrt(dof); from T = 1e100
+    # sqrt(dof) on, the tail is a power law to double precision: p(t) = p(T) (T / |t|)**dof
+    top = 1e100 * np.sqrt(dof)
+    tail = (top / np.fmax(np.abs(t), top)) ** dof
+    t = np.fmin(np.abs(t), top)
     x, cx = dof / (dof + t * t), t * t / (dof + t * t)
     upper = cx < 0.5  # p is 1 - I_cx(1/2, dof/2), else I_x(dof/2, 1/2); t = 0 gives 1
     half = dof / 2.0
@@ -124,7 +130,7 @@ def t_two_sided_p(t: np.ndarray, dof) -> np.ndarray:
     v = front * _beta_continued_fractions(np.where(direct, a, b), np.where(direct, b, a),
                                           np.where(direct, z, 1.0 - z)) / np.where(direct, a, b)
     inc[mid] = np.where(direct, v, 1.0 - v)
-    return np.where(upper, 1.0 - inc, inc)
+    return np.where(upper, 1.0 - inc, inc) * tail
 
 
 def t_critical(alpha: float, dof: int) -> float:
@@ -133,8 +139,12 @@ def t_critical(alpha: float, dof: int) -> float:
     Newton's method on the kernel, whose derivative is minus twice the t
     density: p is convex and decreasing for t > 0, so from a start below
     the root (the Cornish-Fisher expansion's first two terms) each step
-    climbs towards it. Quadratic convergence leaves an error of the order
-    of the last step squared, so a step below 1e-9 t is the last.
+    climbs towards it. On a heavy tail Newton gains only a factor of about
+    1 + 1/dof a step, so while p > alpha a step is the longer of Newton's
+    and the power law's, t (p / alpha)**(1/dof) - t: p(ct) >= p(t) / c**dof
+    for c >= 1, so that step stays below the root too. Quadratic convergence
+    leaves an error of the order of the last step squared, so a step below
+    1e-9 t is the last.
     """
     from statistics import NormalDist  # here, so that only `fit` pays for importing it
 
@@ -142,12 +152,17 @@ def t_critical(alpha: float, dof: int) -> float:
         raise ValueError("alpha must be in (0, 1)")
     if dof < 1:
         raise InvalidDof(f"dof must be >= 1, got {dof}")
+    alpha = float(alpha)  # a numpy alpha makes t numpy, whose t * t warns as it overflows
     z = -NormalDist().inv_cdf(alpha / 2)
     t = z + (z ** 3 + z) / (4 * dof)
     log_c = math.lgamma((dof + 1) / 2) - math.lgamma(dof / 2) - 0.5 * math.log(dof * math.pi)
     for _ in range(_NEWTON_MAX_ITER):
+        p = t_two_sided_p(np.array([t]), dof).item()
         density = math.exp(log_c - (dof + 1) / 2 * math.log1p(t * t / dof))
-        step = (t_two_sided_p(np.array([t]), dof).item() - alpha) / (2.0 * density)
+        power = t * ((p / alpha) ** (1.0 / dof) - 1.0)
+        # far out on a heavy tail the density leaves the normal floats, and the power law is exact
+        newton = (p - alpha) / (2.0 * density) if density >= sys.float_info.min else power
+        step = max(newton, power) if p > alpha else newton
         t += step
         if not step > 1e-9 * t:
             break
@@ -210,24 +225,3 @@ def correlate(
     """
     return gated_columns([paired_rows(x.start, x.values[:, None], y, k)], alpha)[0][0]
 
-
-def rank_queries(
-    panel: QueryPanel,
-    y: WeeklySeries,
-    shifts: list[int],
-    alpha: float = ALPHA,
-) -> list[list[tuple[str, CorrelationResult]]]:
-    """At each shift, each query correlated against cases, best first, NA
-    cells last; all shifts' p-values in one kernel call.
-
-    Ties break on label code points so downstream selection is
-    deterministic.
-    """
-    def key(item):
-        label, res = item
-        if res.na:
-            return (1, 0.0, label)
-        return (0, -res.r, label)
-
-    windows = [paired_rows(panel.start, panel.matrix, y, k) for k in shifts]
-    return [sorted(zip(panel.labels, cells), key=key) for cells in gated_columns(windows, alpha)]

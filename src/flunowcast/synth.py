@@ -98,21 +98,26 @@ def generate(cfg: ScenarioConfig) -> tuple[WeeklySeries, QueryPanel]:
         raise InvalidConfig("a generated case count exceeds 2**53")
     cases = WeeklySeries(cfg.start, cases_ext[:cfg.weeks], "cases")
 
-    pulse = _spike_pulse(cfg, cfg.weeks)
     years = iso_years(cfg.start, cfg.weeks)
     decay = cfg.attention_decay ** (years - years[0])
 
     labels, columns = [], []
-    for i in range(cfg.n_signal_queries):
-        # amplitude alone would cancel under 0-100 rescaling, so each
-        # query also gets a baseline offset to keep columns distinct
-        scale = 1.0 / (1.0 + 0.5 * i)
-        offset = 2.5 * i
-        lead_source = cases_ext[cfg.lead_weeks:cfg.lead_weeks + cfg.weeks]
-        raw = scale * lead_source * decay + offset + pulse
-        raw += rng.normal(0.0, 1.0, size=cfg.weeks) * cfg.noise_sd * np.sqrt(raw.clip(0) + 1.0)
-        labels.append(f"signal_{i + 1}")
-        columns.append(np.maximum(raw, 0.0))
+    # as for the cases: huge spikes or noise overflow silently and fail the bound below
+    with np.errstate(over="ignore", invalid="ignore"):
+        pulse = _spike_pulse(cfg, cfg.weeks)
+        for i in range(cfg.n_signal_queries):
+            # amplitude alone would cancel under 0-100 rescaling, so each
+            # query also gets a baseline offset to keep columns distinct
+            scale = 1.0 / (1.0 + 0.5 * i)
+            offset = 2.5 * i
+            lead_source = cases_ext[cfg.lead_weeks:cfg.lead_weeks + cfg.weeks]
+            raw = scale * lead_source * decay + offset + pulse
+            raw += rng.normal(0.0, 1.0, size=cfg.weeks) * cfg.noise_sd * np.sqrt(raw.clip(0) + 1.0)
+            labels.append(f"signal_{i + 1}")
+            columns.append(np.maximum(raw, 0.0))
+        # the rescaling's first product, 100 * volume, must stay finite
+        if not all(np.isfinite(100.0 * c).all() for c in columns):
+            raise InvalidConfig("a generated query volume is too large to rescale to 0-100")
     for i in range(cfg.n_noise_queries):
         labels.append(f"noise_{i + 1}")
         columns.append(rng.uniform(0.0, 100.0, size=cfg.weeks))

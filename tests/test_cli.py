@@ -64,6 +64,9 @@ class TestProcess:
         # counts past 2**53, which the case parser rejects
         ["--peaks", "20:1e17:3"],
         ["--peaks", "20:1e308:3,20:1e308:3"],
+        # query volumes whose 0-100 rescaling overflows
+        ["--peaks", "10:50:3", "--spikes", "10:1e308:2"],
+        ["--peaks", "10:50:3", "--spikes", "10:1e308:2,10:1e308:2"],
     ], ids=shlex.join)
     def test_synth_writes_nothing_its_parser_rejects(self, tmp_path, options):
         proc = run_process(self.SYNTH + options, tmp_path)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 from flunowcast.errors import EmptyLabel
-from flunowcast.regress import QueryPanel
+from flunowcast.regress import QueryPanel, in_sample_objective
 from flunowcast.report import (
     figure_data,
     shift_row_label,
@@ -208,8 +208,21 @@ class TestShiftScanAgainstPairs:
 
 
 class TestTableModelByShift:
-    def _selection(self, panel, cases):
-        return greedy_select(panel, cases, [-2, -1, 0, 1, 2])
+    SHIFTS = (-2, -1, 0, 1, 2)
+
+    def _chosen(self, panel, cases):
+        return panel.subset(list(greedy_select(panel, cases, list(self.SHIFTS)).chosen_labels))
+
+    def _best_shift(self, panel, cases):
+        """The argmax shift of the chosen queries' objective, read from
+        `in_sample_objective` (two-decimal cells can tie), after checking
+        that the table prints those objectives."""
+        chosen = self._chosen(panel, cases)
+        objs = {k: in_sample_objective(chosen, cases, k) for k in self.SHIFTS}
+        table = table_model_by_shift(chosen, cases)
+        assert table.rows == (("model",) + tuple(f"{objs[k]:.2f}" for k in self.SHIFTS),)
+        assert table.sidecar == ()
+        return max(objs, key=objs.get)
 
     def test_lead_fixture_maximized_at_plus_two(self):
         cfg = ScenarioConfig(
@@ -218,9 +231,7 @@ class TestTableModelByShift:
             lead_weeks=2, noise_sd=0.0, n_signal_queries=2,
         )
         cases, panel = generate(cfg)
-        table = table_model_by_shift(panel, cases, self._selection(panel, cases))
-        objs = table.sidecar[0]["objectives"]
-        assert max(objs, key=objs.get) == "2-week lagging"
+        assert self._best_shift(panel, cases) == 2
 
     def test_no_lead_fixture_maximized_at_zero(self):
         cfg = ScenarioConfig(
@@ -229,15 +240,13 @@ class TestTableModelByShift:
             lead_weeks=0, noise_sd=0.0, n_signal_queries=2,
         )
         cases, panel = generate(cfg)
-        table = table_model_by_shift(panel, cases, self._selection(panel, cases))
-        objs = table.sidecar[0]["objectives"]
-        assert max(objs, key=objs.get) == "0-week lagging"
+        assert self._best_shift(panel, cases) == 0
 
     def test_identity_fixture_cell_is_one(self):
         rng = np.random.default_rng(64)
         y_vals = rng.uniform(10, 100, size=60)
         panel = panel_of([("q", y_vals)])
-        table = table_model_by_shift(panel, ws(y_vals), self._selection(panel, ws(y_vals)))
+        table = table_model_by_shift(self._chosen(panel, ws(y_vals)), ws(y_vals))
         cells = dict(zip(table.columns[1:], table.rows[0][1:]))
         assert cells["0-week lagging"] == "1.00"
 
@@ -245,7 +254,7 @@ class TestTableModelByShift:
         rng = np.random.default_rng(65)
         y_vals = rng.uniform(10, 100, size=60)
         panel = panel_of([("q", y_vals)])
-        table = table_model_by_shift(panel, ws(y_vals), self._selection(panel, ws(y_vals)))
+        table = table_model_by_shift(self._chosen(panel, ws(y_vals)), ws(y_vals))
         assert table.columns == (
             "dataset",
             "2-week preceding", "1-week preceding", "0-week lagging",

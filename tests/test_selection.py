@@ -107,3 +107,68 @@ class TestGreedySelect:
                 continue
             _, best_r = exhaustive_best_subset(cols, y_vals)
             assert result.objective <= best_r + 1e-9
+
+
+class TestCandidates:
+    """Which queries greedy selection starts from, and in what order."""
+
+    def test_prescored_fixture_starts_from_the_best_query(self):
+        # three queries built to reproduce the screening order of a
+        # pre-scored fixture: 0.50 > 0.43 > 0.39 individual correlations
+        rng = np.random.default_rng(7)
+        y_vals = rng.uniform(0, 100, size=200)
+        yc = (y_vals - y_vals.mean()) / y_vals.std()
+
+        def with_target_r(target, seed):
+            z = np.random.default_rng(seed).normal(size=200)
+            zc = z - (z @ yc / 200) * yc
+            return target * yc + np.sqrt(1 - target ** 2) * zc / zc.std()
+
+        panel = panel_of([
+            ("virus H1N1", with_target_r(0.39, 3)),
+            ("H1N1 vaccine", with_target_r(0.43, 2)),
+            ("H1N1", with_target_r(0.50, 1)),
+        ])
+        assert greedy_select(panel, ws(y_vals), [0]).trace[0][1] == "H1N1"
+
+    def test_equal_queries_start_from_the_first_label(self):
+        y_vals = np.linspace(1.0, 30.0, 30) ** 1.5
+        result = greedy_select(panel_of([("b", y_vals), ("a", y_vals)]), ws(y_vals), [0])
+        assert result.chosen_labels[0] == "a"
+
+    def test_flat_or_negative_query_is_never_chosen(self):
+        rng = np.random.default_rng(6)
+        y_vals = rng.uniform(0, 50, size=40)
+        noise = rng.normal(size=40)
+        panel = panel_of([
+            ("flat", np.zeros(40)),
+            ("negative", 60 - y_vals + noise),
+            ("weak", 0.5 * y_vals + 20 * noise),
+            ("best", y_vals + 0.01 * noise),
+        ])
+        result = greedy_select(panel, ws(y_vals), [0])
+        assert result.chosen_labels[0] == "best"
+        assert {"flat", "negative"}.isdisjoint(result.chosen_labels)
+        with pytest.raises(NoUsableQuery):
+            greedy_select(panel.subset(["flat", "negative"]), ws(y_vals), [0])
+
+    def test_several_shifts_give_the_best_one_shift_call(self):
+        rng = np.random.default_rng(9)
+        y_vals = rng.uniform(0, 10, size=40)
+        shifts = [-2, 0, 1]
+        for trial in range(5):
+            # each query follows the cases at its own lag, so every shift has candidates
+            panel = panel_of([(f"q{i}", np.roll(y_vals, -k) + rng.uniform(0, 8, size=40))
+                              for i, k in enumerate(shifts + [0])])
+            singles = [greedy_select(panel, ws(y_vals), [k]) for k in shifts]
+            best = max(singles, key=lambda s: s.objective)  # the first of equals
+            assert greedy_select(panel, ws(y_vals), shifts) == best
+
+    def test_the_earlier_shift_wins_a_tie(self):
+        # a period-2 series: shifts 0 and 2 pair the query with the same values
+        y_vals = np.tile([10.0, 40.0], 20)
+        panel = panel_of([("q", y_vals)])
+        zero, two = (greedy_select(panel, ws(y_vals), [k]) for k in (0, 2))
+        assert zero.objective == two.objective
+        assert greedy_select(panel, ws(y_vals), [2, 0]).best_shift == 2
+        assert greedy_select(panel, ws(y_vals), [0, 2]).best_shift == 0

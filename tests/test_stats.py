@@ -16,7 +16,7 @@ from flunowcast.regress import (
     rolling_weekly_fit,
 )
 from flunowcast.report import table_model_by_shift, table_overall_annual, table_shift_scan
-from flunowcast.selection import SelectionResult, greedy_select
+from flunowcast.selection import greedy_select
 from flunowcast.stats import (
     ALPHA,
     CorrelationResult,
@@ -24,7 +24,6 @@ from flunowcast.stats import (
     correlate,
     correlation_p_values,
     gated_columns,
-    rank_queries,
     t_critical,
     t_two_sided_p,
 )
@@ -116,6 +115,11 @@ class TestStudentT:
         expected = 2 * (1 - (0.5 + math.atan(1.0) / math.pi))
         assert p_of(1.0, 1) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("t", [1e160, 1e300])
+    def test_cauchy_far_tail(self, t):
+        # t * t overflows past 1.3e154, but p = 2 atan(1/t) / pi is still a float
+        assert p_of(t, 1) == pytest.approx(2 / math.pi * math.atan(1 / t), rel=1e-12, abs=0)
+
     def test_quadrature_oracle(self):
         assert p_of(2.5, 8) == pytest.approx(t_density_p_value(2.5, 8), abs=1e-8)
 
@@ -176,6 +180,23 @@ def test_t_critical_climbs_from_below_to_the_root(alpha, dof, kernel_calls):
 def test_t_critical_makes_at_most_four_kernel_calls(alpha, dof, kernel_calls):
     t_critical(alpha, dof)
     assert 1 <= len(kernel_calls) <= 4
+
+
+@pytest.mark.parametrize("dof, closed_form", [
+    (1, lambda a: 1 / math.tan(math.pi * a / 2)),
+    (2, lambda a: (1 - a) * math.sqrt(2 / (a * (2 - a)))),
+], ids=["dof1", "dof2"])
+def test_t_critical_matches_the_closed_form_down_to_1e_300(dof, closed_form):
+    # Newton alone gains a factor of about 1 + 1/dof a step on these tails
+    for alpha in np.logspace(math.log10(0.5), -300, 61):  # numpy floats, as a caller may pass
+        assert t_critical(alpha, dof) == pytest.approx(closed_form(alpha), rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("dof", [3, 5, 10])
+def test_t_critical_on_a_heavy_tail_matches_scipy_down_to_1e_100(dof):
+    for alpha in np.logspace(math.log10(0.5), -100, 41).tolist():
+        assert t_critical(alpha, dof) == pytest.approx(
+            scipy_stats.t.isf(alpha / 2, dof), rel=1e-10, abs=0)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the kernel's 1 - I_cx(1/2, dof/2) "
@@ -288,69 +309,6 @@ class TestCorrelate:
         assert abs(p_t - p_perm) < 0.02
 
 
-class TestRankQueries:
-    def _panel(self, columns):
-        labels, values = zip(*columns)
-        return QueryPanel(W0, labels, np.column_stack(values))
-
-    def test_descending_with_na_last(self):
-        rng = np.random.default_rng(6)
-        y_vals = rng.uniform(0, 50, size=40)
-        noise = rng.normal(size=40)
-        panel = self._panel([
-            ("mid", 0.5 * y_vals + 20 * noise),
-            ("flat", np.zeros(40)),
-            ("best", y_vals + 0.01 * noise),
-        ])
-        ranked = rank_queries(panel, ws(y_vals), [0])[0]
-        labels = [l for l, _ in ranked]
-        assert labels[0] == "best"
-        assert labels[-1] == "flat"
-        rs = [res.r for _, res in ranked if not res.na]
-        assert rs == sorted(rs, reverse=True)
-
-    def test_prescored_screening_order(self):
-        # three queries built to reproduce the screening order of a
-        # pre-scored fixture: 0.50 > 0.43 > 0.39 individual correlations
-        rng = np.random.default_rng(7)
-        y_vals = rng.uniform(0, 100, size=200)
-
-        def with_target_r(target, seed):
-            g = np.random.default_rng(seed)
-            z = g.normal(size=200)
-            yc = (y_vals - y_vals.mean()) / y_vals.std()
-            zc = z - (z @ yc / 200) * yc
-            zc /= zc.std()
-            return target * yc + math.sqrt(1 - target ** 2) * zc
-
-        panel = self._panel([
-            ("H1N1", with_target_r(0.50, 1)),
-            ("H1N1 vaccine", with_target_r(0.43, 2)),
-            ("virus H1N1", with_target_r(0.39, 3)),
-        ])
-        ranked = rank_queries(panel, ws(y_vals), [0])[0]
-        assert [l for l, _ in ranked] == ["H1N1", "H1N1 vaccine", "virus H1N1"]
-
-    def test_tie_breaks_on_label(self):
-        y_vals = [1.0, 2.0, 3.0, 4.0, 5.0]
-        panel = self._panel([("b", y_vals), ("a", y_vals)])
-        ranked = rank_queries(panel, ws(y_vals), [0])[0]
-        assert [l for l, _ in ranked] == ["a", "b"]
-
-    def test_one_call_ranks_each_shift_as_a_call_of_its_own(self):
-        rng = np.random.default_rng(9)
-        panel = self._panel([(f"q{i}", rng.uniform(0, 10, size=30)) for i in range(4)])
-        y = ws(rng.uniform(0, 10, size=30))
-        shifts = [-2, 0, 1]
-        assert rank_queries(panel, y, shifts) == [rank_queries(panel, y, [s])[0] for s in shifts]
-
-    def test_output_is_permutation_of_labels(self):
-        rng = np.random.default_rng(8)
-        panel = self._panel([(f"q{i}", rng.uniform(0, 10, size=20)) for i in range(6)])
-        ranked = rank_queries(panel, ws(rng.uniform(0, 10, size=20)), [0])[0]
-        assert sorted(l for l, _ in ranked) == sorted(panel.labels)
-
-
 def _entry_points():
     """(id, call, bad value, message) of every library entry point that
     takes a shift (k = +/-3 is beyond the bound) or an alpha (outside (0, 1))."""
@@ -359,21 +317,18 @@ def _entry_points():
     y = ws(X @ [2.0, 1.0] + rng.normal(0, 5, size=20), "cases")
     panel = QueryPanel(W0, ("a", "b"), X)
     fit = fit_ols(panel, y, 0)
-    chosen = SelectionResult(("a",), 0, 0.9, ())
     takes_shift = {
         "correlate": lambda k: correlate(panel.series[0], y, k),
-        "rank_queries": lambda k: rank_queries(panel, y, [k]),
         "greedy_select": lambda k: greedy_select(panel, y, [k]),
         "fit_ols": lambda k: fit_ols(panel, y, k),
         "rolling_weekly_fit": lambda k: rolling_weekly_fit(panel, y, k),
         "in_sample_objective": lambda k: in_sample_objective(panel, y, k),
         "table_overall_annual": lambda k: table_overall_annual(panel, y, ALPHA, k),
         "table_shift_scan": lambda k: table_shift_scan(panel, y, (k,)),
-        "table_model_by_shift": lambda k: table_model_by_shift(panel, y, chosen, (k,)),
+        "table_model_by_shift": lambda k: table_model_by_shift(panel, y, (k,)),
     }
     takes_alpha = {
         "correlate": lambda a: correlate(panel.series[0], y, 0, a),
-        "rank_queries": lambda a: rank_queries(panel, y, [0], a),
         "greedy_select": lambda a: greedy_select(panel, y, [0], a),
         "gated_columns": lambda a: gated_columns([(X, y.values)], a),
         "table_overall_annual": lambda a: table_overall_annual(panel, y, a),

@@ -68,6 +68,13 @@ class TestConfigValidation:
         cases, _ = generate(scenario(epidemic_peaks=((20, 9e15, 3),)))
         assert parse_cases_csv(write_cases_csv(cases)) == cases
 
+    def test_volumes_too_large_to_rescale_are_not_generated(self):
+        for spikes in (((10, 1e308, 2),), ((10, 1e308, 2), (10, 1e308, 2))):
+            with pytest.raises(InvalidConfig, match="too large to rescale"):
+                generate(scenario(media_spikes=spikes))
+        _, panel = generate(scenario(media_spikes=((10, 1e305, 2),)))
+        assert panel.matrix.max() == 100.0
+
 
 class TestGenerate:
     def test_noiseless_lead_gives_near_perfect_correlation(self):
