@@ -2,15 +2,16 @@
 
 Tables render to CSV with every number at exactly two decimal places and
 `NA` cells; the significance and NA-reason detail the formatted tables
-drop is available as a JSON sidecar. Figure data is a long-format CSV
-(week, label, value).
+drop is available as a JSON sidecar, written as
+`json.dumps(..., indent=2, ensure_ascii=False)` would write it. Figure
+data is a long-format CSV (week, label, value).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -36,7 +37,38 @@ class Table:
         return ("\n".join(lines) + "\n").encode("utf-8")
 
     def to_sidecar_json(self) -> bytes:
-        return (json.dumps(list(self.sidecar), indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+        return (_json(self.sidecar, "") + "\n").encode("utf-8")
+
+
+def _float(v: float) -> str:
+    if v - v == 0.0:  # finite
+        return float.__repr__(v)
+    return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
+
+
+# JSON text of a leaf by its exact type, so that a bool is not written as the int it subclasses
+_LEAF = {type(None): lambda v: "null", bool: lambda v: "true" if v else "false",
+         int: int.__repr__, float: _float, str: encode_basestring}
+
+
+def _json(o, indent: str) -> str:
+    """A str-keyed dict, a list or a tuple as `json.dumps(o, indent=2,
+    ensure_ascii=False)` writes it, its closing line under `indent`. json's
+    C encoder does not indent, so json.dumps would run its Python one."""
+    inner = indent + "  "
+    if type(o) is dict:
+        parts = [encode_basestring(k) + ": "
+                 + (leaf(v) if (leaf := _LEAF.get(type(v))) else _json(v, inner))
+                 for k, v in o.items()]
+        ends = "{}"
+    elif type(o) in (list, tuple):
+        parts = [leaf(v) if (leaf := _LEAF.get(type(v))) else _json(v, inner) for v in o]
+        ends = "[]"
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    if not parts:
+        return ends
+    return ends[0] + "\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + ends[1]
 
 
 def _fmt(res: CorrelationResult) -> str:
@@ -145,10 +177,17 @@ def figure_data(series: list[WeeklySeries]) -> bytes:
     if not all(s.label for s in series):
         raise EmptyLabel("every figure series needs a non-empty label")
     first = min(s.start for s in series)
-    columns = [(s.start - first, s.label, s.values.tolist())
+    columns = [(s.start - first, s.label.replace("%", "%%") + ",%.2f\n", s.values)
                for s in sorted(series, key=lambda s: s.label)]
-    lines = ["week,label,value"]
-    for t, week in enumerate(week_labels(first, max(at + len(v) for at, _, v in columns))):
-        lines.extend(f"{week},{label},{values[t - at]:.2f}"
-                     for at, label, values in columns if 0 <= t - at < len(values))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    cuts = sorted({at for at, _, _ in columns} | {at + len(v) for at, _, v in columns})
+    weeks = week_labels(first, cuts[-1])
+    out = ["week,label,value\n"]
+    # the live series are fixed between two cuts, so a run of weeks has one %-template,
+    # `week,label,%.2f` rows in label order
+    for a, b in zip(cuts, cuts[1:]):
+        live = [(row, v[a - at:b - at]) for at, row, v in columns if at <= a < at + len(v)]
+        if live:
+            rows = ["", *(row for row, _ in live)]
+            out.extend((week + ",").join(rows) % tuple(values) for week, values in
+                       zip(weeks[a:b], np.column_stack([v for _, v in live]).tolist()))
+    return "".join(out).encode("utf-8")

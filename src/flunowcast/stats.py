@@ -153,13 +153,17 @@ def t_critical(alpha: float, dof: int) -> float:
     if dof < 1:
         raise InvalidDof(f"dof must be >= 1, got {dof}")
     alpha = float(alpha)  # a numpy alpha makes t numpy, whose t * t warns as it overflows
-    z = -NormalDist().inv_cdf(alpha / 2)
+    # inv_cdf needs a normal p; at a subnormal alpha, a larger alpha's start is below the root too
+    z = -NormalDist().inv_cdf(max(alpha / 2, sys.float_info.min))
     t = z + (z ** 3 + z) / (4 * dof)
     log_c = math.lgamma((dof + 1) / 2) - math.lgamma(dof / 2) - 0.5 * math.log(dof * math.pi)
     for _ in range(_NEWTON_MAX_ITER):
         p = t_two_sided_p(np.array([t]), dof).item()
         density = math.exp(log_c - (dof + 1) / 2 * math.log1p(t * t / dof))
-        power = t * ((p / alpha) ** (1.0 / dof) - 1.0)
+        # p / alpha overflows at a subnormal alpha; t p**(1/dof) / alpha**(1/dof) does not,
+        # unless the root itself is past the floats
+        power = (t * ((p / alpha) ** (1.0 / dof) - 1.0) if p / alpha < math.inf
+                 else t * p ** (1.0 / dof) / alpha ** (1.0 / dof) - t)
         # far out on a heavy tail the density leaves the normal floats, and the power law is exact
         newton = (p - alpha) / (2.0 * density) if density >= sys.float_info.min else power
         step = max(newton, power) if p > alpha else newton

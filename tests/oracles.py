@@ -4,7 +4,8 @@ These deliberately avoid the library's own code paths: correlation from
 the definitional sums, p-values from permutation resampling and
 quadrature, OLS from Gaussian elimination on the normal equations,
 subset selection by exhaustive enumeration, ISO weeks from stepping a
-date one week at a time, and figure rows from one stable sort. The
+date one week at a time, figure rows from one stable sort, and sidecar
+JSON from the standard library's encoder. The
 Student-t p-value is also here one scalar continued fraction at a
 time: the batched kernel must equal it exactly, lane for lane, and
 `t_critical` must agree with its bisection.
@@ -12,6 +13,7 @@ time: the batched kernel must equal it exactly, lane for lane, and
 
 import datetime
 import itertools
+import json
 import math
 
 import numpy as np
@@ -236,3 +238,8 @@ def sorted_figure_data(series):
     rows.sort(key=lambda r: (r[0], r[1]))
     lines = ["week,label,value"] + [f"{w},{label},{v:.2f}" for w, label, v in rows]
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def json_sidecar(obj):
+    """Sidecar JSON by definition: the standard library's indent-2 encoder."""
+    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shlex
@@ -255,6 +256,16 @@ class TestPipelineCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "fit.csv").exists()
+
+    def test_fit_at_the_smallest_alpha_prints_finite_intervals(self, fixtures, tmp_path):
+        cases, panel = fixtures
+        out = tmp_path / "fit.csv"
+        assert run([
+            "fit", "--cases", str(cases), "--panel", str(panel),
+            "--alpha=5e-324", "--out", str(out),
+        ]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:-1]]
+        assert rows and all(math.isfinite(float(v)) for row in rows for v in row[3:5])
 
     @pytest.mark.parametrize("argv, expected", [
         (["select", "--out", "sel.json"], 0),

@@ -8,6 +8,7 @@ from scipy import stats as scipy_stats
 from flunowcast.errors import EmptyLabel
 from flunowcast.regress import QueryPanel, in_sample_objective
 from flunowcast.report import (
+    Table,
     figure_data,
     shift_row_label,
     table_model_by_shift,
@@ -18,7 +19,7 @@ from flunowcast.selection import greedy_select
 from flunowcast.synth import ScenarioConfig, generate
 from flunowcast.timeseries import WeekStamp, WeeklySeries
 
-from .oracles import definitional_pearson, sorted_figure_data
+from .oracles import definitional_pearson, json_sidecar, sorted_figure_data
 
 W0 = WeekStamp(2009, 1)
 
@@ -262,6 +263,31 @@ class TestTableModelByShift:
         )
 
 
+@st.composite
+def figure_specs(draw):
+    """(label, start, values) of 1-6 series, the start in weeks from 2015-W50
+    (2015 has 53 weeks): free ranges, and ranges nested in or disjoint from
+    the first. Labels repeat and hold %-directives; values round to -0.00,
+    sit on half cents or run up to 1e300."""
+    label = st.one_of(
+        st.sampled_from(["cases", "estimates", "q1", "q10", "q2", "%", "%%", "%s", "%(x)s",
+                         "grippe é", "流感"]),
+        st.text(min_size=1, max_size=4))
+    value = st.one_of(
+        st.integers(-100_000, 100_000).map(lambda c: c / 1000),
+        st.sampled_from([-0.0, -0.001, -0.004999, 0.005, 0.125, 2.675, -2.675, 1e300, -1e300]),
+        st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False))
+    at0, n0 = draw(st.integers(-6, 40)), draw(st.integers(1, 20))
+    specs = [(draw(label), at0, draw(st.lists(value, min_size=n0, max_size=n0)))]
+    for _ in range(draw(st.integers(0, 5))):
+        at = draw(st.one_of(st.integers(-6, 40),  # free
+                            st.integers(at0, at0 + n0 - 1),  # nested
+                            st.integers(at0 + n0, at0 + n0 + 5)))  # disjoint, after the first
+        n = draw(st.integers(1, at0 + n0 - at if at0 <= at < at0 + n0 else 20))
+        specs.append((draw(label), at, draw(st.lists(value, min_size=n, max_size=n))))
+    return specs
+
+
 class TestFigureData:
     def test_two_series_six_rows(self):
         data = figure_data([ws([1, 2, 3], "a"), ws([4, 5, 6], "b")])
@@ -290,14 +316,35 @@ class TestFigureData:
         ])
         assert rebuilt == data
 
-    @given(st.lists(st.tuples(
-        st.sampled_from(["cases", "estimates", "q1", "q10", "q2"]),  # duplicates allowed
-        st.integers(-6, 40),  # start, in weeks from 2015-W50 (2015 has 53 weeks)
-        st.lists(st.integers(-100_000, 100_000).map(lambda c: c / 1000), min_size=1, max_size=20),
-    ), min_size=1, max_size=6))
+    @given(figure_specs())
     @settings(max_examples=300, deadline=None)
     def test_matches_one_stable_sort_of_all_rows(self, specs):
-        # different starts and lengths, gaps between ranges, equal labels
+        # different starts and lengths, gaps between ranges, nested ranges, equal labels
         base = WeekStamp(2015, 50)
         series = [WeeklySeries(base.add(at), values, label) for label, at, values in specs]
         assert figure_data(series) == sorted_figure_data(series)
+
+
+# JSON leaves as the sidecar writer must print them: ints past 2**63, signed zero,
+# the smallest subnormal, non-finite floats, escapes, U+2028 and text past ASCII
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(2 ** 63, 2 ** 200),
+    st.integers(-2 ** 200, -2 ** 63), st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]),
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00\x1f\n\t\x7f", "\u2028\u2029", "grippe é 流感 🦠"]),
+)
+JSON_KEYS = st.one_of(st.text(), st.sampled_from(['"q"', "a\\b", "\n", "\u2028", "é"]))
+JSON_TREES = st.recursive(
+    JSON_LEAVES | st.just([]) | st.just({}),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(JSON_KEYS, children, max_size=4)),
+    max_leaves=30)
+
+
+class TestSidecarJson:
+    @given(st.lists(JSON_TREES, max_size=4))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_standard_encoder(self, rows):
+        table = Table((), (), (), tuple(rows))
+        assert table.to_sidecar_json() == json_sidecar(rows).encode("utf-8")

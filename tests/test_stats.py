@@ -1,3 +1,4 @@
+import decimal
 import math
 import re
 
@@ -190,6 +191,28 @@ def test_t_critical_matches_the_closed_form_down_to_1e_300(dof, closed_form):
     # Newton alone gains a factor of about 1 + 1/dof a step on these tails
     for alpha in np.logspace(math.log10(0.5), -300, 61):  # numpy floats, as a caller may pass
         assert t_critical(alpha, dof) == pytest.approx(closed_form(alpha), rel=1e-10, abs=0)
+
+
+_PI = decimal.Decimal("3.14159265358979323846264338327950288419716939937510")
+
+
+@pytest.mark.parametrize("dof, closed_form", [
+    (1, lambda a: 1 / (_PI * a / 2) - _PI * a / 6),  # cot x = 1/x - x/3 - ..., x ~ 1e-300
+    (2, lambda a: (1 - a) * (2 / (a * (2 - a))).sqrt()),
+], ids=["dof1", "dof2"])
+def test_t_critical_at_a_subnormal_alpha_matches_the_closed_form(dof, closed_form):
+    # alpha / 2 is no normal float and p / alpha overflows on the climb; a subnormal p
+    # carries as few bits as alpha does. At dof 1 the root passes the floats below
+    # alpha ~ 3.5e-309, and the float nearest it is inf.
+    with decimal.localcontext(decimal.Context(prec=50)):
+        for alpha in [1e-307, 4e-309, 1e-310, 1e-312, 1e-315, 1e-318, 1e-320, 3e-322, 1e-323,
+                      5e-324]:
+            expected = float(closed_form(decimal.Decimal(alpha)))
+            got = t_critical(alpha, dof)
+            if math.isinf(expected):
+                assert got == math.inf
+            else:
+                assert got == pytest.approx(expected, rel=1e-3, abs=0)
 
 
 @pytest.mark.parametrize("dof", [3, 5, 10])
