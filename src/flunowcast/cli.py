@@ -8,6 +8,7 @@ paths named in flags; stdout carries human-readable summaries.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -88,6 +89,7 @@ def _add_common(p, shift=False, shifts=False, alpha_help="significance level of 
                        help="shift range, e.g. -2..2")
 
 
+@functools.cache  # built once per process; parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flunowcast",

@@ -75,10 +75,11 @@ class NegativeCount(DataError):
     """Case counts must be non-negative."""
 
 
-# -- synth --------------------------------------------------------------
+# -- parameters (synth, timeseries, stats) -------------------------------
 
 class InvalidConfig(DataError):
-    """Scenario configuration violates its invariants."""
+    """A parameter out of its range: a scenario configuration against its
+    invariants, a shift beyond +/-2 weeks, or an alpha outside (0, 1)."""
 
 
 # -- report -------------------------------------------------------------

@@ -67,8 +67,8 @@ def _rows(lines: list[str], width: int):
 
 def _table(lines: list[str], width: int) -> tuple[list[WeekStamp], np.ndarray]:
     """Every data row's week and its cells as one (rows x width - 1) array;
-    no rows if a row misses the row grammar (its cells of at most 15 digits
-    read as exact floats) or its ISO week, for the row-by-row reader."""
+    no rows if a row misses the row grammar (cells of at most 15 digits, read
+    as int64 and so exact as floats) or its ISO week, for the row reader."""
     body = lines[1:]
     row = re.compile(rf"[0-9]{{4}}-W[0-9]{{2}}(?:,-?[0-9]{{1,15}}){{{width - 1}}}")
     try:  # a row that misses leaves `weeks` short
@@ -77,8 +77,8 @@ def _table(lines: list[str], width: int) -> tuple[list[WeekStamp], np.ndarray]:
         weeks = []
     if not body or len(weeks) < len(body):
         return [], np.empty((0, width - 1))
-    cells = np.fromstring(",".join(line[9:] for line in body), sep=",")
-    return weeks, np.add(cells, 0.0, out=cells).reshape(len(body), width - 1)  # -0 reads as 0
+    cells = np.fromstring(",".join(line[9:] for line in body), sep=",", dtype=np.int64)
+    return weeks, cells.astype(float).reshape(len(body), width - 1)  # -0 reads as 0
 
 
 def parse_trends_csv(data: bytes) -> QueryPanel:

@@ -2,15 +2,16 @@
 
 Tables render to CSV with every number at exactly two decimal places and
 `NA` cells; the significance and NA-reason detail the formatted tables
-drop is available as a JSON sidecar, written as
-`json.dumps(..., indent=2, ensure_ascii=False)` would write it. Figure
+drop is available as a JSON sidecar. The sidecar is the text that
+`json.dumps(..., indent=2, ensure_ascii=False)` would write, printed from
+the gate's columns with one %-template per cell and one per row. Figure
 data is a long-format CSV (week, label, value).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import repeat
 from json.encoder import encode_basestring
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from . import stats
 from .errors import EmptyLabel, InsufficientOverlap
 from .regress import in_sample_objective
-from .stats import ALPHA, CorrelationResult
+from .stats import ALPHA
 from .timeseries import (DEFAULT_SHIFTS, QueryPanel, WeeklySeries, iso_years, paired,
                          week_labels)
 
@@ -28,7 +29,7 @@ class Table:
     columns: tuple[str, ...]
     rows: tuple[tuple[str, ...], ...]  # formatted cells, first cell is the row label
     footnotes: tuple[str, ...]
-    sidecar: tuple[dict, ...]  # unformatted detail, one dict per row
+    sidecar: str  # JSON text of the unformatted detail, one object per row; "" if none
 
     def to_csv(self) -> bytes:
         lines = [",".join(self.columns)]
@@ -37,51 +38,32 @@ class Table:
         return ("\n".join(lines) + "\n").encode("utf-8")
 
     def to_sidecar_json(self) -> bytes:
-        return (_json(self.sidecar, "") + "\n").encode("utf-8")
+        return (self.sidecar + "\n").encode("utf-8")
 
 
-def _float(v: float) -> str:
-    if v - v == 0.0:  # finite
-        return float.__repr__(v)
-    return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
+# a sidecar cell, `key: {value, p, n, na_reason}`, its key indented 4 or 6 spaces
+_OUTER_CELL, _INNER_CELL = (
+    f'{i}%s: {{\n{i}  "value": %s,\n{i}  "p": %s,\n{i}  "n": %s,\n{i}  "na_reason": %s\n{i}}}'
+    for i in (" " * 4, " " * 6))
+_ANNUAL_ROW = '  {\n    "query": %s,\n%s,\n    "years": {\n%s\n    }\n  }'
+_SCAN_ROW = '  {\n    "year": %d,\n    "shift": %d,\n    "cells": {\n%s\n    }\n  }'
+# the JSON text of each NA-reason code, stats.REASONS[code]
+_REASON_JSON = tuple("null" if r is None else encode_basestring(r.value) for r in stats.REASONS)
 
 
-# JSON text of a leaf by its exact type, so that a bool is not written as the int it subclasses
-_LEAF = {type(None): lambda v: "null", bool: lambda v: "true" if v else "false",
-         int: int.__repr__, float: _float, str: encode_basestring}
+def _cells(cols: stats.GatedColumns, keys, template: str) -> tuple[list[str], list[str]]:
+    """Each lane's CSV cell, NA or r to two places, and its sidecar text under
+    its key (JSON text): floats as float.__repr__ writes them, NaN as null."""
+    n = ["null" if reason in stats.UNTESTED else str(cols.n) for reason in stats.REASONS]
+    r, p, codes = cols.r.tolist(), cols.p.tolist(), cols.reason.tolist()
+    csv = ["NA" if c else f"{v:.2f}" for v, c in zip(r, codes)]
+    text = [template % (key, v if v == v else "null", pv if pv == pv else "null", n[c],
+                        _REASON_JSON[c]) for key, v, pv, c in zip(keys, r, p, codes)]
+    return csv, text
 
 
-def _json(o, indent: str) -> str:
-    """A str-keyed dict, a list or a tuple as `json.dumps(o, indent=2,
-    ensure_ascii=False)` writes it, its closing line under `indent`. json's
-    C encoder does not indent, so json.dumps would run its Python one."""
-    inner = indent + "  "
-    if type(o) is dict:
-        parts = [encode_basestring(k) + ": "
-                 + (leaf(v) if (leaf := _LEAF.get(type(v))) else _json(v, inner))
-                 for k, v in o.items()]
-        ends = "{}"
-    elif type(o) in (list, tuple):
-        parts = [leaf(v) if (leaf := _LEAF.get(type(v))) else _json(v, inner) for v in o]
-        ends = "[]"
-    else:
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-    if not parts:
-        return ends
-    return ends[0] + "\n" + inner + (",\n" + inner).join(parts) + "\n" + indent + ends[1]
-
-
-def _fmt(res: CorrelationResult) -> str:
-    return "NA" if res.na else f"{res.r:.2f}"
-
-
-def _cell_detail(res: CorrelationResult) -> dict:
-    return {
-        "value": None if math.isnan(res.r) else res.r,
-        "p": None if math.isnan(res.p_value) else res.p_value,
-        "n": res.n or None,
-        "na_reason": res.na_reason and res.na_reason.value,
-    }
+def _json_list(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n]" if items else "[]"
 
 
 def _footnotes(alpha: float) -> tuple[str, ...]:
@@ -114,19 +96,16 @@ def table_overall_annual(
 ) -> Table:
     """Per-query correlations, overall and per year (zero shift by default)."""
     windows = _year_windows(panel, y, k)
-    overall, *year_cells = stats.gated_columns(
+    gated = stats.gated_columns(
         [stats.paired_rows(panel.start, panel.matrix, y, k), *windows.values()], alpha)
+    overall = _cells(gated[0], repeat('"overall"'), _OUTER_CELL)
+    years = [_cells(cols, repeat(f'"{yr}"'), _INNER_CELL) for cols, yr in zip(gated[1:], windows)]
     columns = ("query", "overall") + tuple(str(yr) for yr in windows)
-    rows, sidecar = [], []
-    for j, label in enumerate(panel.labels):
-        by_year = {str(yr): cells[j] for yr, cells in zip(windows, year_cells)}
-        rows.append((label, _fmt(overall[j])) + tuple(_fmt(c) for c in by_year.values()))
-        sidecar.append({
-            "query": label,
-            "overall": _cell_detail(overall[j]),
-            "years": {yr: _cell_detail(c) for yr, c in by_year.items()},
-        })
-    return Table(columns, tuple(rows), _footnotes(alpha), tuple(sidecar))
+    rows = tuple(zip(panel.labels, overall[0], *(csv for csv, _ in years)))
+    sidecar = [_ANNUAL_ROW % (encode_basestring(label), cell, ",\n".join(year_cells))
+               for label, cell, *year_cells in zip(panel.labels, overall[1],
+                                                   *(text for _, text in years))]
+    return Table(columns, rows, _footnotes(alpha), _json_list(sidecar))
 
 
 def shift_row_label(k: int) -> str:
@@ -144,17 +123,14 @@ def table_shift_scan(
     windows = {(k, yr): w for k in shifts
                for yr, w in _year_windows(panel, y, k).items()}
     grid = dict(zip(windows, stats.gated_columns(list(windows.values()), alpha)))
+    keys = [encode_basestring(label) for label in panel.labels]
     rows, sidecar = [], []
     for yr in dict.fromkeys(iso_years(y.start, len(y)).tolist()):
         for k in shifts:
-            cells = grid[k, yr]
-            rows.append((str(yr), shift_row_label(k)) + tuple(_fmt(c) for c in cells))
-            sidecar.append({
-                "year": yr,
-                "shift": k,
-                "cells": {label: _cell_detail(c) for label, c in zip(panel.labels, cells)},
-            })
-    return Table(columns, tuple(rows), _footnotes(alpha), tuple(sidecar))
+            csv, text = _cells(grid[k, yr], keys, _INNER_CELL)
+            rows.append((str(yr), shift_row_label(k), *csv))
+            sidecar.append(_SCAN_ROW % (yr, k, ",\n".join(text)))
+    return Table(columns, tuple(rows), _footnotes(alpha), _json_list(sidecar))
 
 
 def table_model_by_shift(
@@ -166,7 +142,7 @@ def table_model_by_shift(
     columns = ("dataset",) + tuple(shift_row_label(k) for k in shifts)
     objectives = [in_sample_objective(chosen, y, k) for k in shifts]
     cells = tuple("NA" if obj is None else f"{obj:.2f}" for obj in objectives)
-    return Table(columns, (("model",) + cells,), (f"p<{ALPHA:g}",), ())
+    return Table(columns, (("model",) + cells,), (f"p<{ALPHA:g}",), "")
 
 
 def figure_data(series: list[WeeklySeries]) -> bytes:

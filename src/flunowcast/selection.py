@@ -68,10 +68,10 @@ def greedy_select(
     """
     windows = [stats.paired_rows(panel.start, panel.matrix, y, k) for k in shifts]
     best = None
-    for k, cells in zip(shifts, stats.gated_columns(windows, alpha)):
+    for k, cols in zip(shifts, stats.gated_columns(windows, alpha)):
         # candidates: a positive, significant correlation, best first, ties on label code points
-        pool = sorted((-c.r, label) for label, c in zip(panel.labels, cells)
-                      if not c.na and c.r > 0.0)
+        lanes = zip(panel.labels, cols.r.tolist(), cols.reason.tolist())
+        pool = sorted((-r, label) for label, r, code in lanes if code == 0 and r > 0.0)
         outcome = _greedy_one_shift(panel, y, k, [label for _, label in pool])
         if outcome is not None and (best is None or outcome.objective > best.objective):
             best = outcome

@@ -1,15 +1,15 @@
 """Pearson correlation with t-test significance and NA semantics.
 
 One kernel correlates every column of a (weeks x queries) window with
-the cases at once; `correlate` is that kernel on one column. Every
-Student-t p-value, the cells' and the fitted coefficients', comes from
-one batched kernel, `t_two_sided_p`, whose lanes run the incomplete-beta
-continued fraction side by side; `t_critical` inverts that kernel by
-Newton's method. A correlation that cannot be computed
-(constant series, too few pairs) or fails the significance gate is
-reported as NA with a reason code, never as an exception, mirroring how
-surveillance tables mark cells. Alpha is a float, checked to lie in
-(0, 1) where it is used: at the gate and in `t_critical`.
+the cases at once, and returns the window's cells as columns: r, p and
+an NA-reason code per lane. `correlate` is that kernel on one column.
+Every Student-t p-value, the cells' and the fitted coefficients', comes
+from one batched kernel, `t_two_sided_p`, whose lanes run the
+incomplete-beta continued fraction side by side; `t_critical` inverts
+it by Newton's method. A correlation that cannot be computed (constant
+series, too few pairs) or fails the significance gate is NA with a
+reason code, never an exception, as surveillance tables mark cells.
+Alpha is a float, checked to lie in (0, 1) at the gate and in `t_critical`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientOverlap, InvalidDof
+from .errors import InsufficientOverlap, InvalidConfig, InvalidDof
 from .timeseries import MIN_PAIRS, WeekStamp, WeeklySeries, paired
 
 _BETA_TOL = 1e-12
@@ -48,7 +48,20 @@ class CorrelationResult:
         return self.na_reason is not None
 
 
-TOO_FEW_CELL = CorrelationResult(math.nan, math.nan, 0, NAReason.TOO_FEW_PAIRS)
+# a lane's NA-reason code indexes REASONS; code 0 is a lane with no reason
+REASONS = (None, NAReason.ZERO_VARIANCE, NAReason.TOO_FEW_PAIRS, NAReason.NOT_SIGNIFICANT)
+_ZERO_VARIANCE, _TOO_FEW_PAIRS, _NOT_SIGNIFICANT = 1, 2, 3
+UNTESTED = (NAReason.ZERO_VARIANCE, NAReason.TOO_FEW_PAIRS)  # lanes that count no pairs
+
+
+@dataclass(frozen=True)
+class GatedColumns:
+    """One window's gated correlations, lane j for column j: r and p are
+    NaN where the lane has none, and `reason` holds each lane's code."""
+    r: np.ndarray
+    p: np.ndarray
+    n: int  # the window's pair count
+    reason: np.ndarray
 
 
 def _row_sum(a: np.ndarray) -> np.ndarray:
@@ -121,10 +134,12 @@ def t_two_sided_p(t: np.ndarray, dof) -> np.ndarray:
     inc = (z >= 1.0).astype(float)  # I_z(a, b), 0 and 1 at the ends
     mid = (0.0 < z) & (z < 1.0)
     a, b, z = a[mid], b[mid], z[mid]
-    front = np.array([
-        math.exp(math.lgamma(ai + bi) - math.lgamma(ai) - math.lgamma(bi)
-                 + ai * math.log(zi) + bi * math.log1p(-zi))
-        for ai, bi, zi in zip(a.tolist(), b.tolist(), z.tolist())])
+    ab = list(zip(a.tolist(), b.tolist()))
+    # log Beta(a, b) once per distinct (a, b): a window's lanes share one dof
+    log_beta = {(ai, bi): math.lgamma(ai + bi) - math.lgamma(ai) - math.lgamma(bi)
+                for ai, bi in set(ab)}
+    front = np.array([math.exp(log_beta[ai, bi] + ai * math.log(zi) + bi * math.log1p(-zi))
+                      for (ai, bi), zi in zip(ab, z.tolist())])
     # the fraction converges fast below Beta(a, b)'s mean; above, I_z(a, b) = 1 - I_1-z(b, a)
     direct = z < (a + 1.0) / (a + b + 2.0)
     v = front * _beta_continued_fractions(np.where(direct, a, b), np.where(direct, b, a),
@@ -149,7 +164,7 @@ def t_critical(alpha: float, dof: int) -> float:
     from statistics import NormalDist  # here, so that only `fit` pays for importing it
 
     if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+        raise InvalidConfig("alpha must be in (0, 1)")
     if dof < 1:
         raise InvalidDof(f"dof must be >= 1, got {dof}")
     alpha = float(alpha)  # a numpy alpha makes t numpy, whose t * t warns as it overflows
@@ -193,27 +208,30 @@ def paired_rows(start: WeekStamp, X: np.ndarray, y: WeeklySeries,
 
 
 def gated_columns(windows: list[tuple[np.ndarray, np.ndarray]],
-                  alpha: float) -> list[list[CorrelationResult]]:
+                  alpha: float) -> list[GatedColumns]:
     """Gated r of every column of each window's X (rows are weeks) against
     its y at level alpha, every p-value in one kernel call; degenerate or
-    insignificant columns come back as NA cells, never as exceptions."""
+    insignificant columns come back as NA lanes, never as exceptions."""
     if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    pearson = [_pearson_columns(X, y) if len(y) >= MIN_PAIRS else None for X, y in windows]
-    kept = [(rf[0][~rf[1]], len(y)) for (_, y), rf in zip(windows, pearson) if rf is not None]
-    r = np.concatenate([np.empty(0)] + [rj for rj, _ in kept])
-    n = np.repeat([n for _, n in kept], [len(rj) for rj, _ in kept])
-    p = iter(correlation_p_values(r, n).tolist())
-
-    def cell(r: float, zero: bool, n: int) -> CorrelationResult:
-        if zero:
-            return CorrelationResult(math.nan, math.nan, 0, NAReason.ZERO_VARIANCE)
-        pj = next(p)
-        return CorrelationResult(r, pj, n, NAReason.NOT_SIGNIFICANT if pj >= alpha else None)
-
-    return [[TOO_FEW_CELL] * X.shape[1] if rf is None
-            else [cell(rj, zero, len(y)) for rj, zero in zip(rf[0].tolist(), rf[1].tolist())]
-            for (X, y), rf in zip(windows, pearson)]
+        raise InvalidConfig("alpha must be in (0, 1)")
+    rs, codes = [], []
+    for X, y in windows:
+        if len(y) < MIN_PAIRS:
+            rs.append(np.full(X.shape[1], math.nan))
+            codes.append(np.full(X.shape[1], _TOO_FEW_PAIRS))
+        else:
+            r, flat = _pearson_columns(X, y)
+            rs.append(np.where(flat, math.nan, r))
+            codes.append(np.where(flat, _ZERO_VARIANCE, 0))
+    widths = [len(r) for r in rs]
+    r, reason = np.concatenate([np.empty(0), *rs]), np.concatenate([np.empty(0, int), *codes])
+    live = reason == 0
+    p = np.full(len(r), math.nan)
+    p[live] = correlation_p_values(r[live], np.repeat([len(y) for _, y in windows], widths)[live])
+    reason[live & (p >= alpha)] = _NOT_SIGNIFICANT
+    cuts = np.cumsum(widths)[:-1]
+    return [GatedColumns(rj, pj, len(y), cj) for (_, y), rj, pj, cj in
+            zip(windows, np.split(r, cuts), np.split(p, cuts), np.split(reason, cuts))]
 
 
 def correlate(
@@ -227,5 +245,8 @@ def correlate(
     Total over valid series: degenerate inputs come back as NA with a
     reason, never raise.
     """
-    return gated_columns([paired_rows(x.start, x.values[:, None], y, k)], alpha)[0][0]
+    cols = gated_columns([paired_rows(x.start, x.values[:, None], y, k)], alpha)[0]
+    reason = REASONS[cols.reason[0]]
+    return CorrelationResult(cols.r[0].item(), cols.p[0].item(),
+                             0 if reason in UNTESTED else cols.n, reason)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyOverlap, InsufficientOverlap, MissingQuery, NegativeValue
+from .errors import EmptyOverlap, InsufficientOverlap, InvalidConfig, MissingQuery, NegativeValue
 
 MAX_SHIFT = 2
 DEFAULT_SHIFTS = (-2, -1, 0, 1, 2)
@@ -168,7 +168,7 @@ def paired(start: WeekStamp, X: np.ndarray, y: WeeklySeries,
     with case week t+k, and y's index of the first pair. Disjoint ranges
     raise EmptyOverlap, the zero-pair case of InsufficientOverlap."""
     if abs(k) > MAX_SHIFT:
-        raise ValueError(f"|shift| = {abs(k)} exceeds maximum {MAX_SHIFT}")
+        raise InvalidConfig(f"|shift| = {abs(k)} exceeds maximum {MAX_SHIFT}")
     d = y.start - start  # y's first week, in X's rows
     lo, hi = max(0, d), min(len(X), d + len(y))
     if lo >= hi:

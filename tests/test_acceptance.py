@@ -6,6 +6,7 @@ committed synthetic scenarios; tolerances are pinned here and nowhere
 else.
 """
 
+import json
 import math
 import time
 
@@ -222,7 +223,7 @@ def test_criterion_7_failure_mode():
     years = sorted({int(str(cases.start.add(i))[:4]) for i in range(len(cases))})
     first, last_two = years[0], years[-2:]
     table = table_overall_annual(panel, cases)
-    for label, row in zip(panel.labels, table.sidecar):
+    for label, row in zip(panel.labels, json.loads(table.to_sidecar_json())):
         assert row["years"][str(first)]["value"] > 0.6, f"{label} weak in year 1"
         for yr in last_two:
             res = row["years"][str(yr)]

@@ -212,6 +212,23 @@ class TestPipelineCommands:
         text = out.read_text()
         assert "2-week lagging" in text and "2-week preceding" in text
 
+    def test_the_parser_built_once_keeps_its_defaults(self, fixtures, tmp_path, capsys):
+        # one parser serves every call of a process, so calls share its default --shifts list
+        cases, panel = fixtures
+
+        def nowcast(name, *options):
+            est, table = tmp_path / f"{name}-est.csv", tmp_path / f"{name}-table.csv"
+            code = run(["nowcast", "--cases", str(cases), "--panel", str(panel), *options,
+                        "--out-estimates", str(est), "--out-table", str(table)])
+            out = capsys.readouterr().out
+            return (code, out, est.read_bytes(), table.read_bytes()) if code == 0 else code
+
+        first = nowcast("first")
+        assert first[0] == 0
+        assert nowcast("usage", "--shifts=-1..1", "--mode", "weekly") == 2
+        assert nowcast("narrow", "--shifts=-1..1")[3].count(b"-week") == 3
+        assert nowcast("again") == first
+
     def test_select(self, fixtures, tmp_path):
         cases, panel = fixtures
         out = tmp_path / "sel.json"

@@ -261,11 +261,18 @@ class TestWholeFilePath:
     @pytest.mark.parametrize("parser,header,cells,weeks", [
         (parse_trends_csv, "week,flu", ["-0", "007", "0100"], ["2015-W53", "2016-W01", "2016-W03"]),
         (parse_cases_csv, "week,cases", ["-0", "007", "0" * 15], ["2015-W52", "2015-W53", "2016-W01"]),
+        # the widest cells the row grammar admits, and -0 between others
+        (parse_cases_csv, "week,cases", ["9" * 15, "0" * 14 + "1", "-0"],
+         ["2015-W52", "2015-W53", "2016-W01"]),
+        (parse_trends_csv, "week,flu", ["0" * 14 + "1", "-0", "100"],
+         ["2015-W52", "2015-W53", "2016-W01"]),
     ])
     def test_reads_what_the_row_reader_reads(self, parser, header, cells, weeks):
         text = "".join(f"{w},{c}\n" for w, c in zip(weeks, cells))
         lines = [header] + text.splitlines()
-        assert len(ingest._table(lines, 2)[1]) == 3
+        rows = ingest._table(lines, 2)[1]
+        assert rows.tolist() == [[float(int(c))] for c in cells]
+        assert not np.signbit(rows).any()  # -0 reads as 0
         blob = f"{header}\n{text}".encode()
         assert parsed(parser, blob) == row_by_row(parser, blob)
 

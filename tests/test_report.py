@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from scipy import stats as scipy_stats
 from flunowcast.errors import EmptyLabel
 from flunowcast.regress import QueryPanel, in_sample_objective
 from flunowcast.report import (
-    Table,
     figure_data,
     shift_row_label,
     table_model_by_shift,
@@ -79,7 +79,7 @@ class TestTableOverallAnnual:
             ws(np.random.default_rng(52).uniform(0, 10, size=60)),
         )
         assert all(cell == "NA" for cell in table.rows[0][1:])
-        assert table.sidecar[0]["overall"]["na_reason"] == "ZeroVariance"
+        assert json.loads(table.to_sidecar_json())[0]["overall"]["na_reason"] == "ZeroVariance"
 
     def test_csv_is_byte_deterministic(self):
         rng = np.random.default_rng(53)
@@ -111,8 +111,9 @@ class TestTableShiftScan:
         cases, panel = lead_fixture
         table = table_shift_scan(panel, cases)
         # overall monotonicity is checked per year on the sidecar values
+        sidecar = json.loads(table.to_sidecar_json())
         for label in panel.labels:
-            year_2009 = [row for row in table.sidecar if row["year"] == 2009]
+            year_2009 = [row for row in sidecar if row["year"] == 2009]
             rs = [row["cells"][label]["value"] for row in year_2009]
             assert all(v is not None for v in rs)
             assert rs == sorted(rs)
@@ -180,10 +181,11 @@ class TestShiftScanAgainstPairs:
         weeks = [panel.start.add(i) for i in range(len(panel.matrix))]
         shared = set(weeks) & set(case_at)
         years = sorted({int(str(w)[:4]) for w in case_at})
-        assert [(row["year"], row["shift"]) for row in table.sidecar] == [
+        sidecar = json.loads(table.to_sidecar_json())
+        assert [(row["year"], row["shift"]) for row in sidecar] == [
             (yr, k) for yr in years for k in shifts
         ]
-        for row in table.sidecar:
+        for row in sidecar:
             yr, k = row["year"], row["shift"]
             # search week w pairs with case week w+k; the pair's year is the case week's
             rows = [i for i, w in enumerate(weeks)
@@ -222,7 +224,7 @@ class TestTableModelByShift:
         objs = {k: in_sample_objective(chosen, cases, k) for k in self.SHIFTS}
         table = table_model_by_shift(chosen, cases)
         assert table.rows == (("model",) + tuple(f"{objs[k]:.2f}" for k in self.SHIFTS),)
-        assert table.sidecar == ()
+        assert table.sidecar == ""
         return max(objs, key=objs.get)
 
     def test_lead_fixture_maximized_at_plus_two(self):
@@ -325,26 +327,42 @@ class TestFigureData:
         assert figure_data(series) == sorted_figure_data(series)
 
 
-# JSON leaves as the sidecar writer must print them: ints past 2**63, signed zero,
-# the smallest subnormal, non-finite floats, escapes, U+2028 and text past ASCII
-JSON_LEAVES = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.integers(2 ** 63, 2 ** 200),
-    st.integers(-2 ** 200, -2 ** 63), st.floats(),
-    st.sampled_from([-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]),
-    st.text(),
-    st.sampled_from(['"', "\\", "\x00\x1f\n\t\x7f", "\u2028\u2029", "grippe é 流感 🦠"]),
+# labels that JSON must escape (quotes, backslashes, control characters), U+2028, text
+# past ASCII, and %-directives, which the sidecar's %-templates must not read
+SIDECAR_LABELS = st.one_of(
+    st.text(min_size=1, max_size=6),
+    st.sampled_from(['"', "\\", "\x00\x1f\n\t\x7f", "\u2028\u2029", "grippe é 流感 🦠",
+                     "%", "%%", "%s", "%(x)s", "%d"]),
 )
-JSON_KEYS = st.one_of(st.text(), st.sampled_from(['"q"', "a\\b", "\n", "\u2028", "é"]))
-JSON_TREES = st.recursive(
-    JSON_LEAVES | st.just([]) | st.just({}),
-    lambda children: (st.lists(children, max_size=4)
-                      | st.dictionaries(JSON_KEYS, children, max_size=4)),
-    max_leaves=30)
+
+
+@st.composite
+def sidecar_inputs(draw):
+    """scan_inputs() with labels drawn from SIDECAR_LABELS."""
+    panel, cases, shifts, alpha = draw(scan_inputs())
+    width = len(panel.labels)
+    labels = draw(st.lists(SIDECAR_LABELS, min_size=width, max_size=width, unique=True))
+    return QueryPanel(panel.start, tuple(labels), panel.matrix), cases, shifts, alpha
 
 
 class TestSidecarJson:
-    @given(st.lists(JSON_TREES, max_size=4))
-    @settings(max_examples=500, deadline=None)
-    def test_matches_the_standard_encoder(self, rows):
-        table = Table((), (), (), tuple(rows))
-        assert table.to_sidecar_json() == json_sidecar(rows).encode("utf-8")
+    """A sidecar is exactly what json.dumps(indent=2, ensure_ascii=False) writes."""
+
+    @given(sidecar_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_standard_encoder(self, inputs):
+        panel, cases, shifts, alpha = inputs
+        tables = [
+            (table_overall_annual(panel, cases, alpha, shifts[0]),
+             lambda row: [row["overall"], *row["years"].values()]),
+            (table_shift_scan(panel, cases, shifts, alpha), lambda row: row["cells"].values()),
+        ]
+        for table, cells in tables:
+            s = table.to_sidecar_json()
+            rows = json.loads(s)
+            assert json_sidecar(rows).encode("utf-8") == s
+            for cell in (cell for row in rows for cell in cells(row)):
+                untested = cell["na_reason"] in ("ZeroVariance", "TooFewPairs")
+                assert [cell[key] is None for key in ("value", "p", "n")] == [untested] * 3
+                if not untested:
+                    assert (cell["na_reason"] == "NotSignificant") == (cell["p"] >= alpha)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 from flunowcast import stats
-from flunowcast.errors import InvalidDof
+from flunowcast.errors import InvalidConfig, InvalidDof
 from flunowcast.regress import (
     QueryPanel,
     coefficient_stats,
@@ -280,6 +280,18 @@ class TestBatchedPValues:
         assert (t_two_sided_p(t, lanes[0][1]).tolist()
                 == [student_t_two_sided_p(ti, lanes[0][1]) for ti, _ in lanes])
 
+    @pytest.mark.parametrize("dof", [1, 30, 517])
+    def test_a_thousand_lanes_at_one_dof_equal_the_scalar_p(self, dof):
+        # lanes share one log Beta(a, b) per tail; t from 1e-4 to 1e4 crosses both the
+        # tail switch (cx = 1/2) and the direct/reflected switch (cx = 1.5 / (dof/2 + 2.5))
+        t = np.geomspace(1e-4, 1e4, 500)
+        t = np.concatenate([t, -t[::-1]])
+        cx = t * t / (dof + t * t)
+        for edge in (0.5, 1.5 / (dof / 2 + 2.5)):
+            assert (cx < edge).any() and (cx > edge).any()
+        assert t_two_sided_p(t, dof).tolist() == [student_t_two_sided_p(ti, dof)
+                                                  for ti in t.tolist()]
+
     def test_no_lanes(self):
         assert correlation_p_values(np.array([]), np.array([], dtype=int)).tolist() == []
 
@@ -368,5 +380,5 @@ def _entry_points():
 @pytest.mark.parametrize("call, bad, message",
                          [pytest.param(*case[1:], id=case[0]) for case in _entry_points()])
 def test_every_entry_point_rejects_a_bad_shift_or_alpha(call, bad, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(InvalidConfig, match=f"^{re.escape(message)}$"):
         call(bad)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -165,7 +167,7 @@ class TestFailureModes:
             table = table_overall_annual(panel, cases)
             dead.append(sum(
                 1
-                for row in table.sidecar
+                for row in json.loads(table.to_sidecar_json())
                 for cell in list(row["years"].values())[1:]
                 if cell["na_reason"] is not None or cell["value"] < 0.3
             ))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flunowcast.errors import EmptyOverlap, InsufficientOverlap, NegativeValue
+from flunowcast.errors import EmptyOverlap, InsufficientOverlap, InvalidConfig, NegativeValue
 from flunowcast.timeseries import (
     MIN_PAIRS,
     WeekStamp,
@@ -131,7 +131,7 @@ class TestShiftPair:
 
     def test_shift_beyond_maximum_rejected(self):
         for k in (-3, 3):
-            with pytest.raises(ValueError, match=r"^\|shift\| = 3 exceeds maximum 2$"):
+            with pytest.raises(InvalidConfig, match=r"^\|shift\| = 3 exceeds maximum 2$"):
                 pairs(self.x, self.y, k)
 
     def test_role_reversal_symmetry(self):
