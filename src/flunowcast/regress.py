@@ -8,6 +8,9 @@ every panel week, and `rolling_weekly_fit` refits the coefficients once
 per week on all strictly-prior weeks. Only the coefficients are refit:
 the queries and the shift are the caller's, and `nowcast` picks them once
 from all weeks. Every fit takes its rows from `timeseries.paired`.
+A greedy step's candidate models are factored together, in one stacked
+QR (`candidate_objectives`), and each lane's objective equals that of
+its own fit bit for bit.
 Coefficient inference (intervals, p-values) is computed only on request,
 by `coefficient_stats`: one critical t, and every term's p from one
 call of the Student-t kernel.
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stats
-from .errors import InsufficientOverlap, SingularDesign, Underdetermined
+from .errors import SingularDesign, Underdetermined
 from .timeseries import ArrayFields, QueryPanel, WeeklySeries, paired
 
 PIVOT_TOL = 1e-10
@@ -46,18 +49,28 @@ class ModelFit(ArrayFields):
     shift: int
 
 
-def _solve(X: np.ndarray, yv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least squares of yv on an intercept and X's columns, via Householder QR.
+def _singular(r: np.ndarray) -> np.ndarray:
+    """Rank test of an R factor, or of each in a stack: the smallest
+    diagonal entry is at most PIVOT_TOL times the largest (or 1)."""
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    return diag.min(axis=-1) <= PIVOT_TOL * np.maximum(diag.max(axis=-1), 1.0)
 
-    Returns (beta, R), intercept first, with [1 X] = QR. Raises
+
+def _with_intercept(X: np.ndarray) -> np.ndarray:
+    return np.hstack([np.ones((len(X), 1)), X])
+
+
+def _solve(A: np.ndarray, yv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares of yv on the design A = [1 X], via Householder QR.
+
+    Returns (beta, R), intercept first, with A = QR. Raises
     Underdetermined below nq + 2 rows and SingularDesign on rank loss.
     """
-    m, nq = X.shape
+    m, nq = A.shape[0], A.shape[1] - 1
     if m < nq + 2:
         raise Underdetermined(f"{m} fitted weeks for {nq} queries (need >= {nq + 2})")
-    q, r = np.linalg.qr(np.hstack([np.ones((m, 1)), X]))
-    diag = np.abs(np.diag(r))
-    if np.min(diag) <= PIVOT_TOL * max(np.max(diag), 1.0):
+    q, r = np.linalg.qr(A)
+    if _singular(r):
         raise SingularDesign("design matrix columns are collinear")
     return np.linalg.solve(r, q.T @ yv), r
 
@@ -65,7 +78,7 @@ def _solve(X: np.ndarray, yv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def fit_ols(panel: QueryPanel, y: WeeklySeries, k: int) -> ModelFit:
     """Fit the nowcast model on the full overlapping period at shift k."""
     X, yv, _ = paired(panel.start, panel.matrix, y, k)
-    beta, r = _solve(X, yv)
+    beta, r = _solve(_with_intercept(X), yv)
     m, nq = X.shape
     resid = yv - (beta[0] + X @ beta[1:])
     rss = float(resid @ resid)
@@ -132,10 +145,11 @@ def rolling_weekly_fit(
         warmup = nq + 4
     if warmup < nq + 2:
         raise Underdetermined(f"warmup {warmup} < {nq + 2} minimum for {nq} queries")
+    A = _with_intercept(X)
     values = []
     for t in range(warmup, m):
         try:
-            beta, _ = _solve(X[:t], yv[:t])
+            beta, _ = _solve(A[:t], yv[:t])
         except SingularDesign:
             # the default warmup runs on past singular windows (e.g.
             # still-flat query columns) to the first fittable one; adding
@@ -148,21 +162,48 @@ def rolling_weekly_fit(
     return WeeklySeries(y.start.add(yi + m - len(values)), values, "estimates") if values else None
 
 
-def in_sample_objective(panel: QueryPanel, y: WeeklySeries, k: int) -> float | None:
-    """Pearson r between full-period model estimates and cases.
+def candidate_objectives(X: np.ndarray, yv: np.ndarray, chosen: list[int],
+                         candidates: list[int]) -> list[float | None]:
+    """The selection objective of the model on X's columns `chosen` plus
+    each one of `candidates`, from one stacked QR of all their designs.
 
-    With an intercept that r is the square root of R^2, taken straight
-    from the solve. The selection objective: no significance gating,
-    None when the fit is undefined or y or the estimates are constant.
+    The objective is the Pearson r between full-period model estimates and
+    cases; with an intercept that r is the square root of R^2, taken
+    straight from the solve. No significance gating: a lane is None when
+    its fit is undefined (too few rows, collinear columns) or y or its
+    estimates are constant.
     """
-    try:
-        X, yv, _ = paired(panel.start, panel.matrix, y, k)
-        beta, _ = _solve(X, yv)
-    except (Underdetermined, SingularDesign, InsufficientOverlap):
-        return None
-    dy = yv - yv.mean()
-    df = X @ beta[1:] + (beta[0] - yv.mean())
-    tss, ess = float(dy @ dy), float(df @ df)
-    if tss == 0.0 or ess == 0.0:
-        return None
-    return min(math.sqrt(ess / tss), 1.0)
+    m, a = len(yv), len(chosen)
+    objectives = [None] * len(candidates)
+    if m < a + 3:  # a + 1 queries need a + 3 rows, as in _solve
+        return objectives
+    ybar = yv.mean()
+    dy = yv - ybar
+    tss = float(dy @ dy)
+    if tss == 0.0:
+        return objectives
+    # lane j is the design [1, chosen columns, candidate j]
+    A = np.empty((len(candidates), m, a + 2))
+    A[:, :, 0] = 1.0
+    A[:, :, 1:-1] = X[:, chosen]
+    A[:, :, -1] = X[:, candidates].T
+    q, r = np.linalg.qr(A)
+    lanes = np.flatnonzero(~_singular(r))
+    qty = np.swapaxes(q, 1, 2) @ yv
+    # b as (lanes, p, 1): numpy 1.x and 2.x both read that as one vector per lane
+    betas = np.linalg.solve(r[lanes], qty[lanes, :, None])[:, :, 0]
+    for j, beta in zip(lanes.tolist(), betas):
+        df = A[j, :, 1:] @ beta[1:] + (beta[0] - ybar)
+        ess = float(df @ df)
+        if ess != 0.0:
+            objectives[j] = min(math.sqrt(ess / tss), 1.0)
+    return objectives
+
+
+def in_sample_objective(X: np.ndarray, yv: np.ndarray) -> float | None:
+    """The selection objective of the model on all of X's columns, where
+    X's rows are paired with the case values yv (as `stats.paired_rows`
+    gives them): `candidate_objectives` with the last column as the one
+    lane."""
+    nq = X.shape[1]
+    return candidate_objectives(X, yv, list(range(nq - 1)), [nq - 1])[0]

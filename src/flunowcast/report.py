@@ -140,7 +140,8 @@ def table_model_by_shift(
 ) -> Table:
     """Model objective of the chosen queries at each shift; no sidecar."""
     columns = ("dataset",) + tuple(shift_row_label(k) for k in shifts)
-    objectives = [in_sample_objective(chosen, y, k) for k in shifts]
+    objectives = [in_sample_objective(*stats.paired_rows(chosen.start, chosen.matrix, y, k))
+                  for k in shifts]
     cells = tuple("NA" if obj is None else f"{obj:.2f}" for obj in objectives)
     return Table(columns, (("model",) + cells,), (f"p<{ALPHA:g}",), "")
 

@@ -2,7 +2,11 @@
 
 Selection starts from the query with the highest individual correlation
 and keeps adding the candidate that most improves the model objective,
-per candidate shift; the shift with the best final objective wins.
+per candidate shift; the shift with the best final objective wins. Each
+shift pairs the panel's rows with the cases once; the first query is
+scored alone (`regress.in_sample_objective`), and each later greedy
+step scores all of its remaining candidates in one stacked
+factorization (`regress.candidate_objectives`).
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from dataclasses import dataclass
 
 from . import stats
 from .errors import NoUsableQuery
-from .regress import in_sample_objective
+from .regress import candidate_objectives, in_sample_objective
 from .stats import ALPHA
 from .timeseries import QueryPanel, WeeklySeries
 
@@ -26,34 +30,31 @@ class SelectionResult:
     trace: tuple[tuple[int, str, float], ...]  # (step, label added, objective after)
 
 
-def _greedy_one_shift(
-    panel: QueryPanel,
-    y: WeeklySeries,
-    k: int,
-    pool: list[str],
-) -> SelectionResult | None:
+def _greedy_one_shift(X, yv, k: int, labels: tuple[str, ...],
+                      pool: list[int]) -> SelectionResult | None:
+    """Greedy selection from X's columns `pool`, best first, where X's rows
+    are paired with the case values yv at shift k."""
     if not pool:
         return None
-    chosen = [pool[0]]
-    objective = in_sample_objective(panel.subset(chosen), y, k)
+    chosen = pool[:1]
+    objective = in_sample_objective(X[:, chosen], yv)
     if objective is None:
         return None
-    trace = [(1, pool[0], objective)]
+    trace = [(1, labels[pool[0]], objective)]
     remaining = pool[1:]
     while remaining:
-        best_label, best_obj = None, objective
+        best, best_obj = None, objective
         # pool order encodes individual rank, which is the tie-break
-        for label in remaining:
-            obj = in_sample_objective(panel.subset(chosen + [label]), y, k)
+        for j, obj in zip(remaining, candidate_objectives(X, yv, chosen, remaining)):
             if obj is not None and obj > best_obj + IMPROVEMENT_EPS:
-                best_label, best_obj = label, obj
-        if best_label is None:
+                best, best_obj = j, obj
+        if best is None:
             break
-        chosen.append(best_label)
-        remaining.remove(best_label)
+        chosen.append(best)
+        remaining.remove(best)
         objective = best_obj
-        trace.append((len(chosen), best_label, objective))
-    return SelectionResult(tuple(chosen), k, objective, tuple(trace))
+        trace.append((len(chosen), labels[best], objective))
+    return SelectionResult(tuple(labels[j] for j in chosen), k, objective, tuple(trace))
 
 
 def greedy_select(
@@ -68,11 +69,11 @@ def greedy_select(
     """
     windows = [stats.paired_rows(panel.start, panel.matrix, y, k) for k in shifts]
     best = None
-    for k, cols in zip(shifts, stats.gated_columns(windows, alpha)):
+    for k, (X, yv), cols in zip(shifts, windows, stats.gated_columns(windows, alpha)):
         # candidates: a positive, significant correlation, best first, ties on label code points
-        lanes = zip(panel.labels, cols.r.tolist(), cols.reason.tolist())
-        pool = sorted((-r, label) for label, r, code in lanes if code == 0 and r > 0.0)
-        outcome = _greedy_one_shift(panel, y, k, [label for _, label in pool])
+        lanes = enumerate(zip(panel.labels, cols.r.tolist(), cols.reason.tolist()))
+        pool = sorted((-r, label, j) for j, (label, r, code) in lanes if code == 0 and r > 0.0)
+        outcome = _greedy_one_shift(X, yv, k, panel.labels, [j for _, _, j in pool])
         if outcome is not None and (best is None or outcome.objective > best.objective):
             best = outcome
     if best is None:

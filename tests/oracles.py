@@ -3,9 +3,10 @@
 These deliberately avoid the library's own code paths: correlation from
 the definitional sums, p-values from permutation resampling and
 quadrature, OLS from Gaussian elimination on the normal equations,
-subset selection by exhaustive enumeration, ISO weeks from stepping a
-date one week at a time, figure rows from one stable sort, and sidecar
-JSON from the standard library's encoder. The
+subset selection by exhaustive enumeration, the selection objective and
+greedy selection by one least-squares fit per candidate, ISO weeks from
+stepping a date one week at a time, figure rows from one stable sort,
+and sidecar JSON from the standard library's encoder. The
 Student-t p-value is also here one scalar continued fraction at a
 time: the batched kernel must equal it exactly, lane for lane, and
 `t_critical` must agree with its bisection.
@@ -193,6 +194,66 @@ def model_r(X, y):
     beta = normal_equations_ols(X, y)
     fitted = beta[0] + np.asarray(X, dtype=float) @ beta[1:]
     return definitional_pearson(fitted, y)
+
+
+def one_fit_objective(X, y):
+    """The selection objective of one candidate model by its own fit.
+
+    Pearson r of an intercept OLS model of y on X's columns, as
+    sqrt(ESS/TSS), from one Householder QR of [1 X]. None below nq + 2
+    rows, for collinear columns (a diagonal entry of R at most 1e-10 times
+    the largest, or 1), or when y or the fitted values are constant. It
+    makes numpy's single-design calls on a C-order X, as a panel holds its
+    columns, so a stacked fast path must equal it bit for bit (an F-order
+    X sums X @ beta in another order).
+    """
+    X = np.ascontiguousarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    m, nq = X.shape
+    if m < nq + 2:
+        return None
+    q, r = np.linalg.qr(np.hstack([np.ones((m, 1)), X]))
+    diag = np.abs(np.diag(r))
+    if np.min(diag) <= 1e-10 * max(np.max(diag), 1.0):
+        return None
+    beta = np.linalg.solve(r, q.T @ y)
+    dy = y - y.mean()
+    df = X @ beta[1:] + (beta[0] - y.mean())
+    tss, ess = float(dy @ dy), float(df @ df)
+    if tss == 0.0 or ess == 0.0:
+        return None
+    return min(math.sqrt(ess / tss), 1.0)
+
+
+def greedy_forward(X, y, pool, eps):
+    """Greedy forward selection over X's columns by one `one_fit_objective`
+    call per candidate and step.
+
+    Starts from pool[0]; each step scans the rest in pool order, keeps a
+    candidate whose objective beats the best kept so far by more than eps,
+    and adds the last one kept. Returns the
+    trace [(step, column added, objective after)], or None when pool[0]
+    alone has no objective.
+    """
+    chosen = [pool[0]]
+    objective = one_fit_objective(X[:, chosen], y)
+    if objective is None:
+        return None
+    trace = [(1, pool[0], objective)]
+    remaining = list(pool[1:])
+    while remaining:
+        best, best_obj = None, objective
+        for j in remaining:
+            obj = one_fit_objective(X[:, chosen + [j]], y)
+            if obj is not None and obj > best_obj + eps:
+                best, best_obj = j, obj
+        if best is None:
+            break
+        chosen.append(best)
+        remaining.remove(best)
+        objective = best_obj
+        trace.append((len(chosen), best, objective))
+    return trace
 
 
 def exhaustive_best_subset(columns, y):

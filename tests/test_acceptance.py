@@ -30,7 +30,7 @@ from flunowcast.regress import (
 )
 from flunowcast.report import table_model_by_shift, table_overall_annual
 from flunowcast.selection import greedy_select
-from flunowcast.stats import correlate
+from flunowcast.stats import correlate, paired_rows
 from flunowcast.synth import ScenarioConfig, generate
 from flunowcast.timeseries import WeekStamp, WeeklySeries, paired
 
@@ -191,7 +191,8 @@ def test_criterion_5_shift_structure():
 
     chosen = panel.subset(list(greedy_select(panel, cases, SHIFTS).chosen_labels))
     # the argmax from the objectives themselves: two-decimal cells can tie
-    objs = {k: in_sample_objective(chosen, cases, k) for k in SHIFTS}
+    objs = {k: in_sample_objective(*paired_rows(chosen.start, chosen.matrix, cases, k))
+            for k in SHIFTS}
     assert max(objs, key=objs.get) == 2
     assert table_model_by_shift(chosen, cases, tuple(SHIFTS)).rows[0][1:] == tuple(
         f"{objs[k]:.2f}" for k in SHIFTS)
@@ -206,8 +207,8 @@ def test_criterion_6_model_strength():
     cases, panel = generate(LEAD_SCENARIO)
     sel = greedy_select(panel, cases, SHIFTS)
     sub = panel.subset(list(sel.chosen_labels))
-    obj_plus2 = in_sample_objective(sub, cases, 2)
-    obj_minus2 = in_sample_objective(sub, cases, -2)
+    obj_plus2 = in_sample_objective(*paired_rows(sub.start, sub.matrix, cases, 2))
+    obj_minus2 = in_sample_objective(*paired_rows(sub.start, sub.matrix, cases, -2))
     assert obj_plus2 > 0.70
     assert obj_minus2 <= 0.70
     # determinism per seed

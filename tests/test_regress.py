@@ -11,16 +11,17 @@ from flunowcast.errors import (
 )
 from flunowcast.regress import (
     QueryPanel,
+    candidate_objectives,
     coefficient_stats,
     fit_ols,
     in_sample_objective,
     predict,
     rolling_weekly_fit,
 )
-from flunowcast.stats import correlate
-from flunowcast.timeseries import WeekStamp, WeeklySeries
+from flunowcast.stats import correlate, paired_rows
+from flunowcast.timeseries import MIN_PAIRS, WeekStamp, WeeklySeries, paired
 
-from .oracles import definitional_pearson, normal_equations_ols
+from .oracles import definitional_pearson, normal_equations_ols, one_fit_objective
 
 W0 = WeekStamp(2009, 1)
 
@@ -101,7 +102,7 @@ class TestFitOls:
             fit_ols(panel, y, 2)
         with pytest.raises(DataError):
             rolling_weekly_fit(panel, y, 2)
-        assert in_sample_objective(panel, y, 2) is None
+        assert in_sample_objective(*paired_rows(panel.start, panel.matrix, y, 2)) is None
 
     def test_ci_brackets_estimate(self):
         rng = np.random.default_rng(13)
@@ -280,6 +281,55 @@ class TestRollingWeeklyFit:
             assert abs(value - predict(fit, panel).values[xi + i]) <= 1e-12 * scale
 
 
+@st.composite
+def objective_steps(draw):
+    """One greedy step on a drawn panel: 3-60 weeks, 1-8 columns of 0-100
+    integers (some duplicates or constants), cases that may be constant or
+    an exact line in one column, a shift, and a split of the columns into
+    chosen ones and candidates."""
+    m, nc = draw(st.integers(3, 60)), draw(st.integers(1, 8))
+    cells = st.lists(st.integers(0, 100), min_size=m, max_size=m)
+    columns = []
+    for j in range(nc):
+        kind = draw(st.sampled_from(("drawn", "duplicate", "constant"))) if j else "drawn"
+        if kind == "drawn":
+            columns.append(draw(cells))
+        elif kind == "duplicate":
+            columns.append(columns[draw(st.integers(0, j - 1))])
+        else:
+            columns.append([draw(st.integers(0, 100))] * m)
+    X = np.array(columns, dtype=float).T
+    kind = draw(st.sampled_from(("drawn", "constant", "line")))
+    if kind == "drawn":
+        y = draw(st.lists(st.integers(0, 1000), min_size=m, max_size=m))
+    elif kind == "constant":
+        y = [draw(st.integers(0, 1000))] * m
+    else:
+        y = 3 * X[:, draw(st.integers(0, nc - 1))] + 1
+    order = draw(st.permutations(range(nc)))
+    a = draw(st.integers(0, nc - 1))
+    panel = panel_of([(f"q{j}", X[:, j]) for j in range(nc)])
+    return panel, ws(y), draw(st.integers(-2, 2)), order[:a], order[a:]
+
+
+class TestCandidateObjectives:
+    @given(objective_steps())
+    @settings(max_examples=500, deadline=None)
+    def test_every_lane_equals_its_own_fit_bit_for_bit(self, step):
+        panel, y, k, chosen, candidates = step
+        if len(y) - abs(k) < MIN_PAIRS:
+            with pytest.raises(InsufficientOverlap):
+                paired(panel.start, panel.matrix, y, k)
+            assert in_sample_objective(*paired_rows(panel.start, panel.matrix, y, k)) is None
+            return
+        X, yv, _ = paired(panel.start, panel.matrix, y, k)
+        got = candidate_objectives(X, yv, chosen, candidates)
+        assert len(got) == len(candidates)
+        for j, obj in zip(candidates, got):
+            assert obj == one_fit_objective(X[:, chosen + [j]], yv)  # None only matches None
+        assert in_sample_objective(X[:, chosen + candidates[:1]], yv) == got[0]
+
+
 class TestEvaluate:
     def _nowcast(self, values, start=W0):
         return WeeklySeries(start, tuple(values), "estimates")
@@ -315,6 +365,6 @@ class TestEvaluate:
             lead_weeks=2, noise_sd=0.1, n_signal_queries=2,
         )
         cases, panel = generate(cfg)
-        r_plus = in_sample_objective(panel, cases, 2)
-        r_minus = in_sample_objective(panel, cases, -2)
+        r_plus = in_sample_objective(*paired_rows(panel.start, panel.matrix, cases, 2))
+        r_minus = in_sample_objective(*paired_rows(panel.start, panel.matrix, cases, -2))
         assert r_plus > r_minus

@@ -16,6 +16,7 @@ from flunowcast.report import (
     table_shift_scan,
 )
 from flunowcast.selection import greedy_select
+from flunowcast.stats import paired_rows
 from flunowcast.synth import ScenarioConfig, generate
 from flunowcast.timeseries import WeekStamp, WeeklySeries
 
@@ -221,7 +222,8 @@ class TestTableModelByShift:
         `in_sample_objective` (two-decimal cells can tie), after checking
         that the table prints those objectives."""
         chosen = self._chosen(panel, cases)
-        objs = {k: in_sample_objective(chosen, cases, k) for k in self.SHIFTS}
+        objs = {k: in_sample_objective(*paired_rows(chosen.start, chosen.matrix, cases, k))
+                for k in self.SHIFTS}
         table = table_model_by_shift(chosen, cases)
         assert table.rows == (("model",) + tuple(f"{objs[k]:.2f}" for k in self.SHIFTS),)
         assert table.sidecar == ""

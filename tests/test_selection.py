@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from flunowcast import stats
 from flunowcast.errors import NoUsableQuery
-from flunowcast.regress import QueryPanel, in_sample_objective
-from flunowcast.selection import greedy_select
-from flunowcast.timeseries import WeekStamp, WeeklySeries
+from flunowcast.regress import QueryPanel, candidate_objectives, in_sample_objective
+from flunowcast.selection import IMPROVEMENT_EPS, SelectionResult, greedy_select
+from flunowcast.timeseries import WeekStamp, WeeklySeries, paired
 
-from .oracles import exhaustive_best_subset
+from .oracles import exhaustive_best_subset, greedy_forward
 
 W0 = WeekStamp(2009, 1)
 SHIFTS = [-2, -1, 0, 1, 2]
@@ -71,9 +73,9 @@ class TestGreedySelect:
         cols = [(f"q{i}", 0.4 * y_vals + rng.normal(0, 50, size=100)) for i in range(5)]
         panel = panel_of(cols)
         result = greedy_select(panel, ws(y_vals), SHIFTS)
+        chosen = panel.subset(list(result.chosen_labels))
         fresh = in_sample_objective(
-            panel.subset(list(result.chosen_labels)), ws(y_vals), result.best_shift
-        )
+            *stats.paired_rows(chosen.start, chosen.matrix, ws(y_vals), result.best_shift))
         assert result.objective == pytest.approx(fresh, abs=1e-12)
 
     def test_picks_best_shift(self):
@@ -172,3 +174,105 @@ class TestCandidates:
         assert zero.objective == two.objective
         assert greedy_select(panel, ws(y_vals), [2, 0]).best_shift == 2
         assert greedy_select(panel, ws(y_vals), [0, 2]).best_shift == 0
+
+
+def reference_select(panel, y, shifts):
+    """greedy_select rebuilt on one oracle fit per candidate: the same gated
+    candidate pools, then `greedy_forward` at each shift; None where
+    greedy_select raises NoUsableQuery."""
+    windows = [stats.paired_rows(panel.start, panel.matrix, y, k) for k in shifts]
+    best = None
+    for k, (X, yv), cols in zip(shifts, windows, stats.gated_columns(windows, stats.ALPHA)):
+        lanes = enumerate(zip(cols.r.tolist(), cols.reason.tolist()))
+        pool = sorted((-r, panel.labels[j], j) for j, (r, code) in lanes if code == 0 and r > 0.0)
+        trace = greedy_forward(X, yv, [j for _, _, j in pool], IMPROVEMENT_EPS) if pool else None
+        if trace is not None and (best is None or trace[-1][2] > best.objective):
+            best = SelectionResult(tuple(panel.labels[j] for _, j, _ in trace), k, trace[-1][2],
+                                   tuple((step, panel.labels[j], o) for step, j, o in trace))
+    return best
+
+
+@st.composite
+def selection_problems(draw):
+    """Cases that follow 1-4 integer base columns at one of the shifts, and
+    a panel of 1-8 queries, each a copy of a base column, twice one, fresh
+    noise or a constant; copies make exact and near ties and all-singular
+    steps."""
+    m, nb = draw(st.integers(8, 60)), draw(st.integers(1, 4))
+    cells = st.lists(st.integers(0, 100), min_size=m, max_size=m)
+    base = np.array([draw(cells) for _ in range(nb)], dtype=float)
+    weights = np.array(draw(st.lists(st.integers(1, 3), min_size=nb, max_size=nb)))
+    noise = np.array(draw(st.lists(st.integers(0, 40), min_size=m, max_size=m)))
+    columns = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("copy", "twice", "noise", "constant")))
+        b = base[draw(st.integers(0, nb - 1))]
+        columns.append({"copy": b, "twice": 2 * b, "noise": np.array(draw(cells), dtype=float),
+                        "constant": np.full(m, float(draw(st.integers(0, 100))))}[kind])
+    panel = panel_of([(f"q{j}", c) for j, c in enumerate(columns)])
+    shifts = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=5, unique=True))
+    lag = draw(st.sampled_from(shifts))
+    return panel, ws(np.roll(weights @ base + noise, lag)), shifts
+
+
+class TestAgainstOneFitGreedy:
+    """greedy_select against greedy selection by one oracle fit per candidate,
+    trace objectives compared by ==."""
+
+    @given(selection_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_same_result_as_one_fit_greedy(self, problem):
+        panel, y, shifts = problem
+        expected = reference_select(panel, y, shifts)
+        if expected is None:
+            with pytest.raises(NoUsableQuery):
+                greedy_select(panel, y, shifts)
+        else:
+            assert greedy_select(panel, y, shifts) == expected
+
+    def test_a_tie_within_eps_keeps_the_first_candidate(self):
+        # after a: b2 ties b exactly, and c = b + 1e-6 noise beats b by less than the eps
+        rng = np.random.default_rng(0)
+        a, b = rng.integers(0, 101, size=(2, 50)).astype(float)
+        panel = panel_of([("a", a), ("b", b), ("b2", b), ("c", b + 1e-6 * rng.normal(size=50))])
+        y = ws(1.5 * a + b + rng.integers(0, 30, size=50))
+        X, yv, _ = paired(panel.start, panel.matrix, y, 0)
+        ob, ob2, oc = candidate_objectives(X, yv, [0], [1, 2, 3])
+        assert ob == ob2 and 0.0 < oc - ob <= IMPROVEMENT_EPS
+        result = greedy_select(panel, y, [0])
+        assert result == reference_select(panel, y, [0])
+        assert result.chosen_labels[:2] == ("a", "b")
+
+    def test_a_gain_within_eps_is_not_taken(self):
+        rng = np.random.default_rng(0)
+        a = rng.integers(0, 101, size=60).astype(float)
+        panel = panel_of([("a", a), ("b", a + rng.integers(0, 30, size=60))])
+        y = ws(10 * a + rng.integers(0, 3, size=60))
+        X, yv, _ = paired(panel.start, panel.matrix, y, 0)
+        (alone,), (both,) = candidate_objectives(X, yv, [], [0]), candidate_objectives(X, yv, [0], [1])
+        assert 0.0 < both - alone <= IMPROVEMENT_EPS
+        result = greedy_select(panel, y, [0])
+        assert result == reference_select(panel, y, [0])
+        assert result.chosen_labels == ("a",)
+
+    def test_an_all_singular_step_ends_the_search(self):
+        rng = np.random.default_rng(42)
+        x = rng.integers(0, 101, size=40).astype(float)
+        panel = panel_of([("x", x), ("x2", x), ("x3", 3 * x)])
+        y = ws(x + rng.integers(0, 20, size=40))
+        X, yv, _ = paired(panel.start, panel.matrix, y, 0)
+        assert candidate_objectives(X, yv, [0], [1, 2]) == [None, None]
+        result = greedy_select(panel, y, [0])
+        assert result == reference_select(panel, y, [0])
+        assert len(result.trace) == 1
+
+    def test_no_panel_subsets(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        y_vals = rng.uniform(0, 100, size=60)
+        panel = panel_of([(f"q{i}", 0.5 * y_vals + rng.normal(0, 30, size=60)) for i in range(4)])
+
+        def refuse(self, labels):
+            raise AssertionError("greedy_select built a panel subset")
+
+        monkeypatch.setattr(QueryPanel, "subset", refuse)
+        assert len(greedy_select(panel, ws(y_vals), SHIFTS).chosen_labels) >= 1

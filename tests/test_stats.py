@@ -13,7 +13,6 @@ from flunowcast.regress import (
     QueryPanel,
     coefficient_stats,
     fit_ols,
-    in_sample_objective,
     rolling_weekly_fit,
 )
 from flunowcast.report import table_model_by_shift, table_overall_annual, table_shift_scan
@@ -357,7 +356,7 @@ def _entry_points():
         "greedy_select": lambda k: greedy_select(panel, y, [k]),
         "fit_ols": lambda k: fit_ols(panel, y, k),
         "rolling_weekly_fit": lambda k: rolling_weekly_fit(panel, y, k),
-        "in_sample_objective": lambda k: in_sample_objective(panel, y, k),
+        "paired_rows": lambda k: stats.paired_rows(panel.start, X, y, k),
         "table_overall_annual": lambda k: table_overall_annual(panel, y, ALPHA, k),
         "table_shift_scan": lambda k: table_shift_scan(panel, y, (k,)),
         "table_model_by_shift": lambda k: table_model_by_shift(panel, y, (k,)),
