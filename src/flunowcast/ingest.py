@@ -23,7 +23,7 @@ from .errors import (
     NonContiguousAfterFill,
     ValueOutOfRange,
 )
-from .timeseries import QueryPanel, WeekStamp, WeeklySeries, week_labels
+from .timeseries import QueryPanel, WeekStamp, WeeklySeries, week_labels, week_numbers
 
 
 def _decode_lines(data: bytes) -> list[str]:
@@ -65,20 +65,19 @@ def _rows(lines: list[str], width: int):
         yield i, week, [_parse_int(c, i) for c in cells[1:]]
 
 
-def _table(lines: list[str], width: int) -> tuple[list[WeekStamp], np.ndarray]:
-    """Every data row's week and its cells as one (rows x width - 1) array;
-    no rows if a row misses the row grammar (cells of at most 15 digits, read
-    as int64 and so exact as floats) or its ISO week, for the row reader."""
+def _table(lines: list[str], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every data row's week number and its cells as one (rows x width - 1)
+    array; no rows if a row misses the row grammar (cells of at most 15
+    digits, read as int64 and so exact as floats) or its ISO week, for the
+    row reader."""
     body = lines[1:]
     row = re.compile(rf"[0-9]{{4}}-W[0-9]{{2}}(?:,-?[0-9]{{1,15}}){{{width - 1}}}")
-    try:  # a row that misses leaves `weeks` short
-        weeks = [WeekStamp.parse(line[:8]) for line in body if row.fullmatch(line)]
-    except ValueError:  # a week number past the year's last
-        weeks = []
-    if not body or len(weeks) < len(body):
-        return [], np.empty((0, width - 1))
-    cells = np.fromstring(",".join(line[9:] for line in body), sep=",", dtype=np.int64)
-    return weeks, cells.astype(float).reshape(len(body), width - 1)  # -0 reads as 0
+    if body and all(map(row.fullmatch, body)):
+        weeks, valid = week_numbers("".join(line[:8] for line in body).encode("ascii"))
+        if valid.all():  # else a week number past the year's last
+            cells = np.fromstring(",".join(line[9:] for line in body), sep=",", dtype=np.int64)
+            return weeks, cells.astype(float).reshape(len(body), width - 1)  # -0 reads as 0
+    return np.empty(0, np.int64), np.empty((0, width - 1))
 
 
 def parse_trends_csv(data: bytes) -> QueryPanel:
@@ -103,10 +102,11 @@ def parse_trends_csv(data: bytes) -> QueryPanel:
             rows.append(vals)
         if not rows:
             raise MalformedRow("panel has no data rows")
+    start = WeekStamp.parse(lines[1][:8])  # the first row's week, which both readers accept
     # weeks the file omits stay zero
-    matrix = np.zeros((weeks[-1] - weeks[0] + 1, len(labels)))
-    matrix[[w - weeks[0] for w in weeks]] = rows
-    return QueryPanel(weeks[0], tuple(labels), matrix)
+    matrix = np.zeros((weeks[-1] - start + 1, len(labels)))
+    matrix[np.subtract(weeks, start)] = rows
+    return QueryPanel(start, tuple(labels), matrix)
 
 
 def parse_cases_csv(data: bytes) -> WeeklySeries:
@@ -131,19 +131,46 @@ def parse_cases_csv(data: bytes) -> WeeklySeries:
             counts.append(count)
         if not weeks:
             raise MalformedRow("case file has no data rows")
-    return WeeklySeries(weeks[0], counts, "cases")
+    return WeeklySeries(WeekStamp.parse(lines[1][:8]), counts, "cases")  # the first row's week
 
 
-def _write_rows(header: str, start: WeekStamp, rows: list[list[int]]) -> bytes:
+def _int_rows(start: WeekStamp, values: np.ndarray, top: int, out_of_range) -> list:
+    """`values`, a (weeks x columns) array from `start`, as the int rows the
+    writer prints. The first week holding a value the parser would refuse
+    raises as the parser does: MalformedRow for a non-integer, else
+    out_of_range(week, value) for one outside 0..top."""
+    with np.errstate(invalid="ignore"):  # a value past int64 casts to a wrong int, refused below
+        ints = values.astype(np.int64)
+    # min and max rather than comparisons with a scalar, which raise synth's peak RSS ~0.15 MB
+    if not (ints.min() >= 0 and ints.max() <= top and (ints == values).all()):
+        t = int(((ints != values) | (ints < 0) | (ints > top)).any(axis=1).argmax())
+        week, cells = start.add(t), values[t].tolist()
+        fraction = next((v for v in cells if not v.is_integer()), None)
+        if fraction is not None:
+            raise MalformedRow(f"week {week}: not an integer: {fraction!r}")
+        raise out_of_range(week, next(v for v in cells if not 0 <= v <= top))
+    return ints.tolist()
+
+
+def _write_rows(header: str, start: WeekStamp, rows: list) -> bytes:
     lines = [header] + [f"{week}," + ",".join(map(str, row))
                         for week, row in zip(week_labels(start, len(rows)), rows)]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def write_trends_csv(panel: QueryPanel) -> bytes:
-    return _write_rows("week," + ",".join(panel.labels), panel.start,
-                       panel.matrix.astype(int).tolist())
+    if any(not l or "," in l or "\n" in l or "\r" in l for l in panel.labels):
+        raise MalformedHeader("query labels must be non-empty, without commas or line breaks")
+    rows = _int_rows(panel.start, panel.matrix, 100, lambda week, v: ValueOutOfRange(
+        f"week {week}: search volume {v:g} outside 0-100"))
+    return _write_rows("week," + ",".join(panel.labels), panel.start, rows)
 
 
 def write_cases_csv(cases: WeeklySeries) -> bytes:
-    return _write_rows("week,cases", cases.start, [[int(v)] for v in cases.values.tolist()])
+    def refuse(week, count):
+        if count < 0:
+            return NegativeCount(f"week {week}: negative case count {count:g}")
+        return MalformedRow(f"week {week}: case count above 2**53")
+
+    return _write_rows("week,cases", cases.start,
+                       _int_rows(cases.start, cases.values[:, None], 2 ** 53, refuse))

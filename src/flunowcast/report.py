@@ -154,17 +154,21 @@ def figure_data(series: list[WeeklySeries]) -> bytes:
     if not all(s.label for s in series):
         raise EmptyLabel("every figure series needs a non-empty label")
     first = min(s.start for s in series)
-    columns = [(s.start - first, s.label.replace("%", "%%") + ",%.2f\n", s.values)
+    columns = [(s.start - first, s.label.replace("%", "%%") + ",%s\n", s.values)
                for s in sorted(series, key=lambda s: s.label)]
     cuts = sorted({at for at, _, _ in columns} | {at + len(v) for at, _, v in columns})
     weeks = week_labels(first, cuts[-1])
     out = ["week,label,value\n"]
     # the live series are fixed between two cuts, so a run of weeks has one %-template,
-    # `week,label,%.2f` rows in label order
+    # `week,label,%s` rows in label order, filled from the run's distinct values, each
+    # printed once; distinct by bit pattern, so -0.0 prints as -0.00
     for a, b in zip(cuts, cuts[1:]):
         live = [(row, v[a - at:b - at]) for at, row, v in columns if at <= a < at + len(v)]
         if live:
             rows = ["", *(row for row, _ in live)]
+            block = np.column_stack([v for _, v in live])
+            bits, index = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+            text = np.array(["%.2f" % v for v in bits.view(float).tolist()], dtype=object)
             out.extend((week + ",").join(rows) % tuple(values) for week, values in
-                       zip(weeks[a:b], np.column_stack([v for _, v in live]).tolist()))
+                       zip(weeks[a:b], text[index].reshape(block.shape).tolist()))
     return "".join(out).encode("utf-8")

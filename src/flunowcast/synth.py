@@ -47,6 +47,8 @@ class ScenarioConfig:
             raise InvalidConfig("peak widths must be positive")
         if any(m < 0 for _, m, _ in self.media_spikes):
             raise InvalidConfig("spike magnitudes must be non-negative")
+        if any(d < 0 for _, _, d in self.media_spikes):  # 0 is a one-week pulse
+            raise InvalidConfig("spike decays must be non-negative")
         if not 0.0 < self.attention_decay <= 1.0:
             raise InvalidConfig("attention_decay must be in (0, 1]")
         if self.noise_sd < 0:

@@ -42,7 +42,7 @@ class WeekStamp(int):
         try:
             monday = _dt.date.fromisocalendar(iso_year, iso_week, 1)
         except ValueError as exc:
-            raise ValueError(f"invalid ISO week {iso_year}-W{iso_week:02d}") from exc
+            raise ValueError(f"invalid ISO week {iso_year:04d}-W{iso_week:02d}") from exc
         return int.__new__(cls, monday.toordinal() // 7)
 
     @classmethod
@@ -64,6 +64,27 @@ class WeekStamp(int):
         if not 0 <= self + weeks <= _LAST_WEEK:
             raise ValueError(f"{weeks:+d} weeks from {self} is outside 0001-W01..9999-W52")
         return int.__new__(WeekStamp, self + weeks)
+
+
+def _week_one_monday(year: np.ndarray) -> np.ndarray:
+    """Day ordinal of the Monday of each year's ISO week 1, the week that holds 4 January."""
+    y = year - 1
+    jan4 = 365 * y + y // 4 - y // 100 + y // 400 + 4
+    return jan4 - (jan4 - 1) % 7  # ordinal 1, 0001-01-01, is a Monday
+
+
+def week_numbers(stamps: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The number of each 'YYYY-Www' stamp in `stamps`, eight ASCII bytes
+    apiece, and whether `WeekStamp.parse` accepts it; the number of a stamp
+    it refuses means nothing. All stamps are read in one array step."""
+    chars = np.frombuffer(stamps, np.uint8).reshape(-1, 8).astype(np.int64)
+    digits = chars[:, [0, 1, 2, 3, 6, 7]] - ord("0")
+    year, week = digits[:, :4] @ (1000, 100, 10, 1), digits[:, 4:] @ (10, 1)
+    monday = _week_one_monday(year)
+    weeks_in_year = (_week_one_monday(year + 1) - monday) // 7
+    valid = (((digits >= 0) & (digits <= 9)).all(axis=1) & (chars[:, 4] == ord("-"))
+             & (chars[:, 5] == ord("W")) & (year >= 1) & (week >= 1) & (week <= weeks_in_year))
+    return monday // 7 + week - 1, valid
 
 
 class ArrayFields:

@@ -74,6 +74,12 @@ class TestProcess:
         assert proc.returncode == 1 and proc.stderr.startswith("error: InvalidConfig: ")
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_negative_spike_decay_is_refused(self, tmp_path):
+        proc = run_process(self.SYNTH + ["--peaks", "10:50:3", "--spikes", "3:5:-1"], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: InvalidConfig: spike decays must be non-negative\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_a_needle_peak_overflows_silently(self, tmp_path):
         # ((t - center) / width) ** 2 overflows to inf, whose exp(-inf) is 0
         assert run_process(self.SYNTH + ["--peaks", "20:800:1e-300"], tmp_path).returncode == 0

@@ -20,7 +20,7 @@ from flunowcast.ingest import (
     write_cases_csv,
     write_trends_csv,
 )
-from flunowcast.timeseries import WeekStamp
+from flunowcast.timeseries import QueryPanel, WeekStamp, WeeklySeries
 
 from .oracles import isocalendar_walk
 
@@ -159,6 +159,94 @@ class TestWriterRoundTrip:
         cases = parse_cases_csv(("week,cases\n" + "".join(
             f"{w},{r[0]}\n" for w, r in zip(weeks, rows))).encode())
         assert parse_cases_csv(write_cases_csv(cases)) == cases
+
+
+# values each writer prints, and ones its parser refuses: fractions, negatives,
+# volumes past 100, counts past 2**53 and past int64
+written_values = st.one_of(
+    st.integers(-2, 102).map(float),
+    st.sampled_from([-0.0, 0.5, -0.5, 50.7, 3.7, 2.0 ** 53, 2.0 ** 53 + 2, 2.0 ** 63, -2.0 ** 63,
+                     1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False))
+written_starts = st.builds(WeekStamp, st.sampled_from([2009, 2015, 2020]), st.integers(50, 52))
+
+
+@st.composite
+def written_panels(draw):
+    """Panels of 0-100 integers with up to two cells from written_values, and
+    labels that may be empty or hold a comma or a line break."""
+    n, width = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(0, 100).map(float), min_size=width, max_size=width),
+                         min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, 2))):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, width - 1))] = draw(written_values)
+    labels = draw(st.lists(st.one_of(st.text(min_size=1, max_size=3),
+                                     st.sampled_from(["", ",", "q,1", "\n", "\r"])),
+                           min_size=width, max_size=width, unique=True))
+    return QueryPanel(draw(written_starts), tuple(labels), rows)
+
+
+def first_refused_week(start, rows, valid):
+    return start.add(next(t for t, row in enumerate(rows) if not all(map(valid, row))))
+
+
+class TestWritersRefuseWhatParsersRefuse:
+    """A writer's file parses back to what it was given, or the writer raises
+    the parser's error for the first week the parser would refuse."""
+
+    @given(written_panels())
+    @settings(max_examples=300)
+    def test_search_volumes(self, panel):
+        def valid(v):
+            return v.is_integer() and 0 <= v <= 100
+
+        rows = panel.matrix.tolist()
+        labels_ok = all(l and not {",", "\n", "\r"} & set(l) for l in panel.labels)
+        try:
+            data = write_trends_csv(panel)
+        except DataError as exc:
+            assert not (labels_ok and all(valid(v) for row in rows for v in row))
+            if labels_ok:
+                assert str(exc).startswith(f"week {first_refused_week(panel.start, rows, valid)}: ")
+        else:
+            assert parse_trends_csv(data) == panel
+
+    @given(written_starts, st.lists(st.one_of(st.integers(0, 1000).map(float), written_values),
+                                    min_size=1, max_size=6))
+    @settings(max_examples=300)
+    def test_case_counts(self, start, values):
+        def valid(v):
+            return v.is_integer() and 0 <= v <= 2 ** 53
+
+        cases = WeeklySeries(start, values, "cases")
+        try:
+            data = write_cases_csv(cases)
+        except DataError as exc:
+            week = first_refused_week(start, [[v] for v in values], valid)
+            assert str(exc).startswith(f"week {week}: ")
+        else:
+            assert parse_cases_csv(data) == cases
+
+    def test_what_each_refusal_raises(self):
+        start = WeekStamp(2009, 1)
+        with pytest.raises(MalformedRow, match=r"^week 2009-W02: not an integer: 50\.7$"):
+            write_trends_csv(QueryPanel(start, ("a", "b"), [[1, 2], [50.7, 150]]))
+        with pytest.raises(ValueOutOfRange,
+                           match="^week 2009-W02: search volume 150 outside 0-100$"):
+            write_trends_csv(QueryPanel(start, ("a", "b"), [[1, 2], [50, 150]]))
+        with pytest.raises(MalformedHeader):
+            write_trends_csv(QueryPanel(start, ("a", "b,c"), [[1, 2]]))
+        for count, error, message in [(-1, NegativeCount, "negative case count -1"),
+                                      (3.7, MalformedRow, r"not an integer: 3\.7"),
+                                      (1e300, MalformedRow, r"case count above 2\*\*53")]:
+            with pytest.raises(error, match=f"^week 2009-W02: {message}$"):
+                write_cases_csv(WeeklySeries(start, [1, count]))
+
+
+@pytest.mark.parametrize("stamp", ["0099-W54", "0000-W01", "2010-W53"])
+def test_an_invalid_week_is_named_as_written(stamp):
+    with pytest.raises(MalformedRow, match=f"^line 2: invalid ISO week {stamp}$"):
+        parse_cases_csv(f"week,cases\n{stamp},1\n".encode())
 
 
 class TestFuzz:

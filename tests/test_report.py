@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 from flunowcast.errors import EmptyLabel
@@ -322,6 +322,9 @@ class TestFigureData:
 
     @given(figure_specs())
     @settings(max_examples=300, deadline=None)
+    # 0.0 and -0.0 are equal values of different bits: each prints as itself
+    @example([("q", 0, [0.0, -0.0, 0.0, -0.0])])
+    @example([("a", 0, [-0.0, 0.0, 1.0]), ("b", 1, [0.0, -0.0]), ("a", 2, [-0.0])])
     def test_matches_one_stable_sort_of_all_rows(self, specs):
         # different starts and lengths, gaps between ranges, nested ranges, equal labels
         base = WeekStamp(2015, 50)

@@ -13,7 +13,7 @@ from flunowcast.ingest import (
 from flunowcast.report import table_overall_annual
 from flunowcast.selection import greedy_select
 from flunowcast.stats import correlate
-from flunowcast.synth import ScenarioConfig, generate
+from flunowcast.synth import ScenarioConfig, _spike_pulse, generate
 from flunowcast.timeseries import WeekStamp
 
 PEAKS = ((20, 800, 3), (60, 1200, 4), (110, 900, 3))
@@ -42,6 +42,13 @@ class TestConfigValidation:
             scenario(attention_decay=0.0)
         with pytest.raises(InvalidConfig):
             scenario(attention_decay=1.5)
+
+    def test_spike_decay(self):
+        with pytest.raises(InvalidConfig, match="spike decays must be non-negative"):
+            scenario(media_spikes=((10, 5.0, -1.0),))
+        # a decay of 0 is a one-week pulse
+        pulse = _spike_pulse(scenario(media_spikes=((10, 5.0, 0.0),)), 20)
+        assert np.flatnonzero(pulse).tolist() == [10] and pulse[10] == 5.0
 
     def test_no_queries(self):
         with pytest.raises(InvalidConfig):

@@ -16,6 +16,7 @@ from flunowcast.timeseries import (
     paired,
     scale_0_100,
     week_labels,
+    week_numbers,
 )
 
 from .oracles import isocalendar_walk
@@ -239,6 +240,39 @@ class TestCalendarWalk:
         assert week_labels(W(9999, 50), 3)[-1] == "9999-W52"
         with pytest.raises(ValueError):
             week_labels(W(9999, 50), 4)
+
+
+def parse_or_none(text):
+    try:
+        return int(W.parse(text))
+    except ValueError:
+        return None
+
+
+class TestWeekNumbers:
+    """The array week reader against `WeekStamp.parse`: the same number, or both refuse."""
+
+    @staticmethod
+    def read(texts):
+        numbers, valid = week_numbers("".join(texts).encode("ascii"))
+        return [n if ok else None for n, ok in zip(numbers.tolist(), valid.tolist())]
+
+    def test_first_and_last_weeks_of_every_year(self):
+        texts = ["%04d-W%02d" % (y, w) for y in range(10000) for w in (0, 1, 51, 52, 53, 54, 99)]
+        assert self.read(texts) == [parse_or_none(t) for t in texts]
+
+    def test_every_week_number_over_one_gregorian_cycle(self):
+        texts = ["%04d-W%02d" % (y, w) for y in range(2001, 2401) for w in range(100)]
+        assert self.read(texts) == [parse_or_none(t) for t in texts]
+
+    def test_refuses_what_is_not_a_stamp(self):
+        texts = ["2009/W01", "2009-w01", "2009-W1 ", "+209-W01", "2009-W0:", "200/-W01",
+                 "\x7f009-W01"]
+        assert self.read(texts) == [None] * len(texts) == [parse_or_none(t) for t in texts]
+
+    def test_no_stamps(self):
+        numbers, valid = week_numbers(b"")
+        assert numbers.shape == valid.shape == (0,)
 
 
 class TestScale0100:
