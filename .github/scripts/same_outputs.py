@@ -9,6 +9,11 @@ checkout's) runs on seeds 42, 1, 7 and 13, once under each tree, as
 exit code, stdout, stderr and the bytes of each file it writes must be
 the same under both trees; the first differences are printed and the
 script exits 1.
+
+Then fixed edits of the seed-42 readme files, each one refused or read
+at an edge of the CSV grammar (a 16-digit cell, CRLF, a missing final
+newline, ...), go through the readme's `correlate` call under both trees,
+with the same comparison.
 """
 
 from __future__ import annotations
@@ -26,17 +31,72 @@ import workloads  # noqa: E402
 SEEDS = (42, 1, 7, 13)
 
 
+def edit_lines(change):
+    """An edit that applies `change` to the list of the file's lines."""
+    def edit(data: bytes) -> bytes:
+        lines = data.split(b"\n")
+        change(lines)
+        return b"\n".join(lines)
+    return edit
+
+
+def edit_cell(row: int, col: int, value: bytes):
+    """An edit that sets cell `col` of line `row` (0 is the header)."""
+    def change(lines: list[bytes]) -> None:
+        cells = lines[row].split(b",")
+        cells[col] = value
+        lines[row] = b",".join(cells)
+    return edit_lines(change)
+
+
+# (what, file, edit) of each edge input
+EDGE_INPUTS = [
+    ("a 16-digit cell", "panel.csv", edit_cell(5, 1, b"1" * 16)),
+    ("a zero-padded 16-digit cell", "panel.csv", edit_cell(5, 1, b"0" * 14 + b"42")),
+    ("+5", "panel.csv", edit_cell(5, 2, b"+5")),
+    ("an empty cell", "panel.csv", edit_cell(5, 3, b"")),
+    ("101", "panel.csv", edit_cell(5, 1, b"101")),
+    ("-1 in a count", "cases.csv", edit_cell(5, 1, b"-1")),
+    ("a count of 2**53 + 1", "cases.csv", edit_cell(5, 1, b"%d" % (2 ** 53 + 1))),
+    ("a dropped case row", "cases.csv", edit_lines(lambda lines: lines.pop(5))),
+    ("a duplicated panel row", "panel.csv", edit_lines(lambda lines: lines.insert(5, lines[5]))),
+    ("a swapped panel row", "panel.csv", edit_lines(lambda lines: lines.insert(6, lines.pop(5)))),
+    ("2009-W54", "panel.csv", edit_cell(5, 0, b"2009-W54")),
+    ("CRLF", "panel.csv", lambda data: data.replace(b"\n", b"\r\n")),
+    ("an invalid UTF-8 byte", "panel.csv", edit_cell(5, 1, b"\xff")),
+    ("a missing final newline", "panel.csv", lambda data: data[:-1]),
+    ("a trailing blank line", "panel.csv", lambda data: data + b"\n"),
+]
+
+
+def run_call(src: Path, workdir: str, call: workloads.Call) -> tuple:
+    """(exit code, stdout, stderr, {output: bytes or None}) of one call."""
+    proc = subprocess.run([sys.executable, "-m", "flunowcast", *call.argv],
+                          cwd=workdir, env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True)
+    files = {name: (Path(workdir) / name).read_bytes()
+             if (Path(workdir) / name).is_file() else None for name in call.outputs}
+    return proc.returncode, proc.stdout, proc.stderr, files
+
+
 def run_pass(src: Path, workload: str, seed: int) -> list[tuple]:
-    """(exit code, stdout, stderr, {output: bytes or None}) of each call of one pass."""
-    env = dict(os.environ, PYTHONPATH=str(src))
-    results = []
+    """run_call's result for each call of one pass."""
     with tempfile.TemporaryDirectory() as workdir:
-        for call in workloads.calls(workload, seed):
-            proc = subprocess.run([sys.executable, "-m", "flunowcast", *call.argv],
-                                  cwd=workdir, env=env, capture_output=True)
-            files = {name: (Path(workdir) / name).read_bytes()
-                     if (Path(workdir) / name).is_file() else None for name in call.outputs}
-            results.append((proc.returncode, proc.stdout, proc.stderr, files))
+        return [run_call(src, workdir, call) for call in workloads.calls(workload, seed)]
+
+
+def run_edges(src: Path) -> list[tuple]:
+    """run_call's result for the readme's correlate call on each edge input."""
+    synth, correlate = workloads.calls("readme", 42)[:2]
+    with tempfile.TemporaryDirectory() as workdir:
+        run_call(src, workdir, synth)
+        original = {name: (Path(workdir) / name).read_bytes() for name in synth.outputs}
+    results = []
+    for _, name, edit in EDGE_INPUTS:
+        with tempfile.TemporaryDirectory() as workdir:
+            for file, data in original.items():
+                (Path(workdir) / file).write_bytes(edit(data) if file == name else data)
+            results.append(run_call(src, workdir, correlate))
     return results
 
 
@@ -65,6 +125,12 @@ def main() -> int:
                     failed += 1
                     print(f"DIFFERS {workload} seed {seed}: flunowcast {' '.join(call.argv)}: "
                           f"{', '.join(diff)}")
+    base, head = run_edges(args.base_src.resolve()), run_edges(args.head_src.resolve())
+    for (what, name, _), b, h in zip(EDGE_INPUTS, base, head):
+        checked += 1
+        if diff := differences(b, h):
+            failed += 1
+            print(f"DIFFERS correlate on readme seed 42 with {what} in {name}: {', '.join(diff)}")
     print(f"{checked - failed} of {checked} calls gave the same exit code, stdout, stderr "
           f"and output bytes under both trees")
     return 1 if failed else 0

@@ -22,6 +22,17 @@ from .stats import ALPHA
 from .timeseries import DEFAULT_SHIFTS, MAX_SHIFT, WeekStamp, WeeklySeries
 
 
+def _expecting(form: str, parse):
+    """`parse` as an argparse type whose ValueError becomes a usage error
+    naming the expected form."""
+    def checked(text: str):
+        try:
+            return parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}") from None
+    return checked
+
+
 def _parse_shift(text: str) -> int:
     k = int(text)
     if abs(k) > MAX_SHIFT:
@@ -83,9 +94,12 @@ def _add_common(p, shift=False, shifts=False, alpha_help="significance level of 
     p.add_argument("--panel", required=True, help="search-volume panel CSV")
     p.add_argument("--alpha", type=float, default=ALPHA, help=alpha_help)
     if shift:
-        p.add_argument("--shift", type=_parse_shift, default=0, help="week shift, -2..2")
+        p.add_argument("--shift", type=_expecting("an integer shift", _parse_shift), default=0,
+                       help="week shift, -2..2")
     if shifts:
-        p.add_argument("--shifts", type=_parse_shift_range, default=list(DEFAULT_SHIFTS),
+        p.add_argument("--shifts", type=_expecting("lo..hi or a comma list of integer shifts",
+                                                   _parse_shift_range),
+                       default=list(DEFAULT_SHIFTS),
                        help="shift range, e.g. -2..2")
 
 
@@ -129,16 +143,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic scenario as CSV fixtures")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--weeks", type=int, required=True)
-    p.add_argument("--peaks", type=_parse_triples, required=True,
-                   help="center:height:width[,center:height:width...]")
+    p.add_argument("--peaks", type=_expecting("center:height:width[,...]", _parse_triples),
+                   required=True, help="center:height:width[,center:height:width...]")
     p.add_argument("--lead", type=int, default=2)
-    p.add_argument("--spikes", type=_parse_spikes, default=(),
+    p.add_argument("--spikes", default=(), type=_expecting(
+                       "week:magnitude:decay[,...] with an integer week", _parse_spikes),
                    help="week:magnitude:decay[,...]")
     p.add_argument("--decay", type=float, default=1.0)
     p.add_argument("--noise-sd", type=float, default=0.0)
     p.add_argument("--signal-queries", type=int, default=3)
     p.add_argument("--noise-queries", type=int, default=0)
-    p.add_argument("--start", type=WeekStamp.parse, default=synth.DEFAULT_START)
+    p.add_argument("--start", type=_expecting("an ISO week YYYY-Www", WeekStamp.parse),
+                   default=synth.DEFAULT_START)
     p.add_argument("--out-cases", required=True)
     p.add_argument("--out-panel", required=True)
 

@@ -11,8 +11,6 @@ files must be complete, a gap there is an error.
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 
 from .errors import (
@@ -65,19 +63,52 @@ def _rows(lines: list[str], width: int):
         yield i, week, [_parse_int(c, i) for c in cells[1:]]
 
 
-def _table(lines: list[str], width: int) -> tuple[np.ndarray, np.ndarray]:
+def _row_starts(body: np.ndarray, width: int) -> np.ndarray | None:
+    """Where each row of `body`, LF-ended data rows as bytes, starts, if each
+    is an 8-byte stamp and width - 1 cells of 1-15 ASCII digits after an
+    optional "-"; else None. The digit count takes 6 digits a stamp: the
+    caller's week_numbers checks the stamps' bytes."""
+    newline = body == 10
+    rows = np.count_nonzero(newline)
+    seps = np.flatnonzero(newline | (body == 44))  # "\n" and ","
+    if len(seps) != rows * width:
+        return None
+    # width separators a row, the last its newline, and 8 stamp bytes before the first
+    seps = seps.reshape(rows, width)
+    starts = np.concatenate(([0], seps[:-1, -1] + 1))
+    if not (newline[seps[:, -1]].all() and (seps[:, 0] - starts == 8).all()):
+        return None
+    digits = np.diff(seps, axis=1)
+    digits -= 1 + (body[seps[:, :-1] + 1] == 45)  # a cell's length less its "-"
+    # with 6 digits a stamp, the count leaves no other byte in a cell
+    if not (digits.min() >= 1 and digits.max() <= 15
+            and np.count_nonzero((body >= 48) & (body <= 57)) == 6 * rows + digits.sum()):
+        return None
+    return starts
+
+
+def _table(data: bytes, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Every data row's week number and its cells as one (rows x width - 1)
-    array; no rows if a row misses the row grammar (cells of at most 15
-    digits, read as int64 and so exact as floats) or its ISO week, for the
-    row reader."""
-    body = lines[1:]
-    row = re.compile(rf"[0-9]{{4}}-W[0-9]{{2}}(?:,-?[0-9]{{1,15}}){{{width - 1}}}")
-    if body and all(map(row.fullmatch, body)):
-        weeks, valid = week_numbers("".join(line[:8] for line in body).encode("ascii"))
-        if valid.all():  # else a week number past the year's last
-            cells = np.fromstring(",".join(line[9:] for line in body), sep=",", dtype=np.int64)
-            return weeks, cells.astype(float).reshape(len(body), width - 1)  # -0 reads as 0
-    return np.empty(0, np.int64), np.empty((0, width - 1))
+    array, read from the bytes after the header line; no rows if a row
+    misses the row grammar `YYYY-Www(,-?D{1,15}){width - 1}` (D an ASCII
+    digit; at most 15, so an int64 read is exact as a float) or its ISO
+    week, for the row reader."""
+    empty = np.empty(0, np.int64), np.empty((0, width - 1))
+    head = data.find(b"\n") + 1
+    if not head or head == len(data):
+        return empty
+    body = np.frombuffer(data if data.endswith(b"\n") else data + b"\n", np.uint8, offset=head)
+    starts = _row_starts(body, width)
+    if starts is None:
+        return empty
+    stamp = starts[:, None] + np.arange(9)  # with its comma
+    weeks, valid = week_numbers(body[stamp[:, :8]].tobytes())
+    if not valid.all():  # else a week number past the year's last
+        return empty
+    cells = np.delete(body[:-1], stamp.ravel())
+    cells[cells == 10] = 44
+    values = np.fromstring(cells.tobytes(), dtype=np.int64, sep=",")
+    return weeks, values.astype(float).reshape(len(starts), width - 1)  # -0 reads as 0
 
 
 def parse_trends_csv(data: bytes) -> QueryPanel:
@@ -89,7 +120,7 @@ def parse_trends_csv(data: bytes) -> QueryPanel:
     labels = header[1:]
     if len(labels) != len(set(labels)) or any(not l for l in labels):
         raise MalformedHeader("query labels must be non-empty and distinct")
-    weeks, rows = _table(lines, len(header))
+    weeks, rows = _table(data, len(header))
     if not (len(rows) and ((rows >= 0) & (rows <= 100)).all() and (np.diff(weeks) > 0).all()):
         weeks, rows = [], []
         for i, week, vals in _rows(lines, len(header)):
@@ -114,7 +145,7 @@ def parse_cases_csv(data: bytes) -> WeeklySeries:
     lines = _decode_lines(data)
     if lines[0] != "week,cases":
         raise MalformedHeader(f"expected 'week,cases', got {lines[0]!r}")
-    weeks, rows = _table(lines, 2)
+    weeks, rows = _table(data, 2)
     counts = rows[:, 0]
     if not (len(counts) and (counts >= 0).all() and (np.diff(weeks) == 1).all()):
         weeks, counts = [], []
@@ -134,10 +165,10 @@ def parse_cases_csv(data: bytes) -> WeeklySeries:
     return WeeklySeries(WeekStamp.parse(lines[1][:8]), counts, "cases")  # the first row's week
 
 
-def _int_rows(start: WeekStamp, values: np.ndarray, top: int, out_of_range) -> list:
-    """`values`, a (weeks x columns) array from `start`, as the int rows the
-    writer prints. The first week holding a value the parser would refuse
-    raises as the parser does: MalformedRow for a non-integer, else
+def _int_rows(start: WeekStamp, values: np.ndarray, top: int, out_of_range) -> np.ndarray:
+    """`values`, a (weeks x columns) array from `start`, as the int64 rows
+    the writer prints. The first week holding a value the parser would
+    refuse raises as the parser does: MalformedRow for a non-integer, else
     out_of_range(week, value) for one outside 0..top."""
     with np.errstate(invalid="ignore"):  # a value past int64 casts to a wrong int, refused below
         ints = values.astype(np.int64)
@@ -149,20 +180,32 @@ def _int_rows(start: WeekStamp, values: np.ndarray, top: int, out_of_range) -> l
         if fraction is not None:
             raise MalformedRow(f"week {week}: not an integer: {fraction!r}")
         raise out_of_range(week, next(v for v in cells if not 0 <= v <= top))
-    return ints.tolist()
+    return ints
 
 
-def _write_rows(header: str, start: WeekStamp, rows: list) -> bytes:
-    lines = [header] + [f"{week}," + ",".join(map(str, row))
-                        for week, row in zip(week_labels(start, len(rows)), rows)]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+# the text of each search volume, printed by lookup rather than one str() a cell
+_VOLUMES = np.array([str(v) for v in range(101)], dtype=object)
+
+
+def _volume_rows(ints: np.ndarray) -> list[str]:
+    """Each row of a (weeks x queries) array of volumes 0..100 as the text of
+    its cells, 64 rows at a time: an object array of the whole panel would
+    raise synth's peak RSS."""
+    return [",".join(row) for i in range(0, len(ints), 64)
+            for row in _VOLUMES[ints[i:i + 64]].tolist()]
+
+
+def _write_rows(header: str, start: WeekStamp, rows: list[str]) -> bytes:
+    """The header, then each row's week stamp and its cells' text `rows[i]`."""
+    weeks = week_labels(start, len(rows))
+    return "".join([header + "\n", *map("{},{}\n".format, weeks, rows)]).encode("utf-8")
 
 
 def write_trends_csv(panel: QueryPanel) -> bytes:
     if any(not l or "," in l or "\n" in l or "\r" in l for l in panel.labels):
         raise MalformedHeader("query labels must be non-empty, without commas or line breaks")
-    rows = _int_rows(panel.start, panel.matrix, 100, lambda week, v: ValueOutOfRange(
-        f"week {week}: search volume {v:g} outside 0-100"))
+    rows = _volume_rows(_int_rows(panel.start, panel.matrix, 100, lambda week, v: ValueOutOfRange(
+        f"week {week}: search volume {v:g} outside 0-100")))  # the ints are freed before printing
     return _write_rows("week," + ",".join(panel.labels), panel.start, rows)
 
 
@@ -172,5 +215,5 @@ def write_cases_csv(cases: WeeklySeries) -> bytes:
             return NegativeCount(f"week {week}: negative case count {count:g}")
         return MalformedRow(f"week {week}: case count above 2**53")
 
-    return _write_rows("week,cases", cases.start,
-                       _int_rows(cases.start, cases.values[:, None], 2 ** 53, refuse))
+    ints = _int_rows(cases.start, cases.values[:, None], 2 ** 53, refuse)
+    return _write_rows("week,cases", cases.start, list(map(str, ints[:, 0].tolist())))

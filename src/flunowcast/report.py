@@ -17,7 +17,7 @@ from json.encoder import encode_basestring
 import numpy as np
 
 from . import stats
-from .errors import EmptyLabel, InsufficientOverlap
+from .errors import EmptyLabel, InsufficientOverlap, MalformedHeader
 from .regress import in_sample_objective
 from .stats import ALPHA
 from .timeseries import (DEFAULT_SHIFTS, QueryPanel, WeeklySeries, iso_years, paired,
@@ -153,6 +153,8 @@ def figure_data(series: list[WeeklySeries]) -> bytes:
         raise EmptyLabel("figure needs at least one series")
     if not all(s.label for s in series):
         raise EmptyLabel("every figure series needs a non-empty label")
+    if any("," in s.label or "\n" in s.label or "\r" in s.label for s in series):
+        raise MalformedHeader("figure labels must be without commas or line breaks")
     first = min(s.start for s in series)
     columns = [(s.start - first, s.label.replace("%", "%%") + ",%s\n", s.values)
                for s in sorted(series, key=lambda s: s.label)]

@@ -124,5 +124,4 @@ def generate(cfg: ScenarioConfig) -> tuple[WeeklySeries, QueryPanel]:
         labels.append(f"noise_{i + 1}")
         columns.append(rng.uniform(0.0, 100.0, size=cfg.weeks))
 
-    matrix = np.column_stack([scale_0_100(WeeklySeries(cfg.start, c)).values for c in columns])
-    return cases, QueryPanel(cfg.start, tuple(labels), matrix)
+    return cases, QueryPanel(cfg.start, tuple(labels), scale_0_100(np.column_stack(columns)))

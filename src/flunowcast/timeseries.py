@@ -204,15 +204,18 @@ def paired(start: WeekStamp, X: np.ndarray, y: WeeklySeries,
     return X[xi:xi + n], y.values[yi:yi + n], yi
 
 
-def scale_0_100(s: WeeklySeries) -> WeeklySeries:
-    """Rescale so the max maps to 100, rounding half-up to integers.
+def scale_0_100(m: np.ndarray) -> np.ndarray:
+    """Rescale each column of the (weeks x columns) float array `m` in
+    place so its max maps to 100, rounding half-up to integers, and return it.
 
     Matches the integer normalization of search-volume exports; an
-    all-zero series is returned unchanged.
+    all-zero column is left untouched.
     """
-    if (s.values < 0).any():
-        raise NegativeValue(f"negative value in series {s.label!r}")
-    top = s.values.max()
-    if top == 0:
-        return s
-    return WeeklySeries(s.start, np.floor(100.0 * s.values / top + 0.5), s.label)
+    if (m < 0).any():
+        raise NegativeValue(f"negative value in column {int((m < 0).any(axis=0).argmax())}")
+    top = m.max(axis=0)
+    live = top != 0
+    np.multiply(m, 100.0, out=m, where=live)
+    np.divide(m, top, out=m, where=live)
+    np.add(m, 0.5, out=m, where=live)
+    return np.floor(m, out=m, where=live)

@@ -6,7 +6,9 @@ quadrature, OLS from Gaussian elimination on the normal equations,
 subset selection by exhaustive enumeration, the selection objective and
 greedy selection by one least-squares fit per candidate, ISO weeks from
 stepping a date one week at a time, figure rows from one stable sort,
-and sidecar JSON from the standard library's encoder. The
+sidecar JSON from the standard library's encoder, the row grammar of
+the CSV readers from one regular expression a row, the panel writer
+from one str() a cell, and 0-100 rescaling one series at a time. The
 Student-t p-value is also here one scalar continued fraction at a
 time: the batched kernel must equal it exactly, lane for lane, and
 `t_critical` must agree with its bisection.
@@ -16,6 +18,7 @@ import datetime
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 
@@ -304,3 +307,50 @@ def sorted_figure_data(series):
 def json_sidecar(obj):
     """Sidecar JSON by definition: the standard library's indent-2 encoder."""
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
+
+def regex_table(data, width):
+    """The CSV readers' whole-file table by the row grammar's regular
+    expression, one fullmatch a data row: each row's week number and its
+    cells as a (rows x width - 1) float array, or no rows if any row
+    misses the grammar or holds a week past its year's last."""
+    empty = np.empty(0, np.int64), np.empty((0, width - 1))
+    lines = data.decode("utf-8").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    body = lines[1:]
+    row = re.compile(rf"[0-9]{{4}}-W[0-9]{{2}}(?:,-?[0-9]{{1,15}}){{{width - 1}}}")
+    if not (body and all(map(row.fullmatch, body))):
+        return empty
+    weeks = []
+    for line in body:  # a week's number is its Monday's day ordinal // 7
+        try:
+            monday = datetime.date.fromisocalendar(int(line[:4]), int(line[6:8]), 1)
+        except ValueError:
+            return empty
+        weeks.append(monday.toordinal() // 7)
+    cells = [[float(int(c)) for c in line.split(",")[1:]] for line in body]
+    return np.array(weeks), np.array(cells).reshape(len(body), width - 1)
+
+
+def str_per_cell_trends_csv(panel):
+    """A search-volume panel's CSV by definition: its header, then one row a
+    week, its stamp from a one-week calendar walk and each volume by str()
+    of its int."""
+    weeks = isocalendar_walk(*map(int, str(panel.start).split("-W")), len(panel.matrix))
+    lines = ["week," + ",".join(panel.labels)]
+    lines += ["%04d-W%02d," % w + ",".join(str(int(v)) for v in row)
+              for w, row in zip(weeks, panel.matrix.tolist())]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def series_scale_0_100(values):
+    """One series rescaled so its max maps to 100, rounding half up: a copy,
+    or `values` itself when they are all zero; ValueError on a negative."""
+    values = np.asarray(values, dtype=float)
+    if (values < 0).any():
+        raise ValueError("negative value")
+    top = values.max()
+    if top == 0:
+        return values
+    return np.floor(100.0 * values / top + 0.5)

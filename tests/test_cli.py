@@ -113,8 +113,24 @@ class TestSynth:
         assert run(["synth", "--seed", "1", "--weeks", "30", "--peaks", "10:50:3",
                     "--spikes", f"{week}:50:2", "--out-cases", str(cases),
                     "--out-panel", str(panel)]) == 2
-        assert f"argument --spikes: invalid _parse_spikes value: '{week}:50:2'" in (
-            capsys.readouterr().err)
+        assert (f"argument --spikes: expected week:magnitude:decay[,...] with an integer week, "
+                f"got '{week}:50:2'") in capsys.readouterr().err
+        assert not cases.exists() and not panel.exists()
+
+    @pytest.mark.parametrize("option, value, form", [
+        ("--peaks", "1:2", "center:height:width[,...]"),
+        ("--peaks", "10:50:x", "center:height:width[,...]"),
+        ("--spikes", "1:2", "week:magnitude:decay[,...] with an integer week"),
+        ("--start", "2009-W1", "an ISO week YYYY-Www"),
+        ("--start", "2009-W54", "an ISO week YYYY-Www"),
+    ])
+    def test_a_bad_value_names_the_expected_form(self, tmp_path, capsys, option, value, form):
+        cases, panel = tmp_path / "cases.csv", tmp_path / "panel.csv"
+        argv = {"--peaks": "10:50:3", option: value}
+        assert run(["synth", "--seed", "1", "--weeks", "30", *sum(argv.items(), ()),
+                    "--out-cases", str(cases), "--out-panel", str(panel)]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {option}: expected {form}, got {value!r}\n")
         assert not cases.exists() and not panel.exists()
 
 
@@ -150,6 +166,11 @@ class TestCorrelate:
         (["shift-scan", "--shifts=1,1"], "repeated shift in '1,1'"),
         (["shift-scan", "--shifts=-3..2"], "shift -3 is beyond +/-2 weeks"),
         (["correlate", "--shift", "3"], "shift 3 is beyond +/-2 weeks"),
+        (["correlate", "--shift", "x"], "expected an integer shift, got 'x'"),
+        (["shift-scan", "--shifts=1..x"],
+         "expected lo..hi or a comma list of integer shifts, got '1..x'"),
+        (["shift-scan", "--shifts=0,,1"],
+         "expected lo..hi or a comma list of integer shifts, got '0,,1'"),
     ])
     def test_bad_shift_is_usage_error(self, tmp_path, capsys, argv, reason):
         cases, panel = synth_files(tmp_path)

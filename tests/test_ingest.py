@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flunowcast import ingest
 from flunowcast.errors import (
@@ -20,9 +20,9 @@ from flunowcast.ingest import (
     write_cases_csv,
     write_trends_csv,
 )
-from flunowcast.timeseries import QueryPanel, WeekStamp, WeeklySeries
+from flunowcast.timeseries import QueryPanel, WeekStamp, WeeklySeries, week_labels
 
-from .oracles import isocalendar_walk
+from .oracles import isocalendar_walk, regex_table, str_per_cell_trends_csv
 
 
 class TestParseTrends:
@@ -275,7 +275,7 @@ integer_cells = st.one_of(
 # 2015 has an ISO week 53, 2016 does not
 week_cells = st.sampled_from([
     "2016-W53", "2015-W54", "2015-W00", " 2015-W52", "2015-W52 ", "2015-w52", "2015-W5",
-    "+2015-W52", "２０１５-W52", "2015-W٥٢", "2015-W52-1", "",
+    "+2015-W52", "２０１５-W52", "2015-W٥٢", "2015-W52-1", "", "2009-W1", "2009-101",
 ])
 
 
@@ -341,7 +341,7 @@ def parsed(parser, blob):
 
 def row_by_row(parser, blob):
     """parsed() with the whole-file path always missing."""
-    with mock.patch.object(ingest, "_table", lambda lines, width: ([], np.empty((0, width - 1)))):
+    with mock.patch.object(ingest, "_table", lambda data, width: ([], np.empty((0, width - 1)))):
         return parsed(parser, blob)
 
 
@@ -357,16 +357,15 @@ class TestWholeFilePath:
     ])
     def test_reads_what_the_row_reader_reads(self, parser, header, cells, weeks):
         text = "".join(f"{w},{c}\n" for w, c in zip(weeks, cells))
-        lines = [header] + text.splitlines()
-        rows = ingest._table(lines, 2)[1]
+        blob = f"{header}\n{text}".encode()
+        rows = ingest._table(blob, 2)[1]
         assert rows.tolist() == [[float(int(c))] for c in cells]
         assert not np.signbit(rows).any()  # -0 reads as 0
-        blob = f"{header}\n{text}".encode()
         assert parsed(parser, blob) == row_by_row(parser, blob)
 
     @pytest.mark.parametrize("cell", ["+5", "١٢", " 5", "0" * 16, "1.0", ""])
     def test_leaves_other_cells_to_the_row_reader(self, cell):
-        assert len(ingest._table(["week,flu", "2015-W01,1", f"2015-W02,{cell}"], 2)[1]) == 0
+        assert len(ingest._table(f"week,flu\n2015-W01,1\n2015-W02,{cell}\n".encode(), 2)[1]) == 0
 
     @pytest.mark.parametrize("parser,text", [
         (parse_trends_csv, "week,flu\n2015-W01,7\n2015-W02,101\n"),
@@ -384,7 +383,7 @@ class TestWholeFilePath:
         assert parsed(parser, text.encode()) == row_by_row(parser, text.encode())
 
     def test_leaves_a_week_past_the_year_to_the_row_reader(self):
-        assert len(ingest._table(["week,flu", "2015-W53,1", "2016-W53,2"], 2)[1]) == 0
+        assert len(ingest._table(b"week,flu\n2015-W53,1\n2016-W53,2\n", 2)[1]) == 0
 
     @given(panel=mutated_csv(VALID_PANEL, array_cells, array_ops),
            cases=mutated_csv(VALID_CASES, array_cells, array_ops))
@@ -392,3 +391,66 @@ class TestWholeFilePath:
     def test_agrees_with_the_row_reader(self, panel, cases):
         for parser, blob in ((parse_trends_csv, panel), (parse_cases_csv, cases)):
             assert parsed(parser, blob) == row_by_row(parser, blob)
+
+
+# cells and edits at the edges of the row grammar: non-ASCII digits,
+# signs, spaces, empty cells, 16 digits and misplaced minus signs
+edge_cells = st.sampled_from(["²", "١", "+5", " 5", "5 ", "", "1" * 16, "0" * 16, "-", "--1",
+                              "1-2", "9" * 15, "-" + "9" * 15, "x"])
+
+
+@st.composite
+def edited_csv(draw):
+    """(width, file): a valid file of 2-12 columns from 2015-W50 (at width 2
+    a case file) through mutated_csv with edge cells, then maybe without its
+    final newline or with a trailing blank line."""
+    width = draw(st.integers(2, 12))
+    header = "week,cases" if width == 2 else "week," + ",".join(f"q{j}" for j in range(1, width))
+    volumes = st.lists(st.integers(0, 100), min_size=width - 1, max_size=width - 1)
+    rows = [f"{week}," + ",".join(map(str, draw(volumes)))
+            for week in week_labels(WeekStamp(2015, 50), draw(st.integers(1, 6)))]
+    blob = draw(mutated_csv("\n".join([header, *rows]) + "\n",
+                            st.one_of(edge_cells, array_cells), array_ops))
+    ending = draw(st.sampled_from(["kept", "missing", "blank line"]))
+    return width, {"kept": blob, "missing": blob[:-1], "blank line": blob + b"\n"}[ending]
+
+
+class TestByteCheck:
+    @given(case=edited_csv())
+    # a 7-digit stamp and a non-digit cell: the digit count balances, and
+    # only the stamp check refuses the file
+    @example(case=(2, b"week,cases\n2009-101,1\n2009-W02,x\n"))
+    # -0, padding and 15 digits, without a final newline
+    @example(case=(3, b"week,a,b\n2015-W53,-0,0100\n2016-W01,7,000000000000042"))
+    # the separator counts balance, but the first row holds two newlines
+    @example(case=(3, b"week,a,b\n2009-W01,5\n7\n2009-W02,1,2,2009-W03,3,4\n"))
+    @example(case=(2, b"week,cases\n"))
+    @example(case=(2, b"week,cases"))
+    @settings(max_examples=500)
+    def test_accepts_what_the_row_regex_accepts(self, case):
+        width, blob = case
+        weeks, rows = ingest._table(blob, width)
+        want_weeks, want_rows = regex_table(blob, width)
+        assert weeks.tolist() == want_weeks.tolist()
+        assert (rows.shape, rows.tobytes()) == (want_rows.shape, want_rows.tobytes())
+        parsers = (parse_trends_csv, parse_cases_csv) if width == 2 else (parse_trends_csv,)
+        with mock.patch.object(ingest, "_table", regex_table):
+            want = [parsed(parser, blob) for parser in parsers]
+        assert [parsed(parser, blob) for parser in parsers] == want
+
+
+@st.composite
+def volume_panels(draw):
+    """A QueryPanel of 1-12 queries and 1-30 weeks of whole volumes, -0.0 among them."""
+    width = draw(st.integers(1, 12))
+    cell = st.one_of(st.integers(0, 100).map(float), st.just(-0.0))
+    rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width), min_size=1, max_size=30))
+    start = draw(st.sampled_from([WeekStamp(2015, 50), WeekStamp(1, 1), WeekStamp(9999, 20)]))
+    return QueryPanel(start, tuple(f"q{j}" for j in range(width)), np.array(rows))
+
+
+class TestWriterTable:
+    @given(volume_panels())
+    @settings(max_examples=200)
+    def test_prints_what_str_prints(self, panel):
+        assert write_trends_csv(panel) == str_per_cell_trends_csv(panel)

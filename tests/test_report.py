@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats as scipy_stats
 
-from flunowcast.errors import EmptyLabel
+from flunowcast.errors import EmptyLabel, MalformedHeader
 from flunowcast.regress import QueryPanel, in_sample_objective
 from flunowcast.report import (
     figure_data,
@@ -271,12 +271,12 @@ class TestTableModelByShift:
 def figure_specs(draw):
     """(label, start, values) of 1-6 series, the start in weeks from 2015-W50
     (2015 has 53 weeks): free ranges, and ranges nested in or disjoint from
-    the first. Labels repeat and hold %-directives; values round to -0.00,
-    sit on half cents or run up to 1e300."""
+    the first. Labels repeat and hold %-directives but no comma or line
+    break; values round to -0.00, sit on half cents or run up to 1e300."""
     label = st.one_of(
         st.sampled_from(["cases", "estimates", "q1", "q10", "q2", "%", "%%", "%s", "%(x)s",
                          "grippe é", "流感"]),
-        st.text(min_size=1, max_size=4))
+        st.text(st.characters(exclude_characters=",\n\r"), min_size=1, max_size=4))
     value = st.one_of(
         st.integers(-100_000, 100_000).map(lambda c: c / 1000),
         st.sampled_from([-0.0, -0.001, -0.004999, 0.005, 0.125, 2.675, -2.675, 1e300, -1e300]),
@@ -308,6 +308,12 @@ class TestFigureData:
     def test_empty_label_rejected(self):
         with pytest.raises(EmptyLabel):
             figure_data([ws([1, 2, 3])])
+
+    @pytest.mark.parametrize("label", ["a,b", "x\ny", "x\ry", ","])
+    def test_label_it_cannot_write_rejected(self, label):
+        with pytest.raises(MalformedHeader, match="^figure labels must be without commas or line "
+                                                  "breaks$"):
+            figure_data([ws([1, 2, 3], "actual"), ws([1.0], label)])
 
     def test_round_trip(self):
         data = figure_data([ws([1.5, 2.25, 3.0], "est"), ws([1, 2, 3], "actual")])

@@ -19,7 +19,7 @@ from flunowcast.timeseries import (
     week_numbers,
 )
 
-from .oracles import isocalendar_walk
+from .oracles import isocalendar_walk, series_scale_0_100
 
 W = WeekStamp
 
@@ -275,27 +275,51 @@ class TestWeekNumbers:
         assert numbers.shape == valid.shape == (0,)
 
 
+def column(values):
+    return np.array(values, dtype=float)[:, None]
+
+
 class TestScale0100:
     def test_exact_ratios(self):
-        assert scale_0_100(series(W(2009, 1), [2, 4, 8])).values.tolist() == [25.0, 50.0, 100.0]
+        assert scale_0_100(column([2, 4, 8]))[:, 0].tolist() == [25.0, 50.0, 100.0]
 
     def test_all_zero_unchanged(self):
-        s = series(W(2009, 1), [0, 0, 0])
-        assert scale_0_100(s).values.tolist() == [0.0, 0.0, 0.0]
+        assert scale_0_100(column([0, 0, 0]))[:, 0].tolist() == [0.0, 0.0, 0.0]
 
     def test_round_half_up(self):
-        assert scale_0_100(series(W(2009, 1), [3, 7, 9])).values.tolist() == [33.0, 78.0, 100.0]
+        assert scale_0_100(column([3, 7, 9]))[:, 0].tolist() == [33.0, 78.0, 100.0]
+
+    def test_multiplies_before_it_divides(self):
+        # 100 * 145 / 232 is 62.5 exactly; 145 * (100 / 232) rounds below it
+        assert scale_0_100(column([145, 232]))[:, 0].tolist() == [63.0, 100.0]
 
     def test_negative_rejected(self):
-        with pytest.raises(NegativeValue):
-            scale_0_100(series(W(2009, 1), [1, -1]))
+        with pytest.raises(NegativeValue, match="^negative value in column 1$"):
+            scale_0_100(np.array([[1.0, 2.0], [2.0, -1.0]]))
+
+    def test_in_place(self):
+        m = np.array([[1.0, 0.0], [4.0, 0.0]])
+        assert scale_0_100(m) is m
+        assert m.tolist() == [[25.0, 0.0], [100.0, 0.0]]
 
     @given(st.lists(st.integers(0, 10_000), min_size=1, max_size=50))
     def test_idempotent(self, values):
-        s = series(W(2009, 1), [float(v) for v in values])
-        once = scale_0_100(s)
-        assert np.array_equal(scale_0_100(once).values, once.values)
-        assert all(0 <= v <= 100 for v in once.values)
+        once = scale_0_100(column(values))
+        assert np.array_equal(scale_0_100(once.copy()), once)
+        assert all(0 <= v <= 100 for v in once[:, 0])
+
+    @given(st.integers(1, 40).flatmap(lambda n: st.lists(st.one_of(
+        st.just([0.0] * n), st.just([-0.0] * n), st.just([100.0] * n),
+        st.lists(st.integers(0, 10_000).map(float), min_size=n, max_size=n),
+        st.lists(st.floats(0, 1e300), min_size=n, max_size=n)), min_size=1, max_size=8)))
+    @settings(max_examples=200)
+    def test_matches_the_series_function_column_by_column(self, columns):
+        m = np.column_stack(columns)
+        scaled = scale_0_100(m.copy())
+        for j, values in enumerate(columns):
+            want = series_scale_0_100(values)
+            assert np.array_equal(scaled[:, j], want)
+            assert scaled[:, j].tobytes() == want.tobytes()  # an all -0.0 column stays -0.0
 
 
 class TestWeeklySeries:
