@@ -40,13 +40,23 @@ def edit_lines(change):
     return edit
 
 
-def edit_cell(row: int, col: int, value: bytes):
-    """An edit that sets cell `col` of line `row` (0 is the header)."""
+def edit_cell(row: int, col: int, value):
+    """An edit that sets cell `col` of line `row` (0 is the header) to
+    `value`, bytes or a function of the cell's bytes."""
     def change(lines: list[bytes]) -> None:
         cells = lines[row].split(b",")
-        cells[col] = value
+        cells[col] = value(cells[col]) if callable(value) else value
         lines[row] = b",".join(cells)
     return edit_lines(change)
+
+
+def edits(*steps):
+    """An edit that applies each of `steps` in turn."""
+    def edit(data: bytes) -> bytes:
+        for step in steps:
+            data = step(data)
+        return data
+    return edit
 
 
 # (what, file, edit) of each edge input
@@ -66,6 +76,17 @@ EDGE_INPUTS = [
     ("an invalid UTF-8 byte", "panel.csv", edit_cell(5, 1, b"\xff")),
     ("a missing final newline", "panel.csv", lambda data: data[:-1]),
     ("a trailing blank line", "panel.csv", lambda data: data + b"\n"),
+    ("a 25-digit negative count", "cases.csv", edit_cell(5, 1, b"-" + b"9" * 25)),
+    ("a count of 2**53", "cases.csv", edit_cell(5, 1, b"%d" % 2 ** 53)),
+    ("a zero-padded 25-digit volume", "panel.csv", edit_cell(5, 1, b"0" * 23 + b"42")),
+    ("a 5,000-digit cell", "panel.csv", edit_cell(5, 1, b"0" * 4998 + b"42")),
+    ("an extra cell, then a bad stamp", "panel.csv",
+     edits(edit_cell(5, 1, lambda cell: cell + b",7"), edit_cell(8, 0, b"2009-W54"))),
+    # one digit short in a cell and one over in a later stamp
+    ("1e2, then a 10-byte stamp", "panel.csv",
+     edits(edit_cell(5, 1, b"1e2"), edit_cell(6, 0, lambda stamp: stamp + b"-1"))),
+    ("an empty line mid-file", "panel.csv", edit_lines(lambda lines: lines.insert(5, b""))),
+    ("a header-only panel", "panel.csv", lambda data: data[:data.index(b"\n") + 1]),
 ]
 
 

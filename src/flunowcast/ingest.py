@@ -5,11 +5,15 @@ Two fixed CSV layouts, both UTF-8 with LF endings and no quoting:
   search panel:  week,<label1>,<label2>,...   rows YYYY-Www,<int 0-100>,...
   case counts:   week,cases                   rows YYYY-Www,<int 0-2**53>
 
-Search-volume files may omit zero weeks (zero-filled on parse); case
-files must be complete, a gap there is an error.
+An <int> is ASCII digits after an optional "-", leading zeros allowed (-0
+reads as 0), at most int()'s 4,300-digit limit. Panels may omit zero weeks
+(zero-filled on parse); case files may not. Each parser flags every row with
+array steps on the bytes and refuses the first bad line, splitting only it.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -23,146 +27,141 @@ from .errors import (
 )
 from .timeseries import QueryPanel, WeekStamp, WeeklySeries, week_labels, week_numbers
 
+# int()'s limit on a str's digits (0 for none), so int() reads every cell the grammar admits
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or np.inf
 
-def _decode_lines(data: bytes) -> list[str]:
+
+def _header(data: bytes) -> str:
+    """The header line of `data`, once all of it is non-empty UTF-8 with LF endings."""
     try:
-        text = data.decode("utf-8")
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedRow(f"input is not valid UTF-8: {exc}") from None
-    if "\r" in text:
+    if b"\r" in data:
         raise MalformedRow("CRLF line endings are not accepted (LF only)")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+    if not data:
         raise MalformedHeader("empty input")
-    return lines
+    return data.split(b"\n", 1)[0].decode()
 
 
-def _parse_int(text: str, lineno: int) -> int:
-    digits = text[1:] if text.startswith("-") else text
-    # str.isdigit alone admits non-ASCII digits such as '²' and '١'
-    if not (digits.isascii() and digits.isdigit()):
-        raise MalformedRow(f"line {lineno}: not an integer: {text!r}")
+def _line(data: bytes, lineno: int) -> list[str]:
+    """The cells of line `lineno` of `data`, 1 the header."""
+    return data.split(b"\n", lineno)[lineno - 1].decode().split(",")
+
+
+def _refuse_line(data: bytes, lineno: int, width: int) -> None:
+    """Raise the MalformedRow of data line `lineno`, which breaks the row grammar:
+    for its cell count, else its stamp, else its first cell not an integer."""
+    cells = _line(data, lineno)
+    if len(cells) != width:
+        raise MalformedRow(f"line {lineno}: expected {width} cells, got {len(cells)}")
     try:
-        return int(text)
-    except ValueError:  # more digits than int() converts
-        raise MalformedRow(f"line {lineno}: integer of {len(digits)} digits is too long") from None
+        WeekStamp.parse(cells[0])
+    except ValueError as exc:
+        raise MalformedRow(f"line {lineno}: {exc}") from None
+    for cell in cells[1:]:
+        digits = cell[1:] if cell.startswith("-") else cell
+        # str.isdigit alone admits non-ASCII digits such as '²' and '١'
+        if not (digits.isascii() and digits.isdigit()):
+            raise MalformedRow(f"line {lineno}: not an integer: {cell!r}")
+        if len(digits) > _MAX_DIGITS:
+            raise MalformedRow(f"line {lineno}: integer of {len(digits)} digits is too long")
 
 
-def _rows(lines: list[str], width: int):
-    """(line number, week, integer cells) of each data row after the header."""
-    for i, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != width:
-            raise MalformedRow(f"line {i}: expected {width} cells, got {len(cells)}")
-        try:
-            week = WeekStamp.parse(cells[0])
-        except ValueError as exc:
-            raise MalformedRow(f"line {i}: {exc}") from None
-        yield i, week, [_parse_int(c, i) for c in cells[1:]]
+def _first(flags: np.ndarray) -> int:
+    """The index of the first true flag, or len(flags) if none is."""
+    return int(flags.argmax()) if flags.any() else len(flags)
 
 
-def _row_starts(body: np.ndarray, width: int) -> np.ndarray | None:
-    """Where each row of `body`, LF-ended data rows as bytes, starts, if each
-    is an 8-byte stamp and width - 1 cells of 1-15 ASCII digits after an
-    optional "-"; else None. The digit count takes 6 digits a stamp: the
-    caller's week_numbers checks the stamps' bytes."""
+def _kept_rows(body: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """For `body`, LF-ended data rows: where each starts and the last ends, their
+    week numbers, and how many come before the first off the row grammar
+    `YYYY-Www(,-?D{1,_MAX_DIGITS}){width - 1}` (D an ASCII digit, the stamp an ISO week)."""
     newline = body == 10
-    rows = np.count_nonzero(newline)
     seps = np.flatnonzero(newline | (body == 44))  # "\n" and ","
-    if len(seps) != rows * width:
-        return None
-    # width separators a row, the last its newline, and 8 stamp bytes before the first
-    seps = seps.reshape(rows, width)
-    starts = np.concatenate(([0], seps[:-1, -1] + 1))
-    if not (newline[seps[:, -1]].all() and (seps[:, 0] - starts == 8).all()):
-        return None
+    last = np.flatnonzero(newline[seps])  # where each row's newline is among seps
+    counts = np.diff(last, prepend=-1)  # each row's cells
+    bounds = np.concatenate(([0], seps[last] + 1))
+    weeks, valid = week_numbers(body.take(bounds[:-1, None] + np.arange(8), mode="clip").tobytes())
+    # the rows before the first with a wrong cell count or stamp
+    n = _first((counts != width) | (seps[last - counts + 1] - bounds[:-1] != 8) | ~valid)
+    seps = seps[:n * width].reshape(n, width)
     digits = np.diff(seps, axis=1)
-    digits -= 1 + (body[seps[:, :-1] + 1] == 45)  # a cell's length less its "-"
-    # with 6 digits a stamp, the count leaves no other byte in a cell
-    if not (digits.min() >= 1 and digits.max() <= 15
-            and np.count_nonzero((body >= 48) & (body <= 57)) == 6 * rows + digits.sum()):
-        return None
-    return starts
+    digits -= 1 + (body[seps[:, :-1] + 1] == 45)  # a cell's length less its "-", in place
+    is_digit = body[:bounds[n]] - 48 < 10  # "0".."9": uint8 bytes below "0" wrap past 10
+    # with 6 digits a stamp, the count leaves no other byte in a cell; it
+    # covers only rows that keep the other rules, so two bad rows cannot balance
+    if n and not (digits.min() >= 1 and digits.max() <= _MAX_DIGITS
+                  and np.count_nonzero(is_digit) == 6 * n + digits.sum()):
+        row_digits = np.add.reduceat(is_digit, bounds[:n], dtype=np.int64)
+        n = _first(((digits < 1) | (digits > _MAX_DIGITS)).any(axis=1)
+                   | (row_digits != 6 + digits.sum(axis=1)))
+    return bounds, weeks, n
 
 
-def _table(data: bytes, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every data row's week number and its cells as one (rows x width - 1)
-    array, read from the bytes after the header line; no rows if a row
-    misses the row grammar `YYYY-Www(,-?D{1,15}){width - 1}` (D an ASCII
-    digit; at most 15, so an int64 read is exact as a float) or its ISO
-    week, for the row reader."""
-    empty = np.empty(0, np.int64), np.empty((0, width - 1))
-    head = data.find(b"\n") + 1
-    if not head or head == len(data):
-        return empty
+def _table(data: bytes, width: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The week numbers and int64 cells of the rows before the first off the row
+    grammar, and that row's line number or 0; a cell past int64 saturates."""
+    head = data.find(b"\n") + 1 or len(data) + 1  # past the header line, or past the end
     body = np.frombuffer(data if data.endswith(b"\n") else data + b"\n", np.uint8, offset=head)
-    starts = _row_starts(body, width)
-    if starts is None:
-        return empty
-    stamp = starts[:, None] + np.arange(9)  # with its comma
-    weeks, valid = week_numbers(body[stamp[:, :8]].tobytes())
-    if not valid.all():  # else a week number past the year's last
-        return empty
-    cells = np.delete(body[:-1], stamp.ravel())
+    bounds, weeks, n = _kept_rows(body, width)
+    cells = np.delete(body[:bounds[n]], (bounds[:n, None] + np.arange(9)).ravel())  # less stamps
     cells[cells == 10] = 44
-    values = np.fromstring(cells.tobytes(), dtype=np.int64, sep=",")
-    return weeks, values.astype(float).reshape(len(starts), width - 1)  # -0 reads as 0
+    values = np.fromstring(cells[:-1].tobytes(), dtype=np.int64, sep=",").reshape(n, width - 1)
+    return weeks[:n], values, n + 2 if n < len(weeks) else 0
 
 
 def parse_trends_csv(data: bytes) -> QueryPanel:
     """Parse a search-volume panel, zero-filling omitted weeks."""
-    lines = _decode_lines(data)
-    header = lines[0].split(",")
-    if len(header) < 2 or header[0] != "week":
-        raise MalformedHeader(f"expected 'week,<label>,...', got {lines[0]!r}")
-    labels = header[1:]
+    header = _header(data)
+    names = header.split(",")
+    if len(names) < 2 or names[0] != "week":
+        raise MalformedHeader(f"expected 'week,<label>,...', got {header!r}")
+    labels = names[1:]
     if len(labels) != len(set(labels)) or any(not l for l in labels):
         raise MalformedHeader("query labels must be non-empty and distinct")
-    weeks, rows = _table(data, len(header))
-    if not (len(rows) and ((rows >= 0) & (rows <= 100)).all() and (np.diff(weeks) > 0).all()):
-        weeks, rows = [], []
-        for i, week, vals in _rows(lines, len(header)):
-            for v in vals:
-                if not 0 <= v <= 100:
-                    raise ValueOutOfRange(f"line {i}: search volume {v} outside 0-100")
-            if weeks and week <= weeks[-1]:
-                raise NonContiguousAfterFill(f"week {week} out of order or duplicated")
-            weeks.append(week)
-            rows.append(vals)
-        if not rows:
-            raise MalformedRow("panel has no data rows")
-    start = WeekStamp.parse(lines[1][:8])  # the first row's week, which both readers accept
+    weeks, volumes, bad = _table(data, len(names))
+    out = (volumes < 0) | (volumes > 100)
+    i = _first(out.any(axis=1) | (np.diff(weeks, prepend=weeks[:1] - 1) <= 0))
+    if i < len(weeks):
+        cells = _line(data, i + 2)
+        if out[i].any():
+            v = int(cells[1 + out[i].argmax()])  # exact, where the array holds int64's bound
+            raise ValueOutOfRange(f"line {i + 2}: search volume {v} outside 0-100")
+        raise NonContiguousAfterFill(f"week {cells[0]} out of order or duplicated")
+    if bad:
+        _refuse_line(data, bad, len(names))
+    if not len(weeks):
+        raise MalformedRow("panel has no data rows")
     # weeks the file omits stay zero
-    matrix = np.zeros((weeks[-1] - start + 1, len(labels)))
-    matrix[np.subtract(weeks, start)] = rows
-    return QueryPanel(start, tuple(labels), matrix)
+    matrix = np.zeros((weeks[-1] - weeks[0] + 1, len(labels)))
+    matrix[weeks - weeks[0]] = volumes
+    return QueryPanel(WeekStamp(1, 1).add(weeks[0]), tuple(labels), matrix)  # 0001-W01 is week 0
 
 
 def parse_cases_csv(data: bytes) -> WeeklySeries:
     """Parse weekly case counts; the series must have no gaps."""
-    lines = _decode_lines(data)
-    if lines[0] != "week,cases":
-        raise MalformedHeader(f"expected 'week,cases', got {lines[0]!r}")
-    weeks, rows = _table(data, 2)
-    counts = rows[:, 0]
-    if not (len(counts) and (counts >= 0).all() and (np.diff(weeks) == 1).all()):
-        weeks, counts = [], []
-        for i, week, (count,) in _rows(lines, 2):
-            if count < 0:
-                raise NegativeCount(f"line {i}: negative case count {count}")
-            if count > 2 ** 53:  # past it, a float no longer holds every count
-                raise MalformedRow(f"line {i}: case count above 2**53")
-            if weeks and week - weeks[-1] > 1:
-                raise GapInCases(f"missing week(s) before {week}")
-            if weeks and week <= weeks[-1]:
-                raise NonContiguousAfterFill(f"week {week} out of order or duplicated")
-            weeks.append(week)
-            counts.append(count)
-        if not weeks:
-            raise MalformedRow("case file has no data rows")
-    return WeeklySeries(WeekStamp.parse(lines[1][:8]), counts, "cases")  # the first row's week
+    header = _header(data)
+    if header != "week,cases":
+        raise MalformedHeader(f"expected 'week,cases', got {header!r}")
+    weeks, cells, bad = _table(data, 2)
+    counts = cells[:, 0]
+    out = (counts < 0) | (counts > 2 ** 53)  # past 2**53, a float no longer holds every count
+    steps = np.diff(weeks, prepend=weeks[:1] - 1)
+    i = _first(out | (steps != 1))
+    if i < len(weeks):
+        week, count = _line(data, i + 2)
+        if not out[i]:
+            raise (GapInCases(f"missing week(s) before {week}") if steps[i] > 1 else
+                   NonContiguousAfterFill(f"week {week} out of order or duplicated"))
+        if int(count) < 0:  # the text's sign: past int64 a cell may read as 2**63 - 1
+            raise NegativeCount(f"line {i + 2}: negative case count {int(count)}")
+        raise MalformedRow(f"line {i + 2}: case count above 2**53")
+    if bad:
+        _refuse_line(data, bad, 2)
+    if not len(weeks):
+        raise MalformedRow("case file has no data rows")
+    return WeeklySeries(WeekStamp(1, 1).add(weeks[0]), counts, "cases")  # 0001-W01 is week 0
 
 
 def _int_rows(start: WeekStamp, values: np.ndarray, top: int, out_of_range) -> np.ndarray:

@@ -6,8 +6,8 @@ quadrature, OLS from Gaussian elimination on the normal equations,
 subset selection by exhaustive enumeration, the selection objective and
 greedy selection by one least-squares fit per candidate, ISO weeks from
 stepping a date one week at a time, figure rows from one stable sort,
-sidecar JSON from the standard library's encoder, the row grammar of
-the CSV readers from one regular expression a row, the panel writer
+sidecar JSON from the standard library's encoder, the CSV readers one
+line at a time (cell count, stamp, integers, then values), the panel writer
 from one str() a cell, and 0-100 rescaling one series at a time. The
 Student-t p-value is also here one scalar continued fraction at a
 time: the batched kernel must equal it exactly, lane for lane, and
@@ -21,6 +21,16 @@ import math
 import re
 
 import numpy as np
+
+from flunowcast.errors import (
+    GapInCases,
+    MalformedHeader,
+    MalformedRow,
+    NegativeCount,
+    NonContiguousAfterFill,
+    ValueOutOfRange,
+)
+from flunowcast.timeseries import QueryPanel, WeekStamp, WeeklySeries
 
 _BETA_TOL = 1e-12
 _BETA_MAX_ITER = 300
@@ -309,28 +319,100 @@ def json_sidecar(obj):
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
-def regex_table(data, width):
-    """The CSV readers' whole-file table by the row grammar's regular
-    expression, one fullmatch a data row: each row's week number and its
-    cells as a (rows x width - 1) float array, or no rows if any row
-    misses the grammar or holds a week past its year's last."""
-    empty = np.empty(0, np.int64), np.empty((0, width - 1))
-    lines = data.decode("utf-8").split("\n")
-    if lines[-1] == "":
+def _row_reader_lines(data):
+    """The lines of a CSV input, after its encoding and line-ending checks."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(f"input is not valid UTF-8: {exc}") from None
+    if "\r" in text:
+        raise MalformedRow("CRLF line endings are not accepted (LF only)")
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
         lines.pop()
-    body = lines[1:]
-    row = re.compile(rf"[0-9]{{4}}-W[0-9]{{2}}(?:,-?[0-9]{{1,15}}){{{width - 1}}}")
-    if not (body and all(map(row.fullmatch, body))):
-        return empty
-    weeks = []
-    for line in body:  # a week's number is its Monday's day ordinal // 7
-        try:
-            monday = datetime.date.fromisocalendar(int(line[:4]), int(line[6:8]), 1)
+    if not lines:
+        raise MalformedHeader("empty input")
+    return lines
+
+
+def _row_reader_int(text, lineno):
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise MalformedRow(f"line {lineno}: not an integer: {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise MalformedRow(f"line {lineno}: integer of {len(digits)} digits is too long") from None
+
+
+def _row_reader_rows(lines, width):
+    """(line number, stamp, week number, integer cells) of each data row,
+    each row checked for its cell count, then its stamp by one regular
+    expression and `datetime.date.fromisocalendar`, then each cell."""
+    for i, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != width:
+            raise MalformedRow(f"line {i}: expected {width} cells, got {len(cells)}")
+        stamp = cells[0]
+        if not re.fullmatch(r"[0-9]{4}-W[0-9]{2}", stamp):
+            raise MalformedRow(f"line {i}: not a YYYY-Www week stamp: {stamp!r}")
+        try:  # a week's number is its Monday's day ordinal // 7
+            week = datetime.date.fromisocalendar(int(stamp[:4]), int(stamp[6:]), 1).toordinal() // 7
         except ValueError:
-            return empty
-        weeks.append(monday.toordinal() // 7)
-    cells = [[float(int(c)) for c in line.split(",")[1:]] for line in body]
-    return np.array(weeks), np.array(cells).reshape(len(body), width - 1)
+            raise MalformedRow(f"line {i}: invalid ISO week {stamp}") from None
+        yield i, stamp, week, [_row_reader_int(c, i) for c in cells[1:]]
+
+
+def row_by_row_trends_csv(data):
+    """A search-volume panel read one line at a time, as the CSV reader
+    once did: each row's grammar, its volumes in 0-100, then its week
+    after the last; omitted weeks zero-filled."""
+    lines = _row_reader_lines(data)
+    header = lines[0].split(",")
+    if len(header) < 2 or header[0] != "week":
+        raise MalformedHeader(f"expected 'week,<label>,...', got {lines[0]!r}")
+    labels = header[1:]
+    if len(labels) != len(set(labels)) or any(not l for l in labels):
+        raise MalformedHeader("query labels must be non-empty and distinct")
+    weeks, rows = [], []
+    for i, stamp, week, vals in _row_reader_rows(lines, len(header)):
+        for v in vals:
+            if not 0 <= v <= 100:
+                raise ValueOutOfRange(f"line {i}: search volume {v} outside 0-100")
+        if weeks and week <= weeks[-1]:
+            raise NonContiguousAfterFill(f"week {stamp} out of order or duplicated")
+        weeks.append(week)
+        rows.append(vals)
+    if not rows:
+        raise MalformedRow("panel has no data rows")
+    matrix = np.zeros((weeks[-1] - weeks[0] + 1, len(labels)))
+    for week, vals in zip(weeks, rows):
+        matrix[week - weeks[0]] = vals
+    return QueryPanel(WeekStamp.parse(lines[1][:8]), tuple(labels), matrix)  # the first row's week
+
+
+def row_by_row_cases_csv(data):
+    """Weekly case counts read one line at a time, as the CSV reader once
+    did: each row's grammar, its count in 0..2**53, then its week one
+    after the last."""
+    lines = _row_reader_lines(data)
+    if lines[0] != "week,cases":
+        raise MalformedHeader(f"expected 'week,cases', got {lines[0]!r}")
+    weeks, counts = [], []
+    for i, stamp, week, (count,) in _row_reader_rows(lines, 2):
+        if count < 0:
+            raise NegativeCount(f"line {i}: negative case count {count}")
+        if count > 2 ** 53:
+            raise MalformedRow(f"line {i}: case count above 2**53")
+        if weeks and week - weeks[-1] > 1:
+            raise GapInCases(f"missing week(s) before {stamp}")
+        if weeks and week <= weeks[-1]:
+            raise NonContiguousAfterFill(f"week {stamp} out of order or duplicated")
+        weeks.append(week)
+        counts.append(count)
+    if not weeks:
+        raise MalformedRow("case file has no data rows")
+    return WeeklySeries(WeekStamp.parse(lines[1][:8]), counts, "cases")  # the first row's week
 
 
 def str_per_cell_trends_csv(panel):

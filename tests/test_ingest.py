@@ -1,4 +1,4 @@
-from unittest import mock
+import itertools
 
 import numpy as np
 import pytest
@@ -22,7 +22,12 @@ from flunowcast.ingest import (
 )
 from flunowcast.timeseries import QueryPanel, WeekStamp, WeeklySeries, week_labels
 
-from .oracles import isocalendar_walk, regex_table, str_per_cell_trends_csv
+from .oracles import (
+    isocalendar_walk,
+    row_by_row_cases_csv,
+    row_by_row_trends_csv,
+    str_per_cell_trends_csv,
+)
 
 
 class TestParseTrends:
@@ -128,6 +133,106 @@ def test_first_bad_line_in_file_order_wins(parser, header):
     # line 3 has a malformed cell, line 5 repeats a week
     with pytest.raises(MalformedRow, match="line 3: "):
         parser(f"{header}\n2009-W01,1\n2009-W02,x\n2009-W03,3\n2009-W03,4\n".encode())
+
+
+# the rules each parser checks a data row against, in the order it checks them
+CHECK_ORDER = {
+    parse_trends_csv: ("count", "stamp", "integer", "volume", "order"),
+    parse_cases_csv: ("count", "stamp", "integer", "negative", "above", "gap", "order"),
+}
+RULE_ERRORS = {"count": MalformedRow, "stamp": MalformedRow, "integer": MalformedRow,
+               "volume": ValueOutOfRange, "negative": NegativeCount, "above": MalformedRow,
+               "gap": GapInCases, "order": NonContiguousAfterFill}
+# the cell of a row that each rule's edit sets; "count" adds a cell
+RULE_CELLS = {
+    parse_trends_csv: {"stamp": 0, "order": 0, "volume": 1, "integer": 2},
+    parse_cases_csv: {"stamp": 0, "gap": 0, "order": 0, "integer": 1, "negative": 1, "above": 1},
+}
+BAD_CELLS = {"stamp": "2016-W53", "integer": "x", "volume": "101", "negative": "-1",
+             "above": str(2 ** 53 + 1)}
+
+
+def rule_breaking_csv(parser, breaks):
+    """A file of 2015-W01..2015-W06 (a case file, or a panel of two queries)
+    whose line L breaks each rule of breaks[L]."""
+    header = "week,cases" if parser is parse_cases_csv else "week,a,b"
+    rows = [[w] + ["5"] * header.count(",") for w in week_labels(WeekStamp(2015, 1), 6)]
+    for line, rules in breaks.items():
+        i = line - 2
+        for rule in rules:
+            if rule == "count":
+                rows[i].append("5")
+            elif rule == "order":  # the week before's stamp
+                rows[i][0] = rows[i - 1][0]
+            elif rule == "gap":  # the week after's stamp
+                rows[i][0] = rows[i + 1][0]
+            else:
+                rows[i][RULE_CELLS[parser][rule]] = BAD_CELLS[rule]
+    return ("\n".join([header, *map(",".join, rows)]) + "\n").encode()
+
+
+class TestRuleOrder:
+    @pytest.mark.parametrize("parser,first,second", [
+        (parser, a, b) for parser, rules in CHECK_ORDER.items()
+        for a, b in itertools.permutations(rules, 2)])
+    def test_the_first_bad_line_wins(self, parser, first, second):
+        alone = parsed(parser, rule_breaking_csv(parser, {3: {first}}))
+        assert alone[0] is RULE_ERRORS[first]
+        assert parsed(parser, rule_breaking_csv(parser, {3: {first}, 5: {second}})) == alone
+
+    @pytest.mark.parametrize("parser,first,second", [
+        (parser, a, b) for parser, rules in CHECK_ORDER.items()
+        for a, b in itertools.combinations(rules, 2)
+        # two edits of one cell cannot both hold
+        if "count" in (a, b) or RULE_CELLS[parser][a] != RULE_CELLS[parser][b]])
+    def test_within_a_row_the_earlier_rule_wins(self, parser, first, second):
+        alone = parsed(parser, rule_breaking_csv(parser, {4: {first}}))
+        assert alone[0] is RULE_ERRORS[first]
+        assert parsed(parser, rule_breaking_csv(parser, {4: {first, second}})) == alone
+
+
+@pytest.mark.parametrize("parser,header", [
+    (parse_trends_csv, "week,flu"),
+    (parse_cases_csv, "week,cases"),
+])
+def test_a_bad_cell_and_a_later_bad_stamp_do_not_balance(parser, header):
+    # "1e2" holds one digit fewer than its length, the 10-byte stamp 2015-W52-1 one more
+    with pytest.raises(MalformedRow, match="^line 3: not an integer: '1e2'$"):
+        parser(f"{header}\n2015-W50,1\n2015-W51,1e2\n2015-W52-1,5\n".encode())
+
+
+class TestIntegerEdges:
+    @pytest.mark.parametrize("pad", ["", "000", "0" * 20])
+    def test_counts_up_to_2_to_the_53_with_padding(self, pad):
+        assert parse_cases_csv(f"week,cases\n2015-W01,{pad}{2 ** 53}\n".encode()).values[0] == 2 ** 53
+        with pytest.raises(MalformedRow, match="^line 2: case count above 2"):
+            parse_cases_csv(f"week,cases\n2015-W01,{pad}{2 ** 53 + 1}\n".encode())
+
+    @pytest.mark.parametrize("count", ["-" + "9" * 25, str(-2 ** 63), str(-2 ** 63 - 1)])
+    def test_a_negative_count_past_int64_is_negative(self, count):
+        with pytest.raises(NegativeCount, match=f"^line 2: negative case count {count}$"):
+            parse_cases_csv(f"week,cases\n2015-W01,{count}\n".encode())
+
+    @pytest.mark.parametrize("count", [str(2 ** 63), str(2 ** 63 - 1), "9" * 25])
+    def test_a_count_past_int64_is_above_2_to_the_53(self, count):
+        with pytest.raises(MalformedRow, match="^line 2: case count above 2"):
+            parse_cases_csv(f"week,cases\n2015-W01,{count}\n".encode())
+
+    @pytest.mark.parametrize("volume", [str(2 ** 63), str(-2 ** 63), "-" + "9" * 25, "9" * 4300])
+    def test_a_volume_past_int64_is_named_in_full(self, volume):
+        with pytest.raises(ValueOutOfRange, match=f"^line 2: search volume {volume} outside 0-100$"):
+            parse_trends_csv(f"week,flu\n2015-W01,{volume}\n".encode())
+
+    def test_a_zero_padded_25_digit_volume_reads_as_42(self):
+        assert parse_trends_csv(f"week,flu\n2015-W01,{'0' * 23}42\n".encode()).matrix[0, 0] == 42
+
+    @pytest.mark.parametrize("parser,header", [
+        (parse_trends_csv, "week,flu"),
+        (parse_cases_csv, "week,cases"),
+    ])
+    def test_a_zero_padded_5000_digit_cell_is_too_long(self, parser, header):
+        with pytest.raises(MalformedRow, match="^line 2: integer of 5000 digits is too long$"):
+            parser(f"{header}\n2015-W01,{'0' * 4998}42\n".encode())
 
 
 # ISO years 2009, 2015, 2020 and 2026 have a week 53
@@ -319,10 +424,13 @@ class TestGrammarFuzz:
                 pass
 
 
-# cells the whole-file path reads (signed zeros, leading zeros), checks
-# (out of range, negative) or leaves to the row-by-row reader (16+ digits)
+# cells at the edges of the integer grammar and the value rules: signed
+# zeros, leading zeros, values past 0-100, 2**53 and int64, past int()'s
+# 4,300 digits
 array_cells = st.one_of(st.sampled_from(
-    ["-0", "-00", "007", "0100", "0101", "101", "-1", "250", "0" * 16 + "42", "9" * 16]),
+    ["-0", "-00", "007", "0100", "0101", "101", "-1", "250", "0" * 16 + "42", "9" * 16,
+     "-" + "9" * 25, "0" * 23 + "42", str(2 ** 53), str(2 ** 53 + 1), str(2 ** 63),
+     str(-2 ** 63), "9" * 5000, "0" * 4998 + "42"]),
     integer_cells)
 # mostly cell changes, so that most files stay valid elsewhere
 array_ops = ("value", "value", "value", "week", "duplicate", "drop", "swap")
@@ -340,16 +448,16 @@ def parsed(parser, blob):
 
 
 def row_by_row(parser, blob):
-    """parsed() with the whole-file path always missing."""
-    with mock.patch.object(ingest, "_table", lambda data, width: ([], np.empty((0, width - 1)))):
-        return parsed(parser, blob)
+    """parsed() of the row-by-row oracle for `parser`."""
+    oracle = {parse_trends_csv: row_by_row_trends_csv, parse_cases_csv: row_by_row_cases_csv}
+    return parsed(oracle[parser], blob)
 
 
 class TestWholeFilePath:
     @pytest.mark.parametrize("parser,header,cells,weeks", [
         (parse_trends_csv, "week,flu", ["-0", "007", "0100"], ["2015-W53", "2016-W01", "2016-W03"]),
         (parse_cases_csv, "week,cases", ["-0", "007", "0" * 15], ["2015-W52", "2015-W53", "2016-W01"]),
-        # the widest cells the row grammar admits, and -0 between others
+        # 15-digit cells, and -0 between others
         (parse_cases_csv, "week,cases", ["9" * 15, "0" * 14 + "1", "-0"],
          ["2015-W52", "2015-W53", "2016-W01"]),
         (parse_trends_csv, "week,flu", ["0" * 14 + "1", "-0", "100"],
@@ -358,14 +466,10 @@ class TestWholeFilePath:
     def test_reads_what_the_row_reader_reads(self, parser, header, cells, weeks):
         text = "".join(f"{w},{c}\n" for w, c in zip(weeks, cells))
         blob = f"{header}\n{text}".encode()
-        rows = ingest._table(blob, 2)[1]
-        assert rows.tolist() == [[float(int(c))] for c in cells]
-        assert not np.signbit(rows).any()  # -0 reads as 0
+        assert ingest._table(blob, 2)[1].tolist() == [[int(c)] for c in cells]
+        arrays = [v for v in vars(parser(blob)).values() if isinstance(v, np.ndarray)]
+        assert not any(np.signbit(a).any() for a in arrays)  # -0 reads as 0
         assert parsed(parser, blob) == row_by_row(parser, blob)
-
-    @pytest.mark.parametrize("cell", ["+5", "١٢", " 5", "0" * 16, "1.0", ""])
-    def test_leaves_other_cells_to_the_row_reader(self, cell):
-        assert len(ingest._table(f"week,flu\n2015-W01,1\n2015-W02,{cell}\n".encode(), 2)[1]) == 0
 
     @pytest.mark.parametrize("parser,text", [
         (parse_trends_csv, "week,flu\n2015-W01,7\n2015-W02,101\n"),
@@ -381,9 +485,6 @@ class TestWholeFilePath:
         with pytest.raises(DataError):
             parser(text.encode())
         assert parsed(parser, text.encode()) == row_by_row(parser, text.encode())
-
-    def test_leaves_a_week_past_the_year_to_the_row_reader(self):
-        assert len(ingest._table(b"week,flu\n2015-W53,1\n2016-W53,2\n", 2)[1]) == 0
 
     @given(panel=mutated_csv(VALID_PANEL, array_cells, array_ops),
            cases=mutated_csv(VALID_CASES, array_cells, array_ops))
@@ -418,7 +519,7 @@ def edited_csv(draw):
 class TestByteCheck:
     @given(case=edited_csv())
     # a 7-digit stamp and a non-digit cell: the digit count balances, and
-    # only the stamp check refuses the file
+    # only the stamp flag refuses the file
     @example(case=(2, b"week,cases\n2009-101,1\n2009-W02,x\n"))
     # -0, padding and 15 digits, without a final newline
     @example(case=(3, b"week,a,b\n2015-W53,-0,0100\n2016-W01,7,000000000000042"))
@@ -427,16 +528,11 @@ class TestByteCheck:
     @example(case=(2, b"week,cases\n"))
     @example(case=(2, b"week,cases"))
     @settings(max_examples=500)
-    def test_accepts_what_the_row_regex_accepts(self, case):
+    def test_agrees_with_the_row_reader(self, case):
         width, blob = case
-        weeks, rows = ingest._table(blob, width)
-        want_weeks, want_rows = regex_table(blob, width)
-        assert weeks.tolist() == want_weeks.tolist()
-        assert (rows.shape, rows.tobytes()) == (want_rows.shape, want_rows.tobytes())
         parsers = (parse_trends_csv, parse_cases_csv) if width == 2 else (parse_trends_csv,)
-        with mock.patch.object(ingest, "_table", regex_table):
-            want = [parsed(parser, blob) for parser in parsers]
-        assert [parsed(parser, blob) for parser in parsers] == want
+        for parser in parsers:
+            assert parsed(parser, blob) == row_by_row(parser, blob)
 
 
 @st.composite
