@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 
@@ -289,4 +290,5 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    gc.freeze()  # one call per process: its collections and exit's teardown then skip the imports
     sys.exit(run())

@@ -17,11 +17,11 @@ from json.encoder import encode_basestring
 import numpy as np
 
 from . import stats
-from .errors import EmptyLabel, InsufficientOverlap, MalformedHeader
+from .errors import EmptyLabel, InsufficientOverlap, InvalidConfig, MalformedHeader
 from .regress import in_sample_objective
 from .stats import ALPHA
-from .timeseries import (DEFAULT_SHIFTS, QueryPanel, WeeklySeries, iso_years, paired,
-                         week_labels)
+from .timeseries import (DEFAULT_SHIFTS, QueryPanel, WeeklySeries, WeekStamp, iso_years,
+                         paired, week_labels)
 
 
 @dataclass(frozen=True)
@@ -159,6 +159,8 @@ def figure_data(series: list[WeeklySeries]) -> bytes:
     columns = [(s.start - first, s.label.replace("%", "%%") + ",%s\n", s.values)
                for s in sorted(series, key=lambda s: s.label)]
     cuts = sorted({at for at, _, _ in columns} | {at + len(v) for at, _, v in columns})
+    if first + cuts[-1] - 1 > WeekStamp(9999, 52):  # shifted estimates end past the cases
+        raise InvalidConfig(f"{cuts[-1]} figure weeks from {first} run past 9999-W52")
     weeks = week_labels(first, cuts[-1])
     out = ["week,label,value\n"]
     # the live series are fixed between two cuts, so a run of weeks has one %-template,

@@ -34,16 +34,21 @@ def synth_files(tmp_path, extra=()):
     return cases, panel
 
 
+def run_python(args, cwd):
+    """Run the interpreter with `args` in a child process that imports this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def run_process(argv, cwd):
     """Run `python -m flunowcast` in a child process, as a user does, and
     check what the user sees: no traceback and no warning text on stderr,
     and on exit 1 exactly one line, `error: <DataError subclass>: ...`.
     Warnings that Python prints to stderr are visible only from a child."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "flunowcast", *argv], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python(["-m", "flunowcast", *argv], cwd)
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr, proc.stderr
     if proc.returncode == 1:
         line = re.fullmatch(r"error: (\w+): .+\n", proc.stderr)
@@ -91,6 +96,39 @@ class TestProcess:
                             "--out", "table.csv"], tmp_path)
         assert proc.returncode == 1
         assert proc.stderr == "error: MalformedRow: line 3: integer of 5000 digits is too long\n"
+
+    def test_estimates_past_9999_w52_are_a_data_error(self, tmp_path):
+        # full-mode estimates at shift +2 run two weeks past cases that end at 9999-W52
+        assert run_process(["synth", "--seed", "1", "--weeks", "52", "--peaks", "20:800:3",
+                            "--start", "9999-W01", "--out-cases", "c.csv",
+                            "--out-panel", "p.csv"], tmp_path).returncode == 0
+        proc = run_process(["nowcast", "--cases", "c.csv", "--panel", "p.csv",
+                            "--out-estimates", "e.csv", "--out-table", "t.csv"], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: InvalidConfig: 54 figure weeks from 9999-W01 "
+                               "run past 9999-W52\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "p.csv"]
+
+
+class TestFreeze:
+    """`main()`, the entry of a one-shot call, freezes the imported modules
+    before the command runs; importing the CLI and calling `run()`, as
+    library callers and the benchmark's warm worker do, leave the collector
+    as it was. Each check runs in a child, so this process is never frozen."""
+
+    def test_main_freezes_before_the_command(self, tmp_path):
+        proc = run_python(["-c", "import gc\nfrom flunowcast import cli\n"
+                           "cli.run = lambda: print(gc.get_freeze_count()) or 0\n"
+                           "cli.main()"], tmp_path)
+        assert proc.returncode == 0 and int(proc.stdout) > 0, proc.stderr
+
+    def test_import_and_run_freeze_nothing(self, tmp_path):
+        argv = TestProcess.SYNTH + ["--peaks", "10:50:3"]
+        proc = run_python(["-c", "import gc\nfrom flunowcast import cli\n"
+                           f"print(gc.get_freeze_count(), cli.run({argv!r}), "
+                           "gc.get_freeze_count())"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 0 0"
 
 
 class TestSynth:
@@ -525,7 +563,7 @@ class TestPastTheCalendar:
         est, table = tmp_path / "est.csv", tmp_path / "table.csv"
         assert run(["nowcast", *inputs, "--out-estimates", str(est),
                     "--out-table", str(table)]) == 1
-        self.assert_one_line_error(capsys, "ValueError", est, table)
+        self.assert_one_line_error(capsys, "InvalidConfig", est, table)
 
 
 def test_rolling_selection_sees_the_weeks_it_estimates(tmp_path, monkeypatch, capsys):
