@@ -12,8 +12,8 @@ script exits 1.
 
 Then fixed edits of the seed-42 readme files, each one refused or read
 at an edge of the CSV grammar (a 16-digit cell, CRLF, a missing final
-newline, ...), go through the readme's `correlate` call under both trees,
-with the same comparison.
+newline, an invalid or malformed week stamp, ...), go through the readme's
+`correlate` call under both trees, with the same comparison.
 """
 
 from __future__ import annotations
@@ -87,6 +87,14 @@ EDGE_INPUTS = [
      edits(edit_cell(5, 1, b"1e2"), edit_cell(6, 0, lambda stamp: stamp + b"-1"))),
     ("an empty line mid-file", "panel.csv", edit_lines(lambda lines: lines.insert(5, b""))),
     ("a header-only panel", "panel.csv", lambda data: data[:data.index(b"\n") + 1]),
+    # week stamps at the edges of the ISO calendar and of the stamp form
+    ("0000-W01", "panel.csv", edit_cell(5, 0, b"0000-W01")),
+    ("2009-W00", "cases.csv", edit_cell(5, 0, b"2009-W00")),
+    ("2010-W53", "panel.csv", edit_cell(5, 0, b"2010-W53")),
+    ("2009-W53, a real week out of order", "cases.csv", edit_cell(5, 0, b"2009-W53")),
+    ("2009-W53, a real week out of order", "panel.csv", edit_cell(5, 0, b"2009-W53")),
+    ("2009-w05", "panel.csv", edit_cell(5, 0, b"2009-w05")),
+    ("a full-width digit in a stamp", "cases.csv", edit_cell(5, 0, "２009-W05".encode())),
 ]
 
 

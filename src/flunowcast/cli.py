@@ -226,9 +226,10 @@ def _cmd_nowcast(args) -> int:
         if args.clamp:
             estimates = WeeklySeries(estimates.start, np.maximum(estimates.values, 0.0),
                                      estimates.label)
-        ev = stats.correlate(estimates, cases, 0, args.alpha)
+        rows = stats.paired_rows(estimates.start, estimates.values[:, None], cases, 0)
+        ev = stats.gated_columns([rows], args.alpha)[0]
         shown = [estimates]
-        overall = "NA" if ev.na else f"{ev.r:.2f}"
+        overall = "NA" if ev.reason[0] else f"{ev.r[0]:.2f}"
     _write(args.out_estimates, report.figure_data(shown + [cases]))
     table = report.table_model_by_shift(sub, cases, tuple(args.shifts))
     _write(args.out_table, table.to_csv())

@@ -79,8 +79,8 @@ class NegativeCount(DataError):
 
 class InvalidConfig(DataError):
     """A parameter out of its range: a scenario configuration against its
-    invariants, a shift beyond +/-2 weeks, an alpha outside (0, 1), or a
-    figure whose weeks run past 9999-W52."""
+    invariants, a shift beyond +/-2 weeks, an alpha outside (0, 1), a
+    figure whose weeks run past 9999-W52, or estimates before 0001-W01."""
 
 
 # -- report -------------------------------------------------------------

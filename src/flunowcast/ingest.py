@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from .errors import (
+    DataError,
     GapInCases,
     MalformedHeader,
     MalformedRow,
@@ -82,7 +83,8 @@ def _kept_rows(body: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, in
     last = np.flatnonzero(newline[seps])  # where each row's newline is among seps
     counts = np.diff(last, prepend=-1)  # each row's cells
     bounds = np.concatenate(([0], seps[last] + 1))
-    weeks, valid = week_numbers(body.take(bounds[:-1, None] + np.arange(8), mode="clip").tobytes())
+    stamps = body.take(bounds[:-1, None] + np.arange(8), mode="clip")
+    weeks, _, valid = week_numbers(stamps.tobytes())
     # the rows before the first with a wrong cell count or stamp
     n = _first((counts != width) | (seps[last - counts + 1] - bounds[:-1] != 8) | ~valid)
     seps = seps[:n * width].reshape(n, width)
@@ -99,16 +101,46 @@ def _kept_rows(body: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, in
     return bounds, weeks, n
 
 
-def _table(data: bytes, width: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The week numbers and int64 cells of the rows before the first off the row
-    grammar, and that row's line number or 0; a cell past int64 saturates."""
+def _refuse_volume(where: str, v, text: str) -> DataError:
+    return ValueOutOfRange(f"{where}: search volume {text} outside 0-100")
+
+
+def _refuse_count(where: str, v, text: str) -> DataError:
+    return (NegativeCount(f"{where}: negative case count {text}") if v < 0
+            else MalformedRow(f"{where}: case count above 2**53"))
+
+
+# each format's (top, refuse): its values are the integers 0..top (past 2**53 a float no longer
+# holds every count), and refuse(where, v, text) its error for a v outside them, printed as
+# `text` at "line N" of a file or "week W" of a series
+_PANEL_VALUES = (100, _refuse_volume)
+_CASE_VALUES = (2 ** 53, _refuse_count)
+
+
+def _table(data: bytes, width: int, top: int, refuse, gaps: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The week numbers and int64 cells of `data`'s rows, once each keeps the
+    row grammar and its format's values (0..top, else `refuse`), and its week
+    comes after the last one's: right after it unless `gaps`. Only the rows
+    before the first off the grammar are converted; a cell past int64 saturates."""
     head = data.find(b"\n") + 1 or len(data) + 1  # past the header line, or past the end
     body = np.frombuffer(data if data.endswith(b"\n") else data + b"\n", np.uint8, offset=head)
     bounds, weeks, n = _kept_rows(body, width)
-    cells = np.delete(body[:bounds[n]], (bounds[:n, None] + np.arange(9)).ravel())  # less stamps
-    cells[cells == 10] = 44
-    values = np.fromstring(cells[:-1].tobytes(), dtype=np.int64, sep=",").reshape(n, width - 1)
-    return weeks[:n], values, n + 2 if n < len(weeks) else 0
+    text = np.delete(body[:bounds[n]], (bounds[:n, None] + np.arange(9)).ravel())  # less stamps
+    text[text == 10] = 44
+    cells = np.fromstring(text[:-1].tobytes(), dtype=np.int64, sep=",").reshape(n, width - 1)
+    out = (cells < 0) | (cells > top)
+    steps = np.diff(weeks[:n], prepend=weeks[:1] - 1)
+    i = _first(out.any(axis=1) | (steps < 1 if gaps else steps != 1))
+    if i < n:
+        line = _line(data, i + 2)
+        if out[i].any():
+            v = int(line[1 + out[i].argmax()])  # exact, where the array holds int64's bound
+            raise refuse(f"line {i + 2}", v, str(v))
+        raise (GapInCases(f"missing week(s) before {line[0]}") if steps[i] > 1 else
+               NonContiguousAfterFill(f"week {line[0]} out of order or duplicated"))
+    if n < len(weeks):
+        _refuse_line(data, n + 2, width)
+    return weeks[:n], cells
 
 
 def parse_trends_csv(data: bytes) -> QueryPanel:
@@ -120,17 +152,7 @@ def parse_trends_csv(data: bytes) -> QueryPanel:
     labels = names[1:]
     if len(labels) != len(set(labels)) or any(not l for l in labels):
         raise MalformedHeader("query labels must be non-empty and distinct")
-    weeks, volumes, bad = _table(data, len(names))
-    out = (volumes < 0) | (volumes > 100)
-    i = _first(out.any(axis=1) | (np.diff(weeks, prepend=weeks[:1] - 1) <= 0))
-    if i < len(weeks):
-        cells = _line(data, i + 2)
-        if out[i].any():
-            v = int(cells[1 + out[i].argmax()])  # exact, where the array holds int64's bound
-            raise ValueOutOfRange(f"line {i + 2}: search volume {v} outside 0-100")
-        raise NonContiguousAfterFill(f"week {cells[0]} out of order or duplicated")
-    if bad:
-        _refuse_line(data, bad, len(names))
+    weeks, volumes = _table(data, len(names), *_PANEL_VALUES, gaps=True)
     if not len(weeks):
         raise MalformedRow("panel has no data rows")
     # weeks the file omits stay zero
@@ -144,31 +166,17 @@ def parse_cases_csv(data: bytes) -> WeeklySeries:
     header = _header(data)
     if header != "week,cases":
         raise MalformedHeader(f"expected 'week,cases', got {header!r}")
-    weeks, cells, bad = _table(data, 2)
-    counts = cells[:, 0]
-    out = (counts < 0) | (counts > 2 ** 53)  # past 2**53, a float no longer holds every count
-    steps = np.diff(weeks, prepend=weeks[:1] - 1)
-    i = _first(out | (steps != 1))
-    if i < len(weeks):
-        week, count = _line(data, i + 2)
-        if not out[i]:
-            raise (GapInCases(f"missing week(s) before {week}") if steps[i] > 1 else
-                   NonContiguousAfterFill(f"week {week} out of order or duplicated"))
-        if int(count) < 0:  # the text's sign: past int64 a cell may read as 2**63 - 1
-            raise NegativeCount(f"line {i + 2}: negative case count {int(count)}")
-        raise MalformedRow(f"line {i + 2}: case count above 2**53")
-    if bad:
-        _refuse_line(data, bad, 2)
+    weeks, counts = _table(data, 2, *_CASE_VALUES, gaps=False)
     if not len(weeks):
         raise MalformedRow("case file has no data rows")
-    return WeeklySeries(WeekStamp(1, 1).add(weeks[0]), counts, "cases")  # 0001-W01 is week 0
+    return WeeklySeries(WeekStamp(1, 1).add(weeks[0]), counts[:, 0], "cases")  # 0001-W01 is week 0
 
 
-def _int_rows(start: WeekStamp, values: np.ndarray, top: int, out_of_range) -> np.ndarray:
+def _int_rows(start: WeekStamp, values: np.ndarray, top: int, refuse) -> np.ndarray:
     """`values`, a (weeks x columns) array from `start`, as the int64 rows
     the writer prints. The first week holding a value the parser would
     refuse raises as the parser does: MalformedRow for a non-integer, else
-    out_of_range(week, value) for one outside 0..top."""
+    the format's `refuse` for one outside 0..top."""
     with np.errstate(invalid="ignore"):  # a value past int64 casts to a wrong int, refused below
         ints = values.astype(np.int64)
     # min and max rather than comparisons with a scalar, which raise synth's peak RSS ~0.15 MB
@@ -178,12 +186,13 @@ def _int_rows(start: WeekStamp, values: np.ndarray, top: int, out_of_range) -> n
         fraction = next((v for v in cells if not v.is_integer()), None)
         if fraction is not None:
             raise MalformedRow(f"week {week}: not an integer: {fraction!r}")
-        raise out_of_range(week, next(v for v in cells if not 0 <= v <= top))
+        v = next(v for v in cells if not 0 <= v <= top)
+        raise refuse(f"week {week}", v, f"{v:g}")
     return ints
 
 
 # the text of each search volume, printed by lookup rather than one str() a cell
-_VOLUMES = np.array([str(v) for v in range(101)], dtype=object)
+_VOLUME_TEXT = np.array([str(v) for v in range(_PANEL_VALUES[0] + 1)], dtype=object)
 
 
 def _volume_rows(ints: np.ndarray) -> list[str]:
@@ -191,7 +200,7 @@ def _volume_rows(ints: np.ndarray) -> list[str]:
     its cells, 64 rows at a time: an object array of the whole panel would
     raise synth's peak RSS."""
     return [",".join(row) for i in range(0, len(ints), 64)
-            for row in _VOLUMES[ints[i:i + 64]].tolist()]
+            for row in _VOLUME_TEXT[ints[i:i + 64]].tolist()]
 
 
 def _write_rows(header: str, start: WeekStamp, rows: list[str]) -> bytes:
@@ -203,16 +212,10 @@ def _write_rows(header: str, start: WeekStamp, rows: list[str]) -> bytes:
 def write_trends_csv(panel: QueryPanel) -> bytes:
     if any(not l or "," in l or "\n" in l or "\r" in l for l in panel.labels):
         raise MalformedHeader("query labels must be non-empty, without commas or line breaks")
-    rows = _volume_rows(_int_rows(panel.start, panel.matrix, 100, lambda week, v: ValueOutOfRange(
-        f"week {week}: search volume {v:g} outside 0-100")))  # the ints are freed before printing
+    rows = _volume_rows(_int_rows(panel.start, panel.matrix, *_PANEL_VALUES))  # ints freed here
     return _write_rows("week," + ",".join(panel.labels), panel.start, rows)
 
 
 def write_cases_csv(cases: WeeklySeries) -> bytes:
-    def refuse(week, count):
-        if count < 0:
-            return NegativeCount(f"week {week}: negative case count {count:g}")
-        return MalformedRow(f"week {week}: case count above 2**53")
-
-    ints = _int_rows(cases.start, cases.values[:, None], 2 ** 53, refuse)
+    ints = _int_rows(cases.start, cases.values[:, None], *_CASE_VALUES)
     return _write_rows("week,cases", cases.start, list(map(str, ints[:, 0].tolist())))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stats
-from .errors import SingularDesign, Underdetermined
+from .errors import InvalidConfig, SingularDesign, Underdetermined
 from .timeseries import ArrayFields, QueryPanel, WeeklySeries, paired
 
 PIVOT_TOL = 1e-10
@@ -118,6 +118,8 @@ def predict(fit: ModelFit, panel: QueryPanel) -> WeeklySeries:
     Estimates are stamped at case weeks (search week + shift); negative
     estimates are kept.
     """
+    if panel.start + fit.shift < 0:  # week 0 is 0001-W01
+        raise InvalidConfig(f"estimates {fit.shift:+d} weeks from {panel.start} precede 0001-W01")
     X = panel.subset(list(fit.labels)).matrix
     return WeeklySeries(panel.start.add(fit.shift), fit.betas[0] + X @ fit.betas[1:],
                         "estimates")

@@ -20,7 +20,7 @@ from . import stats
 from .errors import EmptyLabel, InsufficientOverlap, InvalidConfig, MalformedHeader
 from .regress import in_sample_objective
 from .stats import ALPHA
-from .timeseries import (DEFAULT_SHIFTS, QueryPanel, WeeklySeries, WeekStamp, iso_years,
+from .timeseries import (DEFAULT_SHIFTS, LAST_WEEK, QueryPanel, WeeklySeries, iso_years,
                          paired, week_labels)
 
 
@@ -48,7 +48,7 @@ _OUTER_CELL, _INNER_CELL = (
 _ANNUAL_ROW = '  {\n    "query": %s,\n%s,\n    "years": {\n%s\n    }\n  }'
 _SCAN_ROW = '  {\n    "year": %d,\n    "shift": %d,\n    "cells": {\n%s\n    }\n  }'
 # the JSON text of each NA-reason code, stats.REASONS[code]
-_REASON_JSON = tuple("null" if r is None else encode_basestring(r.value) for r in stats.REASONS)
+_REASON_JSON = tuple("null" if r is None else encode_basestring(r) for r in stats.REASONS)
 
 
 def _cells(cols: stats.GatedColumns, keys, template: str) -> tuple[list[str], list[str]]:
@@ -159,8 +159,8 @@ def figure_data(series: list[WeeklySeries]) -> bytes:
     columns = [(s.start - first, s.label.replace("%", "%%") + ",%s\n", s.values)
                for s in sorted(series, key=lambda s: s.label)]
     cuts = sorted({at for at, _, _ in columns} | {at + len(v) for at, _, v in columns})
-    if first + cuts[-1] - 1 > WeekStamp(9999, 52):  # shifted estimates end past the cases
-        raise InvalidConfig(f"{cuts[-1]} figure weeks from {first} run past 9999-W52")
+    if first + cuts[-1] - 1 > LAST_WEEK:  # shifted estimates end past the cases
+        raise InvalidConfig(f"{cuts[-1]} figure weeks from {first} run past {LAST_WEEK}")
     weeks = week_labels(first, cuts[-1])
     out = ["week,label,value\n"]
     # the live series are fixed between two cuts, so a run of weeks has one %-template,

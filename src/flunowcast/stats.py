@@ -2,7 +2,7 @@
 
 One kernel correlates every column of a (weeks x queries) window with
 the cases at once, and returns the window's cells as columns: r, p and
-an NA-reason code per lane. `correlate` is that kernel on one column.
+an NA-reason code per lane.
 Every Student-t p-value, the cells' and the fitted coefficients', comes
 from one batched kernel, `t_two_sided_p`, whose lanes run the
 incomplete-beta continued fraction side by side; `t_critical` inverts
@@ -14,7 +14,6 @@ Alpha is a float, checked to lie in (0, 1) at the gate and in `t_critical`.
 
 from __future__ import annotations
 
-import enum
 import math
 import sys
 from dataclasses import dataclass
@@ -29,29 +28,10 @@ _BETA_MAX_ITER = 300
 _NEWTON_MAX_ITER = 200
 ALPHA = 0.05  # the default significance level
 
-
-class NAReason(enum.Enum):
-    ZERO_VARIANCE = "ZeroVariance"
-    TOO_FEW_PAIRS = "TooFewPairs"
-    NOT_SIGNIFICANT = "NotSignificant"
-
-
-@dataclass(frozen=True)
-class CorrelationResult:
-    r: float
-    p_value: float
-    n: int
-    na_reason: NAReason | None = None
-
-    @property
-    def na(self) -> bool:
-        return self.na_reason is not None
-
-
 # a lane's NA-reason code indexes REASONS; code 0 is a lane with no reason
-REASONS = (None, NAReason.ZERO_VARIANCE, NAReason.TOO_FEW_PAIRS, NAReason.NOT_SIGNIFICANT)
+REASONS = (None, "ZeroVariance", "TooFewPairs", "NotSignificant")
 _ZERO_VARIANCE, _TOO_FEW_PAIRS, _NOT_SIGNIFICANT = 1, 2, 3
-UNTESTED = (NAReason.ZERO_VARIANCE, NAReason.TOO_FEW_PAIRS)  # lanes that count no pairs
+UNTESTED = REASONS[1:3]  # lanes that count no pairs
 
 
 @dataclass(frozen=True)
@@ -232,21 +212,4 @@ def gated_columns(windows: list[tuple[np.ndarray, np.ndarray]],
     cuts = np.cumsum(widths)[:-1]
     return [GatedColumns(rj, pj, len(y), cj) for (_, y), rj, pj, cj in
             zip(windows, np.split(r, cuts), np.split(p, cuts), np.split(reason, cuts))]
-
-
-def correlate(
-    x: WeeklySeries,
-    y: WeeklySeries,
-    k: int,
-    alpha: float = ALPHA,
-) -> CorrelationResult:
-    """Shift, correlate, and significance-gate one query against cases.
-
-    Total over valid series: degenerate inputs come back as NA with a
-    reason, never raise.
-    """
-    cols = gated_columns([paired_rows(x.start, x.values[:, None], y, k)], alpha)[0]
-    reason = REASONS[cols.reason[0]]
-    return CorrelationResult(cols.r[0].item(), cols.p[0].item(),
-                             0 if reason in UNTESTED else cols.n, reason)
 

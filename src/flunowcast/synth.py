@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfig
-from .timeseries import QueryPanel, WeekStamp, WeeklySeries, iso_years, scale_0_100
+from .timeseries import LAST_WEEK, QueryPanel, WeekStamp, WeeklySeries, iso_years, scale_0_100
 
 DEFAULT_START = WeekStamp(2009, 1)
 
@@ -59,8 +59,8 @@ class ScenarioConfig:
         # past the cases but never stamped, so only the weeks meet the calendar
         if self.lead_weeks > self.weeks:
             raise InvalidConfig(f"lead_weeks {self.lead_weeks} exceeds weeks {self.weeks}")
-        if self.start + self.weeks - 1 > WeekStamp(9999, 52):
-            raise InvalidConfig(f"{self.weeks} weeks from {self.start} run past 9999-W52")
+        if self.start + self.weeks - 1 > LAST_WEEK:
+            raise InvalidConfig(f"{self.weeks} weeks from {self.start} run past {LAST_WEEK}")
         if self.n_signal_queries < 0 or self.n_noise_queries < 0:
             raise InvalidConfig("query counts must be non-negative")
         if self.n_signal_queries + self.n_noise_queries < 1:

@@ -14,7 +14,6 @@ one routine that applies a shift, and it rejects shifts beyond
 from __future__ import annotations
 
 import datetime as _dt
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,33 +23,32 @@ from .errors import EmptyOverlap, InsufficientOverlap, InvalidConfig, MissingQue
 MAX_SHIFT = 2
 DEFAULT_SHIFTS = (-2, -1, 0, 1, 2)
 MIN_PAIRS = 3
-_STAMP = re.compile(r"[0-9]{4}-W[0-9]{2}")
-# 9999-W52 is the last ISO week a `date` can hold
-_LAST_WEEK = _dt.date.fromisocalendar(9999, 52, 1).toordinal() // 7
 
 
 class WeekStamp(int):
     """One ISO-8601 week, held as its number: its Monday's day ordinal // 7.
 
     So 0001-W01 is 0, stamps order by (year, week), and `b - a` is the
-    number of weeks from a to b. The calendar is consulted only to build,
-    parse and print a stamp.
+    number of weeks from a to b. The calendar is consulted only to print a
+    stamp; building and parsing one is day-ordinal arithmetic.
     """
 
     def __new__(cls, iso_year: int, iso_week: int) -> "WeekStamp":
-        # fromisocalendar validates the week number against the year
-        try:
-            monday = _dt.date.fromisocalendar(iso_year, iso_week, 1)
-        except ValueError as exc:
-            raise ValueError(f"invalid ISO week {iso_year:04d}-W{iso_week:02d}") from exc
-        return int.__new__(cls, monday.toordinal() // 7)
+        number, exists = _week_number(iso_year, iso_week)
+        if not exists:
+            raise ValueError(f"invalid ISO week {iso_year:04d}-W{iso_week:02d}")
+        return int.__new__(cls, number)
 
     @classmethod
     def parse(cls, text: str) -> "WeekStamp":
         """Parse the 'YYYY-Www' interchange form (ASCII digits only)."""
-        if not _STAMP.fullmatch(text):
-            raise ValueError(f"not a YYYY-Www week stamp: {text!r}")
-        return cls(int(text[:4]), int(text[6:]))
+        if len(text) == 8 and text.isascii():
+            (number,), (formed,), (valid,) = week_numbers(text.encode())
+            if valid:
+                return int.__new__(cls, number)
+            if formed:
+                raise ValueError(f"invalid ISO week {text}")
+        raise ValueError(f"not a YYYY-Www week stamp: {text!r}")
 
     def __str__(self) -> str:
         return "%04d-W%02d" % _dt.date.fromordinal(7 * self + 1).isocalendar()[:2]
@@ -61,30 +59,34 @@ class WeekStamp(int):
         return WeekStamp.parse, (str(self),)
 
     def add(self, weeks: int) -> "WeekStamp":
-        if not 0 <= self + weeks <= _LAST_WEEK:
-            raise ValueError(f"{weeks:+d} weeks from {self} is outside 0001-W01..9999-W52")
+        if not 0 <= self + weeks <= LAST_WEEK:
+            raise ValueError(f"{weeks:+d} weeks from {self} is outside 0001-W01..{LAST_WEEK}")
         return int.__new__(WeekStamp, self + weeks)
 
 
-def _week_one_monday(year: np.ndarray) -> np.ndarray:
-    """Day ordinal of the Monday of each year's ISO week 1, the week that holds 4 January."""
-    y = year - 1
-    jan4 = 365 * y + y // 4 - y // 100 + y // 400 + 4
-    return jan4 - (jan4 - 1) % 7  # ordinal 1, 0001-01-01, is a Monday
+def _week_number(year, week):
+    """The number of ISO week `week` of `year`, ints or arrays of them, and
+    whether that week exists in 0001..9999; a number that does not means nothing."""
+    # day ordinals of 4 January of year and year + 1, then of the Mondays of their weeks, week 1
+    jan4 = [365 * y + y // 4 - y // 100 + y // 400 + 4 for y in (year - 1, year)]
+    monday, next_monday = (d - (d - 1) % 7 for d in jan4)  # ordinal 1, 0001-01-01, is a Monday
+    exists = (1 <= year) & (year <= 9999) & (1 <= week) & (7 * week <= next_monday - monday)
+    return monday // 7 + week - 1, exists
 
 
-def week_numbers(stamps: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """The number of each 'YYYY-Www' stamp in `stamps`, eight ASCII bytes
-    apiece, and whether `WeekStamp.parse` accepts it; the number of a stamp
-    it refuses means nothing. All stamps are read in one array step."""
+LAST_WEEK = WeekStamp(9999, 52)  # the last ISO week a `date` can hold
+
+
+def week_numbers(stamps: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The number of each 'YYYY-Www' stamp in `stamps`, eight bytes apiece,
+    whether it has that form (ASCII digits), and whether it is also an ISO
+    week, as `WeekStamp.parse` needs; all stamps are read in one array step."""
     chars = np.frombuffer(stamps, np.uint8).reshape(-1, 8).astype(np.int64)
     digits = chars[:, [0, 1, 2, 3, 6, 7]] - ord("0")
-    year, week = digits[:, :4] @ (1000, 100, 10, 1), digits[:, 4:] @ (10, 1)
-    monday = _week_one_monday(year)
-    weeks_in_year = (_week_one_monday(year + 1) - monday) // 7
-    valid = (((digits >= 0) & (digits <= 9)).all(axis=1) & (chars[:, 4] == ord("-"))
-             & (chars[:, 5] == ord("W")) & (year >= 1) & (week >= 1) & (week <= weeks_in_year))
-    return monday // 7 + week - 1, valid
+    formed = (((digits >= 0) & (digits <= 9)).all(axis=1) & (chars[:, 4] == ord("-"))
+              & (chars[:, 5] == ord("W")))
+    number, exists = _week_number(digits[:, :4] @ (1000, 100, 10, 1), digits[:, 4:] @ (10, 1))
+    return number, formed, formed & exists
 
 
 class ArrayFields:

@@ -5,7 +5,8 @@ the definitional sums, p-values from permutation resampling and
 quadrature, OLS from Gaussian elimination on the normal equations,
 subset selection by exhaustive enumeration, the selection objective and
 greedy selection by one least-squares fit per candidate, ISO weeks from
-stepping a date one week at a time, figure rows from one stable sort,
+stepping a date one week at a time, week stamps from a regular expression
+and `date.fromisocalendar`, figure rows from one stable sort,
 sidecar JSON from the standard library's encoder, the CSV readers one
 line at a time (cell count, stamp, integers, then values), the panel writer
 from one str() a cell, and 0-100 rescaling one series at a time. The
@@ -302,6 +303,23 @@ def isocalendar_walk(iso_year, iso_week, n):
     return weeks
 
 
+def iso_week_number(iso_year, iso_week):
+    """The number of an ISO week, its Monday's day ordinal // 7, from
+    `datetime.date.fromisocalendar`; ValueError worded as `WeekStamp` words it."""
+    try:
+        return datetime.date.fromisocalendar(iso_year, iso_week, 1).toordinal() // 7
+    except ValueError:
+        raise ValueError(f"invalid ISO week {iso_year:04d}-W{iso_week:02d}") from None
+
+
+def stamp_week_number(stamp):
+    """The number of a 'YYYY-Www' stamp by one regular expression and
+    `iso_week_number`; ValueError worded as `WeekStamp.parse` words it."""
+    if not re.fullmatch(r"[0-9]{4}-W[0-9]{2}", stamp):
+        raise ValueError(f"not a YYYY-Www week stamp: {stamp!r}")
+    return iso_week_number(int(stamp[:4]), int(stamp[6:]))
+
+
 def sorted_figure_data(series):
     """Figure CSV by definition: every (week, label, value) row of every
     series, stably sorted by (week stamp, label)."""
@@ -347,20 +365,17 @@ def _row_reader_int(text, lineno):
 
 def _row_reader_rows(lines, width):
     """(line number, stamp, week number, integer cells) of each data row,
-    each row checked for its cell count, then its stamp by one regular
-    expression and `datetime.date.fromisocalendar`, then each cell."""
+    each row checked for its cell count, then its stamp by `stamp_week_number`,
+    then each cell."""
     for i, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != width:
             raise MalformedRow(f"line {i}: expected {width} cells, got {len(cells)}")
-        stamp = cells[0]
-        if not re.fullmatch(r"[0-9]{4}-W[0-9]{2}", stamp):
-            raise MalformedRow(f"line {i}: not a YYYY-Www week stamp: {stamp!r}")
-        try:  # a week's number is its Monday's day ordinal // 7
-            week = datetime.date.fromisocalendar(int(stamp[:4]), int(stamp[6:]), 1).toordinal() // 7
-        except ValueError:
-            raise MalformedRow(f"line {i}: invalid ISO week {stamp}") from None
-        yield i, stamp, week, [_row_reader_int(c, i) for c in cells[1:]]
+        try:
+            week = stamp_week_number(cells[0])
+        except ValueError as exc:
+            raise MalformedRow(f"line {i}: {exc}") from None
+        yield i, cells[0], week, [_row_reader_int(c, i) for c in cells[1:]]
 
 
 def row_by_row_trends_csv(data):

@@ -109,6 +109,18 @@ class TestProcess:
                                "run past 9999-W52\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "p.csv"]
 
+    def test_estimates_before_0001_w01_are_a_data_error(self, tmp_path):
+        # full-mode estimates at shift -2 start two weeks before a panel that starts at 0001-W01
+        assert run_process(["synth", "--seed", "1", "--weeks", "52", "--peaks", "20:800:3",
+                            "--start", "0001-W01", "--out-cases", "c.csv",
+                            "--out-panel", "p.csv"], tmp_path).returncode == 0
+        proc = run_process(["nowcast", "--cases", "c.csv", "--panel", "p.csv", "--shifts=-2",
+                            "--out-estimates", "e.csv", "--out-table", "t.csv"], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: InvalidConfig: estimates -2 weeks from 0001-W01 "
+                               "precede 0001-W01\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "p.csv"]
+
 
 class TestFreeze:
     """`main()`, the entry of a one-shot call, freezes the imported modules

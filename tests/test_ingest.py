@@ -348,6 +348,47 @@ class TestWritersRefuseWhatParsersRefuse:
                 write_cases_csv(WeeklySeries(start, [1, count]))
 
 
+def refusal(call, *args):
+    """The class of the DataError `call` raises, and its message after the
+    `week ...: ` or `line ...: ` that says where; None if it raises none."""
+    try:
+        call(*args)
+    except DataError as exc:
+        return type(exc), str(exc).split(": ", 1)[1]
+    return None
+
+
+class TestOneValueRule:
+    """Each format's value rule, said once: a writer refuses a value when the
+    parser refuses it written as text, with the same error and words; the
+    writer prints the value by `{v:g}`, the parser as its exact integer."""
+
+    edges = st.one_of(st.sampled_from([-1, 0, 100, 101, 2 ** 53, 2 ** 53 + 2]),
+                      st.integers(-999_999, 999_999))
+
+    @staticmethod
+    def agree(written, parsed, v):
+        if written is not None:
+            error, words = written
+            written = error, words.replace(f"{float(v):g}", str(v))
+        assert written == parsed
+
+    @given(edges)
+    @example(2 ** 53 + 2)
+    def test_search_volumes(self, v):
+        written = refusal(write_trends_csv, QueryPanel(WeekStamp(2009, 1), ("q",), [[float(v)]]))
+        parsed = refusal(parse_trends_csv, b"week,q\n2009-W01,%d\n" % v)
+        self.agree(written, parsed, v)
+
+    @given(edges)
+    @example(-1)
+    @example(2 ** 53 + 2)
+    def test_case_counts(self, v):
+        written = refusal(write_cases_csv, WeeklySeries(WeekStamp(2009, 1), [float(v)], "cases"))
+        parsed = refusal(parse_cases_csv, b"week,cases\n2009-W01,%d\n" % v)
+        self.agree(written, parsed, v)
+
+
 @pytest.mark.parametrize("stamp", ["0099-W54", "0000-W01", "2010-W53"])
 def test_an_invalid_week_is_named_as_written(stamp):
     with pytest.raises(MalformedRow, match=f"^line 2: invalid ISO week {stamp}$"):
@@ -466,7 +507,8 @@ class TestWholeFilePath:
     def test_reads_what_the_row_reader_reads(self, parser, header, cells, weeks):
         text = "".join(f"{w},{c}\n" for w, c in zip(weeks, cells))
         blob = f"{header}\n{text}".encode()
-        assert ingest._table(blob, 2)[1].tolist() == [[int(c)] for c in cells]
+        _, values = ingest._table(blob, 2, *ingest._CASE_VALUES, gaps=True)
+        assert values.tolist() == [[int(c)] for c in cells]
         arrays = [v for v in vars(parser(blob)).values() if isinstance(v, np.ndarray)]
         assert not any(np.signbit(a).any() for a in arrays)  # -0 reads as 0
         assert parsed(parser, blob) == row_by_row(parser, blob)

@@ -18,7 +18,7 @@ from flunowcast.regress import (
     predict,
     rolling_weekly_fit,
 )
-from flunowcast.stats import correlate, paired_rows
+from flunowcast.stats import ALPHA, gated_columns, paired_rows
 from flunowcast.timeseries import MIN_PAIRS, WeekStamp, WeeklySeries, paired
 
 from .oracles import definitional_pearson, normal_equations_ols, one_fit_objective
@@ -334,23 +334,29 @@ class TestEvaluate:
     def _nowcast(self, values, start=W0):
         return WeeklySeries(start, tuple(values), "estimates")
 
+    @staticmethod
+    def _overall(estimates, cases):
+        """The gate's lane of the estimates against the cases, nowcast's overall r."""
+        rows = paired_rows(estimates.start, estimates.values[:, None], cases, 0)
+        return gated_columns([rows], ALPHA)[0]
+
     def test_identical_series_r_one(self):
         rng = np.random.default_rng(19)
         vals = rng.uniform(0, 100, size=120)
-        res = correlate(self._nowcast(vals), ws(vals), 0)
-        assert res.r == pytest.approx(1.0, abs=1e-12)
+        res = self._overall(self._nowcast(vals), ws(vals))
+        assert res.r[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_negated_series_r_minus_one(self):
         rng = np.random.default_rng(20)
         vals = rng.uniform(1, 100, size=52)
-        res = correlate(self._nowcast(-vals), ws(vals), 0)
-        assert res.r == pytest.approx(-1.0, abs=1e-12)
+        res = self._overall(self._nowcast(-vals), ws(vals))
+        assert res.r[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_sentinels_excluded(self):
         vals = [10.0, 20.0, 30.0, 40.0, 50.0, 60.0]
         # rolling estimates start after the warmup: only shared weeks count
         est = self._nowcast(vals[2:], start=W0.add(2))
-        res = correlate(est, ws(vals), 0)
+        res = self._overall(est, ws(vals))
         assert res.n == 4
 
     def test_lead_structure_prefers_true_shift(self):

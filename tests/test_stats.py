@@ -19,11 +19,11 @@ from flunowcast.report import table_model_by_shift, table_overall_annual, table_
 from flunowcast.selection import greedy_select
 from flunowcast.stats import (
     ALPHA,
-    CorrelationResult,
-    NAReason,
-    correlate,
+    REASONS,
+    GatedColumns,
     correlation_p_values,
     gated_columns,
+    paired_rows,
     t_critical,
     t_two_sided_p,
 )
@@ -46,33 +46,43 @@ def ws(values, label=""):
     return WeeklySeries(W0, tuple(values), label)
 
 
+def lane(x, y, k, alpha=ALPHA):
+    """The gate's one lane for series x against y at shift k, as nowcast
+    reads its overall r."""
+    return gated_columns([paired_rows(x.start, x.values[:, None], y, k)], alpha)[0]
+
+
 def cell(xs, ys):
     """The shift-0 correlation cell of two aligned sequences (r is kept
     when the gate rejects it)."""
-    return correlate(ws(xs), ws(ys), 0)
+    return lane(ws(xs), ws(ys), 0)
+
+
+def reason(cols):
+    return REASONS[cols.reason[0]]
 
 
 class TestPearson:
     def test_perfect_positive(self):
         res = cell([1, 2, 3], [1, 2, 3])
-        assert res.r == pytest.approx(1.0, abs=1e-15)
+        assert res.r[0] == pytest.approx(1.0, abs=1e-15)
         assert res.n == 3
 
     def test_perfect_negative(self):
-        assert cell([1, 2, 3], [3, 2, 1]).r == pytest.approx(-1.0, abs=1e-15)
+        assert cell([1, 2, 3], [3, 2, 1]).r[0] == pytest.approx(-1.0, abs=1e-15)
 
     def test_hand_computed_value(self):
         # definitional sums: sxy=4, sxx=syy=5 -> r = 4/5
         res = cell([1, 2, 3, 4], [1, 3, 2, 4])
-        assert res.r == pytest.approx(
+        assert res.r[0] == pytest.approx(
             definitional_pearson([1, 2, 3, 4], [1, 3, 2, 4]), abs=1e-15
         )
-        assert res.r == pytest.approx(0.8, abs=1e-12)
+        assert res.r[0] == pytest.approx(0.8, abs=1e-12)
         assert res.n == 4
 
     def test_symmetric_under_swap(self):
         xs, ys = [1.0, 2.5, 3.0, 7.0], [4.0, 1.0, 9.0, 2.0]
-        assert cell(xs, ys).r == pytest.approx(cell(ys, xs).r, abs=1e-15)
+        assert cell(xs, ys).r[0] == pytest.approx(cell(ys, xs).r[0], abs=1e-15)
 
     # coordinates on a 0.01 grid: arbitrary floats such as 1.48e-159 round
     # away under the affine map or underflow in the sums of squares, which
@@ -88,17 +98,17 @@ class TestPearson:
     def test_affine_invariance(self, data, a, b):
         xs, ys = zip(*data)
         res = cell(xs, ys)
-        if res.na_reason is NAReason.ZERO_VARIANCE:
+        if reason(res) == "ZeroVariance":
             return
-        r1 = cell([a * x + b for x in xs], ys).r
-        assert abs(r1 - res.r) <= 1e-9
+        r1 = cell([a * x + b for x in xs], ys).r[0]
+        assert abs(r1 - res.r[0]) <= 1e-9
 
     def test_matches_definitional_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             x = rng.normal(size=30)
             y = rng.normal(size=30)
-            assert cell(x, y).r == pytest.approx(definitional_pearson(x, y), abs=1e-12)
+            assert cell(x, y).r[0] == pytest.approx(definitional_pearson(x, y), abs=1e-12)
 
 
 def p_of(t, dof):
@@ -297,8 +307,8 @@ class TestBatchedPValues:
 
 class TestCorrelate:
     def test_constant_series_is_na(self):
-        res = correlate(ws([5, 5, 5, 5]), ws([1, 2, 3, 4]), 0)
-        assert res.na and res.na_reason is NAReason.ZERO_VARIANCE
+        res = lane(ws([5, 5, 5, 5]), ws([1, 2, 3, 4]), 0)
+        assert reason(res) == "ZeroVariance" and math.isnan(res.r[0])
 
     def test_constructed_identity_at_shift_two(self):
         rng = np.random.default_rng(3)
@@ -306,30 +316,32 @@ class TestCorrelate:
         y = ws(y_vals)
         # x_t = y_{t+2}: searches lead cases by two weeks
         x = ws(list(y_vals[2:]) + [0.0, 0.0])
-        res = correlate(x, y, 2)
-        assert not res.na
-        assert res.r == pytest.approx(1.0, abs=1e-12)
-        assert res.p_value < 0.05
+        res = lane(x, y, 2)
+        assert reason(res) is None
+        assert res.r[0] == pytest.approx(1.0, abs=1e-12)
+        assert res.p[0] < 0.05
 
     def test_insignificant_is_na_with_values_kept(self):
         rng = np.random.default_rng(4)
-        res = correlate(ws(rng.normal(size=40)), ws(rng.normal(size=40)), 0)
-        if res.na:
-            assert res.na_reason is NAReason.NOT_SIGNIFICANT
-            assert res.p_value >= 0.05
-            assert math.isfinite(res.r)
+        res = lane(ws(rng.normal(size=40)), ws(rng.normal(size=40)), 0)
+        if reason(res) is not None:
+            assert reason(res) == "NotSignificant"
+            assert res.p[0] >= 0.05
+            assert math.isfinite(res.r[0])
 
     def test_short_overlap_is_na(self):
-        res = correlate(ws([1, 2, 3]), ws([1, 2, 3]), 2)
-        assert res.na and res.na_reason is NAReason.TOO_FEW_PAIRS
+        res = lane(ws([1, 2, 3]), ws([1, 2, 3]), 2)
+        assert reason(res) == "TooFewPairs" and res.n == 0
 
     def test_never_raises_on_degenerate_input(self):
         degenerate = [ws([0, 0, 0]), ws([1, 1, 1, 1]), ws([1]), ws([1, 2])]
         y = ws([1, 2, 3, 4])
         for x in degenerate:
             for k in (-2, -1, 0, 1, 2):
-                res = correlate(x, y, k)
-                assert isinstance(res, CorrelationResult)
+                res = lane(x, y, k)
+                assert isinstance(res, GatedColumns) and res.reason.shape == (1,)
+                assert reason(res) in ("ZeroVariance", "TooFewPairs")
+                assert math.isnan(res.r[0]) and math.isnan(res.p[0])
 
     def test_p_matches_permutation_test(self):
         from .oracles import permutation_p_value
@@ -352,7 +364,7 @@ def _entry_points():
     panel = QueryPanel(W0, ("a", "b"), X)
     fit = fit_ols(panel, y, 0)
     takes_shift = {
-        "correlate": lambda k: correlate(panel.series[0], y, k),
+        "correlate": lambda k: lane(panel.series[0], y, k),
         "greedy_select": lambda k: greedy_select(panel, y, [k]),
         "fit_ols": lambda k: fit_ols(panel, y, k),
         "rolling_weekly_fit": lambda k: rolling_weekly_fit(panel, y, k),
@@ -362,7 +374,7 @@ def _entry_points():
         "table_model_by_shift": lambda k: table_model_by_shift(panel, y, (k,)),
     }
     takes_alpha = {
-        "correlate": lambda a: correlate(panel.series[0], y, 0, a),
+        "correlate": lambda a: lane(panel.series[0], y, 0, a),
         "greedy_select": lambda a: greedy_select(panel, y, [0], a),
         "gated_columns": lambda a: gated_columns([(X, y.values)], a),
         "table_overall_annual": lambda a: table_overall_annual(panel, y, a),

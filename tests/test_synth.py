@@ -12,7 +12,7 @@ from flunowcast.ingest import (
 )
 from flunowcast.report import table_overall_annual
 from flunowcast.selection import greedy_select
-from flunowcast.stats import correlate
+from flunowcast.stats import ALPHA, gated_columns, paired_rows
 from flunowcast.synth import ScenarioConfig, _spike_pulse, generate
 from flunowcast.timeseries import WeekStamp
 
@@ -26,6 +26,11 @@ def scenario(**overrides):
     )
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+def lanes(panel, cases, k):
+    """The gate's lanes of every query against the cases at shift k."""
+    return gated_columns([paired_rows(panel.start, panel.matrix, cases, k)], ALPHA)[0]
 
 
 class TestConfigValidation:
@@ -88,14 +93,14 @@ class TestConfigValidation:
 class TestGenerate:
     def test_noiseless_lead_gives_near_perfect_correlation(self):
         cases, panel = generate(scenario())
-        res = correlate(panel.series[0], cases, 2)
-        assert not res.na
-        assert res.r >= 0.999
+        res = lanes(panel, cases, 2)
+        assert res.reason[0] == 0
+        assert res.r[0] >= 0.999
 
     def test_wrong_shift_is_strictly_worse(self):
         cases, panel = generate(scenario())
-        r2 = correlate(panel.series[0], cases, 2).r
-        r0 = correlate(panel.series[0], cases, 0).r
+        r2 = lanes(panel, cases, 2).r[0]
+        r0 = lanes(panel, cases, 0).r[0]
         assert r0 < r2
 
     def test_attention_decay_crushes_late_volume(self):
@@ -188,6 +193,6 @@ class TestFailureModes:
             cases, panel = generate(scenario(
                 seed=seed, noise_sd=0.05, media_spikes=((85, magnitude, 4.0),),
             ))
-            rs.append([correlate(q, cases, 2).r for q in panel.series])
+            rs.append(lanes(panel, cases, 2).r.tolist())
         for query_rs in zip(*rs):
             assert all(b < a for a, b in zip(query_rs, query_rs[1:])), query_rs

@@ -2,6 +2,7 @@ import copy
 import datetime
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from flunowcast.timeseries import (
     week_numbers,
 )
 
-from .oracles import isocalendar_walk, series_scale_0_100
+from .oracles import isocalendar_walk, iso_week_number, series_scale_0_100, stamp_week_number
 
 W = WeekStamp
 
@@ -34,6 +35,14 @@ def pairs(x, y, k):
     return list(zip(X[:, 0].tolist(), yv.tolist()))
 
 
+def outcome(parse, *args):
+    """What `parse` makes of `args`: a week number, or its ValueError's message."""
+    try:
+        return int(parse(*args))
+    except ValueError as exc:
+        return str(exc)
+
+
 class TestWeekStamp:
     def test_ordering_is_lexicographic(self):
         assert W(2009, 52) < W(2010, 1) < W(2010, 2)
@@ -44,6 +53,11 @@ class TestWeekStamp:
         with pytest.raises(ValueError):
             # 2010 has no ISO week 53
             W(2010, 53)
+
+    def test_construction_matches_the_calendar(self):
+        args = [(y, w) for y in range(10001) for w in (0, 1, 52, 53, 54)] + [(-1, 1), (10**30, 1)]
+        assert [outcome(W, *a) for a in args] == [outcome(iso_week_number, *a) for a in args]
+        assert outcome(W, 2009, 54) == "invalid ISO week 2009-W54"
 
     def test_week_53_in_long_year(self):
         assert W(2009, 53).add(1) == W(2010, 1)
@@ -242,37 +256,52 @@ class TestCalendarWalk:
             week_labels(W(9999, 50), 4)
 
 
-def parse_or_none(text):
-    try:
-        return int(W.parse(text))
-    except ValueError:
-        return None
+def stamps(years, weeks):
+    return ["%04d-W%02d" % (y, w) for y in years for w in weeks]
 
 
 class TestWeekNumbers:
-    """The array week reader against `WeekStamp.parse`: the same number, or both refuse."""
+    """The array week reader and `WeekStamp.parse` against the oracle of a
+    regular expression and `date.fromisocalendar`: the same number, or both
+    refuse, `parse` in the oracle's words."""
 
     @staticmethod
     def read(texts):
-        numbers, valid = week_numbers("".join(texts).encode("ascii"))
+        numbers, formed, valid = week_numbers("".join(texts).encode("ascii"))
+        assert formed.tolist() == [bool(re.fullmatch(r"[0-9]{4}-W[0-9]{2}", t)) for t in texts]
         return [n if ok else None for n, ok in zip(numbers.tolist(), valid.tolist())]
 
+    @staticmethod
+    def oracle(texts):
+        return [n if isinstance(n, int) else None
+                for n in (outcome(stamp_week_number, t) for t in texts)]
+
     def test_first_and_last_weeks_of_every_year(self):
-        texts = ["%04d-W%02d" % (y, w) for y in range(10000) for w in (0, 1, 51, 52, 53, 54, 99)]
-        assert self.read(texts) == [parse_or_none(t) for t in texts]
+        texts = stamps(range(10000), (0, 1, 51, 52, 53, 54, 99))
+        assert self.read(texts) == self.oracle(texts)
+        some = texts[::11]  # a parse is one stamp's array step, so a sample of them
+        assert [outcome(W.parse, t) for t in some] == [outcome(stamp_week_number, t) for t in some]
 
     def test_every_week_number_over_one_gregorian_cycle(self):
-        texts = ["%04d-W%02d" % (y, w) for y in range(2001, 2401) for w in range(100)]
-        assert self.read(texts) == [parse_or_none(t) for t in texts]
+        texts = stamps(range(2001, 2401), range(100))
+        assert self.read(texts) == self.oracle(texts)
+
+    def test_every_stamp_of_every_year(self):
+        for first in range(0, 10000, 1000):
+            texts = stamps(range(first, first + 1000), range(100))
+            assert self.read(texts) == self.oracle(texts)
 
     def test_refuses_what_is_not_a_stamp(self):
         texts = ["2009/W01", "2009-w01", "2009-W1 ", "+209-W01", "2009-W0:", "200/-W01",
                  "\x7f009-W01"]
-        assert self.read(texts) == [None] * len(texts) == [parse_or_none(t) for t in texts]
+        assert self.read(texts) == [None] * len(texts) == self.oracle(texts)
+        for text in texts + ["２009-W05", "2015-W١", "2009-W5", "2009-W001", ""]:
+            assert outcome(W.parse, text) == outcome(stamp_week_number, text)
+            assert outcome(W.parse, text) == f"not a YYYY-Www week stamp: {text!r}"
 
     def test_no_stamps(self):
-        numbers, valid = week_numbers(b"")
-        assert numbers.shape == valid.shape == (0,)
+        numbers, formed, valid = week_numbers(b"")
+        assert numbers.shape == formed.shape == valid.shape == (0,)
 
 
 def column(values):
