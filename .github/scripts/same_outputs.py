@@ -13,7 +13,10 @@ script exits 1.
 Then fixed edits of the seed-42 readme files, each one refused or read
 at an edge of the CSV grammar (a 16-digit cell, CRLF, a missing final
 newline, an invalid or malformed week stamp, ...), go through the readme's
-`correlate` call under both trees, with the same comparison.
+`correlate` call under both trees, with the same comparison. Last, calls
+that no workload makes run on the readme files, edited or not: clamped and
+default-warmup nowcasts, `fit --queries`, queries named `cases` or
+`estimates`, a panel inside the cases' range and ranges that are disjoint.
 """
 
 from __future__ import annotations
@@ -98,6 +101,68 @@ EDGE_INPUTS = [
 ]
 
 
+def keep_rows(first: int, last: int):
+    """An edit that keeps the header and data rows first..last - 1 (0 the first)."""
+    def change(lines: list[bytes]) -> None:
+        lines[1:] = [*lines[1 + first:1 + last], b""]
+    return edit_lines(change)
+
+
+def square_counts(lines: list[bytes]) -> None:
+    """Each case count c as c * c // 100: a convex response, whose linear
+    fit dips below zero, so that a clamp has estimates to raise."""
+    for i in range(1, len(lines) - 1):
+        week, count = lines[i].split(b",")
+        lines[i] = b"%s,%d" % (week, int(count) ** 2 // 100)
+
+
+INPUTS = workloads.INPUTS
+ESTIMATES = ("estimates.csv", "evaluation.csv")
+
+
+def nowcast(*options: str) -> workloads.Call:
+    argv = ("nowcast", *INPUTS, *options, "--out-estimates", ESTIMATES[0], "--out-table",
+            ESTIMATES[1])
+    return workloads.Call(argv, ESTIMATES)
+
+
+def fit(*options: str) -> workloads.Call:
+    return workloads.Call(("fit", *INPUTS, *options, "--out", "coefficients.csv"),
+                          ("coefficients.csv",))
+
+
+CORRELATE = workloads.calls("readme", 42)[1]
+REPORT_FIG = workloads.Call(("report-fig", *INPUTS, "--out", "figure.csv"), ("figure.csv",))
+INSIDE = {"panel.csv": keep_rows(20, 240)}  # the panel starts later and ends earlier
+DISJOINT = {"cases.csv": keep_rows(0, 100), "panel.csv": keep_rows(150, 261)}
+
+# (what, {file: edit}, call) of each call on the readme files that no workload makes
+EDGE_CALLS = [
+    ("clamped nowcast of squared counts", {"cases.csv": edit_lines(square_counts)},
+     nowcast("--clamp")),
+    ("clamped rolling nowcast", {}, nowcast("--mode", "rolling", "--warmup", "40", "--clamp")),
+    ("rolling nowcast, default warmup", {}, nowcast("--mode", "rolling")),
+    ("fit of two queries in reverse order", {}, fit("--queries", "signal_2,signal_1")),
+    ("fit of a missing query", {}, fit("--queries", "signal_1,flu")),
+    *((f"{call.command} with a query named {name}", {"panel.csv": edit_cell(0, 2, name.encode())},
+       call) for name in ("cases", "estimates") for call in (REPORT_FIG, nowcast())),
+    ("correlate on a panel inside the cases' range", INSIDE, CORRELATE),
+    ("fit on a panel inside the cases' range", INSIDE, fit("--shift", "2")),
+    ("nowcast on a panel inside the cases' range", INSIDE, nowcast()),
+    ("rolling nowcast on a panel inside the cases' range", INSIDE, nowcast("--mode", "rolling")),
+    ("report-fig on a panel inside the cases' range", INSIDE, REPORT_FIG),
+    ("fit on disjoint ranges", DISJOINT, fit()),
+    ("nowcast on disjoint ranges", DISJOINT, nowcast()),
+    ("report-fig on disjoint ranges", DISJOINT, REPORT_FIG),
+]
+
+
+def edge_runs() -> list[tuple[str, dict, workloads.Call]]:
+    """(what, {file: edit}, call) of each edge input through correlate, then of EDGE_CALLS."""
+    return [(f"correlate with {what} in {name}", {name: edit}, CORRELATE)
+            for what, name, edit in EDGE_INPUTS] + EDGE_CALLS
+
+
 def run_call(src: Path, workdir: str, call: workloads.Call) -> tuple:
     """(exit code, stdout, stderr, {output: bytes or None}) of one call."""
     proc = subprocess.run([sys.executable, "-m", "flunowcast", *call.argv],
@@ -115,17 +180,17 @@ def run_pass(src: Path, workload: str, seed: int) -> list[tuple]:
 
 
 def run_edges(src: Path) -> list[tuple]:
-    """run_call's result for the readme's correlate call on each edge input."""
-    synth, correlate = workloads.calls("readme", 42)[:2]
+    """run_call's result for each edge run, on the seed-42 readme files it edits."""
+    synth = workloads.calls("readme", 42)[0]
     with tempfile.TemporaryDirectory() as workdir:
         run_call(src, workdir, synth)
         original = {name: (Path(workdir) / name).read_bytes() for name in synth.outputs}
     results = []
-    for _, name, edit in EDGE_INPUTS:
+    for _, edits, call in edge_runs():
         with tempfile.TemporaryDirectory() as workdir:
             for file, data in original.items():
-                (Path(workdir) / file).write_bytes(edit(data) if file == name else data)
-            results.append(run_call(src, workdir, correlate))
+                (Path(workdir) / file).write_bytes(edits[file](data) if file in edits else data)
+            results.append(run_call(src, workdir, call))
     return results
 
 
@@ -155,11 +220,11 @@ def main() -> int:
                     print(f"DIFFERS {workload} seed {seed}: flunowcast {' '.join(call.argv)}: "
                           f"{', '.join(diff)}")
     base, head = run_edges(args.base_src.resolve()), run_edges(args.head_src.resolve())
-    for (what, name, _), b, h in zip(EDGE_INPUTS, base, head):
+    for (what, _, _), b, h in zip(edge_runs(), base, head):
         checked += 1
         if diff := differences(b, h):
             failed += 1
-            print(f"DIFFERS correlate on readme seed 42 with {what} in {name}: {', '.join(diff)}")
+            print(f"DIFFERS on readme seed 42, {what}: {', '.join(diff)}")
     print(f"{checked - failed} of {checked} calls gave the same exit code, stdout, stderr "
           f"and output bytes under both trees")
     return 1 if failed else 0

@@ -20,7 +20,7 @@ from .errors import DataError
 from .ingest import parse_cases_csv, parse_trends_csv, write_cases_csv, write_trends_csv
 from .regress import coefficient_stats, fit_ols, predict, rolling_weekly_fit
 from .stats import ALPHA
-from .timeseries import DEFAULT_SHIFTS, MAX_SHIFT, WeekStamp, WeeklySeries
+from .timeseries import DEFAULT_SHIFTS, MAX_SHIFT, Weekly, WeekStamp
 
 
 def _expecting(form: str, parse):
@@ -171,7 +171,7 @@ def _cmd_table(args) -> int:
     cases, panel = _load_inputs(args)
     if args.command == "correlate":
         table = report.table_overall_annual(panel, cases, args.alpha, args.shift)
-        done = f"{len(panel)} queries x {len(cases)} weeks"
+        done = f"{len(panel.labels)} queries x {len(cases.matrix)} weeks"
     else:
         table = report.table_shift_scan(panel, cases, tuple(args.shifts), args.alpha)
         done = f"shifts {args.shifts}"
@@ -209,7 +209,7 @@ def _cmd_fit(args) -> int:
     lines.append(f"# r_squared={fit.r_squared:.4f} residual_dof={fit.residual_dof} "
                  f"shift={fit.shift:+d}")
     _write(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
-    print(f"fit: {len(panel)} queries, r^2 {fit.r_squared:.4f} -> {args.out}")
+    print(f"fit: {len(panel.labels)} queries, r^2 {fit.r_squared:.4f} -> {args.out}")
     return 0
 
 
@@ -224,9 +224,8 @@ def _cmd_nowcast(args) -> int:
     shown, overall = [], "NA"
     if estimates is not None:
         if args.clamp:
-            estimates = WeeklySeries(estimates.start, np.maximum(estimates.values, 0.0),
-                                     estimates.label)
-        rows = stats.paired_rows(estimates.start, estimates.values[:, None], cases, 0)
+            estimates = Weekly(estimates.start, estimates.labels, np.maximum(estimates.matrix, 0.0))
+        rows = stats.paired_rows(estimates, cases, 0)
         ev = stats.gated_columns([rows], args.alpha)[0]
         shown = [estimates]
         overall = "NA" if ev.reason[0] else f"{ev.r[0]:.2f}"
@@ -255,14 +254,14 @@ def _cmd_synth(args) -> int:
     _write(args.out_cases, write_cases_csv(cases))
     _write(args.out_panel, write_trends_csv(panel))
     print(f"synth: seed {args.seed}, {args.weeks} weeks, "
-          f"{len(panel)} queries -> {args.out_cases}, {args.out_panel}")
+          f"{len(panel.labels)} queries -> {args.out_cases}, {args.out_panel}")
     return 0
 
 
 def _cmd_report_fig(args) -> int:
     cases, panel = _load_inputs(args)
-    _write(args.out, report.figure_data([cases] + list(panel.series)))
-    print(f"report-fig: {1 + len(panel)} series -> {args.out}")
+    _write(args.out, report.figure_data([cases, panel]))
+    print(f"report-fig: {1 + len(panel.labels)} series -> {args.out}")
     return 0
 
 

@@ -13,6 +13,7 @@ array steps on the bytes and refuses the first bad line, splitting only it.
 
 from __future__ import annotations
 
+import re
 import sys
 
 import numpy as np
@@ -26,7 +27,7 @@ from .errors import (
     NonContiguousAfterFill,
     ValueOutOfRange,
 )
-from .timeseries import QueryPanel, WeekStamp, WeeklySeries, week_labels, week_numbers
+from .timeseries import Weekly, WeekStamp, week_labels, week_numbers
 
 # int()'s limit on a str's digits (0 for none), so int() reads every cell the grammar admits
 _MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or np.inf
@@ -110,11 +111,12 @@ def _refuse_count(where: str, v, text: str) -> DataError:
             else MalformedRow(f"{where}: case count above 2**53"))
 
 
-# each format's (top, refuse): its values are the integers 0..top (past 2**53 a float no longer
-# holds every count), and refuse(where, v, text) its error for a v outside them, printed as
-# `text` at "line N" of a file or "week W" of a series
+MAX_CASES = 2 ** 53  # the largest case count: past it a float no longer holds every count
+
+# each format's (top, refuse): its values are the integers 0..top, and refuse(where, v, text)
+# its error for a v outside them, printed as `text` at "line N" of a file or "week W" of a frame
 _PANEL_VALUES = (100, _refuse_volume)
-_CASE_VALUES = (2 ** 53, _refuse_count)
+_CASE_VALUES = (MAX_CASES, _refuse_count)
 
 
 def _table(data: bytes, width: int, top: int, refuse, gaps: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -143,7 +145,7 @@ def _table(data: bytes, width: int, top: int, refuse, gaps: bool) -> tuple[np.nd
     return weeks[:n], cells
 
 
-def parse_trends_csv(data: bytes) -> QueryPanel:
+def parse_trends_csv(data: bytes) -> Weekly:
     """Parse a search-volume panel, zero-filling omitted weeks."""
     header = _header(data)
     names = header.split(",")
@@ -158,18 +160,18 @@ def parse_trends_csv(data: bytes) -> QueryPanel:
     # weeks the file omits stay zero
     matrix = np.zeros((weeks[-1] - weeks[0] + 1, len(labels)))
     matrix[weeks - weeks[0]] = volumes
-    return QueryPanel(WeekStamp(1, 1).add(weeks[0]), tuple(labels), matrix)  # 0001-W01 is week 0
+    return Weekly(WeekStamp(1, 1).add(weeks[0]), labels, matrix)  # 0001-W01 is week 0
 
 
-def parse_cases_csv(data: bytes) -> WeeklySeries:
-    """Parse weekly case counts; the series must have no gaps."""
+def parse_cases_csv(data: bytes) -> Weekly:
+    """Parse weekly case counts, a one-column frame "cases" with no gaps."""
     header = _header(data)
     if header != "week,cases":
         raise MalformedHeader(f"expected 'week,cases', got {header!r}")
     weeks, counts = _table(data, 2, *_CASE_VALUES, gaps=False)
     if not len(weeks):
         raise MalformedRow("case file has no data rows")
-    return WeeklySeries(WeekStamp(1, 1).add(weeks[0]), counts[:, 0], "cases")  # 0001-W01 is week 0
+    return Weekly(WeekStamp(1, 1).add(weeks[0]), ("cases",), counts)  # 0001-W01 is week 0
 
 
 def _int_rows(start: WeekStamp, values: np.ndarray, top: int, refuse) -> np.ndarray:
@@ -209,13 +211,24 @@ def _write_rows(header: str, start: WeekStamp, rows: list[str]) -> bytes:
     return "".join([header + "\n", *map("{},{}\n".format, weeks, rows)]).encode("utf-8")
 
 
-def write_trends_csv(panel: QueryPanel) -> bytes:
-    if any(not l or "," in l or "\n" in l or "\r" in l for l in panel.labels):
-        raise MalformedHeader("query labels must be non-empty, without commas or line breaks")
+_UNWRITABLE = re.compile("[,\n\r\ud800-\udfff]")  # a comma, a line break or a lone surrogate
+
+
+def check_labels(labels: tuple[str, ...], what: str) -> None:
+    """Raise MalformedHeader, naming `what`, unless every label can head a
+    column of a CSV written here: non-empty, without commas or line breaks,
+    and UTF-8 (no lone surrogate)."""
+    if not all(labels) or _UNWRITABLE.search("".join(labels)):
+        raise MalformedHeader(f"{what} labels must be non-empty UTF-8, "
+                              "without commas or line breaks")
+
+
+def write_trends_csv(panel: Weekly) -> bytes:
+    check_labels(panel.labels, "query")
     rows = _volume_rows(_int_rows(panel.start, panel.matrix, *_PANEL_VALUES))  # ints freed here
     return _write_rows("week," + ",".join(panel.labels), panel.start, rows)
 
 
-def write_cases_csv(cases: WeeklySeries) -> bytes:
-    ints = _int_rows(cases.start, cases.values[:, None], *_CASE_VALUES)
-    return _write_rows("week,cases", cases.start, list(map(str, ints[:, 0].tolist())))
+def write_cases_csv(cases: Weekly) -> bytes:
+    (counts,) = _int_rows(cases.start, cases.matrix, *_CASE_VALUES).T  # its one column
+    return _write_rows("week,cases", cases.start, list(map(str, counts.tolist())))

@@ -2,7 +2,7 @@
 
 The model is y_t = b0 + b1*x_1t + ... + bn*x_nt, fit by least squares.
 The solver is QR-based (Householder); normal equations exist only as a
-test oracle elsewhere. Both nowcast modes return one weekly series of
+test oracle elsewhere. Both nowcast modes return a one-column frame of
 estimates stamped at case weeks: `predict` applies a full-period fit to
 every panel week, and `rolling_weekly_fit` refits the coefficients once
 per week on all strictly-prior weeks. Only the coefficients are refit:
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import stats
 from .errors import InvalidConfig, SingularDesign, Underdetermined
-from .timeseries import ArrayFields, QueryPanel, WeeklySeries, paired
+from .timeseries import Weekly, paired
 
 PIVOT_TOL = 1e-10
 
@@ -40,7 +40,7 @@ class CoefficientStats:
 
 
 @dataclass(frozen=True, eq=False)
-class ModelFit(ArrayFields):
+class ModelFit:
     labels: tuple[str, ...]
     betas: np.ndarray  # intercept first
     std_errors: np.ndarray  # same order as betas
@@ -75,9 +75,9 @@ def _solve(A: np.ndarray, yv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.solve(r, q.T @ yv), r
 
 
-def fit_ols(panel: QueryPanel, y: WeeklySeries, k: int) -> ModelFit:
+def fit_ols(panel: Weekly, y: Weekly, k: int) -> ModelFit:
     """Fit the nowcast model on the full overlapping period at shift k."""
-    X, yv, _ = paired(panel.start, panel.matrix, y, k)
+    X, yv, _ = paired(panel, y, k)
     beta, r = _solve(_with_intercept(X), yv)
     m, nq = X.shape
     resid = yv - (beta[0] + X @ beta[1:])
@@ -112,7 +112,7 @@ def coefficient_stats(fit: ModelFit, alpha: float) -> list[tuple[str, Coefficien
                                          fit.std_errors.tolist(), p.tolist())]
 
 
-def predict(fit: ModelFit, panel: QueryPanel) -> WeeklySeries:
+def predict(fit: ModelFit, panel: Weekly) -> Weekly:
     """Evaluate the fitted model on every week of the panel.
 
     Estimates are stamped at case weeks (search week + shift); negative
@@ -121,26 +121,22 @@ def predict(fit: ModelFit, panel: QueryPanel) -> WeeklySeries:
     if panel.start + fit.shift < 0:  # week 0 is 0001-W01
         raise InvalidConfig(f"estimates {fit.shift:+d} weeks from {panel.start} precede 0001-W01")
     X = panel.subset(list(fit.labels)).matrix
-    return WeeklySeries(panel.start.add(fit.shift), fit.betas[0] + X @ fit.betas[1:],
-                        "estimates")
+    return Weekly(panel.start.add(fit.shift), ("estimates",),
+                  (fit.betas[0] + X @ fit.betas[1:])[:, None])
 
 
-def rolling_weekly_fit(
-    panel: QueryPanel,
-    y: WeeklySeries,
-    k: int,
-    warmup: int | None = None,
-) -> WeeklySeries | None:
+def rolling_weekly_fit(panel: Weekly, y: Weekly, k: int,
+                       warmup: int | None = None) -> Weekly | None:
     """One-step-ahead estimates with weekly coefficient updates.
 
     The estimate for week t comes from coefficients fit on all weeks
     strictly before t (expanding window); the panel's queries and the
-    shift k are used as given, whatever weeks chose them. The series starts
+    shift k are used as given, whatever weeks chose them. The estimates start
     at the first estimated week; None when no week gets an estimate. An
     explicit warmup's first window must be fittable; the default starts at
     the first fittable window from week nq + 4 on.
     """
-    X, yv, yi = paired(panel.start, panel.matrix, y, k)
+    X, yv, yi = paired(panel, y, k)
     m, nq = X.shape
     default_warmup = warmup is None
     if default_warmup:
@@ -161,7 +157,8 @@ def rolling_weekly_fit(
             continue
         values.append(float(beta[0] + X[t] @ beta[1:]))
     # estimates are contiguous and end at the last fitted week
-    return WeeklySeries(y.start.add(yi + m - len(values)), values, "estimates") if values else None
+    return (Weekly(y.start.add(yi + m - len(values)), ("estimates",), np.reshape(values, (-1, 1)))
+            if values else None)
 
 
 def candidate_objectives(X: np.ndarray, yv: np.ndarray, chosen: list[int],

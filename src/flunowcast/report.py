@@ -5,7 +5,8 @@ Tables render to CSV with every number at exactly two decimal places and
 drop is available as a JSON sidecar. The sidecar is the text that
 `json.dumps(..., indent=2, ensure_ascii=False)` would write, printed from
 the gate's columns with one %-template per cell and one per row. Figure
-data is a long-format CSV (week, label, value).
+data is a long-format CSV (week, label, value) of every column of the
+weekly frames it is given, such as the cases and a panel or estimates.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from json.encoder import encode_basestring
 import numpy as np
 
 from . import stats
-from .errors import EmptyLabel, InsufficientOverlap, InvalidConfig, MalformedHeader
+from .errors import EmptyLabel, InsufficientOverlap, InvalidConfig
+from .ingest import check_labels
 from .regress import in_sample_objective
 from .stats import ALPHA
-from .timeseries import (DEFAULT_SHIFTS, LAST_WEEK, QueryPanel, WeeklySeries, iso_years,
-                         paired, week_labels)
+from .timeseries import DEFAULT_SHIFTS, LAST_WEEK, Weekly, iso_years, paired, week_labels
 
 
 @dataclass(frozen=True)
@@ -70,16 +71,15 @@ def _footnotes(alpha: float) -> tuple[str, ...]:
     return ("NA: Not applicable", f"p<{alpha:g}")
 
 
-def _year_windows(panel: QueryPanel, y: WeeklySeries,
-                  k: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+def _year_windows(panel: Weekly, y: Weekly, k: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """The (search rows, case values) window of each ISO year of the cases
     at one shift, empty where the shift leaves the year no pairs. Years are
     assigned from the case-series week of each pair, so one year's pairs
     are a contiguous run of rows."""
-    years = iso_years(y.start, len(y))
+    years = iso_years(y.start, len(y.matrix))
     windows = dict.fromkeys(years.tolist(), (panel.matrix[:0], y.values[:0]))  # weeks are in order
     try:
-        X, yv, yi = paired(panel.start, panel.matrix, y, k)
+        X, yv, yi = paired(panel, y, k)
     except InsufficientOverlap:
         return windows
     years = years[yi:yi + len(yv)]
@@ -88,16 +88,10 @@ def _year_windows(panel: QueryPanel, y: WeeklySeries,
     return windows
 
 
-def table_overall_annual(
-    panel: QueryPanel,
-    y: WeeklySeries,
-    alpha: float = ALPHA,
-    k: int = 0,
-) -> Table:
+def table_overall_annual(panel: Weekly, y: Weekly, alpha: float = ALPHA, k: int = 0) -> Table:
     """Per-query correlations, overall and per year (zero shift by default)."""
     windows = _year_windows(panel, y, k)
-    gated = stats.gated_columns(
-        [stats.paired_rows(panel.start, panel.matrix, y, k), *windows.values()], alpha)
+    gated = stats.gated_columns([stats.paired_rows(panel, y, k), *windows.values()], alpha)
     overall = _cells(gated[0], repeat('"overall"'), _OUTER_CELL)
     years = [_cells(cols, repeat(f'"{yr}"'), _INNER_CELL) for cols, yr in zip(gated[1:], windows)]
     columns = ("query", "overall") + tuple(str(yr) for yr in windows)
@@ -112,12 +106,8 @@ def shift_row_label(k: int) -> str:
     return f"{-k}-week preceding" if k < 0 else f"{k}-week lagging"
 
 
-def table_shift_scan(
-    panel: QueryPanel,
-    y: WeeklySeries,
-    shifts: tuple[int, ...] = DEFAULT_SHIFTS,
-    alpha: float = ALPHA,
-) -> Table:
+def table_shift_scan(panel: Weekly, y: Weekly, shifts: tuple[int, ...] = DEFAULT_SHIFTS,
+                     alpha: float = ALPHA) -> Table:
     """Per-year, per-shift, per-query correlation grid."""
     columns = ("year", "dataset") + tuple(panel.labels)
     windows = {(k, yr): w for k in shifts
@@ -125,7 +115,7 @@ def table_shift_scan(
     grid = dict(zip(windows, stats.gated_columns(list(windows.values()), alpha)))
     keys = [encode_basestring(label) for label in panel.labels]
     rows, sidecar = [], []
-    for yr in dict.fromkeys(iso_years(y.start, len(y)).tolist()):
+    for yr in dict.fromkeys(iso_years(y.start, len(y.matrix)).tolist()):
         for k in shifts:
             csv, text = _cells(grid[k, yr], keys, _INNER_CELL)
             rows.append((str(yr), shift_row_label(k), *csv))
@@ -133,31 +123,28 @@ def table_shift_scan(
     return Table(columns, tuple(rows), _footnotes(alpha), _json_list(sidecar))
 
 
-def table_model_by_shift(
-    chosen: QueryPanel,
-    y: WeeklySeries,
-    shifts: tuple[int, ...] = DEFAULT_SHIFTS,
-) -> Table:
+def table_model_by_shift(chosen: Weekly, y: Weekly,
+                         shifts: tuple[int, ...] = DEFAULT_SHIFTS) -> Table:
     """Model objective of the chosen queries at each shift; no sidecar."""
     columns = ("dataset",) + tuple(shift_row_label(k) for k in shifts)
-    objectives = [in_sample_objective(*stats.paired_rows(chosen.start, chosen.matrix, y, k))
-                  for k in shifts]
+    objectives = [in_sample_objective(*stats.paired_rows(chosen, y, k)) for k in shifts]
     cells = tuple("NA" if obj is None else f"{obj:.2f}" for obj in objectives)
     return Table(columns, (("model",) + cells,), (f"p<{ALPHA:g}",), "")
 
 
-def figure_data(series: list[WeeklySeries]) -> bytes:
-    """Long-format plot data: week,label,value rows week by week, and
-    within a week in label order (equal labels in input order)."""
-    if not series:
+def figure_data(frames: list[Weekly]) -> bytes:
+    """Long-format plot data of every column of `frames`: week,label,value
+    rows week by week, and within a week in label order (equal labels in
+    input order)."""
+    columns = [(f.start, label, v) for f in frames for label, v in zip(f.labels, f.matrix.T)]
+    if not columns:
         raise EmptyLabel("figure needs at least one series")
-    if not all(s.label for s in series):
+    if not all(label for _, label, _ in columns):
         raise EmptyLabel("every figure series needs a non-empty label")
-    if any("," in s.label or "\n" in s.label or "\r" in s.label for s in series):
-        raise MalformedHeader("figure labels must be without commas or line breaks")
-    first = min(s.start for s in series)
-    columns = [(s.start - first, s.label.replace("%", "%%") + ",%s\n", s.values)
-               for s in sorted(series, key=lambda s: s.label)]
+    check_labels(tuple(label for _, label, _ in columns), "figure")
+    first = min(at for at, _, _ in columns)
+    columns = [(at - first, label.replace("%", "%%") + ",%s\n", v)
+               for at, label, v in sorted(columns, key=lambda c: c[1])]
     cuts = sorted({at for at, _, _ in columns} | {at + len(v) for at, _, v in columns})
     if first + cuts[-1] - 1 > LAST_WEEK:  # shifted estimates end past the cases
         raise InvalidConfig(f"{cuts[-1]} figure weeks from {first} run past {LAST_WEEK}")

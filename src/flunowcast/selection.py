@@ -17,7 +17,7 @@ from . import stats
 from .errors import NoUsableQuery
 from .regress import candidate_objectives, in_sample_objective
 from .stats import ALPHA
-from .timeseries import QueryPanel, WeeklySeries
+from .timeseries import Weekly
 
 IMPROVEMENT_EPS = 1e-6
 
@@ -57,17 +57,13 @@ def _greedy_one_shift(X, yv, k: int, labels: tuple[str, ...],
     return SelectionResult(tuple(labels[j] for j in chosen), k, objective, tuple(trace))
 
 
-def greedy_select(
-    panel: QueryPanel,
-    y: WeeklySeries,
-    shifts: list[int],
-    alpha: float = ALPHA,
-) -> SelectionResult:
+def greedy_select(panel: Weekly, y: Weekly, shifts: list[int],
+                  alpha: float = ALPHA) -> SelectionResult:
     """Run greedy selection at every shift and keep the best outcome.
 
     Ties between shifts keep the earlier entry of `shifts`.
     """
-    windows = [stats.paired_rows(panel.start, panel.matrix, y, k) for k in shifts]
+    windows = [stats.paired_rows(panel, y, k) for k in shifts]
     best = None
     for k, (X, yv), cols in zip(shifts, windows, stats.gated_columns(windows, alpha)):
         # candidates: a positive, significant correlation, best first, ties on label code points

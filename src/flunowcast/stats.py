@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientOverlap, InvalidConfig, InvalidDof
-from .timeseries import MIN_PAIRS, WeekStamp, WeeklySeries, paired
+from .timeseries import MIN_PAIRS, Weekly, paired
 
 _BETA_TOL = 1e-12
 _BETA_MAX_ITER = 300
@@ -178,13 +178,12 @@ def correlation_p_values(r: np.ndarray, n: np.ndarray) -> np.ndarray:
     return p
 
 
-def paired_rows(start: WeekStamp, X: np.ndarray, y: WeeklySeries,
-                k: int) -> tuple[np.ndarray, np.ndarray]:
-    """X's weekly rows from `start` and their case values under shift k; none if too few."""
+def paired_rows(x: Weekly, y: Weekly, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """x's weekly rows and y's values paired under shift k; none if too few."""
     try:
-        return paired(start, X, y, k)[:2]
+        return paired(x, y, k)[:2]
     except InsufficientOverlap:
-        return X[:0], y.values[:0]
+        return x.matrix[:0], y.values[:0]
 
 
 def gated_columns(windows: list[tuple[np.ndarray, np.ndarray]],

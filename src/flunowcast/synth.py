@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfig
-from .timeseries import LAST_WEEK, QueryPanel, WeekStamp, WeeklySeries, iso_years, scale_0_100
+from .ingest import MAX_CASES
+from .timeseries import LAST_WEEK, Weekly, WeekStamp, iso_years, scale_0_100
 
 DEFAULT_START = WeekStamp(2009, 1)
 
@@ -84,7 +85,7 @@ def _spike_pulse(cfg: ScenarioConfig, horizon: int) -> np.ndarray:
     return pulse
 
 
-def generate(cfg: ScenarioConfig) -> tuple[WeeklySeries, QueryPanel]:
+def generate(cfg: ScenarioConfig) -> tuple[Weekly, Weekly]:
     """Produce (cases, panel) for the scenario, deterministically per seed."""
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     horizon = cfg.weeks + cfg.lead_weeks
@@ -96,9 +97,9 @@ def generate(cfg: ScenarioConfig) -> tuple[WeeklySeries, QueryPanel]:
         case_noise = rng.normal(0.0, 1.0, size=horizon) * cfg.noise_sd * np.sqrt(level + 1.0)
         cases_ext = np.maximum(np.rint(level + case_noise), 0.0)
     # the case parser's bound, on the lead weeks too: they feed the queries
-    if not (cases_ext <= 2 ** 53).all():
+    if not (cases_ext <= MAX_CASES).all():
         raise InvalidConfig("a generated case count exceeds 2**53")
-    cases = WeeklySeries(cfg.start, cases_ext[:cfg.weeks], "cases")
+    cases = Weekly(cfg.start, ("cases",), cases_ext[:cfg.weeks, None])
 
     years = iso_years(cfg.start, cfg.weeks)
     decay = cfg.attention_decay ** (years - years[0])
@@ -124,4 +125,4 @@ def generate(cfg: ScenarioConfig) -> tuple[WeeklySeries, QueryPanel]:
         labels.append(f"noise_{i + 1}")
         columns.append(rng.uniform(0.0, 100.0, size=cfg.weeks))
 
-    return cases, QueryPanel(cfg.start, tuple(labels), scale_0_100(np.column_stack(columns)))
+    return cases, Weekly(cfg.start, labels, scale_0_100(np.column_stack(columns)))

@@ -1,14 +1,17 @@
 """Date-anchored weekly data: week arithmetic, shifted pairing, 0-100 scaling.
 
-Weekly values are read-only float64 arrays: one per series, and one
-C-order (weeks x queries) matrix per query panel. Only this module turns
-week positions into stamps and ISO years; 0001-W01..9999-W52 is the range.
+All weekly data is one type, `Weekly`: a start week, column labels and a
+read-only C-order (weeks x columns) float64 matrix. Cases and estimates
+are one-column frames, a query panel has a column per query. Only this
+module turns week positions into stamps and ISO years; 0001-W01..9999-W52
+is the range.
 
 A shift is a plain int k. Sign convention: +k ("lagging") pairs search
 week t with case week t+k, i.e. the case data are moved later relative
 to the searches; -k ("preceding") is the mirror image. `paired` is the
-one routine that applies a shift, and it rejects shifts beyond
-+/-MAX_SHIFT (2 weeks).
+one routine that applies a shift: it pairs the rows of one frame with
+the one column of another, and it rejects shifts beyond +/-MAX_SHIFT
+(2 weeks).
 """
 
 from __future__ import annotations
@@ -89,52 +92,15 @@ def week_numbers(stamps: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return number, formed, formed & exists
 
 
-class ArrayFields:
-    """Base of the dataclasses that hold arrays, weekly values read-only.
-
-    They take eq=False, since a generated == would compare the arrays and
-    raise; this == compares array fields element-wise, NaN equal to NaN.
-    """
-
-    def _freeze(self, name: str) -> np.ndarray:
-        """Replace field `name` by a read-only C-order float64 copy."""
-        a = np.array(getattr(self, name), dtype=float, order="C")
-        a.flags.writeable = False
-        object.__setattr__(self, name, a)
-        return a
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        pairs = ((getattr(self, f), getattr(other, f)) for f in self.__dataclass_fields__)
-        return all(np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
-                   for a, b in pairs)
-
-
 @dataclass(frozen=True, eq=False)
-class WeeklySeries(ArrayFields):
-    """Contiguous weekly values anchored at a start week."""
+class Weekly:
+    """Labelled weekly values: `matrix[t, j]` is column j's value in week t
+    from `start`, a read-only C-order float64 copy of what was given.
 
-    start: WeekStamp
-    values: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        vals = self._freeze("values")
-        if vals.ndim != 1 or len(vals) < 1:
-            raise ValueError("series must contain at least one week")
-        if not np.isfinite(vals).all():
-            raise ValueError("series values must be finite")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True, eq=False)
-class QueryPanel(ArrayFields):
-    """Search volumes of distinct queries on one week range.
-
-    `matrix[t, j]` is query j's volume in week t from `start`.
+    Cases are the one column "cases", model estimates "estimates", and a
+    search panel has one column per query. eq=False, since a generated ==
+    would compare the arrays and raise; this == compares the matrices
+    element-wise, NaN equal to NaN.
     """
 
     start: WeekStamp
@@ -142,32 +108,41 @@ class QueryPanel(ArrayFields):
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = self._freeze("matrix")
+        m = np.array(self.matrix, dtype=float, order="C")
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "labels", tuple(self.labels))
         if not self.labels:
-            raise ValueError("panel needs at least one query")
+            raise ValueError("panel needs at least one column")
         if len(self.labels) != len(set(self.labels)):
             repeated = next(l for i, l in enumerate(self.labels) if l in self.labels[:i])
             raise ValueError(f"panel labels must be distinct: {repeated!r} is repeated")
-        if m.ndim != 2 or m.shape[1] != len(self.labels) or len(m) < 1:
-            raise ValueError(f"matrix shape {m.shape} is not weeks x {len(self.labels)} queries")
+        if m.ndim != 2 or m.shape[1] != len(self.labels):
+            raise ValueError(f"matrix shape {m.shape} is not weeks x {len(self.labels)} columns")
+        if len(m) < 1:
+            raise ValueError("panel must hold at least one week")
         if not np.isfinite(m).all():
             raise ValueError("panel values must be finite")
-        object.__setattr__(self, "labels", tuple(self.labels))
 
-    def __len__(self) -> int:
-        return len(self.labels)
+    def __eq__(self, other):
+        if type(other) is not Weekly:
+            return NotImplemented
+        return (self.start == other.start and self.labels == other.labels
+                and np.array_equal(self.matrix, other.matrix, equal_nan=True))
 
     @property
-    def series(self) -> tuple[WeeklySeries, ...]:
-        return tuple(WeeklySeries(self.start, col, label)
-                     for label, col in zip(self.labels, self.matrix.T))
+    def values(self) -> np.ndarray:
+        """The one column of a one-column frame, 1-D."""
+        if len(self.labels) != 1:
+            raise ValueError(f"a frame of {len(self.labels)} columns has no single column")
+        return self.matrix[:, 0]
 
-    def subset(self, labels: list[str]) -> "QueryPanel":
+    def subset(self, labels: list[str]) -> "Weekly":
         missing = [l for l in labels if l not in self.labels]
         if missing:
             raise MissingQuery(f"query {missing[0]!r} not in panel")
         columns = [self.labels.index(l) for l in labels]
-        return QueryPanel(self.start, tuple(labels), self.matrix[:, columns])
+        return Weekly(self.start, tuple(labels), self.matrix[:, columns])
 
 
 def week_labels(start: WeekStamp, n: int) -> list[str]:
@@ -185,25 +160,25 @@ def iso_years(start: WeekStamp, n: int) -> np.ndarray:
     return (monday + np.arange(3, 7 * n, 7)).astype("datetime64[Y]").astype(int) + 1970
 
 
-def paired(start: WeekStamp, X: np.ndarray, y: WeeklySeries,
-           k: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """X's weekly rows from `start` paired with y's values, search week t
-    with case week t+k, and y's index of the first pair. Disjoint ranges
-    raise EmptyOverlap, the zero-pair case of InsufficientOverlap."""
+def paired(x: Weekly, y: Weekly, k: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """x's weekly rows paired with the values of y's one column, search
+    week t with case week t+k, and y's index of the first pair. Disjoint
+    ranges raise EmptyOverlap, the zero-pair case of InsufficientOverlap."""
     if abs(k) > MAX_SHIFT:
         raise InvalidConfig(f"|shift| = {abs(k)} exceeds maximum {MAX_SHIFT}")
-    d = y.start - start  # y's first week, in X's rows
-    lo, hi = max(0, d), min(len(X), d + len(y))
+    nx, ny = len(x.matrix), len(y.matrix)
+    d = y.start - x.start  # y's first week, in x's rows
+    lo, hi = max(0, d), min(nx, d + ny)
     if lo >= hi:
         raise EmptyOverlap(
-            f"series ranges {start}..{start.add(len(X) - 1)} and "
-            f"{y.start}..{y.start.add(len(y) - 1)} are disjoint"
+            f"series ranges {x.start}..{x.start.add(nx - 1)} and "
+            f"{y.start}..{y.start.add(ny - 1)} are disjoint"
         )
     n = max(hi - lo - abs(k), 0)
     if n < MIN_PAIRS:
         raise InsufficientOverlap(f"only {n} pairs remain after shifting by {k} (need {MIN_PAIRS})")
     xi, yi = lo + max(-k, 0), lo - d + max(k, 0)
-    return X[xi:xi + n], y.values[yi:yi + n], yi
+    return x.matrix[xi:xi + n], y.values[yi:yi + n], yi
 
 
 def scale_0_100(m: np.ndarray) -> np.ndarray:

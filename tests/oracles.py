@@ -31,7 +31,7 @@ from flunowcast.errors import (
     NonContiguousAfterFill,
     ValueOutOfRange,
 )
-from flunowcast.timeseries import QueryPanel, WeekStamp, WeeklySeries
+from flunowcast.timeseries import WeekStamp, Weekly
 
 _BETA_TOL = 1e-12
 _BETA_MAX_ITER = 300
@@ -320,13 +320,14 @@ def stamp_week_number(stamp):
     return iso_week_number(int(stamp[:4]), int(stamp[6:]))
 
 
-def sorted_figure_data(series):
+def sorted_figure_data(frames):
     """Figure CSV by definition: every (week, label, value) row of every
-    series, stably sorted by (week stamp, label)."""
+    column of every frame, stably sorted by (week stamp, label)."""
     rows = []
-    for s in series:
-        weeks = isocalendar_walk(*map(int, str(s.start).split("-W")), len(s.values))
-        rows += [("%04d-W%02d" % w, s.label, v) for w, v in zip(weeks, s.values.tolist())]
+    for f in frames:
+        weeks = isocalendar_walk(*map(int, str(f.start).split("-W")), len(f.matrix))
+        for j, label in enumerate(f.labels):
+            rows += [("%04d-W%02d" % w, label, v) for w, v in zip(weeks, f.matrix[:, j].tolist())]
     rows.sort(key=lambda r: (r[0], r[1]))
     lines = ["week,label,value"] + [f"{w},{label},{v:.2f}" for w, label, v in rows]
     return ("\n".join(lines) + "\n").encode("utf-8")
@@ -403,7 +404,7 @@ def row_by_row_trends_csv(data):
     matrix = np.zeros((weeks[-1] - weeks[0] + 1, len(labels)))
     for week, vals in zip(weeks, rows):
         matrix[week - weeks[0]] = vals
-    return QueryPanel(WeekStamp.parse(lines[1][:8]), tuple(labels), matrix)  # the first row's week
+    return Weekly(WeekStamp.parse(lines[1][:8]), tuple(labels), matrix)  # the first row's week
 
 
 def row_by_row_cases_csv(data):
@@ -427,7 +428,7 @@ def row_by_row_cases_csv(data):
         counts.append(count)
     if not weeks:
         raise MalformedRow("case file has no data rows")
-    return WeeklySeries(WeekStamp.parse(lines[1][:8]), counts, "cases")  # the first row's week
+    return Weekly(WeekStamp.parse(lines[1][:8]), ("cases",), [[c] for c in counts])  # row 1's week
 
 
 def str_per_cell_trends_csv(panel):

@@ -22,7 +22,6 @@ from flunowcast.ingest import (
     write_trends_csv,
 )
 from flunowcast.regress import (
-    QueryPanel,
     fit_ols,
     in_sample_objective,
     predict,
@@ -32,7 +31,7 @@ from flunowcast.report import table_model_by_shift, table_overall_annual
 from flunowcast.selection import greedy_select
 from flunowcast.stats import ALPHA, gated_columns, paired_rows
 from flunowcast.synth import ScenarioConfig, generate
-from flunowcast.timeseries import WeekStamp, WeeklySeries, paired
+from flunowcast.timeseries import WeekStamp, Weekly, paired
 
 from .oracles import (
     correlation_p_value,
@@ -68,12 +67,13 @@ def _report(num, text):
 
 
 def ws(values, label=""):
-    return WeeklySeries(W0, tuple(values), label)
+    """A one-column frame of `values` from W0."""
+    return Weekly(W0, (label,), [[v] for v in values])
 
 
 def panel_of(columns):
     labels, values = zip(*columns)
-    return QueryPanel(W0, labels, np.column_stack(values))
+    return Weekly(W0, labels, np.column_stack(values))
 
 
 def test_criterion_1_correlation_oracle():
@@ -181,24 +181,24 @@ def test_criterion_5_shift_structure():
     """Per-query r rises strictly from -2 to +2 on the +2-lead scenario."""
     t0 = time.perf_counter()
     cases, panel = generate(LEAD_SCENARIO)
-    assert len(cases) == 261
-    for label, series in zip(panel.labels, panel.series):
+    assert len(cases.matrix) == 261
+    for label in panel.labels:
         rs = []
         for k in (-2, -1, 0, 1, 2):
-            X, yv, _ = paired(series.start, series.values[:, None], cases, k)
+            X, yv, _ = paired(panel.subset([label]), cases, k)
             rs.append(definitional_pearson(X[:, 0], yv))
         assert all(b > a for a, b in zip(rs, rs[1:])), f"{label} not strictly rising"
 
     chosen = panel.subset(list(greedy_select(panel, cases, SHIFTS).chosen_labels))
     # the argmax from the objectives themselves: two-decimal cells can tie
-    objs = {k: in_sample_objective(*paired_rows(chosen.start, chosen.matrix, cases, k))
+    objs = {k: in_sample_objective(*paired_rows(chosen, cases, k))
             for k in SHIFTS}
     assert max(objs, key=objs.get) == 2
     assert table_model_by_shift(chosen, cases, tuple(SHIFTS)).rows[0][1:] == tuple(
         f"{objs[k]:.2f}" for k in SHIFTS)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
-    _report(5, f"strict shift ordering for {len(panel)} queries, "
+    _report(5, f"strict shift ordering for {len(panel.labels)} queries, "
                f"model objective peaks at +2, {elapsed:.2f}s")
 
 
@@ -207,8 +207,8 @@ def test_criterion_6_model_strength():
     cases, panel = generate(LEAD_SCENARIO)
     sel = greedy_select(panel, cases, SHIFTS)
     sub = panel.subset(list(sel.chosen_labels))
-    obj_plus2 = in_sample_objective(*paired_rows(sub.start, sub.matrix, cases, 2))
-    obj_minus2 = in_sample_objective(*paired_rows(sub.start, sub.matrix, cases, -2))
+    obj_plus2 = in_sample_objective(*paired_rows(sub, cases, 2))
+    obj_minus2 = in_sample_objective(*paired_rows(sub, cases, -2))
     assert obj_plus2 > 0.70
     assert obj_minus2 <= 0.70
     # determinism per seed
@@ -221,7 +221,7 @@ def test_criterion_6_model_strength():
 def test_criterion_7_failure_mode():
     """Attention decay reproduces the late-year NA collapse."""
     cases, panel = generate(DECAY_SCENARIO)
-    years = sorted({int(str(cases.start.add(i))[:4]) for i in range(len(cases))})
+    years = sorted({int(str(cases.start.add(i))[:4]) for i in range(len(cases.matrix))})
     first, last_two = years[0], years[-2:]
     table = table_overall_annual(panel, cases)
     for label, row in zip(panel.labels, json.loads(table.to_sidecar_json())):

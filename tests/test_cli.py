@@ -154,7 +154,7 @@ class TestSynth:
         from flunowcast.ingest import parse_cases_csv, parse_trends_csv
 
         cases, panel = synth_files(tmp_path)
-        assert len(parse_cases_csv(cases.read_bytes())) == 150
+        assert parse_cases_csv(cases.read_bytes()).matrix.shape == (150, 1)
         assert parse_trends_csv(panel.read_bytes()).labels == ("signal_1", "signal_2")
 
     @pytest.mark.parametrize("week", ["inf", "nan", "10.9"])
@@ -431,7 +431,7 @@ def shifted_design(cases, panel, k):
     case_at = {cases.start.add(i): v for i, v in enumerate(cases.values)}
     weeks = [panel.start.add(i) for i in range(len(panel.matrix))]
     keep = [i for i, w in enumerate(weeks) if w.add(k) in case_at]
-    X = np.array([[sr.values[i] for sr in panel.series] for i in keep], dtype=float)
+    X = np.array([panel.matrix[i] for i in keep], dtype=float)
     return X, np.array([case_at[weeks[i].add(k)] for i in keep], dtype=float)
 
 

@@ -20,7 +20,7 @@ from flunowcast.ingest import (
     write_cases_csv,
     write_trends_csv,
 )
-from flunowcast.timeseries import QueryPanel, WeekStamp, WeeklySeries, week_labels
+from flunowcast.timeseries import WeekStamp, Weekly, week_labels
 
 from .oracles import (
     isocalendar_walk,
@@ -74,9 +74,9 @@ class TestParseCases:
         lines = ["week,cases"]
         lines += [f"{start.add(i)},{i % 40}" for i in range(261)]
         series = parse_cases_csv(("\n".join(lines) + "\n").encode())
-        assert len(series) == 261
+        assert series.labels == ("cases",) and series.matrix.shape == (261, 1)
         assert series.start == start
-        assert series.start.add(len(series) - 1) == WeekStamp(2013, 52)
+        assert series.start.add(len(series.matrix) - 1) == WeekStamp(2013, 52)
 
     def test_gap_is_error(self):
         with pytest.raises(GapInCases):
@@ -279,16 +279,25 @@ written_starts = st.builds(WeekStamp, st.sampled_from([2009, 2015, 2020]), st.in
 @st.composite
 def written_panels(draw):
     """Panels of 0-100 integers with up to two cells from written_values, and
-    labels that may be empty or hold a comma or a line break."""
+    labels that may be empty or hold a comma, a line break or a lone surrogate."""
     n, width = draw(st.integers(1, 5)), draw(st.integers(1, 3))
     rows = draw(st.lists(st.lists(st.integers(0, 100).map(float), min_size=width, max_size=width),
                          min_size=n, max_size=n))
     for _ in range(draw(st.integers(0, 2))):
         rows[draw(st.integers(0, n - 1))][draw(st.integers(0, width - 1))] = draw(written_values)
     labels = draw(st.lists(st.one_of(st.text(min_size=1, max_size=3),
-                                     st.sampled_from(["", ",", "q,1", "\n", "\r"])),
+                                     st.sampled_from(["", ",", "q,1", "\n", "\r", "\ud800"])),
                            min_size=width, max_size=width, unique=True))
-    return QueryPanel(draw(written_starts), tuple(labels), rows)
+    return Weekly(draw(written_starts), tuple(labels), rows)
+
+
+def utf8(text):
+    """Whether `text` has a UTF-8 form, that is holds no lone surrogate."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def first_refused_week(start, rows, valid):
@@ -306,7 +315,7 @@ class TestWritersRefuseWhatParsersRefuse:
             return v.is_integer() and 0 <= v <= 100
 
         rows = panel.matrix.tolist()
-        labels_ok = all(l and not {",", "\n", "\r"} & set(l) for l in panel.labels)
+        labels_ok = all(l and not {",", "\n", "\r"} & set(l) and utf8(l) for l in panel.labels)
         try:
             data = write_trends_csv(panel)
         except DataError as exc:
@@ -323,7 +332,7 @@ class TestWritersRefuseWhatParsersRefuse:
         def valid(v):
             return v.is_integer() and 0 <= v <= 2 ** 53
 
-        cases = WeeklySeries(start, values, "cases")
+        cases = Weekly(start, ("cases",), [[v] for v in values])
         try:
             data = write_cases_csv(cases)
         except DataError as exc:
@@ -335,17 +344,19 @@ class TestWritersRefuseWhatParsersRefuse:
     def test_what_each_refusal_raises(self):
         start = WeekStamp(2009, 1)
         with pytest.raises(MalformedRow, match=r"^week 2009-W02: not an integer: 50\.7$"):
-            write_trends_csv(QueryPanel(start, ("a", "b"), [[1, 2], [50.7, 150]]))
+            write_trends_csv(Weekly(start, ("a", "b"), [[1, 2], [50.7, 150]]))
         with pytest.raises(ValueOutOfRange,
                            match="^week 2009-W02: search volume 150 outside 0-100$"):
-            write_trends_csv(QueryPanel(start, ("a", "b"), [[1, 2], [50, 150]]))
-        with pytest.raises(MalformedHeader):
-            write_trends_csv(QueryPanel(start, ("a", "b,c"), [[1, 2]]))
+            write_trends_csv(Weekly(start, ("a", "b"), [[1, 2], [50, 150]]))
+        for label in ("b,c", "", "\ud800"):
+            with pytest.raises(MalformedHeader, match="^query labels must be non-empty UTF-8, "
+                                                      "without commas or line breaks$"):
+                write_trends_csv(Weekly(start, ("a", label), [[1, 2]]))
         for count, error, message in [(-1, NegativeCount, "negative case count -1"),
                                       (3.7, MalformedRow, r"not an integer: 3\.7"),
                                       (1e300, MalformedRow, r"case count above 2\*\*53")]:
             with pytest.raises(error, match=f"^week 2009-W02: {message}$"):
-                write_cases_csv(WeeklySeries(start, [1, count]))
+                write_cases_csv(Weekly(start, ("cases",), [[1], [count]]))
 
 
 def refusal(call, *args):
@@ -376,7 +387,7 @@ class TestOneValueRule:
     @given(edges)
     @example(2 ** 53 + 2)
     def test_search_volumes(self, v):
-        written = refusal(write_trends_csv, QueryPanel(WeekStamp(2009, 1), ("q",), [[float(v)]]))
+        written = refusal(write_trends_csv, Weekly(WeekStamp(2009, 1), ("q",), [[float(v)]]))
         parsed = refusal(parse_trends_csv, b"week,q\n2009-W01,%d\n" % v)
         self.agree(written, parsed, v)
 
@@ -384,7 +395,7 @@ class TestOneValueRule:
     @example(-1)
     @example(2 ** 53 + 2)
     def test_case_counts(self, v):
-        written = refusal(write_cases_csv, WeeklySeries(WeekStamp(2009, 1), [float(v)], "cases"))
+        written = refusal(write_cases_csv, Weekly(WeekStamp(2009, 1), ("cases",), [[float(v)]]))
         parsed = refusal(parse_cases_csv, b"week,cases\n2009-W01,%d\n" % v)
         self.agree(written, parsed, v)
 
@@ -579,12 +590,12 @@ class TestByteCheck:
 
 @st.composite
 def volume_panels(draw):
-    """A QueryPanel of 1-12 queries and 1-30 weeks of whole volumes, -0.0 among them."""
+    """A panel of 1-12 queries and 1-30 weeks of whole volumes, -0.0 among them."""
     width = draw(st.integers(1, 12))
     cell = st.one_of(st.integers(0, 100).map(float), st.just(-0.0))
     rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width), min_size=1, max_size=30))
     start = draw(st.sampled_from([WeekStamp(2015, 50), WeekStamp(1, 1), WeekStamp(9999, 20)]))
-    return QueryPanel(start, tuple(f"q{j}" for j in range(width)), np.array(rows))
+    return Weekly(start, tuple(f"q{j}" for j in range(width)), np.array(rows))
 
 
 class TestWriterTable:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,6 @@ from flunowcast.errors import (
     Underdetermined,
 )
 from flunowcast.regress import (
-    QueryPanel,
     candidate_objectives,
     coefficient_stats,
     fit_ols,
@@ -19,7 +20,7 @@ from flunowcast.regress import (
     rolling_weekly_fit,
 )
 from flunowcast.stats import ALPHA, gated_columns, paired_rows
-from flunowcast.timeseries import MIN_PAIRS, WeekStamp, WeeklySeries, paired
+from flunowcast.timeseries import MIN_PAIRS, WeekStamp, Weekly, paired
 
 from .oracles import definitional_pearson, normal_equations_ols, one_fit_objective
 
@@ -27,12 +28,13 @@ W0 = WeekStamp(2009, 1)
 
 
 def ws(values, label=""):
-    return WeeklySeries(W0, tuple(values), label)
+    """A one-column frame of `values` from W0."""
+    return Weekly(W0, (label,), [[v] for v in values])
 
 
 def panel_of(columns):
     labels, values = zip(*columns)
-    return QueryPanel(W0, labels, np.column_stack(values))
+    return Weekly(W0, labels, np.column_stack(values))
 
 
 def random_panel(rng, n_queries, n_weeks):
@@ -97,12 +99,12 @@ class TestFitOls:
     def test_overlap_shorter_than_shift_is_data_error(self):
         # cases start at the panel's last week: one shared week, shift +2
         panel = panel_of([("x", [1, 2, 3, 4])])
-        y = WeeklySeries(W0.add(3), (5.0, 6.0, 7.0, 8.0))
+        y = Weekly(W0.add(3), ("cases",), [[5.0], [6.0], [7.0], [8.0]])
         with pytest.raises(InsufficientOverlap):
             fit_ols(panel, y, 2)
         with pytest.raises(DataError):
             rolling_weekly_fit(panel, y, 2)
-        assert in_sample_objective(*paired_rows(panel.start, panel.matrix, y, 2)) is None
+        assert in_sample_objective(*paired_rows(panel, y, 2)) is None
 
     def test_ci_brackets_estimate(self):
         rng = np.random.default_rng(13)
@@ -192,6 +194,20 @@ def rolling_problems(draw):
     return panel_of([(f"q{j}", X[:, j]) for j in range(nq)]), ws(y), draw(st.integers(-2, 2))
 
 
+class TestEstimateFrames:
+    """Both nowcast modes return a one-column frame "estimates" whose values,
+    iterated, are floats: the benchmark's tracer calls math.isnan on each."""
+
+    def test_predict_and_rolling_return_one_column_estimates(self):
+        x = np.linspace(0, 10, 30)
+        panel, y = panel_of([("x", x)]), ws(3 * x + 1, "cases")
+        for est in (predict(fit_ols(panel, y, 1), panel),
+                    rolling_weekly_fit(panel, y, 1, warmup=5)):
+            assert est.labels == ("estimates",) and est.matrix.shape == (len(est.values), 1)
+            assert est.values.ndim == 1
+            assert all(isinstance(v, float) and not math.isnan(v) for v in est.values)
+
+
 class TestRollingWeeklyFit:
     def test_noiseless_recovery(self):
         x = np.linspace(0, 10, 30)
@@ -204,7 +220,7 @@ class TestRollingWeeklyFit:
         x = np.linspace(0, 10, 30)
         est = rolling_weekly_fit(panel_of([("x", x)]), ws(3 * x + 1), 0, warmup=7)
         assert est.start == W0.add(7)
-        assert len(est) == 23
+        assert len(est.matrix) == 23
 
     def test_warmup_equal_to_length_gives_empty(self):
         x = np.linspace(0, 10, 30)
@@ -225,7 +241,7 @@ class TestRollingWeeklyFit:
             rolling_weekly_fit(panel, y, 0, warmup=5)
         est = rolling_weekly_fit(panel, y, 0)
         assert est.start == W0.add(13)
-        assert len(est) == 40 - 13
+        assert len(est.matrix) == 40 - 13
         assert est.values[0] == pytest.approx(3 * x[13] + 1, abs=1e-8)
         assert est == rolling_weekly_fit(panel, y, 0, warmup=13)
 
@@ -262,18 +278,19 @@ class TestRollingWeeklyFit:
         # design row i is estimated from a fit on rows 0..i-1, which is
         # fit_ols on the cases cut to their first i + |k| weeks
         panel, y, k = problem
-        xi, warmup = max(-k, 0), len(panel) + 4
+        xi, warmup = max(-k, 0), len(panel.labels) + 4
         fits = []
         try:
-            for i in range(warmup, len(y) - abs(k)):
-                fits.append((i, fit_ols(panel, WeeklySeries(y.start, y.values[:i + abs(k)]), k)))
+            for i in range(warmup, len(y.matrix) - abs(k)):
+                cut = Weekly(y.start, y.labels, y.matrix[:i + abs(k)])
+                fits.append((i, fit_ols(panel, cut, k)))
         except SingularDesign:
             with pytest.raises(SingularDesign):
                 rolling_weekly_fit(panel, y, k, warmup)
             return
         est = rolling_weekly_fit(panel, y, k, warmup)
         assert est.start == y.start.add(max(k, 0) + warmup)
-        assert len(est) == len(fits)
+        assert len(est.matrix) == len(fits)
         for value, (i, fit) in zip(est.values, fits):
             x = panel.matrix[xi + i]
             # the two sum the same terms in a different order
@@ -317,12 +334,12 @@ class TestCandidateObjectives:
     @settings(max_examples=500, deadline=None)
     def test_every_lane_equals_its_own_fit_bit_for_bit(self, step):
         panel, y, k, chosen, candidates = step
-        if len(y) - abs(k) < MIN_PAIRS:
+        if len(y.matrix) - abs(k) < MIN_PAIRS:
             with pytest.raises(InsufficientOverlap):
-                paired(panel.start, panel.matrix, y, k)
-            assert in_sample_objective(*paired_rows(panel.start, panel.matrix, y, k)) is None
+                paired(panel, y, k)
+            assert in_sample_objective(*paired_rows(panel, y, k)) is None
             return
-        X, yv, _ = paired(panel.start, panel.matrix, y, k)
+        X, yv, _ = paired(panel, y, k)
         got = candidate_objectives(X, yv, chosen, candidates)
         assert len(got) == len(candidates)
         for j, obj in zip(candidates, got):
@@ -332,12 +349,12 @@ class TestCandidateObjectives:
 
 class TestEvaluate:
     def _nowcast(self, values, start=W0):
-        return WeeklySeries(start, tuple(values), "estimates")
+        return Weekly(start, ("estimates",), [[v] for v in values])
 
     @staticmethod
     def _overall(estimates, cases):
         """The gate's lane of the estimates against the cases, nowcast's overall r."""
-        rows = paired_rows(estimates.start, estimates.values[:, None], cases, 0)
+        rows = paired_rows(estimates, cases, 0)
         return gated_columns([rows], ALPHA)[0]
 
     def test_identical_series_r_one(self):
@@ -371,6 +388,6 @@ class TestEvaluate:
             lead_weeks=2, noise_sd=0.1, n_signal_queries=2,
         )
         cases, panel = generate(cfg)
-        r_plus = in_sample_objective(*paired_rows(panel.start, panel.matrix, cases, 2))
-        r_minus = in_sample_objective(*paired_rows(panel.start, panel.matrix, cases, -2))
+        r_plus = in_sample_objective(*paired_rows(panel, cases, 2))
+        r_minus = in_sample_objective(*paired_rows(panel, cases, -2))
         assert r_plus > r_minus

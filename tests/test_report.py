@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 from flunowcast.errors import EmptyLabel, MalformedHeader
-from flunowcast.regress import QueryPanel, in_sample_objective
+from flunowcast.regress import in_sample_objective
 from flunowcast.report import (
     figure_data,
     shift_row_label,
@@ -18,7 +18,7 @@ from flunowcast.report import (
 from flunowcast.selection import greedy_select
 from flunowcast.stats import paired_rows
 from flunowcast.synth import ScenarioConfig, generate
-from flunowcast.timeseries import WeekStamp, WeeklySeries
+from flunowcast.timeseries import WeekStamp, Weekly
 
 from .oracles import definitional_pearson, json_sidecar, sorted_figure_data
 
@@ -26,12 +26,13 @@ W0 = WeekStamp(2009, 1)
 
 
 def ws(values, label=""):
-    return WeeklySeries(W0, tuple(values), label)
+    """A one-column frame of `values` from W0."""
+    return Weekly(W0, (label,), [[v] for v in values])
 
 
 def panel_of(columns):
     labels, values = zip(*columns)
-    return QueryPanel(W0, labels, np.column_stack(values))
+    return Weekly(W0, labels, np.column_stack(values))
 
 
 def with_target_r(y_vals, target, seed):
@@ -157,12 +158,11 @@ def scan_inputs(draw):
             columns.append([draw(st.integers(0, 100))] * n_weeks)
         else:
             columns.append(draw(st.lists(st.integers(0, 100), min_size=n_weeks, max_size=n_weeks)))
-    panel = QueryPanel(start, tuple(f"q{j}" for j in range(len(columns))),
-                       np.column_stack(columns))
+    panel = Weekly(start, tuple(f"q{j}" for j in range(len(columns))), np.column_stack(columns))
     n_cases = draw(st.integers(1, 18))
-    cases = WeeklySeries(
-        start.add(draw(st.integers(-4, 4))),
-        draw(st.lists(st.integers(0, 30), min_size=n_cases, max_size=n_cases)),
+    cases = Weekly(
+        start.add(draw(st.integers(-4, 4))), ("cases",),
+        [[v] for v in draw(st.lists(st.integers(0, 30), min_size=n_cases, max_size=n_cases))],
     )
     shifts = tuple(sorted(draw(st.sets(st.integers(-2, 2), min_size=1))))
     alpha = draw(st.sampled_from([0.001, 0.05, 0.3]))
@@ -178,7 +178,7 @@ class TestShiftScanAgainstPairs:
         panel, cases, shifts, alpha = inputs
         table = table_shift_scan(panel, cases, shifts, alpha)
         case_at = {cases.start.add(i): v for i, v in enumerate(cases.values)}
-        columns = [s.values for s in panel.series]
+        columns = panel.matrix.T
         weeks = [panel.start.add(i) for i in range(len(panel.matrix))]
         shared = set(weeks) & set(case_at)
         years = sorted({int(str(w)[:4]) for w in case_at})
@@ -222,7 +222,7 @@ class TestTableModelByShift:
         `in_sample_objective` (two-decimal cells can tie), after checking
         that the table prints those objectives."""
         chosen = self._chosen(panel, cases)
-        objs = {k: in_sample_objective(*paired_rows(chosen.start, chosen.matrix, cases, k))
+        objs = {k: in_sample_objective(*paired_rows(chosen, cases, k))
                 for k in self.SHIFTS}
         table = table_model_by_shift(chosen, cases)
         assert table.rows == (("model",) + tuple(f"{objs[k]:.2f}" for k in self.SHIFTS),)
@@ -309,11 +309,18 @@ class TestFigureData:
         with pytest.raises(EmptyLabel):
             figure_data([ws([1, 2, 3])])
 
-    @pytest.mark.parametrize("label", ["a,b", "x\ny", "x\ry", ","])
+    @pytest.mark.parametrize("label", ["a,b", "x\ny", "x\ry", ",", "\ud800", "a\udfff"])
     def test_label_it_cannot_write_rejected(self, label):
-        with pytest.raises(MalformedHeader, match="^figure labels must be without commas or line "
-                                                  "breaks$"):
+        with pytest.raises(MalformedHeader, match="^figure labels must be non-empty UTF-8, "
+                                                  "without commas or line breaks$"):
             figure_data([ws([1, 2, 3], "actual"), ws([1.0], label)])
+
+    def test_a_panel_frame_is_its_columns(self):
+        cases = ws([5, 6, 7, 8], "cases")
+        panel = Weekly(W0.add(1), ("q2", "a"), [[1, 2], [3, 4.5]])
+        assert figure_data([cases, panel]) == figure_data(
+            [cases, panel.subset(["q2"]), panel.subset(["a"])])
+        assert figure_data([cases, panel]) == sorted_figure_data([cases, panel])
 
     def test_round_trip(self):
         data = figure_data([ws([1.5, 2.25, 3.0], "est"), ws([1, 2, 3], "actual")])
@@ -321,8 +328,8 @@ class TestFigureData:
         parsed = [(w, l, float(v)) for w, l, v in parsed]
         assert len(parsed) == 6
         rebuilt = figure_data([
-            WeeklySeries(W0, tuple(v for w, l, v in parsed if l == "est"), "est"),
-            WeeklySeries(W0, tuple(v for w, l, v in parsed if l == "actual"), "actual"),
+            ws([v for w, l, v in parsed if l == "est"], "est"),
+            ws([v for w, l, v in parsed if l == "actual"], "actual"),
         ])
         assert rebuilt == data
 
@@ -331,11 +338,20 @@ class TestFigureData:
     # 0.0 and -0.0 are equal values of different bits: each prints as itself
     @example([("q", 0, [0.0, -0.0, 0.0, -0.0])])
     @example([("a", 0, [-0.0, 0.0, 1.0]), ("b", 1, [0.0, -0.0]), ("a", 2, [-0.0])])
+    # a lone surrogate has no UTF-8 form, so no figure row can hold it
+    @example([("q", 0, [1.0]), ("\ud800", 1, [2.0])])
     def test_matches_one_stable_sort_of_all_rows(self, specs):
         # different starts and lengths, gaps between ranges, nested ranges, equal labels
         base = WeekStamp(2015, 50)
-        series = [WeeklySeries(base.add(at), values, label) for label, at, values in specs]
-        assert figure_data(series) == sorted_figure_data(series)
+        frames = [Weekly(base.add(at), (label,), [[v] for v in values])
+                  for label, at, values in specs]
+        try:
+            "".join(label for label, _, _ in specs).encode("utf-8")
+        except UnicodeEncodeError:
+            with pytest.raises(MalformedHeader):
+                figure_data(frames)
+        else:
+            assert figure_data(frames) == sorted_figure_data(frames)
 
 
 # labels that JSON must escape (quotes, backslashes, control characters), U+2028, text
@@ -353,7 +369,7 @@ def sidecar_inputs(draw):
     panel, cases, shifts, alpha = draw(scan_inputs())
     width = len(panel.labels)
     labels = draw(st.lists(SIDECAR_LABELS, min_size=width, max_size=width, unique=True))
-    return QueryPanel(panel.start, tuple(labels), panel.matrix), cases, shifts, alpha
+    return Weekly(panel.start, tuple(labels), panel.matrix), cases, shifts, alpha
 
 
 class TestSidecarJson:

@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from flunowcast import stats
 from flunowcast.errors import NoUsableQuery
-from flunowcast.regress import QueryPanel, candidate_objectives, in_sample_objective
+from flunowcast.regress import candidate_objectives, in_sample_objective
 from flunowcast.selection import IMPROVEMENT_EPS, SelectionResult, greedy_select
-from flunowcast.timeseries import WeekStamp, WeeklySeries, paired
+from flunowcast.timeseries import WeekStamp, Weekly, paired
 
 from .oracles import exhaustive_best_subset, greedy_forward
 
@@ -15,12 +15,13 @@ SHIFTS = [-2, -1, 0, 1, 2]
 
 
 def ws(values, label=""):
-    return WeeklySeries(W0, tuple(values), label)
+    """A one-column frame of `values` from W0."""
+    return Weekly(W0, (label,), [[v] for v in values])
 
 
 def panel_of(columns):
     labels, values = zip(*columns)
-    return QueryPanel(W0, labels, np.column_stack(values))
+    return Weekly(W0, labels, np.column_stack(values))
 
 
 class TestGreedySelect:
@@ -75,7 +76,7 @@ class TestGreedySelect:
         result = greedy_select(panel, ws(y_vals), SHIFTS)
         chosen = panel.subset(list(result.chosen_labels))
         fresh = in_sample_objective(
-            *stats.paired_rows(chosen.start, chosen.matrix, ws(y_vals), result.best_shift))
+            *stats.paired_rows(chosen, ws(y_vals), result.best_shift))
         assert result.objective == pytest.approx(fresh, abs=1e-12)
 
     def test_picks_best_shift(self):
@@ -180,7 +181,7 @@ def reference_select(panel, y, shifts):
     """greedy_select rebuilt on one oracle fit per candidate: the same gated
     candidate pools, then `greedy_forward` at each shift; None where
     greedy_select raises NoUsableQuery."""
-    windows = [stats.paired_rows(panel.start, panel.matrix, y, k) for k in shifts]
+    windows = [stats.paired_rows(panel, y, k) for k in shifts]
     best = None
     for k, (X, yv), cols in zip(shifts, windows, stats.gated_columns(windows, stats.ALPHA)):
         lanes = enumerate(zip(cols.r.tolist(), cols.reason.tolist()))
@@ -236,7 +237,7 @@ class TestAgainstOneFitGreedy:
         a, b = rng.integers(0, 101, size=(2, 50)).astype(float)
         panel = panel_of([("a", a), ("b", b), ("b2", b), ("c", b + 1e-6 * rng.normal(size=50))])
         y = ws(1.5 * a + b + rng.integers(0, 30, size=50))
-        X, yv, _ = paired(panel.start, panel.matrix, y, 0)
+        X, yv, _ = paired(panel, y, 0)
         ob, ob2, oc = candidate_objectives(X, yv, [0], [1, 2, 3])
         assert ob == ob2 and 0.0 < oc - ob <= IMPROVEMENT_EPS
         result = greedy_select(panel, y, [0])
@@ -248,7 +249,7 @@ class TestAgainstOneFitGreedy:
         a = rng.integers(0, 101, size=60).astype(float)
         panel = panel_of([("a", a), ("b", a + rng.integers(0, 30, size=60))])
         y = ws(10 * a + rng.integers(0, 3, size=60))
-        X, yv, _ = paired(panel.start, panel.matrix, y, 0)
+        X, yv, _ = paired(panel, y, 0)
         (alone,), (both,) = candidate_objectives(X, yv, [], [0]), candidate_objectives(X, yv, [0], [1])
         assert 0.0 < both - alone <= IMPROVEMENT_EPS
         result = greedy_select(panel, y, [0])
@@ -260,7 +261,7 @@ class TestAgainstOneFitGreedy:
         x = rng.integers(0, 101, size=40).astype(float)
         panel = panel_of([("x", x), ("x2", x), ("x3", 3 * x)])
         y = ws(x + rng.integers(0, 20, size=40))
-        X, yv, _ = paired(panel.start, panel.matrix, y, 0)
+        X, yv, _ = paired(panel, y, 0)
         assert candidate_objectives(X, yv, [0], [1, 2]) == [None, None]
         result = greedy_select(panel, y, [0])
         assert result == reference_select(panel, y, [0])
@@ -274,5 +275,5 @@ class TestAgainstOneFitGreedy:
         def refuse(self, labels):
             raise AssertionError("greedy_select built a panel subset")
 
-        monkeypatch.setattr(QueryPanel, "subset", refuse)
+        monkeypatch.setattr(Weekly, "subset", refuse)
         assert len(greedy_select(panel, ws(y_vals), SHIFTS).chosen_labels) >= 1

@@ -10,7 +10,6 @@ from scipy import stats as scipy_stats
 from flunowcast import stats
 from flunowcast.errors import InvalidConfig, InvalidDof
 from flunowcast.regress import (
-    QueryPanel,
     coefficient_stats,
     fit_ols,
     rolling_weekly_fit,
@@ -27,7 +26,7 @@ from flunowcast.stats import (
     t_critical,
     t_two_sided_p,
 )
-from flunowcast.timeseries import WeekStamp, WeeklySeries
+from flunowcast.timeseries import WeekStamp, Weekly
 
 from .oracles import (
     bisection_t_critical,
@@ -43,13 +42,14 @@ CENTI = st.integers(-10000, 10000).map(lambda i: i / 100)  # 0.01 grid on [-100,
 
 
 def ws(values, label=""):
-    return WeeklySeries(W0, tuple(values), label)
+    """A one-column frame of `values` from W0."""
+    return Weekly(W0, (label,), [[v] for v in values])
 
 
 def lane(x, y, k, alpha=ALPHA):
     """The gate's one lane for series x against y at shift k, as nowcast
     reads its overall r."""
-    return gated_columns([paired_rows(x.start, x.values[:, None], y, k)], alpha)[0]
+    return gated_columns([paired_rows(x, y, k)], alpha)[0]
 
 
 def cell(xs, ys):
@@ -361,20 +361,20 @@ def _entry_points():
     rng = np.random.default_rng(12)
     X = rng.uniform(0, 100, size=(20, 2))
     y = ws(X @ [2.0, 1.0] + rng.normal(0, 5, size=20), "cases")
-    panel = QueryPanel(W0, ("a", "b"), X)
+    panel = Weekly(W0, ("a", "b"), X)
     fit = fit_ols(panel, y, 0)
     takes_shift = {
-        "correlate": lambda k: lane(panel.series[0], y, k),
+        "correlate": lambda k: lane(panel.subset(["a"]), y, k),
         "greedy_select": lambda k: greedy_select(panel, y, [k]),
         "fit_ols": lambda k: fit_ols(panel, y, k),
         "rolling_weekly_fit": lambda k: rolling_weekly_fit(panel, y, k),
-        "paired_rows": lambda k: stats.paired_rows(panel.start, X, y, k),
+        "paired_rows": lambda k: stats.paired_rows(panel, y, k),
         "table_overall_annual": lambda k: table_overall_annual(panel, y, ALPHA, k),
         "table_shift_scan": lambda k: table_shift_scan(panel, y, (k,)),
         "table_model_by_shift": lambda k: table_model_by_shift(panel, y, (k,)),
     }
     takes_alpha = {
-        "correlate": lambda a: lane(panel.series[0], y, 0, a),
+        "correlate": lambda a: lane(panel.subset(["a"]), y, 0, a),
         "greedy_select": lambda a: greedy_select(panel, y, [0], a),
         "gated_columns": lambda a: gated_columns([(X, y.values)], a),
         "table_overall_annual": lambda a: table_overall_annual(panel, y, a),

@@ -30,7 +30,7 @@ def scenario(**overrides):
 
 def lanes(panel, cases, k):
     """The gate's lanes of every query against the cases at shift k."""
-    return gated_columns([paired_rows(panel.start, panel.matrix, cases, k)], ALPHA)[0]
+    return gated_columns([paired_rows(panel, cases, k)], ALPHA)[0]
 
 
 class TestConfigValidation:
@@ -110,7 +110,7 @@ class TestGenerate:
                             (170, 800, 3), (230, 900, 3)),
         )
         _, panel = generate(cfg)
-        vals = np.array(panel.series[0].values)
+        vals = np.array(panel.matrix[:, 0])
         year1_mean = vals[:52].mean()
         year5_mean = vals[209:].mean()
         assert year5_mean < 0.1 * year1_mean
@@ -133,8 +133,8 @@ class TestGenerate:
 
     def test_volumes_are_integer_0_100(self):
         _, panel = generate(scenario(noise_sd=0.5, n_noise_queries=2))
-        for s in panel.series:
-            assert all(v == int(v) and 0 <= v <= 100 for v in s.values)
+        for column in panel.matrix.T:
+            assert all(v == int(v) and 0 <= v <= 100 for v in column)
 
     def test_media_spike_raises_volume_without_cases(self):
         quiet = scenario(media_spikes=(), lead_weeks=0)
@@ -142,7 +142,7 @@ class TestGenerate:
         _, p_quiet = generate(quiet)
         _, p_spiky = generate(spiky)
         # week 140 is far from every epidemic peak: only the spike acts there
-        assert p_spiky.series[0].values[140] > p_quiet.series[0].values[140]
+        assert p_spiky.matrix[140, 0] > p_quiet.matrix[140, 0]
 
     @pytest.mark.parametrize("lead", [0, 1, 2, 4])
     def test_greedy_recovers_capped_lead(self, lead):

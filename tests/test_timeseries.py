@@ -12,7 +12,7 @@ from flunowcast.errors import EmptyOverlap, InsufficientOverlap, InvalidConfig, 
 from flunowcast.timeseries import (
     MIN_PAIRS,
     WeekStamp,
-    WeeklySeries,
+    Weekly,
     iso_years,
     paired,
     scale_0_100,
@@ -26,12 +26,13 @@ W = WeekStamp
 
 
 def series(start, values, label=""):
-    return WeeklySeries(start, tuple(values), label)
+    """A one-column frame of `values` from `start`."""
+    return Weekly(start, (label,), [[v] for v in values])
 
 
 def pairs(x, y, k):
     """The (x_t, y_{t+k}) value pairs that `paired` selects."""
-    X, yv, _ = paired(x.start, x.values[:, None], y, k)
+    X, yv, _ = paired(x, y, k)
     return list(zip(X[:, 0].tolist(), yv.tolist()))
 
 
@@ -81,15 +82,15 @@ class TestAlign:
     def test_identical_ranges_unchanged(self):
         a = series(W(2009, 1), [1, 2, 3, 4])
         b = series(W(2009, 1), [5, 6, 7, 8])
-        assert paired(a.start, a.values[:, None], b, 0)[2] == 0
+        assert paired(a, b, 0)[2] == 0
         assert pairs(a, b, 0) == list(zip(a.values, b.values))
 
     def test_partial_overlap(self):
         a = series(W(2009, 1), [1, 2, 3, 4, 5])
         b = series(W(2009, 3), [9, 8, 7, 6])
         # the shared weeks are 2009-W03..W05
-        assert paired(a.start, a.values[:, None], b, 0)[2] == 0
-        assert paired(b.start, b.values[:, None], a, 0)[2] == 2
+        assert paired(a, b, 0)[2] == 0
+        assert paired(b, a, 0)[2] == 2
         assert pairs(a, b, 0) == [(3.0, 9.0), (4.0, 8.0), (5.0, 7.0)]
 
     def test_disjoint_raises(self):
@@ -107,7 +108,7 @@ class TestAlign:
            k=st.integers(-2, 2))
     def test_window_matches_pairing_by_week_stamp(self, d, nx, ny, k):
         x_start = W(2009, 50)
-        X = np.arange(nx, dtype=float)[:, None]  # each row holds its index
+        x = Weekly(x_start, ("x",), np.arange(nx, dtype=float)[:, None])  # each row holds its index
         y = series(x_start.add(d), range(ny))
         x_weeks = [x_start.add(i) for i in range(nx)]
         y_weeks = [y.start.add(j) for j in range(ny)]
@@ -116,12 +117,12 @@ class TestAlign:
                     if w in shared and w.add(k) in shared]
         if not shared:
             with pytest.raises(EmptyOverlap):
-                paired(x_start, X, y, k)
+                paired(x, y, k)
         elif len(expected) < MIN_PAIRS:
             with pytest.raises(InsufficientOverlap):
-                paired(x_start, X, y, k)
+                paired(x, y, k)
         else:
-            rows, yv, yi = paired(x_start, X, y, k)
+            rows, yv, yi = paired(x, y, k)
             assert list(zip(rows[:, 0].tolist(), yv.tolist())) == expected
             assert yi == expected[0][1]
 
@@ -153,7 +154,7 @@ class TestShiftPair:
         assert pairs(self.x, self.y, 1) == [(x, y) for y, x in pairs(self.y, self.x, -1)]
 
     def test_stamped_pairs_carry_case_weeks(self):
-        _, yv, yi = paired(self.x.start, self.x.values[:, None], self.y, 1)
+        _, yv, yi = paired(self.x, self.y, 1)
         assert (yi, len(yv)) == (1, 3)
         case_weeks = [self.y.start.add(yi + i) for i in range(len(yv))]
         assert case_weeks == [W(2009, 2), W(2009, 3), W(2009, 4)]
@@ -351,14 +352,52 @@ class TestScale0100:
             assert scaled[:, j].tobytes() == want.tobytes()  # an all -0.0 column stays -0.0
 
 
-class TestWeeklySeries:
-    def test_rejects_empty_and_non_finite(self):
-        with pytest.raises(ValueError):
-            WeeklySeries(W(2009, 1), ())
-        with pytest.raises(ValueError):
-            WeeklySeries(W(2009, 1), (1.0, math.inf))
+class TestWeekly:
+    """The frame's contract, and the one-column estimates the benchmark's tracer reads."""
 
-    def test_end_and_lookup(self):
-        s = series(W(2009, 51), [1, 2, 3, 4, 5])
-        assert s.start.add(len(s) - 1) == W(2010, 2)  # 2009 has 53 ISO weeks
+    @pytest.mark.parametrize("labels, matrix, message", [
+        ((), np.empty((3, 0)), "panel needs at least one column"),
+        (("a", "b", "a"), [[1.0, 2.0, 3.0]], "panel labels must be distinct: 'a' is repeated"),
+        (("a", "b"), [[1.0, 2.0, 3.0]], r"matrix shape \(1, 3\) is not weeks x 2 columns"),
+        (("a",), [1.0, 2.0], r"matrix shape \(2,\) is not weeks x 1 columns"),
+        (("a",), np.empty((0, 1)), "panel must hold at least one week"),
+        (("a", "b"), [[1.0, 2.0], [3.0, math.inf]], "panel values must be finite"),
+        (("a",), [[math.nan]], "panel values must be finite"),
+    ], ids=["no labels", "repeated label", "wrong width", "one-dimensional", "zero weeks",
+            "infinite value", "NaN"])
+    def test_constructor_refusals(self, labels, matrix, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Weekly(W(2009, 1), labels, matrix)
+
+    def test_matrix_is_a_read_only_c_order_float_copy(self):
+        given = np.asfortranarray([[1, 2], [3, 4]])
+        f = Weekly(W(2009, 1), ["a", "b"], given)
+        assert f.labels == ("a", "b")
+        assert f.matrix.dtype == np.float64 and f.matrix.flags.c_contiguous
+        given[0, 0] = 9
+        assert f.matrix[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            f.matrix[0, 0] = 5.0
+
+    def test_equality_is_nan_equal_and_type_strict(self):
+        def frame(v, start=W(2009, 1), labels=("a",)):
+            return Weekly(start, labels, [[v], [2.0]])
+        assert frame(1.0) == frame(1.0) and frame(0.0) == frame(-0.0)
+        assert frame(1.0) != frame(1.5)
+        assert frame(1.0) != frame(1.0, W(2009, 2))
+        assert frame(1.0) != frame(1.0, labels=("b",))
+        assert frame(1.0) != (W(2009, 1), ("a",), np.array([[1.0], [2.0]]))
+        assert frame(1.0).__eq__(vars(frame(1.0))) is NotImplemented
+        # the constructor refuses NaN, so only a matrix set past it shows == take NaN as equal
+        f, g = frame(1.0), frame(1.0)
+        for h in (f, g):
+            object.__setattr__(h, "matrix", np.array([[np.nan], [2.0]]))
+        assert f == g
+
+    def test_values_is_the_one_column(self):
+        s = series(W(2009, 51), [1, 2, 3, 4, 5], "cases")
+        assert s.values.shape == (5,) and s.values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert s.start.add(len(s.matrix) - 1) == W(2010, 2)  # 2009 has 53 ISO weeks
         assert s.values[W(2009, 53) - s.start] == 3.0
+        with pytest.raises(ValueError, match="^a frame of 2 columns has no single column$"):
+            Weekly(W(2009, 1), ("a", "b"), [[1.0, 2.0]]).values
