@@ -1,8 +1,8 @@
 """Command-line front end for the nowcasting pipeline.
 
-Exit codes: 0 success, 1 data error (structured error name printed),
-2 usage error (argparse prints the grammar). Files are written only to
-paths named in flags; stdout carries human-readable summaries.
+Exit codes: 0 success, 1 data error (one stderr line naming its
+DataError subclass), 2 usage error (argparse prints the grammar). Files
+are written only to paths named in flags; stdout carries human-readable summaries.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import report, selection, stats, synth
-from .errors import DataError
+from .errors import DataError, InvalidConfig
 from .ingest import parse_cases_csv, parse_trends_csv, write_cases_csv, write_trends_csv
 from .regress import coefficient_stats, fit_ols, predict, rolling_weekly_fit
 from .stats import ALPHA
@@ -24,12 +24,12 @@ from .timeseries import DEFAULT_SHIFTS, MAX_SHIFT, Weekly, WeekStamp
 
 
 def _expecting(form: str, parse):
-    """`parse` as an argparse type whose ValueError becomes a usage error
-    naming the expected form."""
+    """`parse` as an argparse type whose ValueError (a number's) or InvalidConfig
+    (a week stamp's) becomes a usage error naming the expected form."""
     def checked(text: str):
         try:
             return parse(text)
-        except ValueError:
+        except (ValueError, InvalidConfig):
             raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}") from None
     return checked
 
@@ -284,7 +284,7 @@ def run(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _COMMANDS[args.command](args)
-    except (DataError, ValueError) as exc:
+    except DataError as exc:  # any other exception is a bug, and its traceback shows
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -1,7 +1,7 @@
 """Structured error types shared across the pipeline.
 
-Every error raised by library code derives from DataError, so callers
-(and the CLI) can distinguish bad data from programming bugs.
+Every error raised by library code derives from DataError, so the CLI
+catches DataError alone and any other exception shows as the bug it is.
 """
 
 
@@ -79,8 +79,9 @@ class NegativeCount(DataError):
 
 class InvalidConfig(DataError):
     """A parameter out of its range: a scenario configuration against its
-    invariants, a shift beyond +/-2 weeks, an alpha outside (0, 1), a
-    figure whose weeks run past 9999-W52, or estimates before 0001-W01."""
+    invariants, a shift beyond +/-2 weeks, an alpha outside (0, 1), a week
+    stamp that is no ISO week or lies outside 0001-W01..9999-W52 (figure
+    weeks or estimates included), or a `Weekly` frame against its invariants."""
 
 
 # -- report -------------------------------------------------------------

@@ -19,8 +19,8 @@ import sys
 import numpy as np
 
 from .errors import (
-    DataError,
     GapInCases,
+    InvalidConfig,
     MalformedHeader,
     MalformedRow,
     NegativeCount,
@@ -59,7 +59,7 @@ def _refuse_line(data: bytes, lineno: int, width: int) -> None:
         raise MalformedRow(f"line {lineno}: expected {width} cells, got {len(cells)}")
     try:
         WeekStamp.parse(cells[0])
-    except ValueError as exc:
+    except InvalidConfig as exc:
         raise MalformedRow(f"line {lineno}: {exc}") from None
     for cell in cells[1:]:
         digits = cell[1:] if cell.startswith("-") else cell
@@ -102,19 +102,20 @@ def _kept_rows(body: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, in
     return bounds, weeks, n
 
 
-def _refuse_volume(where: str, v, text: str) -> DataError:
-    return ValueOutOfRange(f"{where}: search volume {text} outside 0-100")
+def _refuse_volume(where: str, v, text: str) -> None:
+    raise ValueOutOfRange(f"{where}: search volume {text} outside 0-100")
 
 
-def _refuse_count(where: str, v, text: str) -> DataError:
-    return (NegativeCount(f"{where}: negative case count {text}") if v < 0
-            else MalformedRow(f"{where}: case count above 2**53"))
+def _refuse_count(where: str, v, text: str) -> None:
+    raise (NegativeCount(f"{where}: negative case count {text}") if v < 0
+           else MalformedRow(f"{where}: case count above 2**53"))
 
 
 MAX_CASES = 2 ** 53  # the largest case count: past it a float no longer holds every count
 
-# each format's (top, refuse): its values are the integers 0..top, and refuse(where, v, text)
-# its error for a v outside them, printed as `text` at "line N" of a file or "week W" of a frame
+# each format's (top, refuse): its values are the integers 0..top, and refuse(where, v,
+# text) raises its error for a v outside them, printed as `text` at "line N" of a file or
+# "week W" of a frame
 _PANEL_VALUES = (100, _refuse_volume)
 _CASE_VALUES = (MAX_CASES, _refuse_count)
 
@@ -137,7 +138,7 @@ def _table(data: bytes, width: int, top: int, refuse, gaps: bool) -> tuple[np.nd
         line = _line(data, i + 2)
         if out[i].any():
             v = int(line[1 + out[i].argmax()])  # exact, where the array holds int64's bound
-            raise refuse(f"line {i + 2}", v, str(v))
+            refuse(f"line {i + 2}", v, str(v))
         raise (GapInCases(f"missing week(s) before {line[0]}") if steps[i] > 1 else
                NonContiguousAfterFill(f"week {line[0]} out of order or duplicated"))
     if n < len(weeks):
@@ -189,7 +190,7 @@ def _int_rows(start: WeekStamp, values: np.ndarray, top: int, refuse) -> np.ndar
         if fraction is not None:
             raise MalformedRow(f"week {week}: not an integer: {fraction!r}")
         v = next(v for v in cells if not 0 <= v <= top)
-        raise refuse(f"week {week}", v, f"{v:g}")
+        refuse(f"week {week}", v, f"{v:g}")
     return ints
 
 

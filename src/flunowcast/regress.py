@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stats
-from .errors import InvalidConfig, SingularDesign, Underdetermined
+from .errors import SingularDesign, Underdetermined
 from .timeseries import Weekly, paired
 
 PIVOT_TOL = 1e-10
@@ -118,11 +118,9 @@ def predict(fit: ModelFit, panel: Weekly) -> Weekly:
     Estimates are stamped at case weeks (search week + shift); negative
     estimates are kept.
     """
-    if panel.start + fit.shift < 0:  # week 0 is 0001-W01
-        raise InvalidConfig(f"estimates {fit.shift:+d} weeks from {panel.start} precede 0001-W01")
+    start = panel.start.add(fit.shift)  # raises off the calendar
     X = panel.subset(list(fit.labels)).matrix
-    return Weekly(panel.start.add(fit.shift), ("estimates",),
-                  (fit.betas[0] + X @ fit.betas[1:])[:, None])
+    return Weekly(start, ("estimates",), (fit.betas[0] + X @ fit.betas[1:])[:, None])
 
 
 def rolling_weekly_fit(panel: Weekly, y: Weekly, k: int,

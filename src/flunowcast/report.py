@@ -18,11 +18,11 @@ from json.encoder import encode_basestring
 import numpy as np
 
 from . import stats
-from .errors import EmptyLabel, InsufficientOverlap, InvalidConfig
+from .errors import EmptyLabel, InsufficientOverlap
 from .ingest import check_labels
 from .regress import in_sample_objective
 from .stats import ALPHA
-from .timeseries import DEFAULT_SHIFTS, LAST_WEEK, Weekly, iso_years, paired, week_labels
+from .timeseries import DEFAULT_SHIFTS, Weekly, iso_years, paired, week_labels
 
 
 @dataclass(frozen=True)
@@ -146,9 +146,7 @@ def figure_data(frames: list[Weekly]) -> bytes:
     columns = [(at - first, label.replace("%", "%%") + ",%s\n", v)
                for at, label, v in sorted(columns, key=lambda c: c[1])]
     cuts = sorted({at for at, _, _ in columns} | {at + len(v) for at, _, v in columns})
-    if first + cuts[-1] - 1 > LAST_WEEK:  # shifted estimates end past the cases
-        raise InvalidConfig(f"{cuts[-1]} figure weeks from {first} run past {LAST_WEEK}")
-    weeks = week_labels(first, cuts[-1])
+    weeks = week_labels(first, cuts[-1])  # raises where shifted estimates end past 9999-W52
     out = ["week,label,value\n"]
     # the live series are fixed between two cuts, so a run of weeks has one %-template,
     # `week,label,%s` rows in label order, filled from the run's distinct values, each

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .ingest import MAX_CASES
-from .timeseries import LAST_WEEK, Weekly, WeekStamp, iso_years, scale_0_100
+from .timeseries import Weekly, WeekStamp, iso_years, scale_0_100
 
 DEFAULT_START = WeekStamp(2009, 1)
 
@@ -38,6 +38,8 @@ class ScenarioConfig:
     start: WeekStamp = field(default=DEFAULT_START)
 
     def __post_init__(self):
+        if self.seed < 0:  # PCG64 takes only non-negative seeds
+            raise InvalidConfig("seed must be non-negative")
         if self.weeks < 20:
             raise InvalidConfig("scenario needs at least 20 weeks")
         numbers = [v for peak in self.epidemic_peaks for v in peak]
@@ -60,8 +62,7 @@ class ScenarioConfig:
         # past the cases but never stamped, so only the weeks meet the calendar
         if self.lead_weeks > self.weeks:
             raise InvalidConfig(f"lead_weeks {self.lead_weeks} exceeds weeks {self.weeks}")
-        if self.start + self.weeks - 1 > LAST_WEEK:
-            raise InvalidConfig(f"{self.weeks} weeks from {self.start} run past {LAST_WEEK}")
+        self.start.add(self.weeks - 1)
         if self.n_signal_queries < 0 or self.n_noise_queries < 0:
             raise InvalidConfig("query counts must be non-negative")
         if self.n_signal_queries + self.n_noise_queries < 1:

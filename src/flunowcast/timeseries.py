@@ -39,7 +39,7 @@ class WeekStamp(int):
     def __new__(cls, iso_year: int, iso_week: int) -> "WeekStamp":
         number, exists = _week_number(iso_year, iso_week)
         if not exists:
-            raise ValueError(f"invalid ISO week {iso_year:04d}-W{iso_week:02d}")
+            raise InvalidConfig(f"invalid ISO week {iso_year:04d}-W{iso_week:02d}")
         return int.__new__(cls, number)
 
     @classmethod
@@ -50,8 +50,8 @@ class WeekStamp(int):
             if valid:
                 return int.__new__(cls, number)
             if formed:
-                raise ValueError(f"invalid ISO week {text}")
-        raise ValueError(f"not a YYYY-Www week stamp: {text!r}")
+                raise InvalidConfig(f"invalid ISO week {text}")
+        raise InvalidConfig(f"not a YYYY-Www week stamp: {text!r}")
 
     def __str__(self) -> str:
         return "%04d-W%02d" % _dt.date.fromordinal(7 * self + 1).isocalendar()[:2]
@@ -63,7 +63,7 @@ class WeekStamp(int):
 
     def add(self, weeks: int) -> "WeekStamp":
         if not 0 <= self + weeks <= LAST_WEEK:
-            raise ValueError(f"{weeks:+d} weeks from {self} is outside 0001-W01..{LAST_WEEK}")
+            raise InvalidConfig(f"{weeks:+d} weeks from {self} is outside 0001-W01..{LAST_WEEK}")
         return int.__new__(WeekStamp, self + weeks)
 
 
@@ -113,16 +113,16 @@ class Weekly:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "labels", tuple(self.labels))
         if not self.labels:
-            raise ValueError("panel needs at least one column")
+            raise InvalidConfig("panel needs at least one column")
         if len(self.labels) != len(set(self.labels)):
             repeated = next(l for i, l in enumerate(self.labels) if l in self.labels[:i])
-            raise ValueError(f"panel labels must be distinct: {repeated!r} is repeated")
+            raise InvalidConfig(f"panel labels must be distinct: {repeated!r} is repeated")
         if m.ndim != 2 or m.shape[1] != len(self.labels):
-            raise ValueError(f"matrix shape {m.shape} is not weeks x {len(self.labels)} columns")
+            raise InvalidConfig(f"matrix shape {m.shape} is not weeks x {len(self.labels)} columns")
         if len(m) < 1:
-            raise ValueError("panel must hold at least one week")
+            raise InvalidConfig("panel must hold at least one week")
         if not np.isfinite(m).all():
-            raise ValueError("panel values must be finite")
+            raise InvalidConfig("panel values must be finite")
 
     def __eq__(self, other):
         if type(other) is not Weekly:
@@ -134,7 +134,7 @@ class Weekly:
     def values(self) -> np.ndarray:
         """The one column of a one-column frame, 1-D."""
         if len(self.labels) != 1:
-            raise ValueError(f"a frame of {len(self.labels)} columns has no single column")
+            raise InvalidConfig(f"a frame of {len(self.labels)} columns has no single column")
         return self.matrix[:, 0]
 
     def subset(self, labels: list[str]) -> "Weekly":

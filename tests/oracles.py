@@ -25,6 +25,7 @@ import numpy as np
 
 from flunowcast.errors import (
     GapInCases,
+    InvalidConfig,
     MalformedHeader,
     MalformedRow,
     NegativeCount,
@@ -305,18 +306,18 @@ def isocalendar_walk(iso_year, iso_week, n):
 
 def iso_week_number(iso_year, iso_week):
     """The number of an ISO week, its Monday's day ordinal // 7, from
-    `datetime.date.fromisocalendar`; ValueError worded as `WeekStamp` words it."""
+    `datetime.date.fromisocalendar`; InvalidConfig worded as `WeekStamp` words it."""
     try:
         return datetime.date.fromisocalendar(iso_year, iso_week, 1).toordinal() // 7
     except ValueError:
-        raise ValueError(f"invalid ISO week {iso_year:04d}-W{iso_week:02d}") from None
+        raise InvalidConfig(f"invalid ISO week {iso_year:04d}-W{iso_week:02d}") from None
 
 
 def stamp_week_number(stamp):
     """The number of a 'YYYY-Www' stamp by one regular expression and
-    `iso_week_number`; ValueError worded as `WeekStamp.parse` words it."""
+    `iso_week_number`; InvalidConfig worded as `WeekStamp.parse` words it."""
     if not re.fullmatch(r"[0-9]{4}-W[0-9]{2}", stamp):
-        raise ValueError(f"not a YYYY-Www week stamp: {stamp!r}")
+        raise InvalidConfig(f"not a YYYY-Www week stamp: {stamp!r}")
     return iso_week_number(int(stamp[:4]), int(stamp[6:]))
 
 
@@ -374,7 +375,7 @@ def _row_reader_rows(lines, width):
             raise MalformedRow(f"line {i}: expected {width} cells, got {len(cells)}")
         try:
             week = stamp_week_number(cells[0])
-        except ValueError as exc:
+        except InvalidConfig as exc:
             raise MalformedRow(f"line {i}: {exc}") from None
         yield i, cells[0], week, [_row_reader_int(c, i) for c in cells[1:]]
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -5,18 +7,21 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 from scipy import stats as scipy_stats
 
-from flunowcast import errors, stats
+from flunowcast import errors, stats, synth
 from flunowcast.cli import _COMMANDS, run
-from flunowcast.ingest import parse_cases_csv, parse_trends_csv
+from flunowcast.ingest import parse_cases_csv, parse_trends_csv, write_cases_csv, write_trends_csv
 from flunowcast.timeseries import WeekStamp
 
 from .oracles import definitional_pearson, normal_equations_ols
+from .test_ingest import mutated_csv
 
 
 def synth_files(tmp_path, extra=()):
@@ -51,11 +56,16 @@ def run_process(argv, cwd):
     proc = run_python(["-m", "flunowcast", *argv], cwd)
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr, proc.stderr
     if proc.returncode == 1:
-        line = re.fullmatch(r"error: (\w+): .+\n", proc.stderr)
-        assert line, proc.stderr
-        error = getattr(errors, line[1], None)
-        assert isinstance(error, type) and issubclass(error, errors.DataError), proc.stderr
+        assert_one_error_line(proc.stderr)
     return proc
+
+
+def assert_one_error_line(stderr):
+    """Exit 1's stderr: exactly one line, `error: <DataError subclass>: ...`."""
+    line = re.fullmatch(r"error: (\w+): .+\n", stderr)
+    assert line, stderr
+    error = getattr(errors, line[1], None)
+    assert isinstance(error, type) and issubclass(error, errors.DataError), stderr
 
 
 class TestProcess:
@@ -85,6 +95,14 @@ class TestProcess:
         assert proc.stderr == "error: InvalidConfig: spike decays must be non-negative\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_negative_seed_is_refused(self, tmp_path):
+        # PCG64 would refuse it with a bare ValueError
+        proc = run_process(["synth", "--seed", "-1", *self.SYNTH[3:], "--peaks", "10:50:3"],
+                           tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: InvalidConfig: seed must be non-negative\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_a_needle_peak_overflows_silently(self, tmp_path):
         # ((t - center) / width) ** 2 overflows to inf, whose exp(-inf) is 0
         assert run_process(self.SYNTH + ["--peaks", "20:800:1e-300"], tmp_path).returncode == 0
@@ -105,8 +123,8 @@ class TestProcess:
         proc = run_process(["nowcast", "--cases", "c.csv", "--panel", "p.csv",
                             "--out-estimates", "e.csv", "--out-table", "t.csv"], tmp_path)
         assert proc.returncode == 1
-        assert proc.stderr == ("error: InvalidConfig: 54 figure weeks from 9999-W01 "
-                               "run past 9999-W52\n")
+        assert proc.stderr == ("error: InvalidConfig: +53 weeks from 9999-W01 "
+                               "is outside 0001-W01..9999-W52\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "p.csv"]
 
     def test_estimates_before_0001_w01_are_a_data_error(self, tmp_path):
@@ -117,8 +135,8 @@ class TestProcess:
         proc = run_process(["nowcast", "--cases", "c.csv", "--panel", "p.csv", "--shifts=-2",
                             "--out-estimates", "e.csv", "--out-table", "t.csv"], tmp_path)
         assert proc.returncode == 1
-        assert proc.stderr == ("error: InvalidConfig: estimates -2 weeks from 0001-W01 "
-                               "precede 0001-W01\n")
+        assert proc.stderr == ("error: InvalidConfig: -2 weeks from 0001-W01 "
+                               "is outside 0001-W01..9999-W52\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "p.csv"]
 
 
@@ -336,7 +354,7 @@ class TestPipelineCommands:
             "--queries", "signal_1,signal_2,signal_1", "--out", str(tmp_path / "fit.csv"),
         ]) == 1
         assert capsys.readouterr().err == (
-            "error: ValueError: panel labels must be distinct: 'signal_1' is repeated\n")
+            "error: InvalidConfig: panel labels must be distinct: 'signal_1' is repeated\n")
         assert not (tmp_path / "fit.csv").exists()
 
     @pytest.mark.parametrize("alpha", ["0", "1.5", "-1", "nan"])
@@ -609,3 +627,135 @@ def test_rolling_selection_sees_the_weeks_it_estimates(tmp_path, monkeypatch, ca
     assert " queries a,b " in base_out and " queries a " in later_out
     up_to_t = [str(start.add(i)) for i in range(10, t + 1)]
     assert any(base[w] != after[w] for w in up_to_t)
+
+
+# each flag's in-range values, then its edges and out-of-range values, some of
+# which do not parse (a usage error)
+FLAG_VALUES = {
+    "--alpha": (["0.05", "0.001", "0.5"], ["0", "1", "1.5", "-1", "nan", "inf", "x"]),
+    "--shift": (["-2", "0", "1", "2"], ["-3", "3", "1.5", "x"]),
+    "--shifts": (["-2..2", "0..2", "-1,1", "2"], ["3..1", "0,0", "-3..0", "1..x"]),
+    "--mode": (["full", "rolling"], ["weekly"]),
+    "--warmup": (["5", "12"], ["-3", "0", "10000", "x"]),
+    "--seed": (["0", "42", str(2 ** 70)], ["-5", "-1", "1.5"]),
+    "--weeks": (["20", "52", "300"], ["-3", "0", "19"]),
+    "--peaks": (["20:800:3", "10:50:3,40:900:4", "20:800:1e-300"],
+                ["20:800:nan", "20:inf:3", "10:50:0", "20:1e17:3", "20:1e308:3,20:1e308:3",
+                 "1:2"]),
+    "--lead": (["0", "2"], ["-1", "400"]),
+    "--spikes": (["10:5:2", "3:5:0"], ["3:5:-1", "10:1e308:2", "10:nan:2", "10.9:1:1"]),
+    "--decay": (["0.5", "1"], ["0", "1.5", "nan"]),
+    "--noise-sd": (["0", "0.05"], ["-1", "inf"]),
+    "--signal-queries": (["0", "3", "6"], ["-1"]),
+    "--noise-queries": (["0", "6"], ["-1"]),
+    "--start": (["2009-W01", "0001-W01", "9999-W33", "2015-W53"], ["9999-W52", "2009-W60", "x"]),
+}
+OPTIONAL = {
+    "synth": ["--lead", "--spikes", "--decay", "--noise-sd", "--signal-queries",
+              "--noise-queries", "--start"],
+    "nowcast": ["--alpha", "--shifts", "--mode", "--warmup", "--clamp"],
+    "select": ["--alpha", "--shifts"],
+    "fit": ["--alpha", "--shift", "--queries"],
+    "correlate": ["--alpha", "--shift", "--sidecar"],
+    "shift-scan": ["--alpha", "--shifts", "--sidecar"],
+    "report-fig": [],
+}
+OUTPUTS = {
+    "correlate": ["--out", "out.csv"], "shift-scan": ["--out", "out.csv"],
+    "select": ["--out", "out.json"], "fit": ["--out", "out.csv"],
+    "nowcast": ["--out-estimates", "est.csv", "--out-table", "table.csv"],
+    "report-fig": ["--out", "out.csv"],
+    "synth": ["--out-cases", "new-cases.csv", "--out-panel", "new-panel.csv"],
+}
+
+
+def flag_value(flag):
+    """A value of `flag`, in range more often than not."""
+    good, bad = FLAG_VALUES[flag]
+    return st.sampled_from(good) | st.sampled_from(good + bad)
+
+
+@st.composite
+def scenario_files(draw):
+    """cases.csv and panel.csv of a synth scenario of at most 300 weeks and
+    12 queries, ending at 9999-W52 or starting at 0001-W01 among others; the
+    panel maybe cut to a window of its weeks, and one file maybe mutated."""
+    # the first value of each list is the one hypothesis starts from: a scenario that selects
+    weeks, signal = draw(st.integers(20, 300)), draw(st.sampled_from([3, 1, 6, 0]))
+    start = draw(st.sampled_from([WeekStamp(2009, 1), WeekStamp(1, 1),
+                                  WeekStamp(9999, 52).add(1 - weeks)]))
+    peak = (draw(st.sampled_from([weeks // 2, 0, weeks])),
+            draw(st.sampled_from([900.0, 50.0, 0.0])), draw(st.sampled_from([4.0, 1.0])))
+    cases, panel = synth.generate(synth.ScenarioConfig(
+        seed=draw(st.integers(0, 2 ** 32)), weeks=weeks, epidemic_peaks=(peak,),
+        lead_weeks=draw(st.integers(0, 3)), noise_sd=draw(st.sampled_from([0.05, 0.0, 1.0])),
+        n_signal_queries=signal, n_noise_queries=draw(st.integers(int(signal == 0), 6)),
+        start=start))
+    rows = write_trends_csv(panel).decode().splitlines(keepends=True)
+    if draw(st.booleans()):  # a window of the panel's weeks, down to one week
+        lo = draw(st.integers(1, len(rows) - 1))
+        rows = rows[:1] + rows[lo:draw(st.integers(lo + 1, len(rows)))]
+    files = {"cases.csv": write_cases_csv(cases).decode(), "panel.csv": "".join(rows)}
+    mutated = draw(st.sampled_from([None, None, "cases.csv", "panel.csv"]))
+    return {name: draw(mutated_csv(text)) if name == mutated else text.encode()
+            for name, text in files.items()}
+
+
+@st.composite
+def cli_calls(draw):
+    """(input files, argv) of one command, its flags drawn from FLAG_VALUES."""
+    # synth, whose seven flags are the most to draw, about half the time
+    command = draw(st.just("synth") | st.sampled_from(list(OPTIONAL)))
+    if command == "synth":
+        files, argv = {}, [command]
+        for flag in ("--seed", "--weeks", "--peaks"):
+            argv.append(f"{flag}={draw(flag_value(flag))}")
+    else:
+        files = draw(scenario_files())
+        argv = [command, "--cases", "cases.csv", "--panel", "panel.csv"]
+    flags = OPTIONAL[command] and draw(st.lists(st.sampled_from(OPTIONAL[command]), max_size=4))
+    for flag in flags:  # a flag drawn twice is given twice, and argparse keeps the last
+        if flag == "--clamp":
+            argv.append(flag)
+        elif flag == "--sidecar":
+            argv += [flag, "sidecar.json"]
+        elif flag == "--queries":  # the panel's labels, repeated ones and a missing one too
+            labels = files["panel.csv"].split(b"\n", 1)[0].decode().split(",")[1:]
+            queries = draw(st.lists(st.sampled_from(labels + ["missing"]), min_size=1, max_size=4))
+            argv.append(f"{flag}={','.join(queries)}")
+        else:
+            argv.append(f"{flag}={draw(flag_value(flag))}")
+    return files, argv + OUTPUTS[command]
+
+
+class TestFuzz:
+    """Any drawn command, run in this process, exits 0, 1 or 2; exit 1 is
+    one `error: <DataError subclass>: ...` line, and nothing escapes `run`."""
+
+    @given(cli_calls())
+    @settings(max_examples=500, deadline=None)
+    def test_every_exit_is_0_1_or_2(self, call):
+        files, argv = call
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, data in files.items():
+                Path(tmp, name).write_bytes(data)
+            argv = [str(Path(tmp, a)) if a.endswith((".csv", ".json")) else a for a in argv]
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run(argv)
+        # pytest --hypothesis-show-statistics lists how often each outcome was drawn
+        event(f"{argv[0]} exit {code}" + (f" {err.getvalue().split(':')[1]}" if code == 1 else ""))
+        assert code in (0, 1, 2), (argv, code)
+        if code == 1:
+            assert_one_error_line(err.getvalue())
+
+    def test_a_bug_escapes_run(self, tmp_path, monkeypatch):
+        cases, panel = synth_files(tmp_path)
+
+        def misshapen_fit(*args):
+            return np.ones((2, 3)) @ np.ones((2, 3))
+
+        monkeypatch.setattr("flunowcast.cli.fit_ols", misshapen_fit)
+        with pytest.raises(ValueError, match="matmul"):
+            run(["fit", "--cases", str(cases), "--panel", str(panel),
+                 "--out", str(tmp_path / "fit.csv")])

@@ -55,6 +55,16 @@ class TestConfigValidation:
         pulse = _spike_pulse(scenario(media_spikes=((10, 5.0, 0.0),)), 20)
         assert np.flatnonzero(pulse).tolist() == [10] and pulse[10] == 5.0
 
+    def test_negative_seed(self):
+        with pytest.raises(InvalidConfig, match="^seed must be non-negative$"):
+            scenario(seed=-1)
+        generate(scenario(seed=0))
+
+    def test_weeks_must_end_by_9999_w52(self):
+        generate(scenario(weeks=52, start=WeekStamp(9999, 1)))
+        with pytest.raises(InvalidConfig, match="^[+]52 weeks from 9999-W01 is outside "):
+            scenario(weeks=53, start=WeekStamp(9999, 1))
+
     def test_no_queries(self):
         with pytest.raises(InvalidConfig):
             scenario(n_signal_queries=0, n_noise_queries=0)

@@ -37,10 +37,10 @@ def pairs(x, y, k):
 
 
 def outcome(parse, *args):
-    """What `parse` makes of `args`: a week number, or its ValueError's message."""
+    """What `parse` makes of `args`: a week number, or its InvalidConfig's message."""
     try:
         return int(parse(*args))
-    except ValueError as exc:
+    except InvalidConfig as exc:
         return str(exc)
 
 
@@ -49,9 +49,9 @@ class TestWeekStamp:
         assert W(2009, 52) < W(2010, 1) < W(2010, 2)
 
     def test_invalid_week_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig, match="^invalid ISO week 2009-W54$"):
             W(2009, 54)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig, match="^invalid ISO week 2010-W53$"):
             # 2010 has no ISO week 53
             W(2010, 53)
 
@@ -69,7 +69,7 @@ class TestWeekStamp:
         for copied in (copy.deepcopy(W(2009, 53)), pickle.loads(pickle.dumps(W(2009, 53)))):
             assert type(copied) is W and repr(copied) == "2009-W53"
         for bad in ("2009/01", "2015-W 1", "2015-W001", "+201-W01", "２015-W01", "2015-W١"):
-            with pytest.raises(ValueError):
+            with pytest.raises(InvalidConfig, match="^not a YYYY-Www week stamp: "):
                 W.parse(bad)
 
     def test_add_and_distance_are_inverse(self):
@@ -222,7 +222,7 @@ class TestWeekArithmetic:
         try:
             monday = monday_a + datetime.timedelta(weeks=k)
         except OverflowError:
-            with pytest.raises(ValueError, match=f"from {text} is outside"):
+            with pytest.raises(InvalidConfig, match=f"from {text} is outside"):
                 a.add(k)
             return
         assert a.add(k) - a == k
@@ -240,7 +240,7 @@ class TestCalendarWalk:
             weeks = isocalendar_walk(year, week, n)
         except OverflowError:
             for past_the_calendar in (week_labels, iso_years):
-                with pytest.raises(ValueError):
+                with pytest.raises(InvalidConfig, match=" is outside 0001-W01..9999-W52$"):
                     past_the_calendar(W(year, week), n)
             return
         assert week_labels(W(year, week), n) == ["%04d-W%02d" % w for w in weeks]
@@ -250,10 +250,11 @@ class TestCalendarWalk:
         assert W(9999, 51).add(1) == W(9999, 52)
         assert W(1, 2).add(-1) == W(1, 1)
         for start, k in ((W(9999, 52), 1), (W(9999, 1), 52), (W(1, 1), -1)):
-            with pytest.raises(ValueError):
+            message = f"{k:+d} weeks from {start} is outside 0001-W01..9999-W52"
+            with pytest.raises(InvalidConfig, match=f"^{re.escape(message)}$"):
                 start.add(k)
         assert week_labels(W(9999, 50), 3)[-1] == "9999-W52"
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig, match="^[+]3 weeks from 9999-W50 is outside "):
             week_labels(W(9999, 50), 4)
 
 
@@ -366,7 +367,7 @@ class TestWeekly:
     ], ids=["no labels", "repeated label", "wrong width", "one-dimensional", "zero weeks",
             "infinite value", "NaN"])
     def test_constructor_refusals(self, labels, matrix, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(InvalidConfig, match=f"^{message}$"):
             Weekly(W(2009, 1), labels, matrix)
 
     def test_matrix_is_a_read_only_c_order_float_copy(self):
@@ -399,5 +400,5 @@ class TestWeekly:
         assert s.values.shape == (5,) and s.values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
         assert s.start.add(len(s.matrix) - 1) == W(2010, 2)  # 2009 has 53 ISO weeks
         assert s.values[W(2009, 53) - s.start] == 3.0
-        with pytest.raises(ValueError, match="^a frame of 2 columns has no single column$"):
+        with pytest.raises(InvalidConfig, match="^a frame of 2 columns has no single column$"):
             Weekly(W(2009, 1), ("a", "b"), [[1.0, 2.0]]).values
