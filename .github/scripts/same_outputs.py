@@ -16,7 +16,9 @@ newline, an invalid or malformed week stamp, ...), go through the readme's
 `correlate` call under both trees, with the same comparison. Last, calls
 that no workload makes run on the readme files, edited or not: clamped and
 default-warmup nowcasts, `fit --queries`, queries named `cases` or
-`estimates`, a panel inside the cases' range and ranges that are disjoint.
+`estimates`, a panel inside the cases' range and ranges that are disjoint,
+outputs into a missing directory, and `synth` with its optional flags left
+out, each set off its default, or `--peaks` missing.
 """
 
 from __future__ import annotations
@@ -131,6 +133,13 @@ def fit(*options: str) -> workloads.Call:
                           ("coefficients.csv",))
 
 
+def scenario(*options: str) -> workloads.Call:
+    outputs = ("new-cases.csv", "new-panel.csv")
+    argv = ("synth", "--seed", "42", "--weeks", "60", *options, "--out-cases", outputs[0],
+            "--out-panel", outputs[1])
+    return workloads.Call(argv, outputs)
+
+
 CORRELATE = workloads.calls("readme", 42)[1]
 REPORT_FIG = workloads.Call(("report-fig", *INPUTS, "--out", "figure.csv"), ("figure.csv",))
 INSIDE = {"panel.csv": keep_rows(20, 240)}  # the panel starts later and ends earlier
@@ -154,6 +163,18 @@ EDGE_CALLS = [
     ("fit on disjoint ranges", DISJOINT, fit()),
     ("nowcast on disjoint ranges", DISJOINT, nowcast()),
     ("report-fig on disjoint ranges", DISJOINT, REPORT_FIG),
+    ("correlate with its sidecar in a missing directory", {},
+     workloads.Call(("correlate", *INPUTS, "--out", "table.csv", "--sidecar", "nodir/table.json"),
+                    ("table.csv", "nodir/table.json"))),
+    ("nowcast with its table in a missing directory", {},
+     workloads.Call(("nowcast", *INPUTS, "--out-estimates", "estimates.csv",
+                     "--out-table", "nodir/t.csv"), ("estimates.csv", "nodir/t.csv"))),
+    ("synth with its optional flags left out", {}, scenario("--peaks", "10:300:3,40:500:4")),
+    ("synth with every flag off its default", {},
+     scenario("--peaks", "10:300:3,40:500:4", "--lead", "3", "--spikes", "15:40:2,45:20:0",
+              "--decay", "0.8", "--noise-sd", "0.3", "--signal-queries", "4",
+              "--noise-queries", "2", "--start", "2012-W30")),
+    ("synth without --peaks", {}, scenario("--lead", "3")),
 ]
 
 

@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 data error (one stderr line naming its
 DataError subclass), 2 usage error (argparse prints the grammar). Files
 are written only to paths named in flags; stdout carries human-readable summaries.
+
+`run` alone touches files: it reads the inputs, has the command build every output
+as bytes, then writes them, so a refusal leaves no file. An I/O failure on a later
+output leaves the earlier ones; a temporary file and a rename would change how
+`--out /dev/stdout`, pipes, symlinks and read-only existing files behave.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import functools
 import gc
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -63,11 +69,6 @@ def _parse_triples(text: str, first=float) -> tuple[tuple[float, float, float], 
     return tuple(out)
 
 
-def _parse_spikes(text: str) -> tuple[tuple[int, float, float], ...]:
-    """Parse 'week:magnitude:decay[,...]' with an integer week."""
-    return _parse_triples(text, int)
-
-
 def _read(path: str) -> bytes:
     try:
         with open(path, "rb") as fh:
@@ -82,12 +83,6 @@ def _write(path: str, data: bytes) -> None:
             fh.write(data)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc.strerror}") from None
-
-
-def _load_inputs(args):
-    cases = parse_cases_csv(_read(args.cases))
-    panel = parse_trends_csv(_read(args.panel))
-    return cases, panel
 
 
 def _add_common(p, shift=False, shifts=False, alpha_help="significance level of the gate"):
@@ -141,21 +136,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-estimates", required=True, help="estimates + actual figure CSV")
     p.add_argument("--out-table", required=True, help="objective-by-shift table CSV")
 
-    p = sub.add_parser("synth", help="generate a synthetic scenario as CSV fixtures")
+    # each scenario flag's dest is a ScenarioConfig field; one left out takes its default
+    p = sub.add_parser("synth", help="generate a synthetic scenario as CSV fixtures",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--weeks", type=int, required=True)
-    p.add_argument("--peaks", type=_expecting("center:height:width[,...]", _parse_triples),
-                   required=True, help="center:height:width[,center:height:width...]")
-    p.add_argument("--lead", type=int, default=2)
-    p.add_argument("--spikes", default=(), type=_expecting(
-                       "week:magnitude:decay[,...] with an integer week", _parse_spikes),
+    p.add_argument("--peaks", dest="epidemic_peaks", metavar="PEAKS", required=True,
+                   type=_expecting("center:height:width[,...]", _parse_triples),
+                   help="center:height:width[,center:height:width...]")
+    p.add_argument("--lead", dest="lead_weeks", metavar="LEAD", type=int)
+    p.add_argument("--spikes", dest="media_spikes", metavar="SPIKES", type=_expecting(
+                       "week:magnitude:decay[,...] with an integer week",
+                       functools.partial(_parse_triples, first=int)),
                    help="week:magnitude:decay[,...]")
-    p.add_argument("--decay", type=float, default=1.0)
-    p.add_argument("--noise-sd", type=float, default=0.0)
-    p.add_argument("--signal-queries", type=int, default=3)
-    p.add_argument("--noise-queries", type=int, default=0)
-    p.add_argument("--start", type=_expecting("an ISO week YYYY-Www", WeekStamp.parse),
-                   default=synth.DEFAULT_START)
+    p.add_argument("--decay", dest="attention_decay", metavar="DECAY", type=float)
+    p.add_argument("--noise-sd", type=float)
+    p.add_argument("--signal-queries", dest="n_signal_queries", metavar="SIGNAL_QUERIES",
+                   type=int)
+    p.add_argument("--noise-queries", dest="n_noise_queries", metavar="NOISE_QUERIES", type=int)
+    p.add_argument("--start", type=_expecting("an ISO week YYYY-Www", WeekStamp.parse))
     p.add_argument("--out-cases", required=True)
     p.add_argument("--out-panel", required=True)
 
@@ -167,38 +166,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_table(args) -> int:
-    cases, panel = _load_inputs(args)
+def _cmd_table(args, cases, panel):
     if args.command == "correlate":
         table = report.table_overall_annual(panel, cases, args.alpha, args.shift)
         done = f"{len(panel.labels)} queries x {len(cases.matrix)} weeks"
     else:
         table = report.table_shift_scan(panel, cases, tuple(args.shifts), args.alpha)
         done = f"shifts {args.shifts}"
-    _write(args.out, table.to_csv())
-    if args.sidecar:
-        _write(args.sidecar, table.to_sidecar_json())
-    print(f"{args.command}: {done} -> {args.out}")
-    return 0
+    return ([(args.out, table.to_csv()), (args.sidecar, table.to_sidecar_json())],
+            f"{args.command}: {done} -> {args.out}")
 
 
-def _cmd_select(args) -> int:
-    cases, panel = _load_inputs(args)
+def _cmd_select(args, cases, panel):
     result = selection.greedy_select(panel, cases, args.shifts, args.alpha)
-    payload = {
-        "chosen": list(result.chosen_labels),
-        "shift": result.best_shift,
-        "objective": result.objective,
-        "trace": [{"step": s, "added": l, "objective": o} for s, l, o in result.trace],
-    }
-    _write(args.out, (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8"))
-    print(f"select: {len(result.chosen_labels)} queries at shift {result.best_shift:+d}, "
-          f"objective {result.objective:.4f}")
-    return 0
+    trace = [{"step": s, "added": l, "objective": o} for s, l, o in result.trace]
+    payload = {"chosen": list(result.chosen_labels), "shift": result.best_shift,
+               "objective": result.objective, "trace": trace}
+    return ([(args.out, (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode())],
+            f"select: {len(result.chosen_labels)} queries at shift {result.best_shift:+d}, "
+            f"objective {result.objective:.4f}")
 
 
-def _cmd_fit(args) -> int:
-    cases, panel = _load_inputs(args)
+def _cmd_fit(args, cases, panel):
     if args.queries:
         panel = panel.subset(args.queries.split(","))
     fit = fit_ols(panel, cases, args.shift)
@@ -208,13 +197,11 @@ def _cmd_fit(args) -> int:
                      f"{c.ci_low:.6g},{c.ci_high:.6g},{c.p_value:.6g}")
     lines.append(f"# r_squared={fit.r_squared:.4f} residual_dof={fit.residual_dof} "
                  f"shift={fit.shift:+d}")
-    _write(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
-    print(f"fit: {len(panel.labels)} queries, r^2 {fit.r_squared:.4f} -> {args.out}")
-    return 0
+    return ([(args.out, ("\n".join(lines) + "\n").encode("utf-8"))],
+            f"fit: {len(panel.labels)} queries, r^2 {fit.r_squared:.4f} -> {args.out}")
 
 
-def _cmd_nowcast(args) -> int:
-    cases, panel = _load_inputs(args)
+def _cmd_nowcast(args, cases, panel):
     sel = selection.greedy_select(panel, cases, args.shifts, args.alpha)
     sub = panel.subset(list(sel.chosen_labels))
     if args.mode == "rolling":
@@ -229,40 +216,26 @@ def _cmd_nowcast(args) -> int:
         ev = stats.gated_columns([rows], args.alpha)[0]
         shown = [estimates]
         overall = "NA" if ev.reason[0] else f"{ev.r[0]:.2f}"
-    _write(args.out_estimates, report.figure_data(shown + [cases]))
+    figure = report.figure_data(shown + [cases])
     table = report.table_model_by_shift(sub, cases, tuple(args.shifts))
-    _write(args.out_table, table.to_csv())
-    print(f"nowcast ({args.mode}): queries {','.join(sel.chosen_labels)} "
-          f"shift {sel.best_shift:+d} overall r {overall}")
-    return 0
+    return ([(args.out_estimates, figure), (args.out_table, table.to_csv())],
+            f"nowcast ({args.mode}): queries {','.join(sel.chosen_labels)} "
+            f"shift {sel.best_shift:+d} overall r {overall}")
 
 
-def _cmd_synth(args) -> int:
-    cfg = synth.ScenarioConfig(
-        seed=args.seed,
-        weeks=args.weeks,
-        epidemic_peaks=args.peaks,
-        lead_weeks=args.lead,
-        media_spikes=args.spikes,
-        attention_decay=args.decay,
-        noise_sd=args.noise_sd,
-        n_signal_queries=args.signal_queries,
-        n_noise_queries=args.noise_queries,
-        start=args.start,
-    )
+def _cmd_synth(args):
+    parsed = vars(args)
+    cfg = synth.ScenarioConfig(**{f.name: parsed[f.name] for f in fields(synth.ScenarioConfig)
+                                  if f.name in parsed})
     cases, panel = synth.generate(cfg)
-    _write(args.out_cases, write_cases_csv(cases))
-    _write(args.out_panel, write_trends_csv(panel))
-    print(f"synth: seed {args.seed}, {args.weeks} weeks, "
-          f"{len(panel.labels)} queries -> {args.out_cases}, {args.out_panel}")
-    return 0
+    return ([(args.out_cases, write_cases_csv(cases)), (args.out_panel, write_trends_csv(panel))],
+            f"synth: seed {cfg.seed}, {cfg.weeks} weeks, "
+            f"{len(panel.labels)} queries -> {args.out_cases}, {args.out_panel}")
 
 
-def _cmd_report_fig(args) -> int:
-    cases, panel = _load_inputs(args)
-    _write(args.out, report.figure_data([cases, panel]))
-    print(f"report-fig: {1 + len(panel.labels)} series -> {args.out}")
-    return 0
+def _cmd_report_fig(args, cases, panel):
+    return ([(args.out, report.figure_data([cases, panel]))],
+            f"report-fig: {1 + len(panel.labels)} series -> {args.out}")
 
 
 _COMMANDS = {
@@ -283,10 +256,20 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _COMMANDS[args.command](args)
+        if args.command == "synth":
+            outputs, summary = _cmd_synth(args)
+        else:  # cases first, so a bad cases file is the one reported
+            cases = parse_cases_csv(_read(args.cases))
+            panel = parse_trends_csv(_read(args.panel))
+            outputs, summary = _COMMANDS[args.command](args, cases, panel)
+        for path, data in outputs:  # written in flag order, once every one is built
+            if path is not None:
+                _write(path, data)
     except DataError as exc:  # any other exception is a bug, and its traceback shows
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    print(summary)
+    return 0
 
 
 def main() -> None:

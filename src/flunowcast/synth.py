@@ -12,7 +12,7 @@ reproduces its output bit for bit.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,9 +42,9 @@ class ScenarioConfig:
             raise InvalidConfig("seed must be non-negative")
         if self.weeks < 20:
             raise InvalidConfig("scenario needs at least 20 weeks")
-        numbers = [v for peak in self.epidemic_peaks for v in peak]
-        numbers += [v for _, m, d in self.media_spikes for v in (m, d)] + [self.noise_sd]
-        if not all(map(math.isfinite, numbers)):
+        rows = (*self.epidemic_peaks, *self.media_spikes, (self.noise_sd,))
+        # finite as a float: a spike week is an int, which may be too large for one
+        if not all(abs(v) <= sys.float_info.max for row in rows for v in row):
             raise InvalidConfig("peaks, spikes and noise_sd must be finite")
         if any(w <= 0 for _, _, w in self.epidemic_peaks):
             raise InvalidConfig("peak widths must be positive")

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 from scipy import stats as scipy_stats
 
-from flunowcast import errors, stats, synth
+from flunowcast import cli, errors, report, stats, synth
 from flunowcast.cli import _COMMANDS, run
 from flunowcast.ingest import parse_cases_csv, parse_trends_csv, write_cases_csv, write_trends_csv
 from flunowcast.timeseries import WeekStamp
@@ -175,6 +175,24 @@ class TestSynth:
         assert parse_cases_csv(cases.read_bytes()).matrix.shape == (150, 1)
         assert parse_trends_csv(panel.read_bytes()).labels == ("signal_1", "signal_2")
 
+    def test_flags_left_out_take_the_config_defaults(self, tmp_path):
+        cases, panel = tmp_path / "cases.csv", tmp_path / "panel.csv"
+        assert run(["synth", "--seed", "3", "--weeks", "40", "--peaks", "10:50:3,30:80:4",
+                    "--out-cases", str(cases), "--out-panel", str(panel)]) == 0
+        want_cases, want_panel = synth.generate(synth.ScenarioConfig(
+            seed=3, weeks=40, epidemic_peaks=((10.0, 50.0, 3.0), (30.0, 80.0, 4.0))))
+        assert cases.read_bytes() == write_cases_csv(want_cases)
+        assert panel.read_bytes() == write_trends_csv(want_panel)
+
+    def test_usage_names_the_flags_not_the_config_fields(self, capsys):
+        assert run(["synth", "--help"]) == 0
+        usage = " ".join(capsys.readouterr().out.split("\n\n")[0].split())
+        assert usage == (
+            "usage: flunowcast synth [-h] --seed SEED --weeks WEEKS --peaks PEAKS [--lead LEAD] "
+            "[--spikes SPIKES] [--decay DECAY] [--noise-sd NOISE_SD] "
+            "[--signal-queries SIGNAL_QUERIES] [--noise-queries NOISE_QUERIES] [--start START] "
+            "--out-cases OUT_CASES --out-panel OUT_PANEL")
+
     @pytest.mark.parametrize("week", ["inf", "nan", "10.9"])
     def test_spike_week_must_be_an_integer(self, tmp_path, capsys, week):
         cases, panel = tmp_path / "cases.csv", tmp_path / "panel.csv"
@@ -290,6 +308,31 @@ class TestCorrelate:
         assert code == 1
         assert capsys.readouterr().err == "error: MalformedRow: line 3: case count above 2**53\n"
         assert not (tmp_path / "t.csv").exists()
+
+
+def refuse(*args):
+    raise errors.DataError("refused")
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["correlate", "--out", "t.csv", "--sidecar", "t.json"], (report.Table, "to_sidecar_json")),
+    (["shift-scan", "--out", "s.csv", "--sidecar", "s.json"], (report.Table, "to_sidecar_json")),
+    (["nowcast", "--out-estimates", "e.csv", "--out-table", "t.csv"],
+     (report, "table_model_by_shift")),
+    (["synth", "--seed", "1", "--weeks", "30", "--peaks", "10:50:3",
+      "--out-cases", "c.csv", "--out-panel", "p.csv"], (cli, "write_trends_csv")),
+], ids=["correlate", "shift-scan", "nowcast", "synth"])
+def test_a_refusal_while_outputs_are_built_writes_no_file(tmp_path, monkeypatch, capsys,
+                                                           argv, target):
+    # the builder of the last output refuses once the first output is built
+    cases, panel = synth_files(tmp_path / "in")
+    inputs = [] if argv[0] == "synth" else ["--cases", str(cases), "--panel", str(panel)]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(*target, refuse)
+    capsys.readouterr()
+    assert run([argv[0], *inputs, *argv[1:]]) == 1
+    assert capsys.readouterr().err == "error: DataError: refused\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["in"]
 
 
 class TestPipelineCommands:
@@ -643,7 +686,8 @@ FLAG_VALUES = {
                 ["20:800:nan", "20:inf:3", "10:50:0", "20:1e17:3", "20:1e308:3,20:1e308:3",
                  "1:2"]),
     "--lead": (["0", "2"], ["-1", "400"]),
-    "--spikes": (["10:5:2", "3:5:0"], ["3:5:-1", "10:1e308:2", "10:nan:2", "10.9:1:1"]),
+    "--spikes": (["10:5:2", "3:5:0"], ["3:5:-1", "10:1e308:2", "10:nan:2", "10.9:1:1",
+                                       f"1{'0' * 400}:1:1"]),
     "--decay": (["0.5", "1"], ["0", "1.5", "nan"]),
     "--noise-sd": (["0", "0.05"], ["-1", "inf"]),
     "--signal-queries": (["0", "3", "6"], ["-1"]),

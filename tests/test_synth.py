@@ -75,6 +75,8 @@ class TestConfigValidation:
         {"epidemic_peaks": ((float("-inf"), 800, 3),)},
         {"media_spikes": ((10, float("nan"), 2),)},
         {"media_spikes": ((10, 5, float("inf")),)},
+        # an int week past the largest float
+        {"media_spikes": ((10 ** 400, 5, 2),)},
         {"noise_sd": float("inf")},
         {"noise_sd": float("nan")},
     ])
