@@ -12,8 +12,9 @@ script exits 1.
 
 Then fixed edits of the seed-42 readme files, each one refused or read
 at an edge of the CSV grammar (a 16-digit cell, CRLF, a missing final
-newline, an invalid or malformed week stamp, ...), go through the readme's
-`correlate` call under both trees, with the same comparison. Last, calls
+newline, an invalid or malformed week stamp, two breaks in one row or in
+two rows, ...), go through the readme's `correlate` call under both
+trees, with the same comparison. Last, calls
 that no workload makes run on the readme files, edited or not: clamped and
 default-warmup nowcasts, `fit --queries`, queries named `cases` or
 `estimates`, a panel inside the cases' range and ranges that are disjoint,
@@ -100,6 +101,26 @@ EDGE_INPUTS = [
     ("2009-W53, a real week out of order", "panel.csv", edit_cell(5, 0, b"2009-W53")),
     ("2009-w05", "panel.csv", edit_cell(5, 0, b"2009-w05")),
     ("a full-width digit in a stamp", "cases.csv", edit_cell(5, 0, "２009-W05".encode())),
+    # the rule a row breaks first, and the break of the first bad row
+    ("-", "panel.csv", edit_cell(5, 1, b"-")),
+    ("--5", "panel.csv", edit_cell(5, 1, b"--5")),
+    ("5-", "panel.csv", edit_cell(5, 2, b"5-")),
+    ("a superscript two", "panel.csv", edit_cell(5, 3, "²".encode())),
+    ("x, then 5,000 digits", "panel.csv", edit_cell(5, 1, b"x" + b"1" * 5000)),
+    ("a 5,000-digit cell, then x", "panel.csv",
+     edits(edit_cell(5, 1, b"1" * 5000), edit_cell(5, 2, b"x"))),
+    ("x, then a 5,000-digit cell", "panel.csv",
+     edits(edit_cell(5, 1, b"x"), edit_cell(5, 2, b"1" * 5000))),
+    ("an extra cell and a bad stamp in one row", "panel.csv",
+     edits(edit_cell(5, 1, lambda cell: cell + b",7"), edit_cell(5, 0, b"2009-W54"))),
+    ("a bad stamp and x in one row", "panel.csv",
+     edits(edit_cell(5, 0, b"2009-W54"), edit_cell(5, 2, b"x"))),
+    ("101, then x two rows on", "panel.csv",
+     edits(edit_cell(5, 1, b"101"), edit_cell(7, 1, b"x"))),
+    ("a dropped case row, then a count of 1.5", "cases.csv",
+     edits(edit_lines(lambda lines: lines.pop(5)), edit_cell(8, 1, b"1.5"))),
+    ("- as a count", "cases.csv", edit_cell(5, 1, b"-")),
+    ("- then 5,000 ones as a count", "cases.csv", edit_cell(5, 1, b"-" + b"1" * 5000)),
 ]
 
 

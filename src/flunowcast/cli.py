@@ -24,7 +24,7 @@ import numpy as np
 from . import report, selection, stats, synth
 from .errors import DataError, InvalidConfig
 from .ingest import parse_cases_csv, parse_trends_csv, write_cases_csv, write_trends_csv
-from .regress import coefficient_stats, fit_ols, predict, rolling_weekly_fit
+from .regress import fit_ols, predict, rolling_weekly_fit
 from .stats import ALPHA
 from .timeseries import DEFAULT_SHIFTS, MAX_SHIFT, Weekly, WeekStamp
 
@@ -191,13 +191,7 @@ def _cmd_fit(args, cases, panel):
     if args.queries:
         panel = panel.subset(args.queries.split(","))
     fit = fit_ols(panel, cases, args.shift)
-    lines = ["term,estimate,std_error,ci_low,ci_high,p_value"]
-    for name, c in coefficient_stats(fit, args.alpha):
-        lines.append(f"{name},{c.estimate:.6g},{c.std_error:.6g},"
-                     f"{c.ci_low:.6g},{c.ci_high:.6g},{c.p_value:.6g}")
-    lines.append(f"# r_squared={fit.r_squared:.4f} residual_dof={fit.residual_dof} "
-                 f"shift={fit.shift:+d}")
-    return ([(args.out, ("\n".join(lines) + "\n").encode("utf-8"))],
+    return ([(args.out, report.table_coefficients(fit, args.alpha).to_csv())],
             f"fit: {len(panel.labels)} queries, r^2 {fit.r_squared:.4f} -> {args.out}")
 
 

@@ -8,7 +8,7 @@ Two fixed CSV layouts, both UTF-8 with LF endings and no quoting:
 An <int> is ASCII digits after an optional "-", leading zeros allowed (-0
 reads as 0), at most int()'s 4,300-digit limit. Panels may omit zero weeks
 (zero-filled on parse); case files may not. Each parser flags every row with
-array steps on the bytes and refuses the first bad line, splitting only it.
+array steps on the bytes and words the first bad line's refusal from them.
 """
 
 from __future__ import annotations
@@ -51,43 +51,29 @@ def _line(data: bytes, lineno: int) -> list[str]:
     return data.split(b"\n", lineno)[lineno - 1].decode().split(",")
 
 
-def _refuse_line(data: bytes, lineno: int, width: int) -> None:
-    """Raise the MalformedRow of data line `lineno`, which breaks the row grammar:
-    for its cell count, else its stamp, else its first cell not an integer."""
-    cells = _line(data, lineno)
-    if len(cells) != width:
-        raise MalformedRow(f"line {lineno}: expected {width} cells, got {len(cells)}")
-    try:
-        WeekStamp.parse(cells[0])
-    except InvalidConfig as exc:
-        raise MalformedRow(f"line {lineno}: {exc}") from None
-    for cell in cells[1:]:
-        digits = cell[1:] if cell.startswith("-") else cell
-        # str.isdigit alone admits non-ASCII digits such as '²' and '١'
-        if not (digits.isascii() and digits.isdigit()):
-            raise MalformedRow(f"line {lineno}: not an integer: {cell!r}")
-        if len(digits) > _MAX_DIGITS:
-            raise MalformedRow(f"line {lineno}: integer of {len(digits)} digits is too long")
-
-
 def _first(flags: np.ndarray) -> int:
     """The index of the first true flag, or len(flags) if none is."""
     return int(flags.argmax()) if flags.any() else len(flags)
 
 
-def _kept_rows(body: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, int]:
+def _kept_rows(body: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, int, tuple]:
     """For `body`, LF-ended data rows: where each starts and the last ends, their
-    week numbers, and how many come before the first off the row grammar
-    `YYYY-Www(,-?D{1,_MAX_DIGITS}){width - 1}` (D an ASCII digit, the stamp an ISO week)."""
+    week numbers, how many come before the first off the row grammar
+    `YYYY-Www(,-?D{1,_MAX_DIGITS}){width - 1}` (D an ASCII digit, the stamp an ISO week),
+    and the first rule it breaks: ("cells", its cell count), ("stamp", its stamp), or of
+    its first bad cell ("integer", its text) or ("digits", its digit count); () if none."""
     newline = body == 10
     seps = np.flatnonzero(newline | (body == 44))  # "\n" and ","
     last = np.flatnonzero(newline[seps])  # where each row's newline is among seps
     counts = np.diff(last, prepend=-1)  # each row's cells
     bounds = np.concatenate(([0], seps[last] + 1))
+    firsts = seps[last - counts + 1]  # where each row's first cell ends
     stamps = body.take(bounds[:-1, None] + np.arange(8), mode="clip")
     weeks, _, valid = week_numbers(stamps.tobytes())
     # the rows before the first with a wrong cell count or stamp
-    n = _first((counts != width) | (seps[last - counts + 1] - bounds[:-1] != 8) | ~valid)
+    n = _first((counts != width) | (firsts - bounds[:-1] != 8) | ~valid)
+    broken = (() if n == len(counts) else ("cells", int(counts[n])) if counts[n] != width
+              else ("stamp", body[bounds[n]:firsts[n]].tobytes().decode()))
     seps = seps[:n * width].reshape(n, width)
     digits = np.diff(seps, axis=1)
     digits -= 1 + (body[seps[:, :-1] + 1] == 45)  # a cell's length less its "-", in place
@@ -96,10 +82,13 @@ def _kept_rows(body: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, in
     # covers only rows that keep the other rules, so two bad rows cannot balance
     if n and not (digits.min() >= 1 and digits.max() <= _MAX_DIGITS
                   and np.count_nonzero(is_digit) == 6 * n + digits.sum()):
-        row_digits = np.add.reduceat(is_digit, bounds[:n], dtype=np.int64)
-        n = _first(((digits < 1) | (digits > _MAX_DIGITS)).any(axis=1)
-                   | (row_digits != 6 + digits.sum(axis=1)))
-    return bounds, weeks, n
+        found = np.diff(np.cumsum(is_digit)[seps], axis=1)  # each cell's digits: no sep is one
+        wrong = (digits < 1) | (found != digits)
+        bad = wrong | (digits > _MAX_DIGITS)
+        n, j = divmod(int(bad.argmax()), width - 1)  # the first bad row, its first bad cell
+        broken = (("integer", body[seps[n, j] + 1:seps[n, j + 1]].tobytes().decode())
+                  if wrong[n, j] else ("digits", int(digits[n, j])))
+    return bounds, weeks, n, broken
 
 
 def _refuse_volume(where: str, v, text: str) -> None:
@@ -127,7 +116,7 @@ def _table(data: bytes, width: int, top: int, refuse, gaps: bool) -> tuple[np.nd
     before the first off the grammar are converted; a cell past int64 saturates."""
     head = data.find(b"\n") + 1 or len(data) + 1  # past the header line, or past the end
     body = np.frombuffer(data if data.endswith(b"\n") else data + b"\n", np.uint8, offset=head)
-    bounds, weeks, n = _kept_rows(body, width)
+    bounds, weeks, n, broken = _kept_rows(body, width)
     text = np.delete(body[:bounds[n]], (bounds[:n, None] + np.arange(9)).ravel())  # less stamps
     text[text == 10] = 44
     cells = np.fromstring(text[:-1].tobytes(), dtype=np.int64, sep=",").reshape(n, width - 1)
@@ -141,8 +130,17 @@ def _table(data: bytes, width: int, top: int, refuse, gaps: bool) -> tuple[np.nd
             refuse(f"line {i + 2}", v, str(v))
         raise (GapInCases(f"missing week(s) before {line[0]}") if steps[i] > 1 else
                NonContiguousAfterFill(f"week {line[0]} out of order or duplicated"))
-    if n < len(weeks):
-        _refuse_line(data, n + 2, width)
+    if broken:
+        rule, value = broken
+        if rule == "stamp":
+            try:
+                WeekStamp.parse(value)
+            except InvalidConfig as exc:
+                raise MalformedRow(f"line {n + 2}: {exc}") from None
+        raise MalformedRow(f"line {n + 2}: " + (
+            f"expected {width} cells, got {value}" if rule == "cells" else
+            f"not an integer: {value!r}" if rule == "integer" else
+            f"integer of {value} digits is too long"))
     return weeks[:n], cells
 
 

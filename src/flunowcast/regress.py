@@ -12,8 +12,8 @@ A greedy step's candidate models are factored together, in one stacked
 QR (`candidate_objectives`), and each lane's objective equals that of
 its own fit bit for bit.
 Coefficient inference (intervals, p-values) is computed only on request,
-by `coefficient_stats`: one critical t, and every term's p from one
-call of the Student-t kernel.
+by `coefficient_stats` as one plain row a term: one critical t, and
+every term's p from one call of the Student-t kernel.
 """
 
 from __future__ import annotations
@@ -28,15 +28,6 @@ from .errors import SingularDesign, Underdetermined
 from .timeseries import Weekly, paired
 
 PIVOT_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class CoefficientStats:
-    estimate: float
-    std_error: float
-    ci_low: float
-    ci_high: float
-    p_value: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,17 +88,16 @@ def fit_ols(panel: Weekly, y: Weekly, k: int) -> ModelFit:
     )
 
 
-def coefficient_stats(fit: ModelFit, alpha: float) -> list[tuple[str, CoefficientStats]]:
-    """Each term's estimate, standard error, 1 - alpha interval and two-sided p.
-
-    Intercept first, as "(intercept)". The p-values do not depend on alpha.
-    """
+def coefficient_stats(fit: ModelFit, alpha: float) -> list[tuple]:
+    """Each term's row (term, estimate, std_error, ci_low, ci_high, p_value), the
+    interval 1 - alpha and p two-sided; intercept first, as "(intercept)". The
+    p-values do not depend on alpha."""
     tcrit = stats.t_critical(alpha, fit.residual_dof)
     live = fit.std_errors != 0.0
     p = np.zeros(len(fit.betas))
     p[live] = stats.t_two_sided_p(fit.betas[live] / fit.std_errors[live], fit.residual_dof)
-    return [(term, CoefficientStats(est, se, est - tcrit * se, est + tcrit * se, pj) if se != 0.0
-             else CoefficientStats(est, 0.0, est, est, 0.0))
+    return [(term, est, se, est - tcrit * se, est + tcrit * se, pj) if se != 0.0
+            else (term, est, 0.0, est, est, 0.0)
             for term, est, se, pj in zip(("(intercept)",) + fit.labels, fit.betas.tolist(),
                                          fit.std_errors.tolist(), p.tolist())]
 

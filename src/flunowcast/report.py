@@ -1,8 +1,8 @@
 """Machine-readable tables and figure data.
 
-Tables render to CSV with every number at exactly two decimal places and
-`NA` cells; the significance and NA-reason detail the formatted tables
-drop is available as a JSON sidecar. The sidecar is the text that
+Every table renders to CSV through `Table.to_csv`: the fit table to six
+significant digits, the others at exactly two decimal places with `NA` cells.
+The correlation tables' p and NA-reason detail is a JSON sidecar, the text that
 `json.dumps(..., indent=2, ensure_ascii=False)` would write, printed from
 the gate's columns with one %-template per cell and one per row. Figure
 data is a long-format CSV (week, label, value) of every column of the
@@ -20,7 +20,7 @@ import numpy as np
 from . import stats
 from .errors import EmptyLabel, InsufficientOverlap
 from .ingest import check_labels
-from .regress import in_sample_objective
+from .regress import ModelFit, coefficient_stats, in_sample_objective
 from .stats import ALPHA
 from .timeseries import DEFAULT_SHIFTS, Weekly, iso_years, paired, week_labels
 
@@ -130,6 +130,16 @@ def table_model_by_shift(chosen: Weekly, y: Weekly,
     objectives = [in_sample_objective(*stats.paired_rows(chosen, y, k)) for k in shifts]
     cells = tuple("NA" if obj is None else f"{obj:.2f}" for obj in objectives)
     return Table(columns, (("model",) + cells,), (f"p<{ALPHA:g}",), "")
+
+
+def table_coefficients(fit: ModelFit, alpha: float) -> Table:
+    """Each term's `coefficient_stats` row to six significant digits, and the
+    fit's R^2, residual degrees of freedom and shift as a footnote; no sidecar."""
+    rows = tuple((term, *(f"{v:.6g}" for v in values))
+                 for term, *values in coefficient_stats(fit, alpha))
+    return Table(("term", "estimate", "std_error", "ci_low", "ci_high", "p_value"), rows,
+                 (f"# r_squared={fit.r_squared:.4f} residual_dof={fit.residual_dof} "
+                  f"shift={fit.shift:+d}",), "")
 
 
 def figure_data(frames: list[Weekly]) -> bytes:

@@ -31,8 +31,9 @@ from flunowcast.report import table_model_by_shift, table_overall_annual
 from flunowcast.selection import greedy_select
 from flunowcast.stats import ALPHA, gated_columns, paired_rows
 from flunowcast.synth import ScenarioConfig, generate
-from flunowcast.timeseries import WeekStamp, Weekly, paired
+from flunowcast.timeseries import paired
 
+from .frames import W0, panel_of, ws
 from .oracles import (
     correlation_p_value,
     definitional_pearson,
@@ -41,7 +42,6 @@ from .oracles import (
     permutation_p_value,
 )
 
-W0 = WeekStamp(2009, 1)
 SHIFTS = [-2, -1, 0, 1, 2]
 
 # committed scenario: three queries leading cases by two weeks over the
@@ -64,16 +64,6 @@ DECAY_SCENARIO = ScenarioConfig(
 
 def _report(num, text):
     print(f"\nACCEPTANCE {num} PASS: {text}")
-
-
-def ws(values, label=""):
-    """A one-column frame of `values` from W0."""
-    return Weekly(W0, (label,), [[v] for v in values])
-
-
-def panel_of(columns):
-    labels, values = zip(*columns)
-    return Weekly(W0, labels, np.column_stack(values))
 
 
 def test_criterion_1_correlation_oracle():

@@ -772,6 +772,31 @@ def cli_calls(draw):
     return files, argv + OUTPUTS[command]
 
 
+@st.composite
+def mutated_bytes(draw, data):
+    """`data` with one to four runs of up to three bytes replaced by up to three
+    others (an insert or a deletion where either run is empty): arbitrary bytes,
+    or ones the CSV grammar turns on (non-UTF-8, CR, LF, comma, minus)."""
+    data = bytearray(data)
+    some = st.sampled_from([b"\xff", b"\xc3", b"\r", b"\n", b",", b"-"]) | st.binary(max_size=3)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(data)))
+        data[i:i + draw(st.integers(0, 3))] = draw(some)
+    return bytes(data)
+
+
+def run_in(files, argv):
+    """(exit code, stderr) of `run(argv)` in a directory holding `files`, whose
+    names and the other .csv and .json paths of argv are read inside it."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in files.items():
+            Path(tmp, name).write_bytes(data)
+        argv = [str(Path(tmp, a)) if a.endswith((".csv", ".json")) else a for a in argv]
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            return run(argv), err.getvalue()
+
+
 class TestFuzz:
     """Any drawn command, run in this process, exits 0, 1 or 2; exit 1 is
     one `error: <DataError subclass>: ...` line, and nothing escapes `run`."""
@@ -780,18 +805,23 @@ class TestFuzz:
     @settings(max_examples=500, deadline=None)
     def test_every_exit_is_0_1_or_2(self, call):
         files, argv = call
-        err = io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp:
-            for name, data in files.items():
-                Path(tmp, name).write_bytes(data)
-            argv = [str(Path(tmp, a)) if a.endswith((".csv", ".json")) else a for a in argv]
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                code = run(argv)
+        code, err = run_in(files, argv)
         # pytest --hypothesis-show-statistics lists how often each outcome was drawn
-        event(f"{argv[0]} exit {code}" + (f" {err.getvalue().split(':')[1]}" if code == 1 else ""))
+        event(f"{argv[0]} exit {code}" + (f" {err.split(':')[1]}" if code == 1 else ""))
         assert code in (0, 1, 2), (argv, code)
         if code == 1:
-            assert_one_error_line(err.getvalue())
+            assert_one_error_line(err)
+
+    @given(st.sampled_from([c for c in OUTPUTS if c != "synth"]), scenario_files(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_bytes_exit_0_or_1(self, command, files, data):
+        name = data.draw(st.sampled_from(sorted(files)))
+        files[name] = data.draw(mutated_bytes(files[name]))
+        argv = [command, "--cases", "cases.csv", "--panel", "panel.csv", *OUTPUTS[command]]
+        code, err = run_in(files, argv)
+        assert code in (0, 1), (argv, code, err)
+        if code == 1:
+            assert_one_error_line(err)
 
     def test_a_bug_escapes_run(self, tmp_path, monkeypatch):
         cases, panel = synth_files(tmp_path)

@@ -588,6 +588,16 @@ class TestByteCheck:
             assert parsed(parser, blob) == row_by_row(parser, blob)
 
 
+@pytest.mark.parametrize("cells", [
+    ["x" + "1" * 5000, "7"], ["1" * 5000, "x"], ["x", "1" * 5000], ["7", "-" + "1" * 5000],
+    ["-", "7"], ["--5", "7"], ["7", "5-"], ["²", "x"], ["1" * 4300, "x"], ["1" * 4301, "x"]])
+def test_a_row_names_its_first_bad_cell_as_the_row_reader_does(cells):
+    # not an integer wins over too long within a cell, the first bad cell within a row
+    blob = ("week,a,b\n2015-W01,1,2\n2015-W02," + ",".join(cells) + "\n").encode()
+    assert parsed(parse_trends_csv, blob)[0] is MalformedRow
+    assert parsed(parse_trends_csv, blob) == row_by_row(parse_trends_csv, blob)
+
+
 @st.composite
 def volume_panels(draw):
     """A panel of 1-12 queries and 1-30 weeks of whole volumes, -0.0 among them."""

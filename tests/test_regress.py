@@ -20,21 +20,11 @@ from flunowcast.regress import (
     rolling_weekly_fit,
 )
 from flunowcast.stats import ALPHA, gated_columns, paired_rows
-from flunowcast.timeseries import MIN_PAIRS, WeekStamp, Weekly, paired
+from flunowcast.timeseries import MIN_PAIRS, Weekly, paired
 
+from .frames import W0, panel_of, ws
 from .oracles import definitional_pearson, normal_equations_ols, one_fit_objective
 
-W0 = WeekStamp(2009, 1)
-
-
-def ws(values, label=""):
-    """A one-column frame of `values` from W0."""
-    return Weekly(W0, (label,), [[v] for v in values])
-
-
-def panel_of(columns):
-    labels, values = zip(*columns)
-    return Weekly(W0, labels, np.column_stack(values))
 
 
 def random_panel(rng, n_queries, n_weeks):
@@ -112,12 +102,13 @@ class TestFitOls:
         y_vals = 2 * x + rng.normal(0, 10, size=40)
         fit = fit_ols(panel_of([("x", x)]), ws(y_vals), 0)
         rows = coefficient_stats(fit, 0.05)
-        assert [term for term, _ in rows] == ["(intercept)", "x"]
-        for (_, c), beta, se in zip(rows, fit.betas, fit.std_errors):
-            assert (c.estimate, c.std_error) == (beta, se)
-            assert c.ci_low <= c.estimate <= c.ci_high
-            width = c.ci_high - c.ci_low
-            assert width == pytest.approx(2 * (c.estimate - c.ci_low), abs=1e-9)
+        assert [term for term, *_ in rows] == ["(intercept)", "x"]
+        for (_, estimate, std_error, ci_low, ci_high, _), beta, se in zip(
+                rows, fit.betas, fit.std_errors):
+            assert (estimate, std_error) == (beta, se)
+            assert ci_low <= estimate <= ci_high
+            width = ci_high - ci_low
+            assert width == pytest.approx(2 * (estimate - ci_low), abs=1e-9)
 
     def test_shifted_fit_uses_lagged_cases(self):
         rng = np.random.default_rng(14)

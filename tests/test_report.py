@@ -20,19 +20,9 @@ from flunowcast.stats import paired_rows
 from flunowcast.synth import ScenarioConfig, generate
 from flunowcast.timeseries import WeekStamp, Weekly
 
+from .frames import W0, panel_of, ws
 from .oracles import definitional_pearson, json_sidecar, sorted_figure_data
 
-W0 = WeekStamp(2009, 1)
-
-
-def ws(values, label=""):
-    """A one-column frame of `values` from W0."""
-    return Weekly(W0, (label,), [[v] for v in values])
-
-
-def panel_of(columns):
-    labels, values = zip(*columns)
-    return Weekly(W0, labels, np.column_stack(values))
 
 
 def with_target_r(y_vals, target, seed):

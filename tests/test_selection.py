@@ -6,22 +6,12 @@ from flunowcast import stats
 from flunowcast.errors import NoUsableQuery
 from flunowcast.regress import candidate_objectives, in_sample_objective
 from flunowcast.selection import IMPROVEMENT_EPS, SelectionResult, greedy_select
-from flunowcast.timeseries import WeekStamp, Weekly, paired
+from flunowcast.timeseries import Weekly, paired
 
+from .frames import panel_of, ws
 from .oracles import exhaustive_best_subset, greedy_forward
 
-W0 = WeekStamp(2009, 1)
 SHIFTS = [-2, -1, 0, 1, 2]
-
-
-def ws(values, label=""):
-    """A one-column frame of `values` from W0."""
-    return Weekly(W0, (label,), [[v] for v in values])
-
-
-def panel_of(columns):
-    labels, values = zip(*columns)
-    return Weekly(W0, labels, np.column_stack(values))
 
 
 class TestGreedySelect:

@@ -14,7 +14,12 @@ from flunowcast.regress import (
     fit_ols,
     rolling_weekly_fit,
 )
-from flunowcast.report import table_model_by_shift, table_overall_annual, table_shift_scan
+from flunowcast.report import (
+    table_coefficients,
+    table_model_by_shift,
+    table_overall_annual,
+    table_shift_scan,
+)
 from flunowcast.selection import greedy_select
 from flunowcast.stats import (
     ALPHA,
@@ -26,8 +31,9 @@ from flunowcast.stats import (
     t_critical,
     t_two_sided_p,
 )
-from flunowcast.timeseries import WeekStamp, Weekly
+from flunowcast.timeseries import Weekly
 
+from .frames import W0, ws
 from .oracles import (
     bisection_t_critical,
     correlation_p_value,
@@ -37,13 +43,7 @@ from .oracles import (
     t_density_p_value,
 )
 
-W0 = WeekStamp(2009, 1)
 CENTI = st.integers(-10000, 10000).map(lambda i: i / 100)  # 0.01 grid on [-100, 100]
-
-
-def ws(values, label=""):
-    """A one-column frame of `values` from W0."""
-    return Weekly(W0, (label,), [[v] for v in values])
 
 
 def lane(x, y, k, alpha=ALPHA):
@@ -380,6 +380,7 @@ def _entry_points():
         "table_overall_annual": lambda a: table_overall_annual(panel, y, a),
         "table_shift_scan": lambda a: table_shift_scan(panel, y, (0,), a),
         "coefficient_stats": lambda a: coefficient_stats(fit, a),
+        "table_coefficients": lambda a: table_coefficients(fit, a),
         "t_critical": lambda a: t_critical(a, 10),
     }
     return ([(f"{name}-shift{k}", call, k, "|shift| = 3 exceeds maximum 2")
