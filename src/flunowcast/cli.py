@@ -16,6 +16,7 @@ import argparse
 import functools
 import gc
 import json
+import os
 import sys
 from dataclasses import fields
 
@@ -83,6 +84,16 @@ def _write(path: str, data: bytes) -> None:
             fh.write(data)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _print(text: str) -> None:
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        # the interpreter flushes stdout again as it exits; devnull takes what is left there,
+        # so that the failure is reported once (Python's signal docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise DataError(f"cannot write stdout: {exc.strerror}") from None
 
 
 def _add_common(p, shift=False, shifts=False, alpha_help="significance level of the gate"):
@@ -259,10 +270,10 @@ def run(argv: list[str] | None = None) -> int:
         for path, data in outputs:  # written in flag order, once every one is built
             if path is not None:
                 _write(path, data)
+        _print(summary)
     except DataError as exc:  # any other exception is a bug, and its traceback shows
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    print(summary)
     return 0
 
 

@@ -5,7 +5,9 @@ the cases at once, and returns the window's cells as columns: r, p and
 an NA-reason code per lane.
 Every Student-t p-value, the cells' and the fitted coefficients', comes
 from one batched kernel, `t_two_sided_p`, whose lanes run the
-incomplete-beta continued fraction side by side; `t_critical` inverts
+incomplete-beta continued fraction side by side as arrays; the last
+`_FEW_LANES` still running finish one by one in plain floats, with the
+array loop's steps in its order and so its bits. `t_critical` inverts
 it by Newton's method. A correlation that cannot be computed (constant
 series, too few pairs) or fails the significance gate is NA with a
 reason code, never an exception, as surveillance tables mark cells.
@@ -25,7 +27,9 @@ from .timeseries import MIN_PAIRS, Weekly, paired
 
 _BETA_TOL = 1e-12
 _BETA_MAX_ITER = 300
+_BETA_TINY = 1e-300  # Lentz's floor on d and c
 _NEWTON_MAX_ITER = 200
+_FEW_LANES = 24  # an array iteration costs as much as 20 to 30 lane iterations in plain floats
 ALPHA = 0.05  # the default significance level
 
 # a lane's NA-reason code indexes REASONS; code 0 is a lane with no reason
@@ -69,7 +73,7 @@ def _pearson_columns(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def _beta_continued_fractions(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Lentz's continued fraction for the regularized incomplete beta on
     arrays of lanes, each lane leaving as soon as it converges."""
-    tiny = 1e-300
+    tiny = _BETA_TINY
 
     def floor(v):  # keep Lentz's d and c off zero
         return np.where(np.abs(v) < tiny, tiny, v)
@@ -78,7 +82,9 @@ def _beta_continued_fractions(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np
     c, d = np.ones_like(x), 1.0 / floor(1.0 - qab * x / qap)
     h, out, lanes = d, np.empty_like(x), np.arange(len(x))
     for m in range(1, _BETA_MAX_ITER + 1):
-        if not len(lanes):
+        if len(lanes) <= _FEW_LANES:  # the last few finish faster in plain floats
+            for j, *lane in zip(*(v.tolist() for v in (lanes, a, b, x, c, d, h))):
+                out[j] = _beta_fraction_tail(m, *lane)
             return out
         m2 = 2 * m
         # the even and the odd step of term m, which differ only in aa
@@ -95,6 +101,26 @@ def _beta_continued_fractions(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np
                 v[~done] for v in (lanes, a, b, x, qab, qap, qam, c, d, h))
     out[lanes] = h  # lanes still running at _BETA_MAX_ITER
     return out
+
+
+def _beta_fraction_tail(m: int, a: float, b: float, x: float, c: float, d: float,
+                        h: float) -> float:
+    """One lane of the fraction from term m on, in plain floats: the array
+    loop's steps in its order, so that it gives the same bits."""
+    tiny, qab, qap, qam = _BETA_TINY, a + b, a + 1.0, a - 1.0
+    for m in range(m, _BETA_MAX_ITER + 1):
+        m2 = 2 * m
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            d = 1.0 / (tiny if abs(d) < tiny else d)
+            c = 1.0 + aa / c
+            c = tiny if abs(c) < tiny else c
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) < _BETA_TOL:
+            break
+    return h
 
 
 def t_two_sided_p(t: np.ndarray, dof) -> np.ndarray:

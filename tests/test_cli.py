@@ -39,13 +39,15 @@ def synth_files(tmp_path, extra=()):
     return cases, panel
 
 
-def run_python(args, cwd):
-    """Run the interpreter with `args` in a child process that imports this checkout's package."""
+def run_python(args, cwd, stdout=subprocess.PIPE, **env):
+    """Run the interpreter with `args` in a child process that imports this checkout's package,
+    with `env` set on top of this process's environment (None unsets a variable)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])), **env}
+    return subprocess.run([sys.executable, *args], cwd=cwd,
+                          env={k: v for k, v in env.items() if v is not None},
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
 
 
 def run_process(argv, cwd):
@@ -138,6 +140,24 @@ class TestProcess:
         assert proc.stderr == ("error: InvalidConfig: -2 weeks from 0001-W01 "
                                "is outside 0001-W01..9999-W52\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "p.csv"]
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_is_one_error_line(tmp_path, unbuffered):
+    # unbuffered, print itself meets the closed pipe; buffered, the flush does, and
+    # unflushed text would fail again as the interpreter exits
+    synth_files(tmp_path)
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone, as when `| head -n 0` has exited
+    try:
+        proc = run_python(["-m", "flunowcast", "select", "--cases", "cases.csv",
+                           "--panel", "panel.csv", "--out", "selection.json"], tmp_path,
+                          stdout=write, PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (
+        1, "error: DataError: cannot write stdout: Broken pipe\n")
+    assert json.loads((tmp_path / "selection.json").read_text())["chosen"]  # written before
 
 
 class TestFreeze:

@@ -175,8 +175,12 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("dof", [1, 2, 3, 7, 30, 143, 257, 1000])
-@pytest.mark.parametrize("alpha", [0.5, 0.2, 0.05, 0.01, 1e-3, 1e-4, 1e-5, 1e-6])
+CLIMB_DOFS = [1, 2, 3, 7, 30, 143, 257, 1000]
+CLIMB_ALPHAS = [0.5, 0.2, 0.05, 0.01, 1e-3, 1e-4, 1e-5, 1e-6]
+
+
+@pytest.mark.parametrize("dof", CLIMB_DOFS)
+@pytest.mark.parametrize("alpha", CLIMB_ALPHAS)
 def test_t_critical_climbs_from_below_to_the_root(alpha, dof, kernel_calls):
     t = t_critical(alpha, dof)
     root = scipy_stats.t.isf(alpha / 2, dof)
@@ -300,6 +304,40 @@ class TestBatchedPValues:
             assert (cx < edge).any() and (cx > edge).any()
         assert t_two_sided_p(t, dof).tolist() == [student_t_two_sided_p(ti, dof)
                                                   for ti in t.tolist()]
+
+    # the fraction hands its last _FEW_LANES running lanes to a plain-float loop: at 0 no
+    # lane goes, at 10**9 every lane goes at the first term, in between at varying terms
+    @pytest.mark.parametrize("few", [0, 1, stats._FEW_LANES, 10**9])
+    @given(lanes=st.lists(t_lanes(), min_size=1, max_size=200))
+    @settings(max_examples=100)
+    def test_every_hand_off_point_gives_the_scalar_p(self, few, lanes):
+        t, dof = (np.array(v) for v in zip(*lanes))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stats, "_FEW_LANES", few)
+            assert t_two_sided_p(t, dof).tolist() == [student_t_two_sided_p(*lane)
+                                                      for lane in lanes]
+
+    @staticmethod
+    def arrays_and_floats(monkeypatch, call):
+        """call()'s result with no lane handed to the plain-float loop, and with every lane."""
+        results = []
+        for few in (0, 10**9):
+            monkeypatch.setattr(stats, "_FEW_LANES", few)
+            results.append(call())
+        return results
+
+    def test_t_critical_is_the_same_with_no_lane_or_every_lane_handed_off(self, monkeypatch):
+        arrays, floats = self.arrays_and_floats(monkeypatch, lambda: [
+            t_critical(alpha, dof) for alpha in CLIMB_ALPHAS for dof in CLIMB_DOFS])
+        assert arrays == floats
+
+    def test_the_floors_are_the_same_in_plain_floats(self, monkeypatch):
+        # t_two_sided_p's lanes keep d and c far above the floor: these lanes, past
+        # Beta(a, b)'s mean, make the first term's d and c exactly zero
+        a, b, x = np.array([1.0, 1.0]), np.array([4.0, 0.5]), np.array([0.5, 12.0])
+        arrays, floats = self.arrays_and_floats(
+            monkeypatch, lambda: stats._beta_continued_fractions(a, b, x).tolist())
+        assert arrays == floats
 
     def test_no_lanes(self):
         assert correlation_p_values(np.array([]), np.array([], dtype=int)).tolist() == []
