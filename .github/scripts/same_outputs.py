@@ -19,7 +19,9 @@ that no workload makes run on the readme files, edited or not: clamped and
 default-warmup nowcasts, `fit --queries`, queries named `cases` or
 `estimates`, a panel inside the cases' range and ranges that are disjoint,
 outputs into a missing directory, and `synth` with its optional flags left
-out, each set off its default, or `--peaks` missing.
+out, each set off its default, or `--peaks` missing. The parser's own text is
+compared too: `--help` of the root and of each command, no arguments, and an
+unknown command.
 """
 
 from __future__ import annotations
@@ -165,6 +167,7 @@ CORRELATE = workloads.calls("readme", 42)[1]
 REPORT_FIG = workloads.Call(("report-fig", *INPUTS, "--out", "figure.csv"), ("figure.csv",))
 INSIDE = {"panel.csv": keep_rows(20, 240)}  # the panel starts later and ends earlier
 DISJOINT = {"cases.csv": keep_rows(0, 100), "panel.csv": keep_rows(150, 261)}
+COMMANDS = ("correlate", "shift-scan", "select", "fit", "nowcast", "synth", "report-fig")
 
 # (what, {file: edit}, call) of each call on the readme files that no workload makes
 EDGE_CALLS = [
@@ -196,6 +199,10 @@ EDGE_CALLS = [
               "--decay", "0.8", "--noise-sd", "0.3", "--signal-queries", "4",
               "--noise-queries", "2", "--start", "2012-W30")),
     ("synth without --peaks", {}, scenario("--lead", "3")),
+    *((" ".join(argv), {}, workloads.Call(argv, ()))
+      for argv in (("--help",), *((c, "--help") for c in COMMANDS))),
+    ("no arguments", {}, workloads.Call((), ())),
+    ("an unknown command", {}, workloads.Call(("nosuch",), ())),
 ]
 
 

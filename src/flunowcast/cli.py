@@ -8,6 +8,9 @@ are written only to paths named in flags; stdout carries human-readable summarie
 as bytes, then writes them, so a refusal leaves no file. An I/O failure on a later
 output leaves the earlier ones; a temporary file and a rename would change how
 `--out /dev/stdout`, pipes, symlinks and read-only existing files behave.
+
+The module imports at its top only what the parser and `run` need; each command
+imports the modules it runs, so a one-shot call compiles and runs no other.
 """
 
 from __future__ import annotations
@@ -15,19 +18,12 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import json
 import os
 import sys
-from dataclasses import fields
 
-import numpy as np
-
-from . import report, selection, stats, synth
 from .errors import DataError, InvalidConfig
-from .ingest import parse_cases_csv, parse_trends_csv, write_cases_csv, write_trends_csv
-from .regress import fit_ols, predict, rolling_weekly_fit
-from .stats import ALPHA
-from .timeseries import DEFAULT_SHIFTS, MAX_SHIFT, Weekly, WeekStamp
+from .ingest import parse_cases_csv, parse_trends_csv
+from .timeseries import ALPHA, DEFAULT_SHIFTS, MAX_SHIFT, Weekly, WeekStamp
 
 
 def _expecting(form: str, parse):
@@ -178,6 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_table(args, cases, panel):
+    from . import report
     if args.command == "correlate":
         table = report.table_overall_annual(panel, cases, args.alpha, args.shift)
         done = f"{len(panel.labels)} queries x {len(cases.matrix)} weeks"
@@ -189,6 +186,8 @@ def _cmd_table(args, cases, panel):
 
 
 def _cmd_select(args, cases, panel):
+    import json
+    from . import selection
     result = selection.greedy_select(panel, cases, args.shifts, args.alpha)
     trace = [{"step": s, "added": l, "objective": o} for s, l, o in result.trace]
     payload = {"chosen": list(result.chosen_labels), "shift": result.best_shift,
@@ -199,6 +198,8 @@ def _cmd_select(args, cases, panel):
 
 
 def _cmd_fit(args, cases, panel):
+    from . import report
+    from .regress import fit_ols
     if args.queries:
         panel = panel.subset(args.queries.split(","))
     fit = fit_ols(panel, cases, args.shift)
@@ -207,6 +208,9 @@ def _cmd_fit(args, cases, panel):
 
 
 def _cmd_nowcast(args, cases, panel):
+    import numpy as np
+    from . import report, selection, stats
+    from .regress import fit_ols, predict, rolling_weekly_fit
     sel = selection.greedy_select(panel, cases, args.shifts, args.alpha)
     sub = panel.subset(list(sel.chosen_labels))
     if args.mode == "rolling":
@@ -229,6 +233,9 @@ def _cmd_nowcast(args, cases, panel):
 
 
 def _cmd_synth(args):
+    from dataclasses import fields
+    from . import synth
+    from .ingest import write_cases_csv, write_trends_csv
     parsed = vars(args)
     cfg = synth.ScenarioConfig(**{f.name: parsed[f.name] for f in fields(synth.ScenarioConfig)
                                   if f.name in parsed})
@@ -239,6 +246,7 @@ def _cmd_synth(args):
 
 
 def _cmd_report_fig(args, cases, panel):
+    from . import report
     return ([(args.out, report.figure_data([cases, panel]))],
             f"report-fig: {1 + len(panel.labels)} series -> {args.out}")
 

@@ -21,8 +21,7 @@ from . import stats
 from .errors import EmptyLabel, InsufficientOverlap
 from .ingest import check_labels
 from .regress import ModelFit, coefficient_stats, in_sample_objective
-from .stats import ALPHA
-from .timeseries import DEFAULT_SHIFTS, Weekly, iso_years, paired, week_labels
+from .timeseries import ALPHA, DEFAULT_SHIFTS, Weekly, iso_years, paired, week_labels
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from . import stats
 from .errors import NoUsableQuery
 from .regress import candidate_objectives, in_sample_objective
-from .stats import ALPHA
-from .timeseries import Weekly
+from .timeseries import ALPHA, Weekly
 
 IMPROVEMENT_EPS = 1e-6
 

@@ -30,7 +30,6 @@ _BETA_MAX_ITER = 300
 _BETA_TINY = 1e-300  # Lentz's floor on d and c
 _NEWTON_MAX_ITER = 200
 _FEW_LANES = 24  # an array iteration costs as much as 20 to 30 lane iterations in plain floats
-ALPHA = 0.05  # the default significance level
 
 # a lane's NA-reason code indexes REASONS; code 0 is a lane with no reason
 REASONS = (None, "ZeroVariance", "TooFewPairs", "NotSignificant")

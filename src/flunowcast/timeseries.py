@@ -11,7 +11,7 @@ week t with case week t+k, i.e. the case data are moved later relative
 to the searches; -k ("preceding") is the mirror image. `paired` is the
 one routine that applies a shift: it pairs the rows of one frame with
 the one column of another, and it rejects shifts beyond +/-MAX_SHIFT
-(2 weeks).
+(2 weeks). DEFAULT_SHIFTS and ALPHA, the default significance level, are here too.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .errors import EmptyOverlap, InsufficientOverlap, InvalidConfig, MissingQue
 MAX_SHIFT = 2
 DEFAULT_SHIFTS = (-2, -1, 0, 1, 2)
 MIN_PAIRS = 3
+ALPHA = 0.05  # the default significance level
 
 
 class WeekStamp(int):
@@ -85,10 +86,11 @@ def week_numbers(stamps: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     whether it has that form (ASCII digits), and whether it is also an ISO
     week, as `WeekStamp.parse` needs; all stamps are read in one array step."""
     chars = np.frombuffer(stamps, np.uint8).reshape(-1, 8).astype(np.int64)
-    digits = chars[:, [0, 1, 2, 3, 6, 7]] - ord("0")
-    formed = (((digits >= 0) & (digits <= 9)).all(axis=1) & (chars[:, 4] == ord("-"))
+    digits = chars[:, [0, 1, 2, 3, 6, 7]].T - ord("0")
+    formed = (((digits >= 0) & (digits <= 9)).all(axis=0) & (chars[:, 4] == ord("-"))
               & (chars[:, 5] == ord("W")))
-    number, exists = _week_number(digits[:, :4] @ (1000, 100, 10, 1), digits[:, 4:] @ (10, 1))
+    y1, y2, y3, y4, w1, w2 = digits
+    number, exists = _week_number(((y1 * 10 + y2) * 10 + y3) * 10 + y4, w1 * 10 + w2)
     return number, formed, formed & exists
 
 

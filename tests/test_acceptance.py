@@ -29,9 +29,9 @@ from flunowcast.regress import (
 )
 from flunowcast.report import table_model_by_shift, table_overall_annual
 from flunowcast.selection import greedy_select
-from flunowcast.stats import ALPHA, gated_columns, paired_rows
+from flunowcast.stats import gated_columns, paired_rows
 from flunowcast.synth import ScenarioConfig, generate
-from flunowcast.timeseries import paired
+from flunowcast.timeseries import ALPHA, paired
 
 from .frames import W0, panel_of, ws
 from .oracles import (

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 from scipy import stats as scipy_stats
 
-from flunowcast import cli, errors, report, stats, synth
+from flunowcast import cli, errors, ingest, report, stats, synth
 from flunowcast.cli import _COMMANDS, run
 from flunowcast.ingest import parse_cases_csv, parse_trends_csv, write_cases_csv, write_trends_csv
 from flunowcast.timeseries import WeekStamp
@@ -181,6 +181,42 @@ class TestFreeze:
         assert proc.stdout.splitlines()[-1] == "0 0 0"
 
 
+class TestImports:
+    """`cli` imports at its top only what its parser and `run` need, and each
+    command imports the modules it runs, so a cold call compiles and runs no
+    module it does not use. Each check runs in a fresh child."""
+
+    PARSER = {"cli", "errors", "ingest", "timeseries"}
+    TABLES = PARSER | {"regress", "report", "stats"}
+    LOADED = {"synth": PARSER | {"synth"}, "select": PARSER | {"regress", "selection", "stats"},
+              "fit": TABLES, "correlate": TABLES, "shift-scan": TABLES, "report-fig": TABLES,
+              "nowcast": TABLES | {"selection"}}
+
+    @staticmethod
+    def loaded_after(code, cwd):
+        """The flunowcast.* modules loaded once `code` has run in a child, and whether json is."""
+        proc = run_python(["-c", f"import sys\n{code}\nprint(*sorted(m for m in sys.modules "
+                           "if m.startswith('flunowcast.')), 'json' in sys.modules)"], cwd)
+        assert proc.returncode == 0, proc.stderr
+        *modules, json_loaded = proc.stdout.splitlines()[-1].split()
+        return {m.removeprefix("flunowcast.") for m in modules}, json_loaded == "True"
+
+    def test_importing_the_cli_loads_only_what_its_parser_needs(self, tmp_path):
+        assert self.loaded_after("import flunowcast.cli", tmp_path) == (self.PARSER, False)
+
+    @pytest.mark.parametrize("command", sorted(LOADED))
+    def test_each_command_loads_only_the_modules_it_runs(self, tmp_path, command):
+        if command == "synth":
+            argv = ["synth", "--seed", "1", "--weeks", "30", "--peaks", "10:50:3"]
+        else:
+            synth_files(tmp_path)
+            argv = [command, "--cases", "cases.csv", "--panel", "panel.csv"]
+        code = f"from flunowcast import cli\nassert cli.run({argv + OUTPUTS[command]!r}) == 0"
+        modules, json_loaded = self.loaded_after(code, tmp_path)
+        assert modules == self.LOADED[command]
+        assert not (command == "synth" and json_loaded)
+
+
 class TestSynth:
     def test_deterministic_outputs(self, tmp_path):
         c1, p1 = synth_files(tmp_path / "a")
@@ -340,7 +376,7 @@ def refuse(*args):
     (["nowcast", "--out-estimates", "e.csv", "--out-table", "t.csv"],
      (report, "table_model_by_shift")),
     (["synth", "--seed", "1", "--weeks", "30", "--peaks", "10:50:3",
-      "--out-cases", "c.csv", "--out-panel", "p.csv"], (cli, "write_trends_csv")),
+      "--out-cases", "c.csv", "--out-panel", "p.csv"], (ingest, "write_trends_csv")),
 ], ids=["correlate", "shift-scan", "nowcast", "synth"])
 def test_a_refusal_while_outputs_are_built_writes_no_file(tmp_path, monkeypatch, capsys,
                                                            argv, target):
@@ -849,7 +885,7 @@ class TestFuzz:
         def misshapen_fit(*args):
             return np.ones((2, 3)) @ np.ones((2, 3))
 
-        monkeypatch.setattr("flunowcast.cli.fit_ols", misshapen_fit)
+        monkeypatch.setattr("flunowcast.regress.fit_ols", misshapen_fit)
         with pytest.raises(ValueError, match="matmul"):
             run(["fit", "--cases", str(cases), "--panel", str(panel),
                  "--out", str(tmp_path / "fit.csv")])

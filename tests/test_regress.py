@@ -19,8 +19,8 @@ from flunowcast.regress import (
     predict,
     rolling_weekly_fit,
 )
-from flunowcast.stats import ALPHA, gated_columns, paired_rows
-from flunowcast.timeseries import MIN_PAIRS, Weekly, paired
+from flunowcast.stats import gated_columns, paired_rows
+from flunowcast.timeseries import ALPHA, MIN_PAIRS, Weekly, paired
 
 from .frames import W0, panel_of, ws
 from .oracles import definitional_pearson, normal_equations_ols, one_fit_objective

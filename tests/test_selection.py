@@ -6,7 +6,7 @@ from flunowcast import stats
 from flunowcast.errors import NoUsableQuery
 from flunowcast.regress import candidate_objectives, in_sample_objective
 from flunowcast.selection import IMPROVEMENT_EPS, SelectionResult, greedy_select
-from flunowcast.timeseries import Weekly, paired
+from flunowcast.timeseries import ALPHA, Weekly, paired
 
 from .frames import panel_of, ws
 from .oracles import exhaustive_best_subset, greedy_forward
@@ -173,7 +173,7 @@ def reference_select(panel, y, shifts):
     greedy_select raises NoUsableQuery."""
     windows = [stats.paired_rows(panel, y, k) for k in shifts]
     best = None
-    for k, (X, yv), cols in zip(shifts, windows, stats.gated_columns(windows, stats.ALPHA)):
+    for k, (X, yv), cols in zip(shifts, windows, stats.gated_columns(windows, ALPHA)):
         lanes = enumerate(zip(cols.r.tolist(), cols.reason.tolist()))
         pool = sorted((-r, panel.labels[j], j) for j, (r, code) in lanes if code == 0 and r > 0.0)
         trace = greedy_forward(X, yv, [j for _, _, j in pool], IMPROVEMENT_EPS) if pool else None

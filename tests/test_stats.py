@@ -22,7 +22,6 @@ from flunowcast.report import (
 )
 from flunowcast.selection import greedy_select
 from flunowcast.stats import (
-    ALPHA,
     REASONS,
     GatedColumns,
     correlation_p_values,
@@ -31,7 +30,7 @@ from flunowcast.stats import (
     t_critical,
     t_two_sided_p,
 )
-from flunowcast.timeseries import Weekly
+from flunowcast.timeseries import ALPHA, Weekly
 
 from .frames import W0, ws
 from .oracles import (

@@ -12,9 +12,9 @@ from flunowcast.ingest import (
 )
 from flunowcast.report import table_overall_annual
 from flunowcast.selection import greedy_select
-from flunowcast.stats import ALPHA, gated_columns, paired_rows
+from flunowcast.stats import gated_columns, paired_rows
 from flunowcast.synth import ScenarioConfig, _spike_pulse, generate
-from flunowcast.timeseries import WeekStamp
+from flunowcast.timeseries import ALPHA, WeekStamp
 
 PEAKS = ((20, 800, 3), (60, 1200, 4), (110, 900, 3))
 
