@@ -16,12 +16,13 @@ newline, an invalid or malformed week stamp, two breaks in one row or in
 two rows, ...), go through the readme's `correlate` call under both
 trees, with the same comparison. Last, calls
 that no workload makes run on the readme files, edited or not: clamped and
-default-warmup nowcasts, `fit --queries`, queries named `cases` or
-`estimates`, a panel inside the cases' range and ranges that are disjoint,
-outputs into a missing directory, and `synth` with its optional flags left
-out, each set off its default, or `--peaks` missing. The parser's own text is
-compared too: `--help` of the root and of each command, no arguments, and an
-unknown command.
+default-warmup nowcasts, rolling warmups below the minimum and past every
+week, `fit --queries` and at alpha 1e-300, `shift-scan` over an empty range,
+queries named `cases` or `estimates`, a panel inside the cases' range and
+ranges that are disjoint, outputs into a missing directory, and `synth` with
+its optional flags left out, each set off its default, or `--peaks` missing.
+The parser's own text is compared too: `--help` of the root and of each
+command, no arguments, and an unknown command.
 """
 
 from __future__ import annotations
@@ -175,6 +176,14 @@ EDGE_CALLS = [
      nowcast("--clamp")),
     ("clamped rolling nowcast", {}, nowcast("--mode", "rolling", "--warmup", "40", "--clamp")),
     ("rolling nowcast, default warmup", {}, nowcast("--mode", "rolling")),
+    ("rolling nowcast, warmup below the minimum", {},
+     nowcast("--mode", "rolling", "--warmup", "2")),
+    ("rolling nowcast, warmup past every week", {},
+     nowcast("--mode", "rolling", "--warmup", "300")),
+    ("fit at alpha 1e-300", {}, fit("--shift", "2", "--alpha", "1e-300")),
+    ("shift-scan over an empty range", {},
+     workloads.Call(("shift-scan", *INPUTS, "--shifts=2..-2", "--out", "scan.csv"),
+                    ("scan.csv",))),
     ("fit of two queries in reverse order", {}, fit("--queries", "signal_2,signal_1")),
     ("fit of a missing query", {}, fit("--queries", "signal_1,flu")),
     *((f"{call.command} with a query named {name}", {"panel.csv": edit_cell(0, 2, name.encode())},

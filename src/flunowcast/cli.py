@@ -4,10 +4,11 @@ Exit codes: 0 success, 1 data error (one stderr line naming its
 DataError subclass), 2 usage error (argparse prints the grammar). Files
 are written only to paths named in flags; stdout carries human-readable summaries.
 
-`run` alone touches files: it reads the inputs, has the command build every output
-as bytes, then writes them, so a refusal leaves no file. An I/O failure on a later
-output leaves the earlier ones; a temporary file and a rename would change how
-`--out /dev/stdout`, pipes, symlinks and read-only existing files behave.
+Each subparser names its command's handler (`set_defaults(run=...)`). `run` alone
+touches files: it reads the inputs if the command defines `--cases`, has the handler
+build every output as bytes, then writes them, so a refusal leaves no file. An I/O
+failure on a later output leaves the earlier ones; a temporary file and a rename would
+change how `--out /dev/stdout`, pipes, symlinks and read-only existing files behave.
 
 The module imports at its top only what the parser and `run` need; each command
 imports the modules it runs, so a one-shot call compiles and runs no other.
@@ -115,26 +116,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("correlate", help="per-query overall and annual correlations")
+    p.set_defaults(run=_cmd_correlate)
     _add_common(p, shift=True)
     p.add_argument("--out", required=True, help="output table CSV")
     p.add_argument("--sidecar", help="optional JSON sidecar with p-values and NA reasons")
 
     p = sub.add_parser("shift-scan", help="year x shift x query correlation grid")
+    p.set_defaults(run=_cmd_shift_scan)
     _add_common(p, shifts=True)
     p.add_argument("--out", required=True)
     p.add_argument("--sidecar")
 
     p = sub.add_parser("select", help="greedy query-subset selection across shifts")
+    p.set_defaults(run=_cmd_select)
     _add_common(p, shifts=True)
     p.add_argument("--out", required=True, help="selection result JSON")
 
     p = sub.add_parser("fit", help="fit the model and report coefficient statistics")
+    p.set_defaults(run=_cmd_fit)
     _add_common(p, shift=True, alpha_help="1 - alpha confidence interval level "
                                           "(p-values do not depend on it)")
     p.add_argument("--queries", help="comma-separated query subset (default: whole panel)")
     p.add_argument("--out", required=True, help="coefficient table CSV")
 
     p = sub.add_parser("nowcast", help="model estimates plus objective-by-shift table")
+    p.set_defaults(run=_cmd_nowcast)
     _add_common(p, shifts=True)
     p.add_argument("--mode", choices=["full", "rolling"], default="full")
     p.add_argument("--warmup", type=int,
@@ -146,6 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     # each scenario flag's dest is a ScenarioConfig field; one left out takes its default
     p = sub.add_parser("synth", help="generate a synthetic scenario as CSV fixtures",
                        argument_default=argparse.SUPPRESS)
+    p.set_defaults(run=_cmd_synth)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--weeks", type=int, required=True)
     p.add_argument("--peaks", dest="epidemic_peaks", metavar="PEAKS", required=True,
@@ -166,6 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-panel", required=True)
 
     p = sub.add_parser("report-fig", help="long-format figure data for cases + panel")
+    p.set_defaults(run=_cmd_report_fig)
     p.add_argument("--cases", required=True)
     p.add_argument("--panel", required=True)
     p.add_argument("--out", required=True)
@@ -173,16 +181,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_table(args, cases, panel):
+def _cmd_correlate(args, cases, panel):
     from . import report
-    if args.command == "correlate":
-        table = report.table_overall_annual(panel, cases, args.alpha, args.shift)
-        done = f"{len(panel.labels)} queries x {len(cases.matrix)} weeks"
-    else:
-        table = report.table_shift_scan(panel, cases, tuple(args.shifts), args.alpha)
-        done = f"shifts {args.shifts}"
+    table = report.table_overall_annual(panel, cases, args.alpha, args.shift)
     return ([(args.out, table.to_csv()), (args.sidecar, table.to_sidecar_json())],
-            f"{args.command}: {done} -> {args.out}")
+            f"correlate: {len(panel.labels)} queries x {len(cases.matrix)} weeks -> {args.out}")
+
+
+def _cmd_shift_scan(args, cases, panel):
+    from . import report
+    table = report.table_shift_scan(panel, cases, tuple(args.shifts), args.alpha)
+    return ([(args.out, table.to_csv()), (args.sidecar, table.to_sidecar_json())],
+            f"shift-scan: shifts {args.shifts} -> {args.out}")
 
 
 def _cmd_select(args, cases, panel):
@@ -251,17 +261,6 @@ def _cmd_report_fig(args, cases, panel):
             f"report-fig: {1 + len(panel.labels)} series -> {args.out}")
 
 
-_COMMANDS = {
-    "correlate": _cmd_table,
-    "shift-scan": _cmd_table,
-    "select": _cmd_select,
-    "fit": _cmd_fit,
-    "nowcast": _cmd_nowcast,
-    "synth": _cmd_synth,
-    "report-fig": _cmd_report_fig,
-}
-
-
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -269,12 +268,9 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if args.command == "synth":
-            outputs, summary = _cmd_synth(args)
-        else:  # cases first, so a bad cases file is the one reported
-            cases = parse_cases_csv(_read(args.cases))
-            panel = parse_trends_csv(_read(args.panel))
-            outputs, summary = _COMMANDS[args.command](args, cases, panel)
+        inputs = ([parse_cases_csv(_read(args.cases)), parse_trends_csv(_read(args.panel))]
+                  if "cases" in args else [])  # cases first, so a bad cases file is reported
+        outputs, summary = args.run(args, *inputs)
         for path, data in outputs:  # written in flag order, once every one is built
             if path is not None:
                 _write(path, data)

@@ -62,7 +62,7 @@ def _pearson_columns(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     sxx = _row_sum(dx * dx)
     syy = _row_sum(dy * dy)
     sxy = _row_sum(dx * dy[:, None])
-    flat = (sxx == 0.0) | (syy == 0.0)
+    flat = (sxx == 0.0) | (syy == 0.0) | (X == X[:1]).all(axis=0) | (y == y[:1]).all()
     with np.errstate(divide="ignore", invalid="ignore"):
         r = sxy / np.sqrt(sxx * syy)
     # guard against rounding pushing |r| past 1

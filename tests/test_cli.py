@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -16,7 +17,7 @@ from hypothesis import event, given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 from flunowcast import cli, errors, ingest, report, stats, synth
-from flunowcast.cli import _COMMANDS, run
+from flunowcast.cli import run
 from flunowcast.ingest import parse_cases_csv, parse_trends_csv, write_cases_csv, write_trends_csv
 from flunowcast.timeseries import WeekStamp
 
@@ -275,6 +276,19 @@ class TestSynth:
             f"error: argument {option}: expected {form}, got {value!r}\n")
         assert not cases.exists() and not panel.exists()
 
+    @pytest.mark.parametrize("option, message", [
+        ("--spikes=10:-5:2", "spike magnitudes must be non-negative"),
+        ("--lead=-1", "lead_weeks must be non-negative"),
+        ("--signal-queries=-1", "query counts must be non-negative"),
+    ])
+    def test_a_negative_magnitude_lead_or_count_is_one_error_line(self, tmp_path, capsys,
+                                                                  option, message):
+        cases, panel = tmp_path / "cases.csv", tmp_path / "panel.csv"
+        assert run(["synth", "--seed", "1", "--weeks", "30", "--peaks", "10:50:3", option,
+                    "--out-cases", str(cases), "--out-panel", str(panel)]) == 1
+        assert capsys.readouterr().err == f"error: InvalidConfig: {message}\n"
+        assert not cases.exists() and not panel.exists()
+
 
 class TestCorrelate:
     def test_lead_fixture_top_query(self, tmp_path, capsys):
@@ -313,6 +327,7 @@ class TestCorrelate:
          "expected lo..hi or a comma list of integer shifts, got '1..x'"),
         (["shift-scan", "--shifts=0,,1"],
          "expected lo..hi or a comma list of integer shifts, got '0,,1'"),
+        (["shift-scan", "--shifts=2..-2"], "empty shift range '2..-2'"),
     ])
     def test_bad_shift_is_usage_error(self, tmp_path, capsys, argv, reason):
         cases, panel = synth_files(tmp_path)
@@ -543,6 +558,41 @@ class TestPipelineCommands:
         assert outputs["one"] == outputs["two"]
 
 
+# every command that reads inputs, with each of its outputs named: 11 files
+PREFIX_CALLS = [
+    ["correlate", "--shift", "2", "--out", "correlate.csv", "--sidecar", "correlate.json"],
+    ["shift-scan", "--out", "scan.csv", "--sidecar", "scan.json"],
+    ["select", "--out", "select.json"],
+    ["fit", "--shift", "2", "--out", "fit.csv"],
+    *(["nowcast", "--mode", mode, "--out-estimates", f"{mode}-estimates.csv",
+       "--out-table", f"{mode}-table.csv"] for mode in ("full", "rolling")),
+    ["report-fig", "--out", "figure.csv"],
+]
+
+
+def test_prefixed_query_labels_change_no_byte_but_the_prefix(tmp_path, monkeypatch, capsys):
+    # a metamorphic relation: "zz_" keeps the queries in their order and after the
+    # labels "cases" and "estimates", so no ranking, tie-break or figure row moves
+    cases, panel = synth_files(tmp_path / "plain", ["--signal-queries", "4",
+                                                    "--noise-queries", "4", "--noise-sd", "0.5"])
+    header, rows = panel.read_bytes().split(b"\n", 1)
+    (tmp_path / "zz").mkdir()
+    (tmp_path / "zz" / "cases.csv").write_bytes(cases.read_bytes())
+    (tmp_path / "zz" / "panel.csv").write_bytes(header.replace(b",", b",zz_") + b"\n" + rows)
+    seen = {}
+    for tree in ("plain", "zz"):
+        monkeypatch.chdir(tmp_path / tree)
+        capsys.readouterr()
+        for command, *options in PREFIX_CALLS:
+            assert run([command, "--cases", "cases.csv", "--panel", "panel.csv", *options]) == 0
+        seen[tree] = [capsys.readouterr().out.encode()] + [
+            p.read_bytes() for p in sorted(Path().iterdir()) if p.name not in ("cases.csv",
+                                                                              "panel.csv")]
+    assert len(seen["zz"]) == 1 + 11
+    assert seen["zz"] != seen["plain"]
+    assert [data.replace(b"zz_", b"") for data in seen["zz"]] == seen["plain"]
+
+
 def shifted_design(cases, panel, k):
     """Search volumes at week t and cases at week t+k, paired by week stamp."""
     case_at = {cases.start.add(i): v for i, v in enumerate(cases.values)}
@@ -619,7 +669,9 @@ def readme_commands() -> list[list[str]]:
 
 def test_readme_examples_run(tmp_path, monkeypatch):
     commands = readme_commands()
-    assert {argv[1] for argv in commands} == set(_COMMANDS)
+    subparsers, = (action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    assert {argv[1] for argv in commands} == set(subparsers.choices)
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert run(argv[1:]) == 0, " ".join(argv)

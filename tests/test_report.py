@@ -299,6 +299,10 @@ class TestFigureData:
         with pytest.raises(EmptyLabel):
             figure_data([ws([1, 2, 3])])
 
+    def test_no_series_rejected(self):
+        with pytest.raises(EmptyLabel, match="^figure needs at least one series$"):
+            figure_data([])
+
     @pytest.mark.parametrize("label", ["a,b", "x\ny", "x\ry", ",", "\ud800", "a\udfff"])
     def test_label_it_cannot_write_rejected(self, label):
         with pytest.raises(MalformedHeader, match="^figure labels must be non-empty UTF-8, "

@@ -50,6 +50,22 @@ class TestGreedySelect:
         with pytest.raises(NoUsableQuery):
             greedy_select(panel, ws(np.linspace(0, 10, 30)), SHIFTS)
 
+    def test_a_shift_whose_top_query_has_no_one_query_fit_is_skipped(self):
+        # tiny tracks the cases at shift 0 and passes the gate, but at 1e-12 its one-query
+        # design fails the rank test, which is scaled by the intercept column; lead
+        # leads the cases by one week
+        rng = np.random.default_rng(0)
+        base = rng.uniform(0, 100, size=61)
+        y = ws(base[:60])
+        tiny = ("tiny", (base[:60] + rng.normal(0, 2, size=60)) * 1e-12)
+        X, yv = stats.paired_rows(panel_of([tiny]), y, 0)
+        assert stats.gated_columns([(X, yv)], ALPHA)[0].reason.tolist() == [0]
+        assert in_sample_objective(X, yv) is None
+        result = greedy_select(panel_of([tiny, ("lead", base[1:])]), y, [0, 1])
+        assert (result.chosen_labels, result.best_shift) == (("lead",), 1)
+        with pytest.raises(NoUsableQuery):
+            greedy_select(panel_of([tiny]), y, [0, 1])
+
     def test_trace_strictly_increasing(self):
         rng = np.random.default_rng(33)
         y_vals = rng.uniform(0, 100, size=100)

@@ -344,8 +344,11 @@ class TestBatchedPValues:
 
 class TestCorrelate:
     def test_constant_series_is_na(self):
-        res = lane(ws([5, 5, 5, 5]), ws([1, 2, 3, 4]), 0)
-        assert reason(res) == "ZeroVariance" and math.isnan(res.r[0])
+        # five 0.81s have a mean that rounds to another float, so their deviations are not 0
+        for x, y in [([5, 5, 5, 5], [1, 2, 3, 4]), ([0.81] * 5, [0, 0, 0, 0, 0.01]),
+                     ([0, 0, 0, 0, 0.01], [0.81] * 5)]:
+            res = lane(ws(x), ws(y), 0)
+            assert reason(res) == "ZeroVariance" and math.isnan(res.r[0])
 
     def test_constructed_identity_at_shift_two(self):
         rng = np.random.default_rng(3)
