@@ -8,9 +8,10 @@ every panel week, and `rolling_weekly_fit` refits the coefficients once
 per week on all strictly-prior weeks. Only the coefficients are refit:
 the queries and the shift are the caller's, and `nowcast` picks them once
 from all weeks. Every fit takes its rows from `timeseries.paired`.
-A greedy step's candidate models are factored together, in one stacked
-QR (`candidate_objectives`), and each lane's objective equals that of
-its own fit bit for bit.
+Stacked QRs save numpy's per-call cost. A greedy step factors its
+candidates together (`candidate_objectives`), each lane's objective equal
+to its own fit's bit for bit; rolling windows go ROLLING_CHUNK to a stack,
+zero-padded, each lane's Q^T y summed over its own rows only (not padding).
 Coefficient inference (intervals, p-values) is computed only on request,
 by `coefficient_stats` as one plain row a term: one critical t, and
 every term's p from one call of the Student-t kernel.
@@ -28,6 +29,7 @@ from .errors import SingularDesign, Underdetermined
 from .timeseries import Weekly, paired
 
 PIVOT_TOL = 1e-10
+ROLLING_CHUNK = 16  # expanding windows per stacked QR in rolling_weekly_fit
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,6 +51,11 @@ def _singular(r: np.ndarray) -> np.ndarray:
 
 def _with_intercept(X: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((len(X), 1)), X])
+
+
+def _padded_qr(A: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One stacked QR of the windows A[:t], t in ts, each zero-padded to the longest."""
+    return np.linalg.qr(np.where(np.arange(ts[-1])[:, None] < ts[:, None, None], A[:ts[-1]], 0.0))
 
 
 def _solve(A: np.ndarray, yv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -122,7 +129,8 @@ def rolling_weekly_fit(panel: Weekly, y: Weekly, k: int,
     shift k are used as given, whatever weeks chose them. The estimates start
     at the first estimated week; None when no week gets an estimate. An
     explicit warmup's first window must be fittable; the default starts at
-    the first fittable window from week nq + 4 on.
+    the first fittable window from week nq + 4 on. The windows are factored
+    ROLLING_CHUNK at a time, in one stacked QR each (`_padded_qr`).
     """
     X, yv, yi = paired(panel, y, k)
     m, nq = X.shape
@@ -133,17 +141,19 @@ def rolling_weekly_fit(panel: Weekly, y: Weekly, k: int,
         raise Underdetermined(f"warmup {warmup} < {nq + 2} minimum for {nq} queries")
     A = _with_intercept(X)
     values = []
-    for t in range(warmup, m):
-        try:
-            beta, _ = _solve(A[:t], yv[:t])
-        except SingularDesign:
-            # the default warmup runs on past singular windows (e.g.
-            # still-flat query columns) to the first fittable one; adding
-            # rows never lowers the column rank, so later windows fit too
-            if values or not default_warmup:
-                raise
-            continue
-        values.append(float(beta[0] + X[t] @ beta[1:]))
+    for t0 in range(warmup, m, ROLLING_CHUNK):
+        ts = np.arange(t0, min(t0 + ROLLING_CHUNK, m))
+        q, r = _padded_qr(A, ts)
+        bad = _singular(r)
+        # the default warmup runs on past singular windows (e.g.
+        # still-flat query columns) to the first fittable one; adding
+        # rows never lowers the column rank, so later windows fit too
+        lead = int(bad.cumprod().sum()) if default_warmup and not values else 0
+        if bad[lead:].any():
+            raise SingularDesign("design matrix columns are collinear")
+        qty = np.reshape([q[i, :t].T @ yv[:t] for i, t in enumerate(ts)], (len(ts), -1, 1))
+        betas = np.linalg.solve(r[lead:], qty[lead:])[:, :, 0]
+        values += [float(b[0] + X[t] @ b[1:]) for t, b in zip(ts[lead:], betas)]
     # estimates are contiguous and end at the last fitted week
     return (Weekly(y.start.add(yi + m - len(values)), ("estimates",), np.reshape(values, (-1, 1)))
             if values else None)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flunowcast import regress
 from flunowcast.errors import (
     DataError,
     InsufficientOverlap,
@@ -185,6 +186,63 @@ def rolling_problems(draw):
     return panel_of([(f"q{j}", X[:, j]) for j in range(nq)]), ws(y), draw(st.integers(-2, 2))
 
 
+@st.composite
+def flat_start_problems(draw):
+    """Panels of 1-7 queries over 40-200 weeks, every query 0 for the first
+    0-40 weeks and integer 0-100 after; integer cases; a shift; and a warmup,
+    None for the default."""
+    nq, m, flat = draw(st.integers(1, 7)), draw(st.integers(40, 200)), draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(0, 101, size=(m, nq)).astype(float)
+    X[:flat] = 0.0
+    y = rng.integers(0, 1001, size=m).astype(float)
+    warmup = draw(st.none() | st.integers(nq + 2, m))
+    return panel_of([(f"q{j}", X[:, j]) for j in range(nq)]), ws(y), draw(st.integers(-2, 2)), warmup
+
+
+def cut_fits(panel, y, k, warmup):
+    """(i, fit_ols on the cases cut to their first i + |k| weeks) for each
+    design row i that gets an estimate, under the rolling fit's warmup rules;
+    raises SingularDesign where the rolling fit must."""
+    fits = []
+    for i in range(len(panel.labels) + 4 if warmup is None else warmup, len(y.matrix) - abs(k)):
+        try:
+            fits.append((i, fit_ols(panel, Weekly(y.start, y.labels, y.matrix[:i + abs(k)]), k)))
+        except SingularDesign:
+            if fits or warmup is not None:
+                raise
+    return fits
+
+
+def bump_then_blowup(blowup_week):
+    """Query `bump` is 0 but for 1e-3 at week 2; query `grow` cycles 1-7 and
+    is scaled by 1e9 from blowup_week on. Windows up to blowup_week pass the
+    rank test; from there R's largest diagonal entry is over 1e10 times its
+    smallest, so every later window is singular."""
+    bump, grow = np.zeros(60), np.arange(60) % 7 + 1.0
+    bump[2] = 1e-3
+    grow[blowup_week:] *= 1e9
+    return panel_of([("bump", bump), ("grow", grow)]), ws(np.arange(60) % 11 * 10.0)
+
+
+@st.composite
+def degenerate_problems(draw):
+    """Panels of 1-4 queries over 8-40 weeks of 0-2 integers, some columns
+    duplicates or constants; integer cases; a shift; and a warmup, None for
+    the default."""
+    nq, m = draw(st.integers(1, 4)), draw(st.integers(8, 40))
+    cells = st.lists(st.integers(0, 2), min_size=m, max_size=m)
+    columns = []
+    for j in range(nq):
+        kind = draw(st.sampled_from(("drawn", "duplicate", "constant"))) if j else "drawn"
+        columns.append(draw(cells) if kind == "drawn" else [draw(st.integers(0, 2))] * m
+                       if kind == "constant" else columns[draw(st.integers(0, j - 1))])
+    y = draw(st.lists(st.integers(0, 1000), min_size=m, max_size=m))
+    warmup = draw(st.none() | st.integers(nq + 2, m))
+    panel = panel_of([(f"q{j}", np.array(c, dtype=float)) for j, c in enumerate(columns)])
+    return panel, ws(y), draw(st.integers(-2, 2)), warmup
+
+
 class TestEstimateFrames:
     """Both nowcast modes return a one-column frame "estimates" whose values,
     iterated, are floats: the benchmark's tracer calls math.isnan on each."""
@@ -287,6 +345,69 @@ class TestRollingWeeklyFit:
             # the two sum the same terms in a different order
             scale = abs(fit.betas[0]) + np.abs(x) @ np.abs(fit.betas[1:])
             assert abs(value - predict(fit, panel).values[xi + i]) <= 1e-12 * scale
+
+    @given(flat_start_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_estimates_match_cut_fits_across_chunks_and_flat_starts(self, problem):
+        # up to 200 weeks of windows span many stacked-QR chunks, and a flat
+        # start moves the default warmup's first fittable window into any of them
+        panel, y, k, warmup = problem
+        try:
+            fits = cut_fits(panel, y, k, warmup)
+        except SingularDesign:
+            with pytest.raises(SingularDesign):
+                rolling_weekly_fit(panel, y, k, warmup)
+            return
+        est = rolling_weekly_fit(panel, y, k, warmup)
+        if not fits:
+            assert est is None
+            return
+        assert est.start == y.start.add(max(k, 0) + fits[0][0])
+        assert len(est.matrix) == len(fits)
+        xi = max(-k, 0)
+        for value, (i, fit) in zip(est.values, fits):
+            x = panel.matrix[xi + i]
+            scale = abs(fit.betas[0]) + np.abs(x) @ np.abs(fit.betas[1:])
+            assert abs(value - predict(fit, panel).values[xi + i]) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("warmup", [None, 5])
+    @pytest.mark.parametrize("blowup_week", [36, 40])
+    def test_a_singular_window_after_a_fitted_one_raises(self, warmup, blowup_week):
+        # the first singular window (blowup_week + 1 rows) opens a chunk
+        # (warmup 5, week 36) or falls inside one (the other three cases)
+        panel, y = bump_then_blowup(blowup_week)
+        assert rolling_weekly_fit(panel, ws(y.values[:blowup_week + 1]), 0, warmup) is not None
+        with pytest.raises(SingularDesign):
+            rolling_weekly_fit(panel, y, 0, warmup)
+
+    def test_default_warmup_with_every_window_singular_gives_none(self):
+        x = np.linspace(0, 10, 40)
+        panel, y = panel_of([("x", x), ("flat", np.zeros(40))]), ws(3 * x + 1)
+        assert rolling_weekly_fit(panel, y, 0) is None
+        with pytest.raises(SingularDesign):
+            rolling_weekly_fit(panel, y, 0, warmup=6)
+
+    @given(degenerate_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_no_linalg_error_escapes(self, problem):
+        # exactly collinear windows must surface as SingularDesign (or be
+        # skipped by the default warmup), never as numpy's LinAlgError
+        panel, y, k, warmup = problem
+        try:
+            est = rolling_weekly_fit(panel, y, k, warmup)
+        except SingularDesign:
+            return
+        assert est is None or len(est.matrix) > 0
+
+    def test_windows_are_factored_in_stacked_chunks(self, monkeypatch):
+        # a guard: one QR per window would make 219 calls here
+        qr, calls = regress.np.linalg.qr, []
+        monkeypatch.setattr(regress.np.linalg, "qr", lambda a: calls.append(a.shape) or qr(a))
+        rng = np.random.default_rng(23)
+        est = rolling_weekly_fit(random_panel(rng, 7, 259), ws(rng.uniform(0, 900, 259)), 0,
+                                 warmup=40)
+        assert len(est.matrix) == 219
+        assert len(calls) <= math.ceil(219 / regress.ROLLING_CHUNK) == 14
 
 
 @st.composite
