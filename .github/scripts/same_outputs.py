@@ -19,8 +19,11 @@ that no workload makes run on the readme files, edited or not: clamped and
 default-warmup nowcasts, rolling warmups below the minimum and past every
 week, `fit --queries` and at alpha 1e-300, `shift-scan` over an empty range,
 queries named `cases` or `estimates`, a panel inside the cases' range and
-ranges that are disjoint, outputs into a missing directory, and `synth` with
-its optional flags left out, each set off its default, or `--peaks` missing.
+ranges that are disjoint, outputs into a missing directory, `select` and
+`nowcast` over reordered or partial shift lists and at alpha 0.5 (the order
+greedy selection visits shifts in, and noise-heavy candidate pools), and
+`synth` with its optional flags left out, each set off its default, or
+`--peaks` missing.
 The parser's own text is compared too: `--help` of the root and of each
 command, no arguments, and an unknown command.
 """
@@ -157,6 +160,11 @@ def fit(*options: str) -> workloads.Call:
                           ("coefficients.csv",))
 
 
+def select(*options: str) -> workloads.Call:
+    return workloads.Call(("select", *INPUTS, *options, "--out", "selection.json"),
+                          ("selection.json",))
+
+
 def scenario(*options: str) -> workloads.Call:
     outputs = ("new-cases.csv", "new-panel.csv")
     argv = ("synth", "--seed", "42", "--weeks", "60", *options, "--out-cases", outputs[0],
@@ -202,6 +210,9 @@ EDGE_CALLS = [
     ("nowcast with its table in a missing directory", {},
      workloads.Call(("nowcast", *INPUTS, "--out-estimates", "estimates.csv",
                      "--out-table", "nodir/t.csv"), ("estimates.csv", "nodir/t.csv"))),
+    *((f"{call.command} {' '.join(options)}", {}, call)
+      for options in (("--shifts", "2,-2,0"), ("--shifts", "0,1"), ("--alpha", "0.5"))
+      for call in (select(*options), nowcast(*options))),
     ("synth with its optional flags left out", {}, scenario("--peaks", "10:300:3,40:500:4")),
     ("synth with every flag off its default", {},
      scenario("--peaks", "10:300:3,40:500:4", "--lead", "3", "--spikes", "15:40:2,45:20:0",

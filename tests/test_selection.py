@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flunowcast import stats
+from flunowcast import ingest, selection, stats, synth
 from flunowcast.errors import NoUsableQuery
 from flunowcast.regress import candidate_objectives, in_sample_objective
 from flunowcast.selection import IMPROVEMENT_EPS, SelectionResult, greedy_select
@@ -183,13 +183,89 @@ class TestCandidates:
         assert greedy_select(panel, ws(y_vals), [0, 2]).best_shift == 0
 
 
-def reference_select(panel, y, shifts):
+class TestShiftBound:
+    """Greedy selection runs only at shifts whose whole-pool bound can still win."""
+
+    @staticmethod
+    def counting_runs(monkeypatch):
+        """The shifts `_greedy_one_shift` runs at, in order, and their outcomes."""
+        runs, real = [], selection._greedy_one_shift
+
+        def counted(X, yv, k, labels, pool):
+            runs.append((k, real(X, yv, k, labels, pool)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(selection, "_greedy_one_shift", counted)
+        return runs
+
+    def test_select_scenario_runs_only_the_winning_shift(self, monkeypatch):
+        # the select workload's scenario, through its CSV files: shift 2's search reaches
+        # within 1e-4 of 1, above every other shift's whole-pool bound
+        peaks = ((20, 800, 3), (50, 1200, 4), (110, 900, 3), (160, 400, 3), (215, 300, 3))
+        cases, panel = synth.generate(synth.ScenarioConfig(
+            seed=42, weeks=261, epidemic_peaks=peaks, lead_weeks=2, noise_sd=0.5,
+            n_signal_queries=8, n_noise_queries=12))
+        cases = ingest.parse_cases_csv(ingest.write_cases_csv(cases))
+        panel = ingest.parse_trends_csv(ingest.write_trends_csv(panel))
+        singles = [greedy_select(panel, cases, [k], 0.001) for k in SHIFTS]
+        runs = self.counting_runs(monkeypatch)
+        result = greedy_select(panel, cases, SHIFTS, 0.001)
+        assert [k for k, _ in runs] == [2]
+        assert result == max(singles, key=lambda s: s.objective) == singles[-1]
+
+    def test_a_singular_pool_has_no_bound_and_runs_first_and_in_full(self, monkeypatch):
+        # a and its copy pass the gate at shift 0 only, lead at shift 1 only; shift 1
+        # wins, and a bounded shift 0 would have been skipped
+        rng = np.random.default_rng(0)
+        base = rng.uniform(0, 100, size=81)
+        y = ws(base[:80])
+        a = base[:80] + rng.normal(0, 40, size=80)
+        panel = panel_of([("a", a), ("a2", a), ("lead", base[1:] + rng.normal(0, 1, size=80))])
+        windows = [stats.paired_rows(panel, y, k) for k in (0, 1)]
+        pools = [[j for j, (r, code) in enumerate(zip(c.r, c.reason)) if code == 0 and r > 0]
+                 for c in stats.gated_columns(windows, ALPHA)]
+        assert pools == [[0, 1], [2]]
+        (X0, yv0), (X1, yv1) = windows
+        assert in_sample_objective(X0[:, [0, 1]], yv0) is None
+        assert in_sample_objective(X0[:, [0]], yv0) < in_sample_objective(X1[:, [2]], yv1)
+        alone = greedy_select(panel, y, [0])
+        runs = self.counting_runs(monkeypatch)
+        result = greedy_select(panel, y, [1, 0])
+        assert runs == [(0, alone), (1, result)]
+        assert result.chosen_labels == ("lead",)
+        assert result == reference_select(panel, y, [1, 0])
+
+    def test_an_exact_tie_keeps_the_earlier_shift_though_the_later_ran_first(self):
+        # period-2 cases: q pairs with the same values at shifts 0 and 2, and d copies q
+        # on shift 2's rows only, so shift 2's pool has no bound and runs first; both
+        # shifts reach 1.0
+        y_vals = np.tile([10.0, 40.0], 20)
+        d = y_vals.copy()
+        d[38:] += [5.0, 7.0]
+        panel = panel_of([("q", y_vals), ("d", d)])
+        zero, two = (greedy_select(panel, ws(y_vals), [k]) for k in (0, 2))
+        assert (zero.chosen_labels, two.chosen_labels) == (("q",), ("d",))
+        assert zero.objective == two.objective
+        assert greedy_select(panel, ws(y_vals), [0, 2]) == zero
+        assert greedy_select(panel, ws(y_vals), [2, 0]) == two
+
+    def test_repeated_shifts_give_the_one_shift_result(self):
+        rng = np.random.default_rng(4)
+        y_vals = rng.uniform(0, 100, size=120)
+        panel = panel_of([(f"q{i}", np.roll(y_vals, -(i % 3)) + rng.normal(0, 30, size=120))
+                          for i in range(9)])
+        y = ws(y_vals)
+        assert greedy_select(panel, y, [2, 2]) == greedy_select(panel, y, [2])
+        assert greedy_select(panel, y, [0, 2, 0]) == reference_select(panel, y, [0, 2, 0])
+
+
+def reference_select(panel, y, shifts, alpha=ALPHA):
     """greedy_select rebuilt on one oracle fit per candidate: the same gated
-    candidate pools, then `greedy_forward` at each shift; None where
+    candidate pools, then `greedy_forward` at every shift; None where
     greedy_select raises NoUsableQuery."""
     windows = [stats.paired_rows(panel, y, k) for k in shifts]
     best = None
-    for k, (X, yv), cols in zip(shifts, windows, stats.gated_columns(windows, ALPHA)):
+    for k, (X, yv), cols in zip(shifts, windows, stats.gated_columns(windows, alpha)):
         lanes = enumerate(zip(cols.r.tolist(), cols.reason.tolist()))
         pool = sorted((-r, panel.labels[j], j) for j, (r, code) in lanes if code == 0 and r > 0.0)
         trace = greedy_forward(X, yv, [j for _, _, j in pool], IMPROVEMENT_EPS) if pool else None
@@ -222,20 +298,50 @@ def selection_problems(draw):
     return panel, ws(np.roll(weights @ base + noise, lag)), shifts
 
 
+@st.composite
+def wide_selection_problems(draw):
+    """Cases of 100-260 weeks that follow 2-5 random-walk base columns at one
+    of the shifts, and a panel of 10-20 queries, each a base column at some
+    lag, scaled, plus noise of a drawn size; with a drawn alpha. Walks
+    correlate at every lag and with each other, so most queries pass the
+    gate: wide pools of near-equal and noise-heavy candidates."""
+    m, nb = draw(st.integers(100, 260)), draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    base = rng.normal(size=(nb, m + 4)).cumsum(axis=1)
+    columns = []
+    for _ in range(draw(st.integers(10, 20))):
+        lag, scale = draw(st.integers(0, 4)), draw(st.sampled_from((0.0, 0.5, 2.0, 10.0)))
+        signal = base[draw(st.integers(0, nb - 1)), lag:lag + m]
+        columns.append(np.round(signal * draw(st.sampled_from((0.0, 0.5, 1.0)))
+                                + rng.normal(0, scale, size=m), 2))
+    panel = panel_of([(f"q{j}", c) for j, c in enumerate(columns)])
+    cases = rng.integers(1, 4, size=nb) @ base[:, 2:2 + m] + rng.normal(0, 2, size=m)
+    shifts = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=5))
+    return panel, ws(cases), shifts, draw(st.sampled_from((0.001, 0.05, 0.5)))
+
+
 class TestAgainstOneFitGreedy:
     """greedy_select against greedy selection by one oracle fit per candidate,
     trace objectives compared by ==."""
 
+    @staticmethod
+    def check(panel, y, shifts, alpha=ALPHA):
+        expected = reference_select(panel, y, shifts, alpha)
+        if expected is None:
+            with pytest.raises(NoUsableQuery):
+                greedy_select(panel, y, shifts, alpha)
+        else:
+            assert greedy_select(panel, y, shifts, alpha) == expected
+
     @given(selection_problems())
     @settings(max_examples=300, deadline=None)
     def test_same_result_as_one_fit_greedy(self, problem):
-        panel, y, shifts = problem
-        expected = reference_select(panel, y, shifts)
-        if expected is None:
-            with pytest.raises(NoUsableQuery):
-                greedy_select(panel, y, shifts)
-        else:
-            assert greedy_select(panel, y, shifts) == expected
+        self.check(*problem)
+
+    @given(wide_selection_problems())
+    @settings(max_examples=100, deadline=None)
+    def test_wide_pools_give_the_one_fit_greedy_result(self, problem):
+        self.check(*problem)
 
     def test_a_tie_within_eps_keeps_the_first_candidate(self):
         # after a: b2 ties b exactly, and c = b + 1e-6 noise beats b by less than the eps
