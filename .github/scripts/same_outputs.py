@@ -17,7 +17,10 @@ two rows, ...), go through the readme's `correlate` call under both
 trees, with the same comparison. Last, calls
 that no workload makes run on the readme files, edited or not: clamped and
 default-warmup nowcasts, rolling warmups below the minimum and past every
-week, `fit --queries` and at alpha 1e-300, `shift-scan` over an empty range,
+week, `fit --queries` and at alpha 1e-300, `correlate` and `shift-scan` with
+their sidecars on a one-query panel (`week,signal_1`: the Pearson sums of a
+single column) and on a panel whose `signal_2` is 50 in every row (ZeroVariance
+lanes among the others), `shift-scan` over an empty range,
 queries named `cases` or `estimates`, a panel inside the cases' range and
 ranges that are disjoint, outputs into a missing directory, `select` and
 `nowcast` over reordered or partial shift lists and at alpha 0.5 (the order
@@ -172,7 +175,29 @@ def scenario(*options: str) -> workloads.Call:
     return workloads.Call(argv, outputs)
 
 
+def each_row(change):
+    """An edit that applies `change` to the list of cells of every line but a last empty one."""
+    def rows(lines: list[bytes]) -> None:
+        for i, line in enumerate(lines):
+            if line:
+                cells = line.split(b",")
+                change(cells)
+                lines[i] = b",".join(cells)
+    return edit_lines(rows)
+
+
+def first_query(cells: list[bytes]) -> None:
+    del cells[2:]
+
+
+def flat_second_query(cells: list[bytes]) -> None:
+    if cells[0] != b"week":
+        cells[2] = b"50"
+
+
 CORRELATE = workloads.calls("readme", 42)[1]
+SCAN = workloads.Call(("shift-scan", *INPUTS, "--shifts=-2..2", "--out", "scan.csv",
+                       "--sidecar", "scan.json"), ("scan.csv", "scan.json"))
 REPORT_FIG = workloads.Call(("report-fig", *INPUTS, "--out", "figure.csv"), ("figure.csv",))
 INSIDE = {"panel.csv": keep_rows(20, 240)}  # the panel starts later and ends earlier
 DISJOINT = {"cases.csv": keep_rows(0, 100), "panel.csv": keep_rows(150, 261)}
@@ -189,6 +214,11 @@ EDGE_CALLS = [
     ("rolling nowcast, warmup past every week", {},
      nowcast("--mode", "rolling", "--warmup", "300")),
     ("fit at alpha 1e-300", {}, fit("--shift", "2", "--alpha", "1e-300")),
+    # a one-query panel sums a single column; a constant query gives ZeroVariance lanes
+    *((f"{call.command} on {what}", {"panel.csv": each_row(change)}, call)
+      for what, change in (("a one-query panel", first_query),
+                           ("a panel whose signal_2 is 50 in every row", flat_second_query))
+      for call in (CORRELATE, SCAN)),
     ("shift-scan over an empty range", {},
      workloads.Call(("shift-scan", *INPUTS, "--shifts=2..-2", "--out", "scan.csv"),
                     ("scan.csv",))),

@@ -2,12 +2,15 @@
 
 One kernel correlates every column of a (weeks x queries) window with
 the cases at once, and returns the window's cells as columns: r, p and
-an NA-reason code per lane.
+an NA-reason code per lane. Its sums add weeks in order: numpy sums
+pairwise only along the axis fastest in memory, so a row-major window of
+two or more columns takes one np.add.reduce and any other layout cumsum.
 Every Student-t p-value, the cells' and the fitted coefficients', comes
 from one batched kernel, `t_two_sided_p`, whose lanes run the
 incomplete-beta continued fraction side by side as arrays; the last
 `_FEW_LANES` still running finish one by one in plain floats, with the
-array loop's steps in its order and so its bits. `t_critical` inverts
+array loop's steps in its order and so its bits; the array loop floors
+Lentz's d and c in place, in temporaries of its own. `t_critical` inverts
 it by Newton's method. A correlation that cannot be computed (constant
 series, too few pairs) or fails the significance gate is NA with a
 reason code, never an exception, as surveillance tables mark cells.
@@ -29,7 +32,7 @@ _BETA_TOL = 1e-12
 _BETA_MAX_ITER = 300
 _BETA_TINY = 1e-300  # Lentz's floor on d and c
 _NEWTON_MAX_ITER = 200
-_FEW_LANES = 24  # an array iteration costs as much as 20 to 30 lane iterations in plain floats
+_FEW_LANES = 24  # an array iteration costs as much as ~35 lane iterations in plain floats
 
 # a lane's NA-reason code indexes REASONS; code 0 is a lane with no reason
 REASONS = (None, "ZeroVariance", "TooFewPairs", "NotSignificant")
@@ -50,6 +53,8 @@ class GatedColumns:
 def _row_sum(a: np.ndarray) -> np.ndarray:
     """Column sums adding rows in order, as a sum over pairs would; a
     pairwise np.sum rounds differently and moves printed p-values."""
+    if a.ndim == 2 and a.shape[1] > 1 and a.flags.c_contiguous:
+        return np.add.reduce(a, axis=0)
     return np.cumsum(a, axis=0)[-1]
 
 
@@ -74,8 +79,9 @@ def _beta_continued_fractions(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np
     arrays of lanes, each lane leaving as soon as it converges."""
     tiny = _BETA_TINY
 
-    def floor(v):  # keep Lentz's d and c off zero
-        return np.where(np.abs(v) < tiny, tiny, v)
+    def floor(v):  # keep Lentz's d and c off zero; v is a fresh temporary, floored in place
+        np.putmask(v, np.abs(v) < tiny, tiny)
+        return v
 
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c, d = np.ones_like(x), 1.0 / floor(1.0 - qab * x / qap)
@@ -96,8 +102,9 @@ def _beta_continued_fractions(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np
         done = np.abs(delta - 1.0) < _BETA_TOL
         if done.any():
             out[lanes[done]] = h[done]
+            keep = np.flatnonzero(~done)
             lanes, a, b, x, qab, qap, qam, c, d, h = (
-                v[~done] for v in (lanes, a, b, x, qab, qap, qam, c, d, h))
+                v[keep] for v in (lanes, a, b, x, qab, qap, qam, c, d, h))
     out[lanes] = h  # lanes still running at _BETA_MAX_ITER
     return out
 

@@ -1,9 +1,10 @@
 """Independent reference implementations used to check the library.
 
 These deliberately avoid the library's own code paths: correlation from
-the definitional sums, p-values from permutation resampling and
-quadrature, OLS from Gaussian elimination on the normal equations,
-subset selection by exhaustive enumeration, the selection objective and
+the definitional sums, column sums one row at a time in order, p-values
+from permutation resampling and quadrature, OLS from Gaussian
+elimination on the normal equations, subset selection by exhaustive
+enumeration, the selection objective and
 greedy selection by one least-squares fit per candidate, ISO weeks from
 stepping a date one week at a time, week stamps from a regular expression
 and `date.fromisocalendar`, figure rows from one stable sort,
@@ -47,6 +48,16 @@ def definitional_pearson(xs, ys):
     sxx = sum((x - mx) ** 2 for x in xs)
     syy = sum((y - my) ** 2 for y in ys)
     return sxy / math.sqrt(sxx * syy)
+
+
+def sequential_column_sums(a):
+    """Each column's sum of a (rows x columns) array, or a vector's sum,
+    adding its rows one at a time in order, in Python floats."""
+    rows = a.tolist()
+    totals = rows[0]
+    for row in rows[1:]:
+        totals = totals + row if a.ndim == 1 else [t + v for t, v in zip(totals, row)]
+    return np.array(totals)
 
 
 def permutation_p_value(xs, ys, n_perm=10_000, seed=0):

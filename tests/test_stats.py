@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 from flunowcast import stats
@@ -38,6 +38,7 @@ from .oracles import (
     correlation_p_value,
     definitional_pearson,
     regularized_incomplete_beta,
+    sequential_column_sums,
     student_t_two_sided_p,
     t_density_p_value,
 )
@@ -108,6 +109,63 @@ class TestPearson:
             x = rng.normal(size=30)
             y = rng.normal(size=30)
             assert cell(x, y).r[0] == pytest.approx(definitional_pearson(x, y), abs=1e-12)
+
+
+LAYOUTS = ("vector", "one column", "C", "F", "row slice", "column strided")
+
+
+@st.composite
+def summed_arrays(draw):
+    """2 to 600 rows in one of LAYOUTS, of values whose magnitudes lie in
+    a drawn band of [1e-150, 1e150], either sign."""
+    layout = draw(st.sampled_from(LAYOUTS))
+    n = draw(st.integers(2, 600))
+    k = 1 if layout in ("vector", "one column") else draw(st.integers(2, 120))
+    lo = draw(st.floats(-150.0, 150.0))
+    hi = draw(st.floats(lo, 150.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(*shape):
+        return 10.0 ** rng.uniform(lo, hi, shape) * rng.choice([-1.0, 1.0], shape)
+
+    if layout == "vector":
+        return values(n)
+    if layout == "F":
+        return np.asfortranarray(values(n, k))
+    if layout == "row slice":
+        first, step = draw(st.integers(0, 5)), draw(st.integers(1, 3))
+        return values(first + n * step, k)[first::step]
+    if layout == "column strided":
+        return values(n, 2 * k)[:, ::2]
+    return values(n, k)
+
+
+def bits(a):
+    return np.asarray(a).view(np.int64).tolist()
+
+
+class TestRowSum:
+    # numpy sums pairwise along the axis fastest in memory, so only some layouts may reduce
+    @given(summed_arrays())
+    @settings(max_examples=300)
+    def test_adds_rows_in_order_in_every_layout(self, a):
+        assert bits(stats._row_sum(a)) == bits(sequential_column_sums(a))
+
+    @given(n=st.integers(3, 120), k=st.integers(1, 40), flat_y=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100)
+    def test_pearson_is_the_same_in_every_layout(self, n, k, flat_y, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(0.0, 100.0, (n, k)) * 10.0 ** rng.integers(-3, 4, k)
+        X[:, rng.random(k) < 0.2] = 50.0  # ZeroVariance lanes
+        y = np.full(n, 7.0) if flat_y else rng.uniform(0.0, 1000.0, n)
+        wide = np.zeros((n, 2 * k))
+        wide[:, ::2] = X
+        r, flat = stats._pearson_columns(X, y)
+        for view in (np.asfortranarray(X), wide[:, ::2]):
+            r_view, flat_view = stats._pearson_columns(view, y)
+            assert bits(r_view) == bits(r)
+            assert flat_view.tolist() == flat.tolist()
 
 
 def p_of(t, dof):
@@ -337,6 +395,27 @@ class TestBatchedPValues:
         arrays, floats = self.arrays_and_floats(
             monkeypatch, lambda: stats._beta_continued_fractions(a, b, x).tolist())
         assert arrays == floats
+        # the floor writes into the fraction's own temporaries, never into its inputs
+        assert [a.tolist(), b.tolist(), x.tolist()] == [[1.0, 1.0], [4.0, 0.5], [0.5, 12.0]]
+
+    @given(lanes=st.lists(t_lanes(), min_size=1, max_size=60))
+    @settings(max_examples=100)
+    def test_the_kernel_leaves_its_inputs_alone(self, lanes):
+        lanes *= 2 * stats._FEW_LANES // len(lanes) + 1  # enough lanes for the array loop
+        t, dof = (np.array(v) for v in zip(*lanes))
+        kept, fraction = [t.copy(), dof.copy()], stats._beta_continued_fractions
+        inputs = []
+
+        def spy(a, b, x):
+            inputs.append(((a, b, x), [v.copy() for v in (a, b, x)]))
+            return fraction(a, b, x)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stats, "_beta_continued_fractions", spy)
+            t_two_sided_p(t, dof)
+        (seen, copies), = inputs
+        assume(len(seen[0]) > stats._FEW_LANES)  # the array loop ran
+        assert [v.tobytes() for v in (t, dof, *seen)] == [v.tobytes() for v in (*kept, *copies)]
 
     def test_no_lanes(self):
         assert correlation_p_values(np.array([]), np.array([], dtype=int)).tolist() == []
