@@ -20,7 +20,8 @@ default-warmup nowcasts, rolling warmups below the minimum and past every
 week, `fit --queries` and at alpha 1e-300, `correlate` and `shift-scan` with
 their sidecars on a one-query panel (`week,signal_1`: the Pearson sums of a
 single column) and on a panel whose `signal_2` is 50 in every row (ZeroVariance
-lanes among the others), `shift-scan` over an empty range,
+lanes among the others), `fit` on that panel and on the cases' first 4 weeks
+(a collinear design, too few rows), `shift-scan` over an empty range,
 queries named `cases` or `estimates`, a panel inside the cases' range and
 ranges that are disjoint, outputs into a missing directory, `select` and
 `nowcast` over reordered or partial shift lists and at alpha 0.5 (the order
@@ -232,6 +233,10 @@ EDGE_CALLS = [
     ("rolling nowcast on a panel inside the cases' range", INSIDE, nowcast("--mode", "rolling")),
     ("report-fig on a panel inside the cases' range", INSIDE, REPORT_FIG),
     ("fit on disjoint ranges", DISJOINT, fit()),
+    # fit's two refusals: a constant query is collinear with the intercept; too few rows
+    ("fit on a panel whose signal_2 is 50 in every row", {"panel.csv": each_row(flat_second_query)},
+     fit()),
+    ("fit on the first 4 weeks of cases", {"cases.csv": keep_rows(0, 4)}, fit()),
     ("nowcast on disjoint ranges", DISJOINT, nowcast()),
     ("report-fig on disjoint ranges", DISJOINT, REPORT_FIG),
     ("correlate with its sidecar in a missing directory", {},

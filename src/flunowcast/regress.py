@@ -1,17 +1,17 @@
 """Multi-query linear nowcast model: OLS fit and rolling refits.
 
 The model is y_t = b0 + b1*x_1t + ... + bn*x_nt, fit by least squares.
-The solver is QR-based (Householder); normal equations exist only as a
-test oracle elsewhere. Both nowcast modes return a one-column frame of
-estimates stamped at case weeks: `predict` applies a full-period fit to
-every panel week, and `rolling_weekly_fit` refits the coefficients once
-per week on all strictly-prior weeks. Only the coefficients are refit:
-the queries and the shift are the caller's, and `nowcast` picks them once
-from all weeks. Every fit takes its rows from `timeseries.paired`.
-Stacked QRs save numpy's per-call cost. A greedy step factors its
-candidates together (`candidate_objectives`), each lane's objective equal
-to its own fit's bit for bit; rolling windows go ROLLING_CHUNK to a stack,
-zero-padded, each lane's Q^T y summed over its own rows only (not padding).
+Every fit is a lane of `_lstsq`: one Householder QR of a stack of designs,
+one rank test, each lane's Q^T y over its own rows, one stacked solve;
+normal equations exist only as a test oracle elsewhere. Both nowcast modes
+return a one-column frame of estimates stamped at case weeks: `predict`
+applies a full-period fit (`fit_ols`, a one-lane stack) to every panel
+week, and `rolling_weekly_fit` refits the coefficients once per week on all
+strictly-prior weeks. Only the coefficients are refit: the queries and the
+shift are the caller's, and `nowcast` picks them once from all weeks. Every
+fit takes its rows from `timeseries.paired`. A greedy step stacks its
+candidates (`candidate_objectives`), each lane's objective equal to its own
+fit's bit for bit; rolling windows go ROLLING_CHUNK to a stack, zero-padded.
 Coefficient inference (intervals, p-values) is computed only on request,
 by `coefficient_stats` as one plain row a term: one critical t, and
 every term's p from one call of the Student-t kernel.
@@ -53,31 +53,29 @@ def _with_intercept(X: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((len(X), 1)), X])
 
 
-def _padded_qr(A: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One stacked QR of the windows A[:t], t in ts, each zero-padded to the longest."""
-    return np.linalg.qr(np.where(np.arange(ts[-1])[:, None] < ts[:, None, None], A[:ts[-1]], 0.0))
-
-
-def _solve(A: np.ndarray, yv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least squares of yv on the design A = [1 X], via Householder QR.
-
-    Returns (beta, R), intercept first, with A = QR. Raises
-    Underdetermined below nq + 2 rows and SingularDesign on rank loss.
-    """
-    m, nq = A.shape[0], A.shape[1] - 1
-    if m < nq + 2:
-        raise Underdetermined(f"{m} fitted weeks for {nq} queries (need >= {nq + 2})")
+def _lstsq(A: np.ndarray, yv: np.ndarray, rows: list[int] | np.ndarray) -> tuple[np.ndarray, ...]:
+    """Least squares of yv on each design of the stack A (lanes x weeks x p),
+    lane i on its first rows[i] weeks (rows below are zero), from one stacked
+    Householder QR. Returns (Q, R, ok, betas): each lane's Q and R, whether it
+    passes the rank test, and the betas (intercept first) of those that do."""
     q, r = np.linalg.qr(A)
-    if _singular(r):
-        raise SingularDesign("design matrix columns are collinear")
-    return np.linalg.solve(r, q.T @ yv), r
+    ok = ~_singular(r)
+    # each lane's Q^T y over its own rows only, not the zero padding
+    qty = [q[i, :t].T @ yv[:t] for i, t in enumerate(rows) if ok[i]]
+    # b as (lanes, p, 1): numpy 1.x and 2.x both read that as one vector per lane
+    return q, r, ok, np.linalg.solve(r[ok], np.reshape(qty, (-1, A.shape[2], 1)))[:, :, 0]
 
 
 def fit_ols(panel: Weekly, y: Weekly, k: int) -> ModelFit:
     """Fit the nowcast model on the full overlapping period at shift k."""
     X, yv, _ = paired(panel, y, k)
-    beta, r = _solve(_with_intercept(X), yv)
     m, nq = X.shape
+    if m < nq + 2:
+        raise Underdetermined(f"{m} fitted weeks for {nq} queries (need >= {nq + 2})")
+    _, r, ok, betas = _lstsq(_with_intercept(X)[None], yv, [m])
+    if not ok[0]:
+        raise SingularDesign("design matrix columns are collinear")
+    beta, r = betas[0], r[0]
     resid = yv - (beta[0] + X @ beta[1:])
     rss = float(resid @ resid)
     dof = m - (nq + 1)
@@ -129,8 +127,8 @@ def rolling_weekly_fit(panel: Weekly, y: Weekly, k: int,
     shift k are used as given, whatever weeks chose them. The estimates start
     at the first estimated week; None when no week gets an estimate. An
     explicit warmup's first window must be fittable; the default starts at
-    the first fittable window from week nq + 4 on. The windows are factored
-    ROLLING_CHUNK at a time, in one stacked QR each (`_padded_qr`).
+    the first fittable window from week nq + 4 on. The windows are fit
+    ROLLING_CHUNK at a time, each chunk one `_lstsq` stack.
     """
     X, yv, yi = paired(panel, y, k)
     m, nq = X.shape
@@ -143,16 +141,15 @@ def rolling_weekly_fit(panel: Weekly, y: Weekly, k: int,
     values = []
     for t0 in range(warmup, m, ROLLING_CHUNK):
         ts = np.arange(t0, min(t0 + ROLLING_CHUNK, m))
-        q, r = _padded_qr(A, ts)
-        bad = _singular(r)
-        # the default warmup runs on past singular windows (e.g.
-        # still-flat query columns) to the first fittable one; adding
-        # rows never lowers the column rank, so later windows fit too
-        lead = int(bad.cumprod().sum()) if default_warmup and not values else 0
-        if bad[lead:].any():
+        # lane i is the window A[:ts[i]], zero-padded to the chunk's longest; q lives on to
+        # the next chunk's QR, as freeing it sooner doubled the fit's page faults
+        padded = np.where(np.arange(ts[-1])[:, None] < ts[:, None, None], A[:ts[-1]], 0.0)
+        q, _, ok, betas = _lstsq(padded, yv, ts)
+        # the default warmup runs on past singular windows (e.g. still-flat queries) to the
+        # first fittable one; adding rows never lowers the column rank, so later windows fit
+        lead = int((~ok).cumprod().sum()) if default_warmup and not values else 0
+        if not ok[lead:].all():
             raise SingularDesign("design matrix columns are collinear")
-        qty = np.reshape([q[i, :t].T @ yv[:t] for i, t in enumerate(ts)], (len(ts), -1, 1))
-        betas = np.linalg.solve(r[lead:], qty[lead:])[:, :, 0]
         values += [float(b[0] + X[t] @ b[1:]) for t, b in zip(ts[lead:], betas)]
     # estimates are contiguous and end at the last fitted week
     return (Weekly(y.start.add(yi + m - len(values)), ("estimates",), np.reshape(values, (-1, 1)))
@@ -172,7 +169,7 @@ def candidate_objectives(X: np.ndarray, yv: np.ndarray, chosen: list[int],
     """
     m, a = len(yv), len(chosen)
     objectives = [None] * len(candidates)
-    if m < a + 3:  # a + 1 queries need a + 3 rows, as in _solve
+    if m < a + 3:  # a + 1 queries need a + 3 rows, as in fit_ols
         return objectives
     ybar = yv.mean()
     dy = yv - ybar
@@ -184,12 +181,8 @@ def candidate_objectives(X: np.ndarray, yv: np.ndarray, chosen: list[int],
     A[:, :, 0] = 1.0
     A[:, :, 1:-1] = X[:, chosen]
     A[:, :, -1] = X[:, candidates].T
-    q, r = np.linalg.qr(A)
-    lanes = np.flatnonzero(~_singular(r))
-    qty = np.swapaxes(q, 1, 2) @ yv
-    # b as (lanes, p, 1): numpy 1.x and 2.x both read that as one vector per lane
-    betas = np.linalg.solve(r[lanes], qty[lanes, :, None])[:, :, 0]
-    for j, beta in zip(lanes.tolist(), betas):
+    _, _, ok, betas = _lstsq(A, yv, [m] * len(candidates))
+    for j, beta in zip(np.flatnonzero(ok).tolist(), betas):
         df = A[j, :, 1:] @ beta[1:] + (beta[0] - ybar)
         ess = float(df @ df)
         if ess != 0.0:

@@ -4,13 +4,14 @@ These deliberately avoid the library's own code paths: correlation from
 the definitional sums, column sums one row at a time in order, p-values
 from permutation resampling and quadrature, OLS from Gaussian
 elimination on the normal equations, subset selection by exhaustive
-enumeration, the selection objective and
-greedy selection by one least-squares fit per candidate, ISO weeks from
-stepping a date one week at a time, week stamps from a regular expression
-and `date.fromisocalendar`, figure rows from one stable sort,
-sidecar JSON from the standard library's encoder, the CSV readers one
-line at a time (cell count, stamp, integers, then values), the panel writer
-from one str() a cell, and 0-100 rescaling one series at a time. The
+enumeration, OLS betas from numpy's single-design QR and solve, the
+selection objective and greedy selection by one least-squares fit per
+candidate, ISO weeks from stepping a date one week at a time, week
+stamps from a regular expression and `date.fromisocalendar`, figure rows
+from one stable sort, sidecar JSON from the standard library's encoder,
+the CSV readers one line at a time (cell count, stamp, integers, then
+values), the panel writer from one str() a cell, and 0-100 rescaling one
+series at a time. The
 Student-t p-value is also here one scalar continued fraction at a
 time: the batched kernel must equal it exactly, lane for lane, and
 `t_critical` must agree with its bisection.
@@ -222,19 +223,13 @@ def model_r(X, y):
     return definitional_pearson(fitted, y)
 
 
-def one_fit_objective(X, y):
-    """The selection objective of one candidate model by its own fit.
-
-    Pearson r of an intercept OLS model of y on X's columns, as
-    sqrt(ESS/TSS), from one Householder QR of [1 X]. None below nq + 2
-    rows, for collinear columns (a diagonal entry of R at most 1e-10 times
-    the largest, or 1), or when y or the fitted values are constant. It
-    makes numpy's single-design calls on a C-order X, as a panel holds its
-    columns, so a stacked fast path must equal it bit for bit (an F-order
-    X sums X @ beta in another order).
+def one_fit_betas(X, y):
+    """Intercept-first OLS betas of y on [1 X] from numpy's single-design
+    calls: one Householder QR, R's solve against q.T @ y. None below nq + 2
+    rows or for collinear columns (a diagonal entry of R at most 1e-10 times
+    the largest, or 1). X is taken C-order, as a panel holds its columns.
     """
     X = np.ascontiguousarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
     m, nq = X.shape
     if m < nq + 2:
         return None
@@ -242,7 +237,24 @@ def one_fit_objective(X, y):
     diag = np.abs(np.diag(r))
     if np.min(diag) <= 1e-10 * max(np.max(diag), 1.0):
         return None
-    beta = np.linalg.solve(r, q.T @ y)
+    return np.linalg.solve(r, q.T @ np.asarray(y, dtype=float))
+
+
+def one_fit_objective(X, y):
+    """The selection objective of one candidate model by its own fit.
+
+    Pearson r of an intercept OLS model of y on X's columns, as
+    sqrt(ESS/TSS), from the betas of `one_fit_betas`. None where those are,
+    or when y or the fitted values are constant. It makes numpy's
+    single-design calls on a C-order X, as a panel holds its columns, so a
+    stacked fast path must equal it bit for bit (an F-order X sums
+    X @ beta in another order).
+    """
+    X = np.ascontiguousarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    beta = one_fit_betas(X, y)
+    if beta is None:
+        return None
     dy = y - y.mean()
     df = X @ beta[1:] + (beta[0] - y.mean())
     tss, ess = float(dy @ dy), float(df @ df)

@@ -24,7 +24,7 @@ from flunowcast.stats import gated_columns, paired_rows
 from flunowcast.timeseries import ALPHA, MIN_PAIRS, Weekly, paired
 
 from .frames import W0, panel_of, ws
-from .oracles import definitional_pearson, normal_equations_ols, one_fit_objective
+from .oracles import definitional_pearson, normal_equations_ols, one_fit_betas, one_fit_objective
 
 
 
@@ -457,6 +457,15 @@ class TestCandidateObjectives:
         for j, obj in zip(candidates, got):
             assert obj == one_fit_objective(X[:, chosen + [j]], yv)  # None only matches None
         assert in_sample_objective(X[:, chosen + candidates[:1]], yv) == got[0]
+        # fit_ols is a one-lane stack: the bits of numpy's single-design calls
+        cols = chosen + candidates[:1]
+        beta = one_fit_betas(X[:, cols], yv)
+        subset = panel.subset([f"q{j}" for j in cols])
+        if beta is None:
+            with pytest.raises((Underdetermined, SingularDesign)):
+                fit_ols(subset, y, k)
+        else:
+            assert fit_ols(subset, y, k).betas.tobytes() == beta.tobytes()
 
 
 class TestEvaluate:
